@@ -17,7 +17,7 @@ from .curves import (CurveFields, DiscreteCurve, ImmersionError,
                      mean_curvature, resample, unit_tangent)
 from .flow import (FlowParams, FlowReport, FlowState, StopReason, Trajectory,
                    adaptive_dt, run, step_rk4, velocity)
-from .fourier import FourierField, FourierField2D
+from .fourier import FourierField
 from .geometry import (LEFT, RIGHT, BaseMetric, ChristoffelTensor, FrameData,
                        MetricTensor, TangentVec, WarpedProduct, WarpPoint,
                        christoffel_at, conformal_residual,
@@ -43,7 +43,7 @@ __all__ = [
     "MetricTensor", "ChristoffelTensor", "FrameData",
     "metric_at", "christoffel_at", "inner", "warp_gradient",
     "dr_identity_residual", "conformal_residual",
-    "FourierField", "FourierField2D",
+    "FourierField",
     "DiscreteCurve", "CurveFields", "ImmersionError",
     "make_graph_curve", "compute_fields", "unit_tangent", "mean_curvature",
     "angle_function", "length", "arc_derivative", "arc_laplacian",

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -67,8 +66,6 @@ def _build_parser() -> _Parser:
     p_suite.add_argument("directory", help="directory holding .cfg files")
     p_suite.add_argument("--out", default=None,
                          help="artifact root (default wcsf_out)")
-    p_suite.add_argument("--jobs", type=int, default=1,
-                         help="concurrent scenario runs (default 1)")
     return parser
 
 
@@ -233,17 +230,8 @@ def _cmd_suite(args) -> int:
         return EXIT_USAGE
     scenarios = [(p, _load_scenario(p)) for p in paths]
     out_root = Path(args.out) if args.out else Path("wcsf_out")
-    jobs = max(1, int(args.jobs))
-    outcomes = {}
-    if jobs == 1:
-        for p, scn in scenarios:
-            outcomes[p] = execute_scenario(scn, out_root / p.stem)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [(p, pool.submit(execute_scenario, scn, out_root / p.stem))
-                       for p, scn in scenarios]
-            for p, fut in futures:
-                outcomes[p] = fut.result()
+    outcomes = {p: execute_scenario(scn, out_root / p.stem)
+                for p, scn in scenarios}
     lines = [f"{p.stem}: exit {outcomes[p][0]} ({outcomes[p][1]})"
              for p in paths]
     out_root.mkdir(parents=True, exist_ok=True)

@@ -127,32 +127,29 @@ def make_graph_curve(fields, m: int, x_winding=None,
 class CurveFields:
     """Per-node geometric data shared by the flow and the monitors.
 
-    Attribute shapes (M nodes, d ambient dimensions):
-      deriv            gamma' (M, d)
+    Attribute shapes (M nodes, 2 ambient dimensions):
+      deriv            gamma' (M, 2)
       speed            v = |gamma'|_G (M,)
-      tangent          T = gamma' / v (M, d)
-      curvature        H, projected normal (M, d)
+      tangent          T = gamma' / v (M, 2)
+      curvature        H, normal to T (M, 2)
       curvature_norm   |A| = |H|_G (M,)
       theta            <T, d_r>_G (M,)
       theta_hat        theta / |d_r|_G, clipped to [-1, 1] (M,)
       length           float
-      pre_tangential   <H_pre, T>_G before the projection (M,)
-      metric           G at the nodes (M, d, d)
-      gamma            Christoffel symbols at the nodes (M, d, d, d)
+      pre_tangential   <H, T>_G, analytically zero (M,)
+      metric           G at the nodes (M, 2, 2)
+      gamma            Christoffel symbols at the nodes (M, 2, 2, 2)
 
-    metric and gamma materialize on first access: the stepper never reads
-    them, so the graph fast path defers building the two big arrays and
-    hands over a closure instead.
+    metric and gamma are dense tensors that only the monitors read; they
+    are built by WarpedProduct.frame on first access, never per step.
     """
 
     __slots__ = ("deriv", "speed", "tangent", "curvature", "curvature_norm",
                  "theta", "theta_hat", "length", "pre_tangential",
-                 "graph_velocity_x", "_metric", "_gamma", "_connection")
+                 "_manifold", "_coords", "_frame")
 
     def __init__(self, deriv, speed, tangent, curvature, curvature_norm,
-                 theta, theta_hat, length, pre_tangential,
-                 metric=None, gamma=None, connection=None,
-                 graph_velocity_x=None):
+                 theta, theta_hat, length, pre_tangential, manifold, coords):
         self.deriv = deriv
         self.speed = speed
         self.tangent = tangent
@@ -162,171 +159,104 @@ class CurveFields:
         self.theta_hat = theta_hat
         self.length = length
         self.pre_tangential = pre_tangential
-        self.graph_velocity_x = graph_velocity_x
-        self._metric = metric
-        self._gamma = gamma
-        self._connection = connection
+        self._manifold = manifold
+        self._coords = coords
+        self._frame = None
+
+    def _dense(self):
+        if self._frame is None:
+            self._frame = self._manifold.frame(self._coords)
+        return self._frame
 
     @property
     def metric(self) -> np.ndarray:
-        if self._metric is None:
-            self._metric, self._gamma = self._connection()
-        return self._metric
+        return self._dense().metric
 
     @property
     def gamma(self) -> np.ndarray:
-        if self._gamma is None:
-            self._metric, self._gamma = self._connection()
-        return self._gamma
+        return self._dense().gamma
 
 
-def _fast_graph_fields(curve: DiscreteCurve,
-                       manifold: WarpedProduct) -> CurveFields:
-    # flat one dimensional base, graph parametrization: the metric is
-    # diagonal and gamma' has r-component exactly 1, so every contraction
-    # in the general path collapses to scalar node arrays. The speed
-    # derivative comes from the exact chain rule instead of a second
-    # spectral pass; the two paths agree to aliasing level and tests pin
-    # that agreement on bandlimited curves.
-    m = curve.m
-    f = curve.coords[:, 1]
-    wx = curve.winding[1]
-    fper = f - wx * spectral.nodes(m) if wx else f
-    fp, fpp = spectral.diff12(fper)
-    if wx:
-        fp = fp + wx
-    left = manifold.kind == LEFT
-    if left:
-        psi, dpsi = manifold.warp.values_with_derivative(f)
-        g00 = psi * psi
-        v2 = g00 + fp * fp
-        dlog = dpsi / psi
-        pd = psi * dpsi
-        gam0 = 2.0 * dlog * fp          # Gamma^0_{0x} gp^0 gp^x twice
-        gamx = -pd                      # Gamma^x_{00} (gp^0)^2, flat base
-        # v v' = psi psi' f' + f' f'' by the chain rule, exact at the nodes
-        vvp = fp * (pd + fpp)
-    else:
-        phi, dphi, phi2, phidphi, dlog = manifold.circle_tables(m)
-        v2 = 1.0 + phi2 * fp * fp
-        gam0 = -phidphi * fp * fp       # Gamma^0_{xx} (gp^x)^2
-        gamx = 2.0 * dlog * fp          # Gamma^x_{0x} gp^0 gp^x twice
-        vvp = fp * (phidphi * fp + phi2 * fpp)
-    v = np.sqrt(v2)
-    if float(v.min()) <= _SPEED_FLOOR:
-        raise ImmersionError("degenerate node: |gamma'| <= 1e-10")
-    wq = vvp / (v2 * v2)                # v'/(v^2 v) with v v' substituted
-    h0 = gam0 / v2 - wq                 # r'' is identically zero
-    hx = (fpp + gamx) / v2 - fp * wq
-    t0 = 1.0 / v
-    tx = fp / v
-    if left:
-        gt0 = g00 / v                   # metric-weighted d_r, scale on x is 1
-        gtx = tx
-    else:
-        gt0 = t0                        # scale on r is 1
-        gtx = phi2 * tx
-    pre_tan = gt0 * h0 + gtx * hx
-    h0p = h0 - pre_tan * t0
-    hxp = hx - pre_tan * tx
-    theta = gt0
-    if left:
-        habs2 = g00 * h0p * h0p + hxp * hxp
-        theta_hat = theta / psi         # |d_r|_G = psi
-    else:
-        habs2 = h0p * h0p + phi2 * hxp * hxp
-        theta_hat = theta               # |d_r|_G = 1
-    habs = np.sqrt(np.maximum(habs2, 0.0))
-    theta_hat = np.minimum(np.maximum(theta_hat, -1.0), 1.0)
-    total = float(v.sum() * (TWO_PI / m))
-    gp = np.empty((m, 2))
-    gp[:, 0] = 1.0
-    gp[:, 1] = fp
-    t = np.empty((m, 2))
-    t[:, 0] = t0
-    t[:, 1] = tx
-    h = np.empty((m, 2))
-    h[:, 0] = h0p
-    h[:, 1] = hxp
-    if left:
-        def connection():
-            g = np.zeros((m, 2, 2))
-            g[:, 0, 0] = g00
-            g[:, 1, 1] = 1.0
-            gam = np.zeros((m, 2, 2, 2))
-            gam[:, 0, 0, 1] = dlog
-            gam[:, 0, 1, 0] = dlog
-            gam[:, 1, 0, 0] = gamx
-            return g, gam
-    else:
-        def connection():
-            g = np.zeros((m, 2, 2))
-            g[:, 0, 0] = 1.0
-            g[:, 1, 1] = phi2
-            gam = np.zeros((m, 2, 2, 2))
-            gam[:, 1, 0, 1] = dlog
-            gam[:, 1, 1, 0] = dlog
-            gam[:, 0, 1, 1] = -phidphi
-            return g, gam
-    return CurveFields(
-        deriv=gp,
-        speed=v,
-        tangent=t,
-        curvature=h,
-        curvature_norm=habs,
-        theta=theta,
-        theta_hat=theta_hat,
-        length=total,
-        pre_tangential=pre_tan,
-        connection=connection,
-        graph_velocity_x=hxp - h0p * fp,
-    )
+def _pairs(c0, c1, m: int) -> np.ndarray:
+    out = np.empty((m, 2))
+    out[:, 0] = c0
+    out[:, 1] = c1
+    return out
 
 
 def compute_fields(curve: DiscreteCurve, manifold: WarpedProduct) -> CurveFields:
     """One pass over the curve: tangent, curvature, angle, length.
 
-    The curvature vector is H = gamma''/v^2 - gamma' v'/v^3 + Gamma(gamma',
-    gamma')/v^2 followed by an explicit projection orthogonal to T. The
-    projection removes a tangential defect that is analytically zero; its
-    pre-projection size is kept so tests can assert it stays O(M^-2).
+    The metric is diagonal, G = diag(A, B), so every contraction is a
+    product of node arrays. With the covariant acceleration
+    q = gamma'' + Gamma(gamma', gamma'), the curvature vector is
+    H = q/v^2 - gamma' v'/v^3, and the exact chain rule
+    v v' = <gamma', q>_G makes it the part of q/v^2 normal to T. Its
+    tangential defect <H, T>_G is therefore rounding-level; it is kept as
+    pre_tangential so tests can assert that.
     """
     if manifold.dim != curve.dim:
         raise ValueError("curve and manifold dimensions do not match")
-    if (curve.mode == GRAPH and manifold.base_dim == 1
-            and manifold.base_metric.is_flat):
-        return _fast_graph_fields(curve, manifold)
-    frame = manifold.frame(curve.coords)
-    g = frame.metric
-    d1, d2 = spectral.diff12(curve.periodic_part())
-    gp = d1 + np.asarray(curve.winding, dtype=float)
-    v2 = np.einsum("nab,na,nb->n", g, gp, gp)
+    m = curve.m
+    x = curve.coords[:, 1]
+    if curve.mode == GRAPH:
+        # r = u at every node, so r' = 1 and r'' = 0 exactly
+        wx = curve.winding[1]
+        xp, xpp = spectral.diff12(x - wx * spectral.nodes(m) if wx else x)
+        if wx:
+            xp = xp + wx
+        rp, rpp = 1.0, 0.0
+    else:
+        d1, d2 = spectral.diff12(curve.periodic_part())
+        rp = d1[:, 0] + curve.winding[0]
+        xp = d1[:, 1] + curve.winding[1]
+        rpp = d2[:, 0]
+        xpp = d2[:, 1]
+    xx = xp * xp
+    g, dg = manifold.base_metric.values_with_derivative(x)
+    # diagonal entries A, B and the contractions c = Gamma(gamma', gamma')
+    if manifold.kind == LEFT:
+        w2, wdw, dlog = manifold.warp_terms(x)
+        a, b = w2, g
+        c0 = 2.0 * rp * dlog * xp
+        c1 = -(rp * rp) / g * wdw
+        dr_norm = np.sqrt(w2)           # |d_r|_G = psi
+    else:
+        if curve.mode == GRAPH:
+            w2, wdw, dlog = manifold.circle_tables(m)
+        else:
+            w2, wdw, dlog = manifold.warp_terms(curve.coords[:, 0])
+        a, b = 1.0, w2 * g
+        c0 = -g * wdw * xx
+        c1 = 2.0 * rp * dlog * xp
+        dr_norm = 1.0
+    if not manifold.base_metric.is_flat:
+        c1 = c1 + (0.5 * dg / g) * xx
+    v2 = a * (rp * rp) + b * xx
     v = np.sqrt(v2)
-    if not np.all(v > _SPEED_FLOOR):
+    if float(v.min()) <= _SPEED_FLOOR:
         raise ImmersionError("degenerate node: |gamma'| <= 1e-10")
-    vp = spectral.diff(v, 1)
-    gam2 = np.einsum("nabc,nb,nc->na", frame.gamma, gp, gp)
-    h_pre = (d2 + gam2) / v2[:, None] - gp * (vp / (v2 * v))[:, None]
-    t = gp / v[:, None]
-    gt = np.einsum("nab,nb->na", g, t)
-    pre_tan = np.einsum("na,na->n", gt, h_pre)
-    h = h_pre - pre_tan[:, None] * t
-    habs = np.sqrt(np.maximum(np.einsum("nab,na,nb->n", g, h, h), 0.0))
-    theta = gt[:, 0]
-    theta_hat = np.clip(theta / np.sqrt(g[:, 0, 0]), -1.0, 1.0)
-    total = float(v.sum() * (TWO_PI / curve.m))
+    t0 = rp / v
+    t1 = xp / v
+    theta = a * t0                      # <T, d_r>_G
+    bt1 = b * t1
+    k0 = (rpp + c0) / v2
+    k1 = (xpp + c1) / v2
+    tq = theta * k0 + bt1 * k1          # <T, q/v^2>_G = v'/v^2
+    h0 = k0 - tq * t0
+    h1 = k1 - tq * t1
     return CurveFields(
-        deriv=gp,
+        deriv=_pairs(rp, xp, m),
         speed=v,
-        tangent=t,
-        curvature=h,
-        curvature_norm=habs,
+        tangent=_pairs(t0, t1, m),
+        curvature=_pairs(h0, h1, m),
+        curvature_norm=np.sqrt(a * h0 * h0 + b * h1 * h1),
         theta=theta,
-        theta_hat=theta_hat,
-        length=total,
-        pre_tangential=pre_tan,
-        metric=g,
-        gamma=frame.gamma,
+        theta_hat=np.minimum(np.maximum(theta / dr_norm, -1.0), 1.0),
+        length=float(v.sum() * (TWO_PI / m)),
+        pre_tangential=theta * h0 + bt1 * h1,
+        manifold=manifold,
+        coords=curve.coords,
     )
 
 
@@ -336,7 +266,7 @@ def unit_tangent(curve: DiscreteCurve, manifold: WarpedProduct) -> np.ndarray:
 
 
 def mean_curvature(curve: DiscreteCurve, manifold: WarpedProduct):
-    """Curvature vector H (normal to T by explicit projection) and |A| = |H|_G."""
+    """Curvature vector H (normal to T) and |A| = |H|_G."""
     f = compute_fields(curve, manifold)
     return f.curvature, f.curvature_norm
 

@@ -129,26 +129,18 @@ class FlowReport:
     series: np.ndarray
 
 
-def velocity(state: FlowState, manifold: WarpedProduct | None = None) -> np.ndarray:
+def velocity(state: FlowState) -> np.ndarray:
     """Node velocities: H in parametric mode, W = H - H^0 gamma' in graph
     mode. In graph parametrization gamma' has r-component exactly 1, so
     W^0 = 0 and node r-coordinates never move; W differs from H by a
     tangential vector and traces the same curve evolution.
-
-    The manifold argument is accepted for call-site symmetry; the geometry
-    is already baked into the cached fields.
     """
     f = state.fields
+    w = f.curvature.copy()
     if state.curve.mode == GRAPH:
-        wx = f.graph_velocity_x
-        if wx is not None:
-            w = np.zeros((wx.shape[0], 2))
-            w[:, 1] = wx
-            return w
-        w = f.curvature - f.curvature[:, :1] * f.deriv
+        w[:, 1] -= w[:, 0] * f.deriv[:, 1]
         w[:, 0] = 0.0
-        return w
-    return f.curvature.copy()
+    return w
 
 
 def adaptive_dt(state: FlowState, cfl: float, t_max: float | None = None) -> float:

@@ -11,15 +11,13 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import iv
 
-__all__ = ["FourierField", "FourierField2D"]
+__all__ = ["FourierField"]
 
 TWO_PI = 2.0 * np.pi
 
 
 class FourierField:
     """f(x) = sum_k cos_coef[k] cos(k x) + sin_coef[k] sin(k x) on S^1."""
-
-    dim = 1
 
     def __init__(self, cos_coef, sin_coef=None):
         cos_coef = np.atleast_1d(np.asarray(cos_coef, dtype=float))
@@ -116,90 +114,3 @@ class FourierField:
 
     def __repr__(self) -> str:
         return f"FourierField(degree={self.degree})"
-
-
-class FourierField2D:
-    """f(x, y) on the 2-torus as a double cosine/sine series:
-
-        sum_{j,k} cc[j,k] cos(jx)cos(ky) + cs[j,k] cos(jx)sin(ky)
-                + sc[j,k] sin(jx)cos(ky) + ss[j,k] sin(jx)sin(ky)
-    """
-
-    dim = 2
-
-    def __init__(self, cc, cs=None, sc=None, ss=None):
-        cc = np.atleast_2d(np.asarray(cc, dtype=float))
-        shape = cc.shape
-
-        def block(m):
-            if m is None:
-                return np.zeros(shape)
-            m = np.atleast_2d(np.asarray(m, dtype=float))
-            if m.shape != shape:
-                raise ValueError("coefficient blocks must share one shape")
-            return m.copy()
-
-        self.cc = cc.copy()
-        self.cs = block(cs)
-        self.sc = block(sc)
-        self.ss = block(ss)
-        # zero-wavenumber rows and columns cannot carry sine terms
-        self.cs[:, 0] = 0.0
-        self.sc[0, :] = 0.0
-        self.ss[0, :] = 0.0
-        self.ss[:, 0] = 0.0
-        self._j = np.arange(shape[0], dtype=float)
-        self._kk = np.arange(shape[1], dtype=float)
-        self._derivs: dict[int, "FourierField2D"] = {}
-
-    @classmethod
-    def constant(cls, value: float) -> "FourierField2D":
-        return cls([[float(value)]])
-
-    def __call__(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        x = pts[..., 0]
-        y = pts[..., 1]
-        jx = np.multiply.outer(x, self._j)
-        ky = np.multiply.outer(y, self._kk)
-        cj, sj = np.cos(jx), np.sin(jx)
-        ck, sk = np.cos(ky), np.sin(ky)
-        out = np.einsum("...j,jk,...k->...", cj, self.cc, ck)
-        out = out + np.einsum("...j,jk,...k->...", cj, self.cs, sk)
-        out = out + np.einsum("...j,jk,...k->...", sj, self.sc, ck)
-        out = out + np.einsum("...j,jk,...k->...", sj, self.ss, sk)
-        return out
-
-    def values(self, pts):
-        return self(pts)
-
-    def derivative(self, axis: int = 0) -> "FourierField2D":
-        """Exact partial derivative along torus axis 0 or 1, cached."""
-        if axis not in (0, 1):
-            raise ValueError("axis must be 0 or 1")
-        if axis not in self._derivs:
-            j = self._j[:, None]
-            k = self._kk[None, :]
-            if axis == 0:
-                d = FourierField2D(j * self.sc, j * self.ss,
-                                   -j * self.cc, -j * self.cs)
-            else:
-                d = FourierField2D(k * self.cs, -k * self.cc,
-                                   k * self.ss, -k * self.sc)
-            self._derivs[axis] = d
-        return self._derivs[axis]
-
-    def grid_values(self, n: int = 4096) -> np.ndarray:
-        side = max(int(round(np.sqrt(n))), 1)
-        g = np.linspace(0.0, TWO_PI, side, endpoint=False)
-        pts = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1)
-        return self(pts)
-
-    def min_on_grid(self, n: int = 4096) -> float:
-        return float(self.grid_values(n).min())
-
-    def max_on_grid(self, n: int = 4096) -> float:
-        return float(self.grid_values(n).max())
-
-    def __repr__(self) -> str:
-        return f"FourierField2D(degrees=({self._j.size - 1}, {self._kk.size - 1}))"

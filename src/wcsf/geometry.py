@@ -1,18 +1,17 @@
-"""Warped product manifolds on S^1 x T^n.
+"""Warped product manifolds on the torus S^1 x S^1.
 
-Two families over a circle factor with coordinate r and a flat-torus base
-with coordinates x = (x_1 .. x_n):
+Two families over a circle factor with coordinate r and a base circle with
+coordinate x and metric g(x) dx^2:
 
-    left  family: G = psi(x)^2 dr^2 + g(x)    (circle length set by the base)
-    right family: G = dr^2 + phi(r)^2 g(x)    (base scaled by a circle warp)
+    left  family: G = psi(x)^2 dr^2 + g(x) dx^2     (circle length set by the base)
+    right family: G = dr^2 + phi(r)^2 g(x) dx^2     (base scaled by a circle warp)
 
-Index 0 is always r; indices 1..n are the base. Christoffel symbols combine
-closed-form warp blocks with the base metric's own symbols:
+Index 0 is always r and index 1 is x. Both metrics are diagonal, and their
+nonzero Christoffel symbols are
 
-    left:  Gamma^0_{0k} = d_k log psi,  Gamma^i_{00} = -g^{ik} psi d_k psi,
-           all other warp components zero.
-    right: Gamma^i_{0j} = (log phi)' delta^i_j,  Gamma^0_{ij} = -phi phi' g_ij,
-           base block unchanged (the conformal factor depends on r only).
+    left:  Gamma^0_{01} = (log psi)',  Gamma^1_{00} = -psi psi' / g,
+    right: Gamma^1_{01} = (log phi)',  Gamma^0_{11} = -phi phi' g,
+    both:  Gamma^1_{11} = g' / (2 g).
 
 The test suite cross-checks every component against a finite-difference-of-
 metric oracle, so these closed forms never go unverified.
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import FourierField, FourierField2D
+from .fourier import FourierField
 
 __all__ = [
     "LEFT",
@@ -52,7 +51,7 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class WarpPoint:
-    """A point of S^1 x T^n with every angle stored reduced mod 2 pi."""
+    """A point of S^1 x S^1 with every angle stored reduced mod 2 pi."""
 
     r: float
     x: tuple
@@ -69,7 +68,7 @@ class WarpPoint:
 
 @dataclass(frozen=True)
 class TangentVec:
-    """Coordinate components (v^0, v^1 .. v^n) in the frame (d_r, d_x1 ..)."""
+    """Coordinate components (v^0, v^1) in the frame (d_r, d_x)."""
 
     components: np.ndarray
 
@@ -105,185 +104,95 @@ class ChristoffelTensor:
 
 @dataclass(frozen=True)
 class FrameData:
-    """Batched metric data along a set of points (hot path for the flow)."""
+    """Dense metric data along a set of points, for the monitors and the
+    point operations; the flow's kernel works on the diagonal entries."""
 
-    metric: np.ndarray            # (N, d, d)
-    gamma: np.ndarray             # (N, d, d, d)
-    inverse: np.ndarray | None    # (N, d, d) when requested
+    metric: np.ndarray            # (N, 2, 2)
+    gamma: np.ndarray             # (N, 2, 2, 2)
+    inverse: np.ndarray | None    # (N, 2, 2) when requested
 
 
-def _as_base_field(obj, dim: int):
+def _as_field(obj) -> FourierField:
     if isinstance(obj, (int, float)):
-        return FourierField.constant(obj) if dim == 1 else FourierField2D.constant(obj)
-    if dim == 1 and isinstance(obj, FourierField):
+        return FourierField.constant(obj)
+    if isinstance(obj, FourierField):
         return obj
-    if dim == 2 and isinstance(obj, FourierField2D):
-        return obj
-    raise ValueError(f"expected a {dim}-dimensional Fourier field or a number")
+    raise ValueError("expected a one dimensional Fourier field or a number")
 
 
 class BaseMetric:
-    """Metric g_ij on T^n (n = 1 or 2) with truncated-Fourier entries.
+    """Metric g(x) dx^2 on the base circle with a truncated-Fourier g.
 
-    Flat (identity) by default. Entries are given for the upper triangle
-    with 0-based base indices; symmetry is by construction and positive
-    definiteness is checked on a sampling grid at construction time.
+    Flat (g = 1) by default. The entry is given as {(0, 0): field or
+    number}, the only slot of a one dimensional base; positivity is checked
+    on a sampling grid at construction time.
     """
 
     def __init__(self, dim: int = 1, entries: dict | None = None, grid: int = 4096):
-        if dim not in (1, 2):
-            raise ValueError("base dimension must be 1 or 2")
-        self.dim = dim
+        if dim != 1:
+            raise ValueError("base dimension must be 1")
+        entries = dict(entries or {})
+        for key in entries:
+            if key != (0, 0):
+                raise ValueError(f"base metric index {key} out of range")
         self.is_flat = not entries
-        zero = _as_base_field(0.0, dim)
-        fields = [[zero] * dim for _ in range(dim)]
-        for i in range(dim):
-            fields[i][i] = _as_base_field(1.0, dim)
-        if entries:
-            for (i, j), f in entries.items():
-                if not (0 <= i < dim and 0 <= j < dim):
-                    raise ValueError(f"base metric index {(i, j)} out of range")
-                f = _as_base_field(f, dim)
-                fields[i][j] = f
-                fields[j][i] = f
-        self._fields = fields
-        self._dfields = [
-            [[fields[i][j].derivative(k) for j in range(dim)] for i in range(dim)]
-            for k in range(dim)
-        ]
-        if not self.is_flat:
-            vals = self.values(self._grid_points(grid))
-            eig = np.linalg.eigvalsh(vals)
-            if float(eig.min()) <= 1e-10:
-                raise ValueError("base metric is not positive definite")
+        self.g11 = _as_field(entries.get((0, 0), 1.0))
+        if not self.is_flat and self.g11.min_on_grid(grid) <= 1e-10:
+            raise ValueError("base metric is not positive definite")
 
-    def _grid_points(self, n: int) -> np.ndarray:
-        if self.dim == 1:
-            return np.linspace(0.0, TWO_PI, n, endpoint=False)[:, None]
-        side = max(int(round(np.sqrt(n))), 2)
-        g = np.linspace(0.0, TWO_PI, side, endpoint=False)
-        mesh = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1)
-        return mesh.reshape(-1, 2)
-
-    def values(self, xs: np.ndarray) -> np.ndarray:
-        """g_ij at base points xs of shape (N, n) -> (N, n, n)."""
-        n = xs.shape[0]
+    def values_with_derivative(self, x):
+        """(g, g') at base angles x; the plain numbers (1.0, 0.0) when flat."""
         if self.is_flat:
-            out = np.zeros((n, self.dim, self.dim))
-            idx = np.arange(self.dim)
-            out[:, idx, idx] = 1.0
-            return out
-        out = np.empty((n, self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                v = self._fields[i][j].values(xs)
-                out[:, i, j] = v
-                out[:, j, i] = v
-        return out
-
-    def inverse_values(self, xs: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
-        if values is None:
-            values = self.values(xs)
-        if self.is_flat:
-            return values.copy()
-        if self.dim == 1:
-            return 1.0 / values
-        return np.linalg.inv(values)
-
-    def deriv_values(self, xs: np.ndarray) -> np.ndarray:
-        """dg[n, k, i, j] = d g_ij / d x_k at each point."""
-        n = xs.shape[0]
-        out = np.zeros((n, self.dim, self.dim, self.dim))
-        if self.is_flat:
-            return out
-        for k in range(self.dim):
-            for i in range(self.dim):
-                for j in range(i, self.dim):
-                    v = self._dfields[k][i][j].values(xs)
-                    out[:, k, i, j] = v
-                    out[:, k, j, i] = v
-        return out
-
-    def christoffel(self, xs: np.ndarray) -> np.ndarray:
-        """Base symbols Gamma^i_{jk} = g^{il}(d_j g_lk + d_k g_lj - d_l g_jk)/2."""
-        n = xs.shape[0]
-        if self.is_flat:
-            return np.zeros((n, self.dim, self.dim, self.dim))
-        vals = self.values(xs)
-        inv = self.inverse_values(xs, vals)
-        dg = self.deriv_values(xs)
-        # brackets[n, l, j, k] = (d_j g_lk + d_k g_lj - d_l g_jk) / 2
-        brackets = 0.5 * (np.einsum("njlk->nljk", dg)
-                          + np.einsum("nklj->nljk", dg)
-                          - np.einsum("nljk->nljk", dg))
-        return np.einsum("nil,nljk->nijk", inv, brackets)
+            return 1.0, 0.0
+        return self.g11.values_with_derivative(x)
 
 
 class WarpedProduct:
-    """Immutable warped product manifold with a validated positive warp.
+    """Immutable warped product S^1 x S^1 with a validated positive warp.
 
-    kind: "left" (warp psi lives on the base) or "right" (warp phi on S^1).
-    warp: a FourierField / FourierField2D matching the kind, or a number.
+    kind: "left" (warp psi(x) lives on the base) or "right" (warp phi(r) on
+    the circle factor). warp: a FourierField or a number.
     """
 
-    def __init__(self, kind: str, warp=1.0, base_dim: int = 1,
+    base_dim = 1
+    dim = 2
+
+    def __init__(self, kind: str, warp=1.0,
                  base_metric: BaseMetric | None = None, grid: int = 4096):
         kind = str(kind).lower()
         if kind not in (LEFT, RIGHT):
             raise ValueError(f"kind must be '{LEFT}' or '{RIGHT}', got {kind!r}")
-        if base_dim not in (1, 2):
-            raise ValueError("base dimension must be 1 or 2")
-        if base_metric is None:
-            base_metric = BaseMetric(base_dim)
-        if base_metric.dim != base_dim:
-            raise ValueError("base metric dimension does not match base_dim")
-        if kind == LEFT:
-            warp = _as_base_field(warp, base_dim)
-        else:
-            if isinstance(warp, (int, float)):
-                warp = FourierField.constant(warp)
-            if not isinstance(warp, FourierField):
-                raise ValueError("right warp must be a one dimensional field on S^1")
+        warp = _as_field(warp)
         if warp.min_on_grid(grid) <= 0.0:
             raise ValueError("warp not positive")
         self.kind = kind
-        self.base_dim = base_dim
-        self.dim = base_dim + 1
         self.warp = warp
-        self.base_metric = base_metric
-        if kind == LEFT:
-            self._dwarp = [warp.derivative(k) for k in range(base_dim)]
-        else:
-            self._dwarp = warp.derivative()
-            self._ddwarp = self._dwarp.derivative()
+        self.base_metric = base_metric if base_metric is not None else BaseMetric()
+        self._dwarp = warp.derivative()
+        self._ddwarp = self._dwarp.derivative()
         self._circle_cache: dict[int, tuple] = {}
 
+    def warp_terms(self, s: np.ndarray) -> tuple:
+        """(w^2, w w', (log w)') for the warp w at its own angles s: base
+        angles x for a left product, circle angles r for a right one."""
+        w, dw = self.warp.values_with_derivative(s)
+        return w * w, w * dw, dw / w
+
     def circle_tables(self, m: int) -> tuple:
-        """Right warp samples (phi, phi', phi^2, phi phi', (log phi)') at
-        the m uniform circle nodes, cached: in graph parametrization the r
-        samples never move, so the table is computed once per grid."""
+        """Right warp_terms at the m uniform circle nodes, cached: in graph
+        parametrization the r samples never move, so the table is computed
+        once per grid."""
         if self.kind != RIGHT:
             raise ValueError("circle_tables applies to right warped products")
         tab = self._circle_cache.get(m)
         if tab is None:
-            u = TWO_PI * np.arange(m) / m
-            phi = self.warp(u)
-            dphi = self._dwarp(u)
-            tab = (phi, dphi, phi * phi, phi * dphi, dphi / phi)
+            tab = self.warp_terms(TWO_PI * np.arange(m) / m)
             for arr in tab:
                 arr.setflags(write=False)
             self._circle_cache[m] = tab
         return tab
 
     # -- batched evaluation ------------------------------------------------
-
-    def _warp_and_grad(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Left warp psi and its coordinate partials d_k psi at base points."""
-        psi = self.warp.values(xs)
-        dpsi = np.empty((xs.shape[0], self.base_dim))
-        for k in range(self.base_dim):
-            dpsi[:, k] = self._dwarp[k].values(xs)
-        return psi, dpsi
 
     def log_warp_derivs(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Right warp data ((log phi)', (log phi)'') at circle angles r."""
@@ -295,73 +204,51 @@ class WarpedProduct:
         return d1, d2
 
     def dlog_warp(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Left warp gradient D(log psi) at points (N, 1+n).
+        """Left warp gradient D(log psi) at points (N, 2).
 
         Returns (vectors, norm_sq): raised-index tangent components with a
         zero r slot, and the squared base norm |D log psi|_g^2.
         """
         if self.kind != LEFT:
             raise ValueError("dlog_warp applies to left warped products")
-        xs = pts[:, 1:]
-        psi, dpsi = self._warp_and_grad(xs)
-        ginv = self.base_metric.inverse_values(xs)
-        dlog = dpsi / psi[:, None]
-        raised = np.einsum("nkl,nl->nk", ginv, dlog)
-        vecs = np.zeros((pts.shape[0], self.dim))
-        vecs[:, 1:] = raised
-        norm_sq = np.einsum("nk,nk->n", raised, dlog)
-        return vecs, norm_sq
+        x = pts[:, 1]
+        dlog = self.warp_terms(x)[2]
+        g, _ = self.base_metric.values_with_derivative(x)
+        raised = dlog / g
+        vecs = np.zeros((pts.shape[0], 2))
+        vecs[:, 1] = raised
+        return vecs, raised * dlog
 
     def frame(self, pts: np.ndarray, with_inverse: bool = False) -> FrameData:
-        """Metric and Christoffel data at points of shape (N, 1+n)."""
+        """Dense metric and Christoffel data at points of shape (N, 2)."""
         pts = np.asarray(pts, dtype=float)
         n = pts.shape[0]
-        d = self.dim
-        xs = pts[:, 1:]
-        metric = np.zeros((n, d, d))
-        gamma = np.zeros((n, d, d, d))
-        base = self.base_metric
-        g = base.values(xs)
+        x = pts[:, 1]
+        g, dg = self.base_metric.values_with_derivative(x)
+        metric = np.zeros((n, 2, 2))
+        gamma = np.zeros((n, 2, 2, 2))
         if self.kind == LEFT:
-            psi, dpsi = self._warp_and_grad(xs)
-            metric[:, 0, 0] = psi * psi
-            metric[:, 1:, 1:] = g
-            dlog = dpsi / psi[:, None]
-            gamma[:, 0, 0, 1:] = dlog
-            gamma[:, 0, 1:, 0] = dlog
-            ginv = base.inverse_values(xs, g)
-            gamma[:, 1:, 0, 0] = -np.einsum("nik,nk->ni", ginv, dpsi) * psi[:, None]
-            if not base.is_flat:
-                gamma[:, 1:, 1:, 1:] = base.christoffel(xs)
-            if with_inverse:
-                inverse = np.zeros((n, d, d))
-                inverse[:, 0, 0] = 1.0 / (psi * psi)
-                inverse[:, 1:, 1:] = ginv
-                return FrameData(metric, gamma, inverse)
-            return FrameData(metric, gamma, None)
-        # right family
-        r = pts[:, 0]
-        phi = self.warp(r)
-        dphi = self._dwarp(r)
-        phi2 = phi * phi
-        metric[:, 0, 0] = 1.0
-        metric[:, 1:, 1:] = phi2[:, None, None] * g
-        dlog = dphi / phi
-        eye = np.eye(self.base_dim)
-        gamma[:, 1:, 0, 1:] = dlog[:, None, None] * eye
-        gamma[:, 1:, 1:, 0] = gamma[:, 1:, 0, 1:]
-        gamma[:, 0, 1:, 1:] = -(phi * dphi)[:, None, None] * g
-        if not base.is_flat:
-            gamma[:, 1:, 1:, 1:] = base.christoffel(xs)
+            w2, wdw, dlog = self.warp_terms(x)
+            metric[:, 0, 0] = w2
+            metric[:, 1, 1] = g
+            gamma[:, 0, 0, 1] = gamma[:, 0, 1, 0] = dlog
+            gamma[:, 1, 0, 0] = -wdw / g
+        else:
+            w2, wdw, dlog = self.warp_terms(pts[:, 0])
+            metric[:, 0, 0] = 1.0
+            metric[:, 1, 1] = w2 * g
+            gamma[:, 1, 0, 1] = gamma[:, 1, 1, 0] = dlog
+            gamma[:, 0, 1, 1] = -wdw * g
+        gamma[:, 1, 1, 1] = 0.5 * dg / g
+        inverse = None
         if with_inverse:
-            inverse = np.zeros((n, d, d))
-            inverse[:, 0, 0] = 1.0
-            inverse[:, 1:, 1:] = base.inverse_values(xs, g) / phi2[:, None, None]
-            return FrameData(metric, gamma, inverse)
-        return FrameData(metric, gamma, None)
+            inverse = np.zeros((n, 2, 2))
+            inverse[:, 0, 0] = 1.0 / metric[:, 0, 0]
+            inverse[:, 1, 1] = 1.0 / metric[:, 1, 1]
+        return FrameData(metric, gamma, inverse)
 
     def __repr__(self) -> str:
-        return f"WarpedProduct(kind={self.kind!r}, base_dim={self.base_dim})"
+        return f"WarpedProduct(kind={self.kind!r})"
 
 
 # -- point operations ------------------------------------------------------

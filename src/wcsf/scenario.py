@@ -226,8 +226,7 @@ def parse_config(text: str, name: str = "scenario") -> Scenario:
             raise ConfigError(str(exc), base_ln) from None
 
     try:
-        manifold = WarpedProduct(kind, warp=warp, base_dim=1,
-                                 base_metric=base_metric)
+        manifold = WarpedProduct(kind, warp=warp, base_metric=base_metric)
     except ValueError as exc:
         raise ConfigError(str(exc), warp_ln) from None
 

@@ -211,15 +211,9 @@ def commutator_residual(traj: Trajectory, manifold: WarpedProduct, k: int) -> fl
 # -- bound constants ---------------------------------------------------------
 
 
-def _base_grid_points(manifold: WarpedProduct, n: int) -> np.ndarray:
-    if manifold.base_dim == 1:
-        xs = np.linspace(0.0, TWO_PI, n, endpoint=False)[:, None]
-    else:
-        side = max(int(round(np.sqrt(n))), 2)
-        g = np.linspace(0.0, TWO_PI, side, endpoint=False)
-        xs = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
-    pts = np.zeros((xs.shape[0], manifold.dim))
-    pts[:, 1:] = xs
+def _base_grid_points(n: int) -> np.ndarray:
+    pts = np.zeros((n, 2))
+    pts[:, 1] = np.linspace(0.0, TWO_PI, n, endpoint=False)
     return pts
 
 
@@ -227,7 +221,7 @@ def left_exp_constant(manifold: WarpedProduct, n: int = 4096) -> float:
     """C = max over the base of |D log psi|_g^2, by grid maximization of the
     exact series."""
     _require_kind(manifold, LEFT, "left_exp_constant")
-    _, norm_sq = manifold.dlog_warp(_base_grid_points(manifold, n))
+    _, norm_sq = manifold.dlog_warp(_base_grid_points(n))
     return float(norm_sq.max())
 
 

@@ -2,12 +2,14 @@
 
 Deliberately naive second routes to derived quantities: finite differences
 of metric values, dense quadrature, scalar RK4, brute-force polyline
-distances. Nothing here shares a code path with the quantities it checks.
+distances, dense-tensor curve fields. Nothing here shares a code path with
+the quantities it checks.
 """
 
 import numpy as np
 
 import wcsf
+from wcsf import spectral
 
 TWO_PI = 2.0 * np.pi
 
@@ -121,3 +123,39 @@ def polyline_hausdorff(p_coords, p_winding, q_coords, q_winding):
 
     return max(directed(p_coords, closed_tiles(q_coords, q_winding)),
                directed(q_coords, closed_tiles(p_coords, p_winding)))
+
+
+def einsum_fields(curve, manifold):
+    """Curve fields from the general tensor formula: dense metric and
+    Christoffel tensors from manifold.frame, full einsum contractions, and
+    the speed derivative v' by a second spectral differentiation instead
+    of the chain rule. Returns a dict keyed like the CurveFields
+    attributes."""
+    frame = manifold.frame(curve.coords)
+    g = frame.metric
+    d1, d2 = spectral.diff12(curve.periodic_part())
+    gp = d1 + np.asarray(curve.winding, dtype=float)
+    v2 = np.einsum("nab,na,nb->n", g, gp, gp)
+    v = np.sqrt(v2)
+    vp = spectral.diff(v, 1)
+    gam2 = np.einsum("nabc,nb,nc->na", frame.gamma, gp, gp)
+    h_pre = (d2 + gam2) / v2[:, None] - gp * (vp / (v2 * v))[:, None]
+    t = gp / v[:, None]
+    gt = np.einsum("nab,nb->na", g, t)
+    pre_tan = np.einsum("na,na->n", gt, h_pre)
+    h = h_pre - pre_tan[:, None] * t
+    habs = np.sqrt(np.maximum(np.einsum("nab,na,nb->n", g, h, h), 0.0))
+    theta = gt[:, 0]
+    return {
+        "deriv": gp,
+        "speed": v,
+        "tangent": t,
+        "curvature": h,
+        "curvature_norm": habs,
+        "theta": theta,
+        "theta_hat": np.clip(theta / np.sqrt(g[:, 0, 0]), -1.0, 1.0),
+        "pre_tangential": pre_tan,
+        "length": float(v.sum() * (TWO_PI / curve.m)),
+        "metric": g,
+        "gamma": frame.gamma,
+    }

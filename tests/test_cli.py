@@ -107,14 +107,6 @@ def test_suite_aggregates(tmp_path):
                        "ok: exit 0 (max_time)"]
     assert (out / "ok" / "report.txt").exists()
 
-    two = tmp_path / "suite_out2"
-    assert main(["suite", str(suite), "--out", str(two), "--jobs", "2"]) == 2
-    assert (two / "summary.txt").read_bytes() == \
-        (out / "summary.txt").read_bytes()
-    for stem in ("ok", "falsified", "lost"):
-        assert (two / stem / "report.txt").read_bytes() == \
-            (out / stem / "report.txt").read_bytes()
-
 
 def test_suite_rejects_any_bad_config(tmp_path):
     suite = tmp_path / "suite"

@@ -3,8 +3,9 @@ import pytest
 
 import wcsf
 from wcsf import spectral
-from conftest import left_exp_manifold, product_manifold, right_exp_manifold
-from oracles import quadrature_length
+from conftest import (left_exp_manifold, perturbed_base, product_manifold,
+                      right_exp_manifold)
+from oracles import einsum_fields, quadrature_length
 
 
 def r_circle(x0, m=64):
@@ -199,10 +200,10 @@ def _worst_gap(a, b):
 
 @pytest.mark.parametrize("name", ["left", "right", "product"])
 def test_graph_and_parametric_paths_agree(name):
-    # a graph curve and its parametric twin carry identical data but take
-    # different code paths; the only analytic difference is how the speed
-    # derivative is formed (chain rule vs spectral), which must vanish at
-    # aliasing level on a bandlimited curve
+    # a graph curve and its parametric twin carry identical data; the graph
+    # twin takes r' = 1, r'' = 0 as given while the parametric twin
+    # differentiates its r column, so the two may only differ at rounding
+    # level
     manifold = {"left": left_exp_manifold, "right": right_exp_manifold,
                 "product": product_manifold}[name]()
     f = wcsf.FourierField([0.1], [0.0, 0.4, 0.0, 0.05])
@@ -223,6 +224,47 @@ def test_graph_and_parametric_paths_agree_with_winding(left_exp):
     gap = _worst_gap(wcsf.compute_fields(ramp, left_exp),
                      wcsf.compute_fields(twin, left_exp))
     assert gap < 1e-12
+
+
+def curved_manifold(kind):
+    a = 0.3 if kind == wcsf.LEFT else 0.2
+    return wcsf.WarpedProduct(kind, warp=wcsf.FourierField.exp_cos(a),
+                              base_metric=perturbed_base())
+
+
+ORACLE_MANIFOLDS = {"left": left_exp_manifold, "right": right_exp_manifold,
+                    "product": product_manifold,
+                    "curved_left": lambda: curved_manifold(wcsf.LEFT),
+                    "curved_right": lambda: curved_manifold(wcsf.RIGHT)}
+
+
+def moving_r_curve(f, m):
+    # a parametric curve whose r-coordinate moves along the parameter, so
+    # r' and r'' are nonconstant and the right warp is sampled off-grid
+    u = spectral.nodes(m)
+    r = u + 0.2 * np.sin(u) + 0.05 * np.cos(2.0 * u)
+    return wcsf.DiscreteCurve("parametric", np.column_stack([r, f(u)]), (1, 0))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MANIFOLDS))
+@pytest.mark.parametrize("shape, bounds", [
+    ("graph", {64: 1e-9, 128: 1e-12}),
+    ("moving_r", {64: 1e-7, 128: 1e-11}),
+])
+def test_kernel_matches_einsum_oracle(name, shape, bounds):
+    # the scalar kernel against the dense-tensor formula with a spectral
+    # speed derivative: they may differ only by the aliasing of that
+    # second differentiation and by rounding
+    manifold = ORACLE_MANIFOLDS[name]()
+    f = wcsf.FourierField([0.1], [0.0, 0.4, 0.0, 0.05])
+    for m, bound in bounds.items():
+        c = (wcsf.make_graph_curve(f, m) if shape == "graph"
+             else moving_r_curve(f, m))
+        got = wcsf.compute_fields(c, manifold)
+        want = einsum_fields(c, manifold)
+        for attr, ref in want.items():
+            gap = float(np.abs(np.asarray(getattr(got, attr)) - ref).max())
+            assert gap < bound, (attr, m, gap)
 
 
 def test_immersion_error_on_degenerate_curve(product):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wcsf import FourierField, FourierField2D
+from wcsf import FourierField
 
 
 def naive_eval(cos_coef, sin_coef, x):
@@ -71,45 +71,3 @@ def test_scalar_call_returns_scalar_shape():
     out = f(np.float64(0.0))
     assert np.ndim(out) == 0
     assert abs(float(out) - np.exp(0.3)) < 1e-15
-
-
-def naive_eval_2d(blocks, x, y):
-    cc, cs, sc, ss = blocks
-    total = np.zeros(np.broadcast(x, y).shape)
-    for j in range(cc.shape[0]):
-        for k in range(cc.shape[1]):
-            total += (cc[j, k] * np.cos(j * x) * np.cos(k * y)
-                      + cs[j, k] * np.cos(j * x) * np.sin(k * y)
-                      + sc[j, k] * np.sin(j * x) * np.cos(k * y)
-                      + ss[j, k] * np.sin(j * x) * np.sin(k * y))
-    return total
-
-
-def test_field2d_matches_naive_double_sum():
-    rng = np.random.default_rng(13)
-    blocks = [rng.normal(size=(3, 3)) for _ in range(4)]
-    f = FourierField2D(*blocks)
-    # zero-wavenumber sine rows/cols are dropped by construction
-    blocks[1][:, 0] = 0.0
-    blocks[2][0, :] = 0.0
-    blocks[3][0, :] = 0.0
-    blocks[3][:, 0] = 0.0
-    x = rng.uniform(0.0, 2.0 * np.pi, 40)
-    y = rng.uniform(0.0, 2.0 * np.pi, 40)
-    pts = np.stack([x, y], axis=-1)
-    assert np.abs(f(pts) - naive_eval_2d(blocks, x, y)).max() < 1e-13
-
-
-def test_field2d_derivatives_match_fd():
-    rng = np.random.default_rng(14)
-    f = FourierField2D(*[rng.normal(size=(3, 3)) for _ in range(4)])
-    x = rng.uniform(0.0, 2.0 * np.pi, 30)
-    y = rng.uniform(0.0, 2.0 * np.pi, 30)
-    h = 1e-6
-    ex = np.stack([np.full_like(x, h), np.zeros_like(y)], axis=-1)
-    ey = np.stack([np.zeros_like(x), np.full_like(y, h)], axis=-1)
-    pts = np.stack([x, y], axis=-1)
-    for axis, step in ((0, ex), (1, ey)):
-        df = f.derivative(axis)
-        fd = (f(pts + step) - f(pts - step)) / (2.0 * h)
-        assert np.abs(df(pts) - fd).max() < 1e-7

@@ -7,11 +7,11 @@ from conftest import (left_exp_manifold, perturbed_base, product_manifold,
 from oracles import fd_christoffel, metric_compat_defect
 
 
-def random_points(rng, n, base_dim=1):
+def random_points(rng, n):
     pts = []
     for _ in range(n):
         r = rng.uniform(0.0, 2.0 * np.pi)
-        x = tuple(rng.uniform(0.0, 2.0 * np.pi, base_dim))
+        x = (rng.uniform(0.0, 2.0 * np.pi),)
         pts.append(wcsf.WarpPoint(r, x))
     return pts
 
@@ -80,18 +80,6 @@ def test_christoffel_matches_fd_on_perturbed_base():
                           - fd_christoffel(m, p)).max() < 1e-6
 
 
-def test_christoffel_matches_fd_surface_base():
-    entry = wcsf.FourierField2D([[1.0, 0.1], [0.0, 0.05]])
-    base = wcsf.BaseMetric(2, {(0, 0): 1.0 + 0.0 * 0, (1, 1): entry,
-                               (0, 1): 0.0})
-    m = wcsf.WarpedProduct(wcsf.RIGHT, warp=wcsf.FourierField.exp_cos(0.2),
-                           base_dim=2, base_metric=base)
-    rng = np.random.default_rng(33)
-    for p in random_points(rng, 15, base_dim=2):
-        assert np.abs(wcsf.christoffel_at(m, p).gamma
-                      - fd_christoffel(m, p)).max() < 1e-6
-
-
 def test_metric_compatibility(left_exp, right_exp):
     rng = np.random.default_rng(34)
     for m in (left_exp, right_exp):
@@ -119,7 +107,7 @@ def test_dr_identity_random_vectors(left_exp, right_exp):
             assert wcsf.dr_identity_residual(m, p, x, y) < 1e-10
 
 
-def test_dr_identity_perturbed_and_surface_bases():
+def test_dr_identity_perturbed_base():
     rng = np.random.default_rng(37)
     for kind in (wcsf.LEFT, wcsf.RIGHT):
         warp = wcsf.FourierField.exp_cos(0.3 if kind == wcsf.LEFT else 0.2)
@@ -128,12 +116,6 @@ def test_dr_identity_perturbed_and_surface_bases():
             x = wcsf.TangentVec(rng.normal(size=2))
             y = wcsf.TangentVec(rng.normal(size=2))
             assert wcsf.dr_identity_residual(m, p, x, y) < 1e-10
-    m2 = wcsf.WarpedProduct(wcsf.RIGHT, warp=wcsf.FourierField.exp_cos(0.2),
-                            base_dim=2)
-    for p in random_points(rng, 50, base_dim=2):
-        x = wcsf.TangentVec(rng.normal(size=3))
-        y = wcsf.TangentVec(rng.normal(size=3))
-        assert wcsf.dr_identity_residual(m2, p, x, y) < 1e-10
 
 
 def test_conformal_identity_right_only(left_exp, right_exp):

@@ -37,10 +37,10 @@ def test_stationary_residuals_vanish(left_exp, right_exp):
 def test_left_right_agree_when_warp_constant():
     # right product with constant warp c equals a left product with unit
     # warp over a base scaled by c^2; the two residual routes must agree.
-    # The right run rides the flat-base fast kernel while the scaled base
-    # forces the left run through the general path, so the bar sits at the
-    # aliasing level where the two formulations of the speed derivative
-    # separate, far below the 1e-5 truncation signal being compared.
+    # The right run carries c through the warp terms and the left run
+    # through the base metric, so the two kernels evaluate the same metric
+    # by different products; the bar sits at rounding level, far below
+    # the 1e-5 truncation signal being compared.
     c = 1.7
     right = wcsf.WarpedProduct(wcsf.RIGHT, warp=c)
     base = wcsf.BaseMetric(1, {(0, 0): wcsf.FourierField.constant(c * c)})
