@@ -30,27 +30,23 @@ def _fmt(value) -> str:
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
-    """Write every recorded state, one row per node.
+    """Write every recorded state, one row per node, one state at a time.
 
     Columns: t, j, r, x1[, x2], theta, theta_hat, curvature. Coordinates
-    are reduced mod 2 pi; curvature is the node's |A|.
+    are reduced mod 2 pi; curvature is the node's |A|. Values are written
+    as repr of Python floats, like _fmt.
     """
     base_dim = traj[0].curve.dim - 1
     xcols = ", ".join(f"x{i + 1}" for i in range(base_dim))
-    lines = [f"t, j, r, {xcols}, theta, theta_hat, curvature"]
-    for state in traj:
-        coords = np.mod(state.curve.coords, TWO_PI)
-        f = state.fields
-        t_str = _fmt(state.t)
-        for j in range(state.curve.m):
-            row = [t_str, str(j)]
-            row.extend(_fmt(c) for c in coords[j])
-            row.append(_fmt(f.theta[j]))
-            row.append(_fmt(f.theta_hat[j]))
-            row.append(_fmt(f.curvature_norm[j]))
-            lines.append(", ".join(row))
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"t, j, r, {xcols}, theta, theta_hat, curvature\n")
+        for state in traj:
+            f = state.fields
+            table = np.column_stack((np.mod(state.curve.coords, TWO_PI),
+                                     f.theta, f.theta_hat, f.curvature_norm))
+            t_str = _fmt(state.t)
+            fh.write("".join(f"{t_str}, {j}, {', '.join(map(repr, row))}\n"
+                             for j, row in enumerate(table.tolist())))
 
 
 def write_report(path, sections: dict) -> None:

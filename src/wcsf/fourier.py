@@ -9,11 +9,28 @@ operators, never through the background data.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import iv
 
 __all__ = ["FourierField"]
 
 TWO_PI = 2.0 * np.pi
+
+
+def _bessel_i(a: float, k_max: int) -> np.ndarray:
+    """Modified Bessel functions I_0(a) .. I_kmax(a) from the power series
+    I_k(a) = sum_j (a/2)^(2j+k) / (j! (j+k)!). For each k every term has
+    the sign of a^k, so the sum has no cancellation."""
+    half = 0.5 * a
+    k = np.arange(k_max + 1)
+    # (a/2)^k / k! by a running product, so nothing overflows before the
+    # factorial catches up
+    term = np.cumprod(np.concatenate(([1.0], half / k[1:])))
+    total = term.copy()
+    j = 0
+    while np.any(np.abs(term) > 1e-17 * np.abs(total)):
+        j += 1
+        term = term * (half * half) / (j * (j + k))
+        total += term
+    return total
 
 
 class FourierField:
@@ -49,12 +66,12 @@ class FourierField:
         exp(a cos x) = I_0(a) + 2 sum_{k>=1} I_k(a) cos(k x), truncated once
         the next coefficient falls below tol."""
         a = float(a)
+        bessel = _bessel_i(a, 129)
         k = 1
-        while 2.0 * abs(iv(k + 1, a)) >= tol and k < 128:
+        while 2.0 * abs(bessel[k + 1]) >= tol and k < 128:
             k += 1
-        coef = np.zeros(k + 1)
-        coef[0] = iv(0, a)
-        coef[1:] = 2.0 * iv(np.arange(1, k + 1), a)
+        coef = 2.0 * bessel[: k + 1]
+        coef[0] = bessel[0]
         return cls(coef)
 
     @property

@@ -14,13 +14,14 @@ Keys:
     init.winding         integer winding of f around the base (default 0)
     init.allow_winding   on | off, required for nonzero init.winding
     grid.m               nodes, power of two in [32, 1024] (default 128)
-    time.cfl             parabolic step factor in (0, 1] (default 0.25)
+    time.cfl             step factor in (0, 1] (default 0.25), see flow
     time.t_max           stop time >= 0 (default 50)
     tol.geo              geodesic convergence threshold (default 1e-6)
     tol.bound            slack tolerance for bound monitors (default 1e-4)
     tol.theta_floor      graph-loss threshold on min angle (default 1e-3)
     tol.a_ceiling        blow-up threshold on max curvature (default 1e6)
-    record.stride        record every k-th step (default 50)
+    record.stride        record at times j k dt0 (default 50), dt0 the
+                         parabolic step of the initial curve
     verify.bounds        on | off (default on)
     verify.dissipation   on | off (default on)
     verify.evolution     on | off (default off; runs refinement studies)

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import resample as _fft_resample
 
 TWO_PI = 2.0 * np.pi
 
 _NODES: dict[int, np.ndarray] = {}
 _NODE_MEAN: dict[int, float] = {}
+_WAVENUMBERS: dict[int, np.ndarray] = {}
 _MULT: dict[tuple[int, int], np.ndarray] = {}
 _DENSE: dict[int, np.ndarray] = {}
 # below this size one BLAS matvec beats the FFT round trip
@@ -34,11 +34,22 @@ def node_mean(m: int) -> float:
     return mean
 
 
+def wavenumbers(m: int) -> np.ndarray:
+    """Integer wavenumbers 0..m/2 of the rfft bins, as floats (cached,
+    treat as read-only)."""
+    k = _WAVENUMBERS.get(m)
+    if k is None:
+        k = np.fft.rfftfreq(m, d=1.0 / m)
+        k.setflags(write=False)
+        _WAVENUMBERS[m] = k
+    return k
+
+
 def _multiplier(m: int, order: int) -> np.ndarray:
     key = (m, order)
     mult = _MULT.get(key)
     if mult is None:
-        k = np.fft.rfftfreq(m, d=1.0 / m)  # integer wavenumbers 0..m/2
+        k = wavenumbers(m)
         if order == 1:
             mult = 1j * k
             if m % 2 == 0:
@@ -123,9 +134,17 @@ def diff12(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def resample_periodic(values: np.ndarray, m_new: int) -> np.ndarray:
     """Trigonometric interpolation onto m_new uniform nodes (axis 0).
 
-    Exact for data bandlimited below the coarser grid's Nyquist mode.
+    Exact for data bandlimited below the coarser grid's Nyquist mode. The
+    coarser grid's Nyquist bin is unpaired: up-sampling splits it evenly
+    between the new +/- pair, down-sampling folds the pair into it.
     """
-    return _fft_resample(np.asarray(values, dtype=float), int(m_new), axis=0)
+    values = np.asarray(values, dtype=float)
+    m, m_new = values.shape[0], int(m_new)
+    keep = min(m, m_new)
+    spec = np.fft.rfft(values, axis=0)[: keep // 2 + 1]
+    if m_new != m and keep % 2 == 0:
+        spec[keep // 2] *= 2.0 if m_new < m else 0.5
+    return np.fft.irfft(spec * (m_new / m), n=m_new, axis=0)
 
 
 def centered_dt(y_prev, y_mid, y_next, h_minus: float, h_plus: float):

@@ -2,8 +2,8 @@
 
 Deliberately naive second routes to derived quantities: finite differences
 of metric values, dense quadrature, scalar RK4, brute-force polyline
-distances, dense-tensor curve fields. Nothing here shares a code path with
-the quantities it checks.
+distances, dense-tensor curve fields, a per-node CSV loop. Nothing here
+shares a code path with the quantities it checks.
 """
 
 import numpy as np
@@ -159,3 +159,27 @@ def einsum_fields(curve, manifold):
         "metric": g,
         "gamma": frame.gamma,
     }
+
+
+def trajectory_csv_text(traj):
+    """trajectory.csv text built whole in memory by a per-node loop over
+    repr'd values; the streamed writer must match it byte for byte."""
+
+    def fmt(value):
+        return repr(float(value))
+
+    base_dim = traj[0].curve.dim - 1
+    xcols = ", ".join(f"x{i + 1}" for i in range(base_dim))
+    lines = [f"t, j, r, {xcols}, theta, theta_hat, curvature"]
+    for state in traj:
+        coords = np.mod(state.curve.coords, TWO_PI)
+        f = state.fields
+        t_str = fmt(state.t)
+        for j in range(state.curve.m):
+            row = [t_str, str(j)]
+            row.extend(fmt(c) for c in coords[j])
+            row.append(fmt(f.theta[j]))
+            row.append(fmt(f.theta_hat[j]))
+            row.append(fmt(f.curvature_norm[j]))
+            lines.append(", ".join(row))
+    return "\n".join(lines) + "\n"

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import wcsf
+from oracles import trajectory_csv_text
+from wcsf.artifacts import write_trajectory_csv
 from wcsf.cli import main
 
 FAST = """\
@@ -157,3 +160,17 @@ def test_report_values_match_trajectory(tmp_path):
     assert report["flow.t_final"] == repr(float(t_final))
     assert float(report["flow.length_final"]) < \
         float(report["flow.length_initial"])
+
+
+@pytest.mark.parametrize("warp", [0.3, None])
+def test_trajectory_csv_matches_loop_writer(tmp_path, warp):
+    # left-warped and product runs; the streamed writer must give the
+    # same bytes as the per-node loop in the oracles
+    manifold = wcsf.WarpedProduct(
+        wcsf.LEFT, warp=wcsf.FourierField.exp_cos(warp) if warp else 1.0)
+    curve = wcsf.make_graph_curve(wcsf.FourierField([0.1], [0.0, 0.4]), 64)
+    traj, _ = wcsf.run(manifold, curve,
+                       wcsf.FlowParams(t_max=0.5, record_stride=10))
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(path, traj)
+    assert path.read_bytes() == trajectory_csv_text(traj).encode()

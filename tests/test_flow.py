@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import wcsf
-from wcsf import spectral
+from wcsf import flow, spectral
 from conftest import left_exp_manifold, product_manifold, right_exp_manifold
 from oracles import polyline_hausdorff, scalar_rk4
 
@@ -199,3 +199,90 @@ def test_record_stride_controls_sampling(product):
     times = traj.times
     assert np.all(np.diff(times) > 0.0)
     assert times[0] == 0.0 and abs(times[-1] - 0.05) < 1e-12
+
+
+def test_recorded_times_on_the_fixed_grid(left_exp):
+    curve = wcsf.make_graph_curve(sin_field(0.3), 64)
+    params = wcsf.FlowParams(t_max=0.4, record_stride=30)
+    traj, rep = wcsf.run(left_exp, curve, params)
+    dt0 = wcsf.adaptive_dt(traj[0], params.cfl)
+    times = traj.times
+    assert len(traj) >= 4 and times[-1] == 0.4
+    for j, t in enumerate(times[:-1]):
+        assert t == j * params.record_stride * dt0
+    # each record interval is split into equal steps, so some intervals
+    # take more than one step
+    assert rep.steps > len(traj) - 1
+
+
+STOCK = {
+    # scenario: (manifold, initial sin(r) amplitude, stock record stride)
+    "left_warped": (left_exp_manifold(), 0.3, 100),
+    "right_warped": (right_exp_manifold(), 0.3, 100),
+    "product": (product_manifold(), 0.5, 20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STOCK))
+def test_sparse_recording_keeps_the_outcome(name):
+    # with record_stride = 10**6 only t_max bounds a record interval, so
+    # the steps are held by the step limit and DT_MAX alone
+    manifold, amp, stride = STOCK[name]
+    curve = wcsf.make_graph_curve(sin_field(amp), 128)
+    _, stock = wcsf.run(manifold, curve, wcsf.FlowParams(record_stride=stride))
+    traj, sparse = wcsf.run(manifold, curve,
+                            wcsf.FlowParams(record_stride=10 ** 6))
+    assert len(traj) == 2
+    assert sparse.stop_reason is stock.stop_reason
+    assert abs(sparse.length_final - stock.length_final) < 1e-8
+
+
+def test_sparse_recording_r_circle_reaches_pi(left_exp):
+    curve = wcsf.make_graph_curve(wcsf.FourierField.constant(np.pi / 2), 64)
+    traj, rep = wcsf.run(left_exp, curve,
+                         wcsf.FlowParams(record_stride=10 ** 6))
+    assert rep.stop_reason is wcsf.StopReason.CONVERGED
+    assert abs(traj.final.curve.coords[0, 1] - np.pi) < 1e-3
+    assert rep.steps * flow.DT_MAX >= rep.t_final
+
+
+def test_etd_weights_reduce_to_rk4_at_zero():
+    e, e2, q, f1, f2, f3 = flow._etd_weights(np.zeros(1), 0.3)
+    assert e[0] == e2[0] == 1.0
+    assert q[0] == 0.15
+    assert f1[0] == f2[0] == f3[0] == 0.3 * (1.0 / 6.0)
+
+
+def test_etd_weights_series_meets_closed_form():
+    # both branches at |z| = 2 and far out against the phi-function
+    # forms f1 = phi1 - 3 phi2 + 4 phi3, f2 = phi2 - 2 phi3,
+    # f3 = 4 phi3 - phi2, evaluated here by the plain recurrences
+    z = np.array([-2.0 + 1e-12, -2.0, -7.5, -400.0])
+    _, _, q, f1, f2, f3 = flow._etd_weights(z, 1.0)
+    phi1 = np.expm1(z) / z
+    phi2 = (phi1 - 1.0) / z
+    phi3 = (phi2 - 0.5) / z
+    assert np.allclose(q, np.expm1(0.5 * z) / z, rtol=1e-13, atol=0.0)
+    assert np.allclose(f1, phi1 - 3.0 * phi2 + 4.0 * phi3, rtol=1e-12, atol=0.0)
+    assert np.allclose(f2, phi2 - 2.0 * phi3, rtol=1e-12, atol=0.0)
+    assert np.allclose(f3, 4.0 * phi3 - phi2, rtol=1e-12, atol=0.0)
+
+
+def test_parametric_step_is_classical_rk4(product):
+    u = spectral.nodes(64)
+    coords = np.column_stack([u, 0.4 * np.sin(u)])
+    curve = wcsf.DiscreteCurve("parametric", coords, (1, 0))
+    state = wcsf.FlowState(curve, 0.0, wcsf.compute_fields(curve, product))
+    dt = wcsf.adaptive_dt(state, 0.25)
+
+    def h(y):
+        c = wcsf.DiscreteCurve("parametric", y, (1, 0))
+        return wcsf.compute_fields(c, product).curvature
+
+    k1 = h(coords)
+    k2 = h(coords + 0.5 * dt * k1)
+    k3 = h(coords + 0.5 * dt * k2)
+    k4 = h(coords + dt * k3)
+    want = coords + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    got = wcsf.step_rk4(state, product, dt).curve.coords
+    assert np.abs(got - want).max() < 1e-15

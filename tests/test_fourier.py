@@ -60,6 +60,15 @@ def test_exp_cos_matches_closed_form():
         assert np.abs(df(x) - exact).max() < 1e-13
 
 
+def test_exp_cos_negative_and_large_amplitude():
+    # odd Bessel terms change sign with a; larger a needs more of them
+    x = np.linspace(0.0, 2.0 * np.pi, 1000, endpoint=False)
+    for a in (-0.7, 4.0):
+        f = FourierField.exp_cos(a)
+        exact = np.exp(a * np.cos(x))
+        assert np.abs(f(x) - exact).max() < 1e-14 * exact.max()
+
+
 def test_exp_cos_grid_extremes():
     f = FourierField.exp_cos(0.3)
     assert abs(f.max_on_grid() - np.exp(0.3)) < 1e-14

@@ -6,6 +6,7 @@ fail; these tests catch that at tier-1 instead."""
 import importlib.util
 from pathlib import Path
 
+import wcsf
 import wcsf.flow
 
 LAYERS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -29,3 +30,36 @@ def test_every_traced_site_resolves():
 def test_untraced_rhs_counter_target_exists():
     # the untraced run counts RHS evaluations by replacing this name
     assert callable(getattr(wcsf.flow, "compute_fields", None))
+
+
+def test_rhs_counter_counts_four_per_step_plus_one(tmp_path, monkeypatch):
+    # the benchmark's untraced counter wraps wcsf.cli.run and
+    # wcsf.flow.compute_fields; monkeypatch restores both afterwards
+    import wcsf.cli
+
+    monkeypatch.setattr(wcsf.cli, "run", wcsf.cli.run)
+    monkeypatch.setattr(wcsf.flow, "compute_fields", wcsf.flow.compute_fields)
+    counts = load_layers().count_main_rhs()
+    scn = wcsf.parse_config("manifold.kind = left\nwarp.exp_cos = 0.3\n"
+                            "init.sin = 0.0, 0.3\ngrid.m = 32\n"
+                            "time.t_max = 0.5\nrecord.stride = 7\n")
+    code, _ = wcsf.cli.execute_scenario(scn, tmp_path)
+    report = (tmp_path / "report.txt").read_text()
+    steps = int(report.split("flow.steps = ")[1].split("\n")[0])
+    assert code == 0 and steps > 1
+    assert counts["main"] == 4 * steps + 1
+
+
+def test_sweep_calls_are_accepted():
+    # the calls perfbench/sweep.py makes, with its argument shapes
+    from wcsf import (LEFT, FlowState, FourierField, WarpedProduct,
+                      adaptive_dt, compute_fields, make_graph_curve, spectral,
+                      step_rk4)
+
+    manifold = WarpedProduct(LEFT, warp=FourierField.exp_cos(0.3))
+    curve = make_graph_curve(FourierField([0.0], [0.0, 0.3]), 64)
+    spectral.diff12(curve.coords[:, 1].copy())
+    state = FlowState(curve, 0.0, compute_fields(curve, manifold))
+    dt = adaptive_dt(state, 0.25)
+    nxt = step_rk4(state, manifold, dt)
+    assert nxt.t == dt and nxt.curve.m == 64

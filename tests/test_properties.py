@@ -1,0 +1,76 @@
+"""Flow invariants over random small bandlimited warps and initial graphs.
+
+Examples are drawn deterministically (derandomize), on coarse grids and
+short horizons, so the whole module stays fast and reproducible.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import wcsf
+
+SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
+                    database=None)
+
+small = st.floats(min_value=-0.1, max_value=0.1, allow_nan=False)
+height = st.floats(min_value=-0.4, max_value=0.4, allow_nan=False)
+
+
+@st.composite
+def flows(draw):
+    """(manifold, initial curve): a left or right warp 1 + sum of degree
+    <= 2 terms of size <= 0.1 (so it stays above 0.6) and a height of
+    degree <= 3 on m = 32 or 64 nodes."""
+    kind = draw(st.sampled_from((wcsf.LEFT, wcsf.RIGHT)))
+    warp = wcsf.FourierField([1.0] + draw(st.lists(small, min_size=2,
+                                                   max_size=2)),
+                             [0.0] + draw(st.lists(small, min_size=2,
+                                                   max_size=2)))
+    init = wcsf.FourierField(draw(st.lists(height, min_size=4, max_size=4)),
+                             [0.0] + draw(st.lists(height, min_size=3,
+                                                   max_size=3)))
+    m = draw(st.sampled_from((32, 64)))
+    return (wcsf.WarpedProduct(kind, warp=warp),
+            wcsf.make_graph_curve(init, m))
+
+
+def short(**kw):
+    return wcsf.FlowParams(t_max=0.3, record_stride=5, **kw)
+
+
+@SETTINGS
+@given(flows())
+def test_length_monotone_and_angle_bound(case):
+    manifold, curve = case
+    traj, rep = wcsf.run(manifold, curve, short())
+    assert rep.length_monotone
+    assert np.all(np.diff(rep.series[:, 4]) <= 1e-10)
+    exp_rep, _ = wcsf.theta_bound_monitor(traj, manifold)
+    assert exp_rep.passed, exp_rep.worst_slack
+
+
+@SETTINGS
+@given(flows())
+def test_reruns_bitwise_identical(case):
+    manifold, curve = case
+    t1, r1 = wcsf.run(manifold, curve, short())
+    t2, r2 = wcsf.run(manifold, curve, short())
+    assert r1.steps == r2.steps
+    assert np.array_equal(r1.series, r2.series)
+    assert np.array_equal(t1.final.curve.coords, t2.final.curve.coords)
+
+
+@SETTINGS
+@given(flows())
+def test_graph_loss_and_blowup_are_stop_reasons(case):
+    manifold, curve = case
+    fields = wcsf.compute_fields(curve, manifold)
+    floor = float(fields.theta_hat.min()) + 1e-9
+    _, rep = wcsf.run(manifold, curve, short(tol_geo=0.0, theta_floor=floor))
+    assert rep.stop_reason is wcsf.StopReason.GRAPH_LOSS
+    assert rep.graph_loss_falsification
+    ceiling = 0.5 * float(fields.curvature_norm.max())
+    if ceiling > 0.0:
+        _, rep = wcsf.run(manifold, curve, short(a_ceiling=ceiling))
+        assert rep.stop_reason is wcsf.StopReason.BLOWUP
