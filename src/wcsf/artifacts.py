@@ -32,14 +32,13 @@ def _fmt(value) -> str:
 def write_trajectory_csv(path, traj: Trajectory) -> None:
     """Write every recorded state, one row per node, one state at a time.
 
-    Columns: t, j, r, x1[, x2], theta, theta_hat, curvature. Coordinates
-    are reduced mod 2 pi; curvature is the node's |A|. Values are written
-    as repr of Python floats, like _fmt.
+    Columns: t, j, r, x1, theta, theta_hat, curvature. Coordinates are
+    reduced mod 2 pi; curvature is the node's |A|. Values are written as
+    repr of Python floats, like _fmt. Iterating the trajectory rebuilds
+    each older state's fields once.
     """
-    base_dim = traj[0].curve.dim - 1
-    xcols = ", ".join(f"x{i + 1}" for i in range(base_dim))
     with open(path, "w", newline="\n") as fh:
-        fh.write(f"t, j, r, {xcols}, theta, theta_hat, curvature\n")
+        fh.write("t, j, r, x1, theta, theta_hat, curvature\n")
         for state in traj:
             f = state.fields
             table = np.column_stack((np.mod(state.curve.coords, TWO_PI),
@@ -101,19 +100,18 @@ def write_svg(path, traj: Trajectory, max_snapshots: int = 16) -> None:
     min angle diagnostics against time on the right. Self-contained SVG."""
     n = len(traj)
     idx = np.unique(np.linspace(0, n - 1, min(max_snapshots, n)).round().astype(int))
-    snaps = [traj[int(i)] for i in idx]
+    curves = traj.curves
+    snaps = [curves[int(i)] for i in idx]
 
     left_x0, left_x1 = _MARG, _MARG + _PANE_W
     right_x0, right_x1 = _MARG + _PANE_W + 2 * _MARG, _SVG_W - 30.0
     y0, y1 = _SVG_H - _MARG, _MARG - 15.0
 
-    all_r = np.concatenate([np.append(s.curve.coords[:, 0],
-                                      s.curve.coords[0, 0] + TWO_PI)
-                            for s in snaps])
-    all_x = np.concatenate([np.append(s.curve.coords[:, 1],
-                                      s.curve.coords[0, 1]
-                                      + TWO_PI * s.curve.winding[1])
-                            for s in snaps])
+    all_r = np.concatenate([np.append(c.coords[:, 0], c.coords[0, 0] + TWO_PI)
+                            for c in snaps])
+    all_x = np.concatenate([np.append(c.coords[:, 1],
+                                      c.coords[0, 1] + TWO_PI * c.winding[1])
+                            for c in snaps])
     rx, _, _ = _scale(all_r, left_x0, left_x1)
     xy, xmin, xmax = _scale(all_x, y0, y1)
 
@@ -126,12 +124,11 @@ def write_svg(path, traj: Trajectory, max_snapshots: int = 16) -> None:
         f'<text x="{right_x0:.1f}" y="30" font-family="monospace" '
         f'font-size="14">min angle vs t</text>',
     ]
-    for k, s in enumerate(snaps):
+    for k, c in enumerate(snaps):
         shade = 0.85 - 0.7 * (k / max(len(snaps) - 1, 1))
         color = f"rgb({int(60 + 150 * shade)},{int(60 + 100 * shade)},200)"
-        r = np.append(s.curve.coords[:, 0], s.curve.coords[0, 0] + TWO_PI)
-        x = np.append(s.curve.coords[:, 1],
-                      s.curve.coords[0, 1] + TWO_PI * s.curve.winding[1])
+        r = np.append(c.coords[:, 0], c.coords[0, 0] + TWO_PI)
+        x = np.append(c.coords[:, 1], c.coords[0, 1] + TWO_PI * c.winding[1])
         parts.append(_polyline(rx(r), xy(x), color))
     parts.append(_polyline([left_x0, left_x0, left_x1], [y1, y0, y0],
                            "black", "1.0"))
@@ -139,9 +136,8 @@ def write_svg(path, traj: Trajectory, max_snapshots: int = 16) -> None:
                  f'font-family="monospace" font-size="11">r in [0, 2pi]   '
                  f'x1 in [{xmin:.3f}, {xmax:.3f}]</text>')
 
-    times = traj.times
-    min_theta = np.array([s.fields.theta.min() for s in traj])
-    min_hat = np.array([s.fields.theta_hat.min() for s in traj])
+    scalars = traj.scalars
+    times, min_theta, min_hat = scalars[:, 0], scalars[:, 1], scalars[:, 2]
     tx, _, _ = _scale(times, right_x0, right_x1)
     vy, vmin, vmax = _scale(np.concatenate([min_theta, min_hat, [0.0]]), y0, y1)
     parts.append(_polyline(tx(times), vy(min_theta), "rgb(200,80,60)", "1.5"))

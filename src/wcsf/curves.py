@@ -70,11 +70,11 @@ class DiscreteCurve:
         object.__setattr__(self, "winding", tuple(int(w) for w in self.winding))
         if self.mode not in (GRAPH, PARAMETRIC):
             raise ValueError(f"unknown curve mode {self.mode!r}")
-        if coords.ndim != 2:
-            raise ValueError("coords must have shape (M, 1 + base_dim)")
+        if coords.ndim != 2 or coords.shape[1] != 2:
+            raise ValueError("coords must have shape (M, 2)")
         _validate_m(coords.shape[0])
-        if len(self.winding) != coords.shape[1]:
-            raise ValueError("winding length must match the coordinate count")
+        if len(self.winding) != 2:
+            raise ValueError("winding must have one entry per coordinate")
         if self.mode == GRAPH and self.winding[0] != 1:
             raise ValueError("graph mode winds exactly once in r")
 
@@ -82,46 +82,29 @@ class DiscreteCurve:
     def m(self) -> int:
         return self.coords.shape[0]
 
-    @property
-    def dim(self) -> int:
-        """Ambient coordinate count, 1 + base_dim."""
-        return self.coords.shape[1]
-
     def periodic_part(self) -> np.ndarray:
         u = spectral.nodes(self.m)
         return self.coords - u[:, None] * np.asarray(self.winding, dtype=float)
 
 
-def make_graph_curve(fields, m: int, x_winding=None,
+def make_graph_curve(field: FourierField, m: int, x_winding: int = 0,
                      allow_x_winding: bool = False) -> DiscreteCurve:
     """Sample the graph x = f(r) at m uniform nodes.
 
-    fields: one FourierField per base coordinate (or a single field).
-    x_winding adds an integer multiple of r to a base coordinate; such
-    winding graphs are rejected unless explicitly allowed, because they
-    break the plain torus-graph reading of the samples.
+    x_winding adds an integer multiple of r to x; such winding graphs are
+    rejected unless explicitly allowed, because they break the plain
+    torus-graph reading of the samples.
     """
-    if isinstance(fields, FourierField):
-        fields = [fields]
-    fields = list(fields)
-    if not fields:
-        raise ValueError("need at least one graph coordinate field")
     m = _validate_m(m)
-    n = len(fields)
-    if x_winding is None:
-        x_winding = (0,) * n
-    x_winding = tuple(int(w) for w in x_winding)
-    if len(x_winding) != n:
-        raise ValueError("x_winding length must match the field count")
-    if any(x_winding) and not allow_x_winding:
+    x_winding = int(x_winding)
+    if x_winding and not allow_x_winding:
         raise ValueError("winding graph coordinates are disabled; "
                          "pass allow_x_winding=True to build ramps")
     u = spectral.nodes(m)
-    coords = np.empty((m, n + 1))
+    coords = np.empty((m, 2))
     coords[:, 0] = u
-    for i, f in enumerate(fields):
-        coords[:, i + 1] = f(u) + x_winding[i] * u
-    return DiscreteCurve(GRAPH, coords, (1,) + x_winding)
+    coords[:, 1] = field(u) + x_winding * u
+    return DiscreteCurve(GRAPH, coords, (1, x_winding))
 
 
 class CurveFields:
@@ -139,6 +122,7 @@ class CurveFields:
       pre_tangential   <H, T>_G, analytically zero (M,)
       metric           G at the nodes (M, 2, 2)
       gamma            Christoffel symbols at the nodes (M, 2, 2, 2)
+      manifold         the WarpedProduct the fields were computed in
 
     metric and gamma are dense tensors that only the monitors read; they
     are built by WarpedProduct.frame on first access, never per step.
@@ -146,7 +130,7 @@ class CurveFields:
 
     __slots__ = ("deriv", "speed", "tangent", "curvature", "curvature_norm",
                  "theta", "theta_hat", "length", "pre_tangential",
-                 "_manifold", "_coords", "_frame")
+                 "manifold", "_coords", "_frame")
 
     def __init__(self, deriv, speed, tangent, curvature, curvature_norm,
                  theta, theta_hat, length, pre_tangential, manifold, coords):
@@ -159,13 +143,13 @@ class CurveFields:
         self.theta_hat = theta_hat
         self.length = length
         self.pre_tangential = pre_tangential
-        self._manifold = manifold
+        self.manifold = manifold
         self._coords = coords
         self._frame = None
 
     def _dense(self):
         if self._frame is None:
-            self._frame = self._manifold.frame(self._coords)
+            self._frame = self.manifold.frame(self._coords)
         return self._frame
 
     @property
@@ -195,8 +179,6 @@ def compute_fields(curve: DiscreteCurve, manifold: WarpedProduct) -> CurveFields
     tangential defect <H, T>_G is therefore rounding-level; it is kept as
     pre_tangential so tests can assert that.
     """
-    if manifold.dim != curve.dim:
-        raise ValueError("curve and manifold dimensions do not match")
     m = curve.m
     x = curve.coords[:, 1]
     if curve.mode == GRAPH:

@@ -78,38 +78,69 @@ class FlowState:
 
 
 class Trajectory:
-    """Recorded flow states at strictly increasing times."""
+    """Recorded flow states at strictly increasing times.
+
+    Keeps the time and the curve of every state, its row of scalars and
+    the fields of the newest state only. Reading an older state rebuilds
+    its fields with compute_fields: the same pure call on the same
+    coordinate array, so they are bit for bit the fields the flow
+    computed, and each read pays one kernel call.
+    """
 
     def __init__(self, states=()):
-        self._states: list[FlowState] = []
+        self._curves: list[DiscreteCurve] = []
+        self._rows: list[tuple] = []
+        self._last: FlowState | None = None
         for s in states:
             self.append(s)
 
     def append(self, state: FlowState) -> None:
-        if self._states and state.t <= self._states[-1].t:
-            raise ValueError("trajectory times must strictly increase")
-        self._states.append(state)
+        f = state.fields
+        if self._last is not None:
+            if state.t <= self._last.t:
+                raise ValueError("trajectory times must strictly increase")
+            if f.manifold is not self._last.fields.manifold:
+                raise ValueError("trajectory states must share one manifold")
+        self._curves.append(state.curve)
+        self._rows.append((
+            state.t, float(f.theta.min()), float(f.theta_hat.min()),
+            float(f.curvature_norm.max()), f.length,
+            float((f.curvature_norm ** 2 * f.speed).sum()
+                  * (TWO_PI / state.curve.m))))
+        self._last = state
 
     def __len__(self) -> int:
-        return len(self._states)
+        return len(self._curves)
 
     def __getitem__(self, i) -> FlowState:
-        return self._states[i]
+        i = range(len(self._curves))[i]   # IndexError when out of range
+        if i == len(self._curves) - 1:
+            return self._last
+        curve = self._curves[i]
+        return FlowState(curve, self._rows[i][0],
+                         compute_fields(curve, self._last.fields.manifold))
 
     def __iter__(self):
-        return iter(self._states)
+        for i in range(len(self._curves)):
+            yield self[i]
 
     @property
-    def states(self) -> tuple:
-        return tuple(self._states)
+    def curves(self) -> tuple:
+        return tuple(self._curves)
+
+    @property
+    def scalars(self) -> np.ndarray:
+        """One row per state: (t, min theta, min theta_hat, max |A|,
+        length, int |A|^2 ds)."""
+        return np.array(self._rows)
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([s.t for s in self._states])
+        return np.array([row[0] for row in self._rows])
 
     @property
     def final(self) -> FlowState:
-        return self._states[-1]
+        return self[-1]
 
 
 @dataclass(frozen=True)
@@ -330,16 +361,11 @@ def _circular_mean(angles: np.ndarray) -> float:
 
 def _build_report(traj: Trajectory, manifold: WarpedProduct,
                   stop: StopReason, steps: int) -> FlowReport:
-    series = np.array([
-        (s.t, s.fields.theta.min(), s.fields.theta_hat.min(),
-         s.fields.curvature_norm.max(), s.fields.length)
-        for s in traj
-    ])
+    series = traj.scalars[:, :5]
     lengths = series[:, 4]
     monotone = bool(np.all(np.diff(lengths) <= 1e-10))
-    final = traj.final
-    limit = tuple(_circular_mean(final.curve.coords[:, i])
-                  for i in range(1, final.curve.dim))
+    first, last = series[0], series[-1]
+    limit = (_circular_mean(traj.final.curve.coords[:, 1]),)
     grad_norm = None
     if manifold.kind == LEFT:
         pt = np.array([[0.0, *limit]])
@@ -351,14 +377,14 @@ def _build_report(traj: Trajectory, manifold: WarpedProduct,
                      and np.all(np.diff(tail) < 0.0))
     return FlowReport(
         stop_reason=stop,
-        t_final=float(final.t),
+        t_final=float(last[0]),
         steps=steps,
-        final_max_a=float(final.fields.curvature_norm.max()),
-        final_min_theta=float(final.fields.theta.min()),
-        final_min_theta_hat=float(final.fields.theta_hat.min()),
-        initial_min_theta=float(traj[0].fields.theta.min()),
-        length_initial=float(traj[0].fields.length),
-        length_final=float(final.fields.length),
+        final_max_a=float(last[3]),
+        final_min_theta=float(last[1]),
+        final_min_theta_hat=float(last[2]),
+        initial_min_theta=float(first[1]),
+        length_initial=float(first[4]),
+        length_final=float(last[4]),
         length_monotone=monotone,
         limit_base_point=limit,
         limit_warp_gradient_norm=grad_norm,

@@ -165,9 +165,8 @@ class Scenario:
     svg: bool
 
     def initial_curve(self) -> DiscreteCurve:
-        winding = (self.winding,) if self.winding else None
         return make_graph_curve(self.init_field, self.m,
-                                x_winding=winding,
+                                x_winding=self.winding,
                                 allow_x_winding=self.allow_winding)
 
     def flow_params(self) -> FlowParams:

@@ -93,6 +93,16 @@ def _triple(traj: Trajectory, k: int):
     return prev, mid, nxt
 
 
+def _windows(traj: Trajectory):
+    """Consecutive (prev, mid, next) states in one pass over the
+    trajectory, so each state's fields are rebuilt once."""
+    states = iter(traj)
+    prev, mid = next(states, None), next(states, None)
+    for nxt in states:
+        yield prev, mid, nxt
+        prev, mid = mid, nxt
+
+
 def _material_dt(prev: FlowState, mid: FlowState, nxt: FlowState,
                  values_prev, values_mid, values_next):
     """d/dt along the flow at matched nodes: centered difference plus the
@@ -264,8 +274,9 @@ def theta_bound_monitor(traj: Trajectory, manifold: WarpedProduct,
              terms as the evolution residuals.
     Failures beyond eps_tol are falsification flags, never clamped.
     """
-    theta0 = float(traj[0].fields.theta.min())
-    times = traj.times
+    scalars = traj.scalars
+    times = scalars[:, 0]
+    theta0 = float(scalars[0, 1])
     if manifold.kind == LEFT:
         c_exp = left_exp_constant(manifold, grid)
         c_name, d_name = "C_left", "C_left_drift"
@@ -276,8 +287,7 @@ def theta_bound_monitor(traj: Trajectory, manifold: WarpedProduct,
         c_name, d_name = "C_right", "C_right_drift"
         inputs = {"grid": grid, "min_theta_0": theta0}
 
-    min_theta = np.array([s.fields.theta.min() for s in traj])
-    slack_exp = min_theta - np.exp(-c_exp * times) * theta0
+    slack_exp = scalars[:, 1] - np.exp(-c_exp * times) * theta0
     exp_report = BoundReport(
         name="theta_exp_lower_bound",
         constant_name=c_name,
@@ -291,8 +301,7 @@ def theta_bound_monitor(traj: Trajectory, manifold: WarpedProduct,
         c_right_drift = right_drift_constant(manifold, grid)
     worst = np.inf
     checked = 0
-    for k in range(1, len(traj) - 1):
-        prev, mid, nxt = traj[k - 1], traj[k], traj[k + 1]
+    for prev, mid, nxt in _windows(traj):
         if mid.curve.mode != GRAPH:
             continue
         f = mid.fields
@@ -336,17 +345,13 @@ def dissipation_monitor(traj: Trajectory, manifold: WarpedProduct) -> BoundRepor
     endpoint mean, second order); passed tracks length monotonicity, which
     must hold in every run.
     """
-    lengths = np.array([s.fields.length for s in traj])
-    times = traj.times
+    scalars = traj.scalars
+    times, lengths, dissipation = scalars[:, 0], scalars[:, 4], scalars[:, 5]
     defect = 0.0
     for k in range(len(traj) - 1):
-        a, b = traj[k], traj[k + 1]
-        ia = float((a.fields.curvature_norm ** 2 * a.fields.speed).sum()
-                   * (TWO_PI / a.curve.m))
-        ib = float((b.fields.curvature_norm ** 2 * b.fields.speed).sum()
-                   * (TWO_PI / b.curve.m))
         rate = (lengths[k + 1] - lengths[k]) / (times[k + 1] - times[k])
-        defect = max(defect, float(abs(rate + 0.5 * (ia + ib))))
+        defect = max(defect, float(abs(
+            rate + 0.5 * (dissipation[k] + dissipation[k + 1]))))
     monotone = bool(np.all(np.diff(lengths) <= 1e-10))
     return BoundReport(
         name="length_dissipation",

@@ -168,9 +168,7 @@ def trajectory_csv_text(traj):
     def fmt(value):
         return repr(float(value))
 
-    base_dim = traj[0].curve.dim - 1
-    xcols = ", ".join(f"x{i + 1}" for i in range(base_dim))
-    lines = [f"t, j, r, {xcols}, theta, theta_hat, curvature"]
+    lines = ["t, j, r, x1, theta, theta_hat, curvature"]
     for state in traj:
         coords = np.mod(state.curve.coords, TWO_PI)
         f = state.fields

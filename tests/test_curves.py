@@ -181,8 +181,8 @@ def test_resample_rejects_parametric(product):
 def test_winding_requires_flag():
     f = wcsf.FourierField.constant(0.0)
     with pytest.raises(ValueError, match="allow_x_winding"):
-        wcsf.make_graph_curve(f, 64, x_winding=(1,))
-    ramp = wcsf.make_graph_curve(f, 64, x_winding=(1,), allow_x_winding=True)
+        wcsf.make_graph_curve(f, 64, x_winding=1)
+    ramp = wcsf.make_graph_curve(f, 64, x_winding=1, allow_x_winding=True)
     assert ramp.winding == (1, 1)
     u = spectral.nodes(64)
     assert np.abs(ramp.coords[:, 1] - u).max() < 1e-14
@@ -219,7 +219,7 @@ def test_graph_and_parametric_paths_agree(name):
 
 def test_graph_and_parametric_paths_agree_with_winding(left_exp):
     ramp = wcsf.make_graph_curve(wcsf.FourierField([0.0], [0.0, 0.2]), 64,
-                                 x_winding=(1,), allow_x_winding=True)
+                                 x_winding=1, allow_x_winding=True)
     twin = wcsf.DiscreteCurve("parametric", ramp.coords, ramp.winding)
     gap = _worst_gap(wcsf.compute_fields(ramp, left_exp),
                      wcsf.compute_fields(twin, left_exp))
@@ -274,11 +274,11 @@ def test_immersion_error_on_degenerate_curve(product):
         wcsf.compute_fields(c, product)
 
 
-def test_dimension_mismatch_rejected(left_exp):
-    f = wcsf.FourierField.constant(0.0)
-    c = wcsf.make_graph_curve([f, f], 64)
-    with pytest.raises(ValueError):
-        wcsf.compute_fields(c, left_exp)
+def test_dimension_mismatch_rejected():
+    u = spectral.nodes(64)
+    coords = np.column_stack([u, 0 * u, 0 * u])
+    with pytest.raises(ValueError, match="shape"):
+        wcsf.DiscreteCurve("graph", coords, (1, 0, 0))
 
 
 def test_grid_size_validation():

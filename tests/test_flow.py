@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -178,6 +181,79 @@ def test_trajectory_requires_increasing_time(product):
     traj.append(state)
     with pytest.raises(ValueError):
         traj.append(state)
+
+
+def test_trajectory_requires_one_manifold(product, left_exp):
+    traj = wcsf.Trajectory([graph_state(product, sin_field(0.1))])
+    other = graph_state(left_exp, sin_field(0.1))
+    with pytest.raises(ValueError, match="manifold"):
+        traj.append(wcsf.FlowState(other.curve, 1.0, other.fields))
+
+
+FIELD_ATTRS = ("deriv", "speed", "tangent", "curvature", "curvature_norm",
+               "theta", "theta_hat", "length", "pre_tangential", "metric",
+               "gamma")
+
+
+def rebuild_case(name):
+    if name == "parametric":
+        u = spectral.nodes(64)
+        coords = np.column_stack([u, 0.4 * np.sin(u)])
+        return product_manifold(), wcsf.DiscreteCurve("parametric", coords,
+                                                      (1, 0))
+    manifold = {"left": left_exp_manifold, "right": right_exp_manifold}[name]
+    return manifold(), wcsf.make_graph_curve(sin_field(0.3), 64)
+
+
+@pytest.mark.parametrize("name", ["left", "right", "parametric"])
+def test_rebuilt_fields_are_the_flows_fields(name, monkeypatch):
+    # a trajectory keeps only curves; reading an older state rebuilds its
+    # fields, which must be bit for bit those the stepper produced
+    manifold, curve = rebuild_case(name)
+    flowed = {}
+    step = flow.step_rk4
+
+    def capture(state, *args, **kwargs):
+        nxt = step(state, *args, **kwargs)
+        flowed.setdefault(state.t, state)   # the initial state
+        flowed[nxt.t] = nxt
+        return nxt
+
+    monkeypatch.setattr(flow, "step_rk4", capture)
+    traj, _ = wcsf.run(manifold, curve,
+                       wcsf.FlowParams(t_max=0.05, record_stride=3))
+    n = len(traj)
+    assert n >= 4
+    for k in range(n):
+        for state in (traj[k], traj[k - n]):
+            want = flowed[state.t]
+            assert state.curve is want.curve
+            for attr in FIELD_ATTRS:
+                assert np.array_equal(getattr(state.fields, attr),
+                                      getattr(want.fields, attr)), attr
+    assert [s.t for s in traj] == list(traj.times)
+    with pytest.raises(IndexError):
+        traj[n]
+
+
+def test_trajectory_holds_curves_not_fields(product):
+    # at m = 128 a curve's coordinates take 2 KB and its CurveFields
+    # about 12.7 KB more; a trajectory keeps fields for its newest state
+    # only
+    curve = wcsf.make_graph_curve(sin_field(0.5), 128)
+    params = wcsf.FlowParams(t_max=0.13, record_stride=1)
+    tracemalloc.start()
+    try:
+        traj, _ = wcsf.run(product, curve, params)
+        n = len(traj)
+        held = tracemalloc.get_traced_memory()[0]
+        del traj
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert n >= 200
+    assert held / n <= 4096
 
 
 def test_flow_params_validation():

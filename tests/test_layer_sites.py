@@ -4,24 +4,27 @@ unwrapped, so it would read zero calls and the traced benchmark run would
 fail; these tests catch that at tier-1 instead."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import wcsf
 import wcsf.flow
 
-LAYERS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers",
-                                                  LAYERS_PY)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up by name
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_site_resolves():
-    layers = load_layers()
+    layers = load_perfbench("layers")
     missing = [(module, attr) for _, module, attr in layers.SITES
                if layers._resolve(module, attr) is None]
     assert missing == []
@@ -39,7 +42,7 @@ def test_rhs_counter_counts_four_per_step_plus_one(tmp_path, monkeypatch):
 
     monkeypatch.setattr(wcsf.cli, "run", wcsf.cli.run)
     monkeypatch.setattr(wcsf.flow, "compute_fields", wcsf.flow.compute_fields)
-    counts = load_layers().count_main_rhs()
+    counts = load_perfbench("layers").count_main_rhs()
     scn = wcsf.parse_config("manifold.kind = left\nwarp.exp_cos = 0.3\n"
                             "init.sin = 0.0, 0.3\ngrid.m = 32\n"
                             "time.t_max = 0.5\nrecord.stride = 7\n")
@@ -63,3 +66,27 @@ def test_sweep_calls_are_accepted():
     dt = adaptive_dt(state, 0.25)
     nxt = step_rk4(state, manifold, dt)
     assert nxt.t == dt and nxt.curve.m == 64
+
+
+def test_traced_run_reaches_the_common_layers(tmp_path, monkeypatch):
+    # a traced benchmark repetition fails when a layer its workload must
+    # reach saw no calls, e.g. after a call-graph change moves a monitor
+    # or writer out of execute_scenario; a short product run with the SVG
+    # on must reach every common layer and the SVG writer
+    import wcsf.cli
+
+    layers = load_perfbench("layers")
+    for _, module, attr in layers.SITES:
+        owner, name, fn = layers._resolve(module, attr)
+        monkeypatch.setattr(owner, name, fn)
+    tracer = layers.Tracer()
+    tracer.install()
+    scn = wcsf.parse_config("manifold.kind = left\ninit.sin = 0.0, 0.5\n"
+                            "grid.m = 128\nrecord.stride = 20\n"
+                            "output.svg = on\ntime.t_max = 0.05\n")
+    code, _ = wcsf.cli.execute_scenario(scn, tmp_path)
+    must_reach = (load_perfbench("workloads").COMMON_LAYERS
+                  | {"artifacts.write_svg"})
+    assert code == 0
+    assert sorted(layer for layer in must_reach
+                  if tracer.stats[layer][0] == 0) == []
