@@ -131,6 +131,9 @@ def execute_scenario(scn: Scenario, out_dir) -> tuple:
             "stop_reason": rep.stop_reason.value,
             "t_final": rep.t_final,
             "steps": rep.steps,
+            "dt_min": rep.dt_min,
+            "dt_median": rep.dt_median,
+            "dt_max": rep.dt_max,
             "recorded_states": len(traj),
             "initial_min_theta": rep.initial_min_theta,
             "final_min_theta": rep.final_min_theta,

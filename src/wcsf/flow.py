@@ -11,13 +11,16 @@ J. Comput. Phys. 176, 2002; Kassam & Trefethen, SIAM J. Sci. Comput. 26,
 midpoint of the range of 1/v^2, applies L = -alpha k^2 exactly to the
 Fourier modes of the periodic part of f, and treats N = W^1 - L f with
 the four explicit stages. Parametric mode is the alpha = 0 case, where the
-stage weights are those of classical RK4.
+stage weights are those of classical RK4. Once the curve is nearly flat
+nothing is left stiff and only the accuracy cap DT_MAX holds a graph step,
+so a record interval no longer than DT_MAX then takes one step.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,8 +65,8 @@ class FlowParams:
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError("cfl must lie in (0, 1]")
-        if self.t_max < 0.0:
-            raise ValueError("t_max must be nonnegative")
+        if not 0.0 <= self.t_max < math.inf:
+            raise ValueError("t_max must be finite and nonnegative")
         if self.record_stride < 1:
             raise ValueError("record_stride must be a positive integer")
 
@@ -148,12 +151,16 @@ class FlowReport:
     """Run summary: stop condition, final diagnostics, recorded series.
 
     series has one row per recorded state with columns
-    (t, min theta, min theta_hat, max |A|, length).
+    (t, min theta, min theta_hat, max |A|, length). dt_min, dt_median and
+    dt_max range over the steps taken, None when there were none.
     """
 
     stop_reason: StopReason
     t_final: float
     steps: int
+    dt_min: float | None
+    dt_median: float | None
+    dt_max: float | None
     final_max_a: float
     final_min_theta: float
     final_min_theta_hat: float
@@ -203,8 +210,11 @@ def adaptive_dt(state: FlowState, cfl: float, t_max: float | None = None) -> flo
 # Graph steps never exceed this. Near a flat curve the split leaves no
 # stiffness to limit dt, but the remainder still carries the warp's pull
 # on the curve: one dt = 50 step moves a left-family r-circle from
-# x = pi/2 to 3.92 instead of to its limit pi.
-DT_MAX = 0.05
+# x = pi/2 to 3.92 instead of to its limit pi. 1/8 is the smallest power
+# of two above every stock record interval (0.107 at most); against
+# DT_MAX/10 a sparse asymmetric left run errs 4.0e-10/1.5e-8/2.2e-7 at
+# caps 0.05/0.125/0.25, growing like cap^4 once the cap binds.
+DT_MAX = 0.125
 
 
 def _split(fields: CurveFields) -> tuple:
@@ -219,7 +229,8 @@ def _step_limit(state: FlowState, cfl: float) -> float:
 
     In graph mode the explicit remainder (1/v^2 - alpha) f'' is stiff at
     most s (m/2)^2, so dt = cfl (2 pi/m)^2 / s holds dt s (m/2)^2 at
-    cfl pi^2, the margin of explicit RK4 at the parabolic step.
+    cfl pi^2, the margin of explicit RK4 at the parabolic step. DT_MAX
+    caps it for accuracy; on a nearly flat curve it is the only limit.
     """
     if state.curve.mode != GRAPH:
         return adaptive_dt(state, cfl)
@@ -360,7 +371,7 @@ def _circular_mean(angles: np.ndarray) -> float:
 
 
 def _build_report(traj: Trajectory, manifold: WarpedProduct,
-                  stop: StopReason, steps: int) -> FlowReport:
+                  stop: StopReason, dts: list) -> FlowReport:
     series = traj.scalars[:, :5]
     lengths = series[:, 4]
     monotone = bool(np.all(np.diff(lengths) <= 1e-10))
@@ -378,7 +389,10 @@ def _build_report(traj: Trajectory, manifold: WarpedProduct,
     return FlowReport(
         stop_reason=stop,
         t_final=float(last[0]),
-        steps=steps,
+        steps=len(dts),
+        dt_min=min(dts) if dts else None,
+        dt_median=statistics.median(dts) if dts else None,
+        dt_max=max(dts) if dts else None,
         final_max_a=float(last[3]),
         final_min_theta=float(last[1]),
         final_min_theta_hat=float(last[2]),
@@ -411,7 +425,7 @@ def run(manifold: WarpedProduct, curve0: DiscreteCurve,
     traj = Trajectory([state])
     dt0 = adaptive_dt(state, params.cfl)
     j = 1
-    steps = 0
+    dts = []
     while True:
         stop = _stop_check(state, params)
         if stop is not None:
@@ -419,18 +433,16 @@ def run(manifold: WarpedProduct, curve0: DiscreteCurve,
         t_record = j * params.record_stride * dt0
         t_next = min(t_record, params.t_max)
         n = math.ceil((t_next - state.t) / _step_limit(state, params.cfl))
+        dt = (t_next - state.t) / n if n > 1 else t_next - state.t
         try:
-            if n > 1:
-                state = step_rk4(state, manifold, (t_next - state.t) / n)
-            else:
-                state = step_rk4(state, manifold, t_next - state.t, t_next)
+            state = step_rk4(state, manifold, dt, None if n > 1 else t_next)
         except ImmersionError:
             stop = StopReason.BLOWUP
             break
-        steps += 1
+        dts.append(dt)
         if state.t == t_record:
             traj.append(state)
             j += 1
     if traj.final is not state:
         traj.append(state)
-    return traj, _build_report(traj, manifold, stop, steps)
+    return traj, _build_report(traj, manifold, stop, dts)

@@ -29,11 +29,13 @@ Keys:
     verify.gradient      on | off (default off)
     output.svg           on | off (default off)
 
-All parse and validation errors carry the offending line number.
+Every number must be finite. All parse and validation errors carry the
+offending line number.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,9 +88,12 @@ def _take_float(entries, key, default):
     if value is default and ln is None:
         return default, None
     try:
-        return float(value), ln
+        number = float(value)
     except ValueError:
         raise ConfigError(f"{key} expects a number, got {value!r}", ln) from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} expects a finite number, got {value!r}", ln)
+    return number, ln
 
 
 def _take_int(entries, key, default):
@@ -131,6 +136,9 @@ def _take_floats(entries, key):
     except ValueError:
         raise ConfigError(
             f"{key} expects comma-separated numbers, got {value!r}", ln) from None
+    if not all(map(math.isfinite, coefs)):
+        raise ConfigError(
+            f"{key} expects finite numbers, got {value!r}", ln)
     return coefs, ln
 
 

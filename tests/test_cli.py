@@ -37,6 +37,20 @@ def test_run_writes_artifacts(tmp_path, capsys):
     assert "exit 0" in stdout and "wall seconds" in stdout
 
 
+def test_report_has_the_dt_range_but_no_rhs_count(tmp_path):
+    # perfbench counts RHS evaluations itself when report.txt has no
+    # flow.rhs_evals line, so the report must not carry one
+    cfg = write_cfg(tmp_path / "demo.cfg", FAST)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    keys = [line.split(" = ")[0]
+            for line in (out / "report.txt").read_text().splitlines()]
+    assert "flow.rhs_evals" not in keys
+    at = keys.index("flow.steps")
+    assert keys[at + 1:at + 4] == ["flow.dt_min", "flow.dt_median",
+                                   "flow.dt_max"]
+
+
 def test_rerun_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path / "demo.cfg", FAST)
     a, b = tmp_path / "a", tmp_path / "b"

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import wcsf
 from wcsf import flow, spectral
 from conftest import left_exp_manifold, product_manifold, right_exp_manifold
 from oracles import polyline_hausdorff, scalar_rk4
+from wcsf.scenario import parse_config
 
 TWO_PI = 2.0 * np.pi
 
@@ -83,6 +85,7 @@ def test_run_zero_t_max_is_max_time(product):
     traj, rep = wcsf.run(product, curve, wcsf.FlowParams(t_max=0.0))
     assert rep.stop_reason is wcsf.StopReason.MAX_TIME
     assert len(traj) == 1 and rep.steps == 0 and rep.t_final == 0.0
+    assert rep.dt_min is rep.dt_median is rep.dt_max is None
 
 
 def test_run_instant_convergence_on_geodesic(right_exp):
@@ -265,6 +268,9 @@ def test_flow_params_validation():
         wcsf.FlowParams(t_max=-1.0)
     with pytest.raises(ValueError):
         wcsf.FlowParams(record_stride=0)
+    for t_max in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            wcsf.FlowParams(t_max=t_max)
 
 
 def test_record_stride_controls_sampling(product):
@@ -320,6 +326,59 @@ def test_sparse_recording_r_circle_reaches_pi(left_exp):
     assert rep.stop_reason is wcsf.StopReason.CONVERGED
     assert abs(traj.final.curve.coords[0, 1] - np.pi) < 1e-3
     assert rep.steps * flow.DT_MAX >= rep.t_final
+
+
+SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios")
+                   .glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_stock_record_intervals_fit_under_the_cap(path):
+    # the cap is no smaller than any stock record interval (0.107 left,
+    # 0.060 right, 0.012 product), so once nothing is stiff each interval
+    # takes one step
+    scn = parse_config(path.read_text())
+    curve = scn.initial_curve()
+    state = wcsf.FlowState(curve, 0.0,
+                           wcsf.compute_fields(curve, scn.manifold))
+    assert scn.record_stride * wcsf.adaptive_dt(state, scn.cfl) <= flow.DT_MAX
+
+
+TIME_ERROR_CASES = {
+    # case: (manifold, initial field, m, record_stride, t_max, tol_geo, bound)
+    "left": (left_exp_manifold(), sin_field(0.3), 128, 100, 5.0, 1e-6, 1e-8),
+    "right": (right_exp_manifold(), sin_field(0.3), 128, 100, 5.0, 1e-6,
+              1e-8),
+    # one record interval of length 20, so only DT_MAX holds the steps;
+    # measured 1.5e-8 at DT_MAX = 0.125 and 2.2e-7 at 0.25
+    "asymmetric_left": (left_exp_manifold(),
+                        wcsf.FourierField([0.05], [0.0, 0.3]), 64, 10 ** 6,
+                        20.0, 0.0, 1e-7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIME_ERROR_CASES))
+def test_time_error_against_a_finer_reference(name, monkeypatch):
+    manifold, field, m, stride, t_max, tol_geo, bound = TIME_ERROR_CASES[name]
+    curve = wcsf.make_graph_curve(field, m)
+    params = wcsf.FlowParams(t_max=t_max, tol_geo=tol_geo,
+                             record_stride=stride)
+    traj, _ = wcsf.run(manifold, curve, params)
+    monkeypatch.setattr(flow, "DT_MAX", flow.DT_MAX / 10.0)
+    ref, _ = wcsf.run(manifold, curve, params)
+    assert list(traj.times) == list(ref.times)
+    err = max(np.abs(a.coords[:, 1] - b.coords[:, 1]).max()
+              for a, b in zip(traj.curves, ref.curves))
+    assert err <= bound
+
+
+def test_steady_record_intervals_take_one_step(left_exp):
+    curve = wcsf.make_graph_curve(sin_field(0.3), 128)
+    params = wcsf.FlowParams(t_max=5.0, record_stride=100)
+    traj, rep = wcsf.run(left_exp, curve, params)
+    interval = params.record_stride * wcsf.adaptive_dt(traj[0], params.cfl)
+    assert abs(rep.dt_max - interval) < 1e-12
+    assert rep.dt_min <= rep.dt_median <= rep.dt_max
 
 
 def test_etd_weights_reduce_to_rk4_at_zero():

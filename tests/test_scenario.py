@@ -120,6 +120,18 @@ def test_error_carries_line_number():
     assert str(err.value).startswith("line 4:")
 
 
+NON_FINITE_BASE = "manifold.kind = left\nwarp.exp_cos = 0.3\n"
+
+
+@pytest.mark.parametrize("line", ["time.t_max = nan", "time.t_max = inf",
+                                  "tol.geo = nan", "init.sin = 0.0, inf"])
+def test_rejects_non_finite_numbers(line):
+    # a nan t_max with tol.geo = 0 would never stop
+    with pytest.raises(ConfigError, match="finite") as err:
+        parse_config(NON_FINITE_BASE + line + "\n")
+    assert err.value.line == 3
+
+
 def test_comments_and_blanks_ignored():
     text = "# header\n\nmanifold.kind = left\n  # indented comment\n" \
            "warp.exp_cos = 0.3\n"
