@@ -99,9 +99,13 @@ def write_svg(path, traj: Trajectory, max_snapshots: int = 16) -> None:
     """Two-pane chart: curve snapshots in the (r, x1) plane on the left,
     min angle diagnostics against time on the right. Self-contained SVG."""
     n = len(traj)
-    idx = np.unique(np.linspace(0, n - 1, min(max_snapshots, n)).round().astype(int))
+    k = min(max_snapshots, n)
+    # np.unique would import numpy.ma; the indices never decrease, so
+    # dict.fromkeys drops repeats and keeps their order
+    step = (n - 1) / max(k - 1, 1)
+    idx = dict.fromkeys(round(i * step) for i in range(k))
     curves = traj.curves
-    snaps = [curves[int(i)] for i in idx]
+    snaps = [curves[i] for i in idx]
 
     left_x0, left_x1 = _MARG, _MARG + _PANE_W
     right_x0, right_x1 = _MARG + _PANE_W + 2 * _MARG, _SVG_W - 30.0

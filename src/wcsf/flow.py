@@ -67,6 +67,13 @@ class FlowParams:
             raise ValueError("cfl must lie in (0, 1]")
         if not 0.0 <= self.t_max < math.inf:
             raise ValueError("t_max must be finite and nonnegative")
+        # a NaN threshold would silently switch its stop condition off
+        if not 0.0 <= self.tol_geo < math.inf:
+            raise ValueError("tol_geo must be finite and nonnegative")
+        if not 0.0 <= self.theta_floor < math.inf:
+            raise ValueError("theta_floor must be finite and nonnegative")
+        if not 0.0 < self.a_ceiling < math.inf:
+            raise ValueError("a_ceiling must be finite and positive")
         if self.record_stride < 1:
             raise ValueError("record_stride must be a positive integer")
 
@@ -279,7 +286,11 @@ def _etd_weights(z: np.ndarray, dt: float) -> tuple:
     e = np.exp(z)
     e2 = np.exp(0.5 * z)
     small = int(np.searchsorted(-z, _TAYLOR_CUT))
-    series = np.vander(z[:small], _TAYLOR.shape[0], increasing=True) @ _TAYLOR
+    zs = z[:small, None]
+    series = np.zeros((small, _TAYLOR.shape[1]))
+    for row in _TAYLOR[::-1]:   # Horner's rule in z, free of BLAS
+        series *= zs
+        series += row
     zl, el = z[small:], e[small:]
     z3 = zl * zl * zl
     closed = np.stack((np.expm1(0.5 * zl) / zl,

@@ -3,7 +3,9 @@
 Warp functions, base metric entries, and initial graphs are all finite
 trigonometric series, so every background derivative the geometry needs is
 exact term by term. Discretization error then enters only through the curve
-operators, never through the background data.
+operators, never through the background data. Series are summed as
+elementwise products with .sum, not matrix products, so no BLAS kernel
+reaches the values.
 """
 
 from __future__ import annotations
@@ -82,10 +84,10 @@ class FourierField:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         kx = np.multiply.outer(x, self._k)
-        out = np.cos(kx) @ self.cos_coef
+        terms = np.cos(kx) * self.cos_coef
         if self._has_sin:
-            out = out + np.sin(kx) @ self.sin_coef
-        return out
+            terms += np.sin(kx) * self.sin_coef
+        return terms.sum(axis=-1)
 
     def values(self, pts):
         """Evaluate at points of shape (..., 1) or plain angle arrays."""
@@ -104,11 +106,12 @@ class FourierField:
         if not self._has_sin:
             # pure cosine series: the value needs only the cosine table and
             # the derivative only the sine table
-            return np.cos(kx) @ self.cos_coef, np.sin(kx) @ self._ndsin
+            return ((np.cos(kx) * self.cos_coef).sum(axis=-1),
+                    (np.sin(kx) * self._ndsin).sum(axis=-1))
         c = np.cos(kx)
         s = np.sin(kx)
-        val = c @ self.cos_coef + s @ self.sin_coef
-        dval = c @ self._dcos - s @ self._dsin
+        val = (c * self.cos_coef + s * self.sin_coef).sum(axis=-1)
+        dval = (c * self._dcos - s * self._dsin).sum(axis=-1)
         return val, dval
 
     def derivative(self, axis: int = 0) -> "FourierField":

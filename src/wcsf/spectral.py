@@ -10,9 +10,6 @@ _NODES: dict[int, np.ndarray] = {}
 _NODE_MEAN: dict[int, float] = {}
 _WAVENUMBERS: dict[int, np.ndarray] = {}
 _MULT: dict[tuple[int, int], np.ndarray] = {}
-_DENSE: dict[int, np.ndarray] = {}
-# below this size one BLAS matvec beats the FFT round trip
-_DENSE_LIMIT = 256
 
 
 def nodes(m: int) -> np.ndarray:
@@ -70,38 +67,10 @@ def _shape(mult: np.ndarray, ndim: int) -> np.ndarray:
     return mult
 
 
-def _dense_pair(m: int) -> np.ndarray:
-    """Stacked (2m, m) matrix applying the order-1 and order-2 FFT
-    differentiation pipeline to small grids; built once per size by
-    pushing the identity through the transforms, so it is the same
-    linear map up to matvec rounding."""
-    d = _DENSE.get(m)
-    if d is None:
-        spec = np.fft.rfft(np.eye(m), axis=0)
-        d1 = np.fft.irfft(spec * _multiplier(m, 1)[:, None], n=m, axis=0)
-        d2 = np.fft.irfft(spec * _multiplier(m, 2)[:, None], n=m, axis=0)
-        d = np.ascontiguousarray(np.vstack([d1, d2]))
-        d.setflags(write=False)
-        _DENSE[m] = d
-    return d
-
-
-def _centered(values: np.ndarray) -> np.ndarray:
-    # removing the mean keeps constants annihilated exactly, matching the
-    # FFT route where the k = 0 multiplier is exactly zero
-    if values.ndim == 1:
-        return values - float(np.add.reduce(values)) / values.shape[0]
-    return values - np.add.reduce(values, axis=0) / values.shape[0]
-
-
 def diff(values: np.ndarray, order: int = 1) -> np.ndarray:
     """Differentiate periodic samples along axis 0 (spectral accuracy)."""
     values = np.asarray(values, dtype=float)
     m = values.shape[0]
-    if m <= _DENSE_LIMIT and values.ndim <= 2 and order in (1, 2):
-        d = _dense_pair(m)
-        block = d[:m] if order == 1 else d[m:]
-        return block @ _centered(values)
     spec = np.fft.rfft(values, axis=0)
     spec = spec * _shape(_multiplier(m, order), values.ndim)
     return np.fft.irfft(spec, n=m, axis=0)
@@ -110,15 +79,11 @@ def diff(values: np.ndarray, order: int = 1) -> np.ndarray:
 def diff12(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and second derivative in one pass.
 
-    Small grids go through one stacked matrix product, large grids through
-    one forward FFT with a batched inverse; both orders always come from
-    the same pipeline as diff, so the pair agrees with separate calls.
+    One forward FFT with a batched inverse; both orders use the same
+    multipliers as diff, so the pair agrees with separate calls.
     """
     values = np.asarray(values, dtype=float)
     m = values.shape[0]
-    if m <= _DENSE_LIMIT and values.ndim <= 2:
-        both = _dense_pair(m) @ _centered(values)
-        return both[:m], both[m:]
     flat = values.reshape(m, -1)
     cols = flat.shape[1]
     spec = np.fft.rfft(flat, axis=0)

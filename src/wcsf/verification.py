@@ -324,7 +324,7 @@ def theta_bound_monitor(traj: Trajectory, manifold: WarpedProduct,
         d_value = 4.0 * c_exp * (1.0 + inputs["max_warp_sq"]
                                  * np.exp(c_exp * float(times[-1])) / theta0)
     else:
-        d_value = right_drift_constant(manifold, grid)
+        d_value = c_right_drift
     drift_report = BoundReport(
         name="theta_drift_inequality",
         constant_name=d_name,

@@ -271,6 +271,14 @@ def test_flow_params_validation():
     for t_max in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
             wcsf.FlowParams(t_max=t_max)
+    for name in ("tol_geo", "theta_floor", "a_ceiling"):
+        for bad in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match=name):
+                wcsf.FlowParams(**{name: bad})
+    with pytest.raises(ValueError, match="a_ceiling"):
+        wcsf.FlowParams(a_ceiling=0.0)
+    # the studies run to a fixed time with convergence switched off
+    assert wcsf.FlowParams(tol_geo=0.0, theta_floor=0.0).tol_geo == 0.0
 
 
 def test_record_stride_controls_sampling(product):
