@@ -34,23 +34,26 @@ setups = {
                                         warp=wcsf.FourierField.exp_cos(0.2)),
                      wcsf.FourierField([0.0], [0.0, 0.3])),
 }
+# one ladder of runs per setup: the first study integrates it, the other
+# two read the same trajectories
+ladders = {label: wcsf.RefinementLadder(manifold, field, grids=GRIDS,
+                                        t_end=T_END)
+           for label, (manifold, field) in setups.items()}
 
 print("== angle evolution residual, refinement order ==")
-for label, (manifold, field) in setups.items():
-    show(label, wcsf.evolution_residual_study(manifold, field, grids=GRIDS,
-                                              t_end=T_END))
+for label, ladder in ladders.items():
+    show(label, wcsf.evolution_residual_study(ladder))
 
 print()
-print("== commutator identity d/dt(ds) = -|A|^2 ds, refinement order ==")
-for label, (manifold, field) in setups.items():
-    show(label, wcsf.commutator_residual_study(manifold, field, grids=GRIDS,
-                                               t_end=T_END))
+print("== commutator identity nabla_H T - nabla_T H = |A|^2 T, "
+      "refinement order ==")
+for label, ladder in ladders.items():
+    show(label, wcsf.commutator_residual_study(ladder))
 
 print()
 print("== length dissipation dL/dt = -int |A|^2 ds, refinement order ==")
-for label, (manifold, field) in setups.items():
-    show(label, wcsf.dissipation_residual_study(manifold, field, grids=GRIDS,
-                                                t_end=T_END))
+for label, ladder in ladders.items():
+    show(label, wcsf.dissipation_residual_study(ladder))
 
 print()
 print("== inequality monitors on a full left-warped run ==")

@@ -23,10 +23,10 @@ from .geometry import (LEFT, RIGHT, BaseMetric, ChristoffelTensor, FrameData,
                        christoffel_at, conformal_residual,
                        dr_identity_residual, inner, metric_at, warp_gradient)
 from .scenario import ConfigError, Scenario, parse_config
-from .verification import (BoundReport, ResidualReport, angle_power_gap,
-                           closed_form_theta, commutator_residual,
-                           commutator_residual_study, dissipation_monitor,
-                           dissipation_residual_study,
+from .verification import (BoundReport, RefinementLadder, ResidualReport,
+                           angle_power_gap, closed_form_theta,
+                           commutator_residual, commutator_residual_study,
+                           dissipation_monitor, dissipation_residual_study,
                            evolution_residual_study,
                            gradient_identity_residual,
                            gradient_identity_study, left_drift_constant,
@@ -50,7 +50,7 @@ __all__ = [
     "graphicality", "resample",
     "FlowParams", "FlowState", "FlowReport", "StopReason", "Trajectory",
     "velocity", "adaptive_dt", "step_rk4", "run",
-    "BoundReport", "ResidualReport",
+    "BoundReport", "ResidualReport", "RefinementLadder",
     "left_evolution_residual", "right_evolution_residual",
     "gradient_identity_residual", "commutator_residual",
     "theta_bound_monitor", "dissipation_monitor",

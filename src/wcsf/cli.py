@@ -34,9 +34,6 @@ EXIT_GRAPH_LOSS = 2
 EXIT_BLOWUP = 3
 EXIT_USAGE = 64
 
-_STUDY_GRIDS = (64, 128, 256)
-_STUDY_T_END = 0.12
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract here is 64."""
@@ -161,22 +158,21 @@ def execute_scenario(scn: Scenario, out_dir) -> tuple:
         sections["dissipation"] = _bound_section(diss)
         bounds.append(diss)
 
+    # the first study that reads the ladder integrates it; the rest reuse it
+    ladder = verification.RefinementLadder(scn.manifold, scn.init_field,
+                                           cfl=scn.cfl)
     studies = []
     if scn.verify_evolution:
-        studies.append(verification.evolution_residual_study(
-            scn.manifold, scn.init_field, _STUDY_GRIDS, _STUDY_T_END, scn.cfl))
-        studies.append(verification.dissipation_residual_study(
-            scn.manifold, scn.init_field, _STUDY_GRIDS, _STUDY_T_END, scn.cfl))
+        studies.append(verification.evolution_residual_study(ladder))
+        studies.append(verification.dissipation_residual_study(ladder))
         if scn.manifold.kind == RIGHT:
             sections["power_gap"] = {
                 "gradient_term_theta_vs_theta_sq":
                     verification.angle_power_gap(traj[0], scn.manifold)}
     if scn.verify_commutator:
-        studies.append(verification.commutator_residual_study(
-            scn.manifold, scn.init_field, _STUDY_GRIDS, _STUDY_T_END, scn.cfl))
+        studies.append(verification.commutator_residual_study(ladder))
     if scn.verify_gradient:
-        studies.append(verification.gradient_identity_study(
-            scn.manifold, scn.init_field, _STUDY_GRIDS))
+        studies.append(verification.gradient_identity_study(ladder))
     if studies:
         sections["residuals"] = {s.name: _study_section(s) for s in studies}
     sections["closed_form_theta"] = verification.closed_form_theta(

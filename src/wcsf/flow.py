@@ -377,6 +377,12 @@ def _stop_check(state: FlowState, params: FlowParams) -> StopReason | None:
     return None
 
 
+# the most a length may grow between recorded states and still count as
+# nonincreasing, in both FlowReport.length_monotone and the dissipation
+# monitor
+MONOTONE_TOL = 1e-10
+
+
 def _circular_mean(angles: np.ndarray) -> float:
     return float(np.arctan2(np.sin(angles).mean(), np.cos(angles).mean()) % TWO_PI)
 
@@ -385,7 +391,7 @@ def _build_report(traj: Trajectory, manifold: WarpedProduct,
                   stop: StopReason, dts: list) -> FlowReport:
     series = traj.scalars[:, :5]
     lengths = series[:, 4]
-    monotone = bool(np.all(np.diff(lengths) <= 1e-10))
+    monotone = bool(np.all(np.diff(lengths) <= MONOTONE_TOL))
     first, last = series[0], series[-1]
     limit = (_circular_mean(traj.final.curve.coords[:, 1]),)
     grad_norm = None

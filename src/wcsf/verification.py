@@ -17,18 +17,21 @@ term H^0 d_u(value); omitting the advection leaves an O(1) defect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import spectral
-from .curves import GRAPH, DiscreteCurve, compute_fields, make_graph_curve
-from .flow import FlowParams, FlowState, Trajectory, run
+from .curves import GRAPH, compute_fields, make_graph_curve
+from .flow import MONOTONE_TOL, FlowParams, FlowState, Trajectory, run
+from .fourier import FourierField
 from .geometry import LEFT, RIGHT, TWO_PI, WarpedProduct
 
 __all__ = [
     "ResidualReport",
     "BoundReport",
+    "RefinementLadder",
     "left_evolution_residual",
     "right_evolution_residual",
     "gradient_identity_residual",
@@ -243,13 +246,16 @@ def right_exp_constant(manifold: WarpedProduct, n: int = 4096) -> float:
     return float(np.abs(lp2).max())
 
 
+def _left_drift(c: float, max_psi_sq: float, t: float, min_theta0: float):
+    return 4.0 * c * (1.0 + max_psi_sq * np.exp(c * t) / min_theta0)
+
+
 def left_drift_constant(manifold: WarpedProduct, t0: float,
                         min_theta0: float, n: int = 4096) -> float:
     """Drift constant 4 C (1 + max psi^2 e^{C t0} / min Theta(0)) with
     C = left_exp_constant."""
-    c = left_exp_constant(manifold, n)
-    max_psi_sq = manifold.warp.max_on_grid(n) ** 2
-    return 4.0 * c * (1.0 + max_psi_sq * np.exp(c * t0) / min_theta0)
+    return _left_drift(left_exp_constant(manifold, n),
+                       manifold.warp.max_on_grid(n) ** 2, t0, min_theta0)
 
 
 def right_drift_constant(manifold: WarpedProduct, n: int = 4096) -> float:
@@ -309,8 +315,7 @@ def theta_bound_monitor(traj: Trajectory, manifold: WarpedProduct,
                            prev.fields.theta, f.theta, nxt.fields.theta)
         lap = _arc_laplacian(f.theta, f.speed)
         if manifold.kind == LEFT:
-            c_drift = 4.0 * c_exp * (1.0 + inputs["max_warp_sq"]
-                                     * np.exp(c_exp * mid.t) / theta0)
+            c_drift = _left_drift(c_exp, max_psi_sq, mid.t, theta0)
         else:
             c_drift = c_right_drift
         slack = dth - lap - 0.5 * f.curvature_norm ** 2 * f.theta + c_drift
@@ -321,8 +326,7 @@ def theta_bound_monitor(traj: Trajectory, manifold: WarpedProduct,
         worst = np.inf
         notes = "no interior recorded states to difference; vacuous"
     if manifold.kind == LEFT:
-        d_value = 4.0 * c_exp * (1.0 + inputs["max_warp_sq"]
-                                 * np.exp(c_exp * float(times[-1])) / theta0)
+        d_value = _left_drift(c_exp, max_psi_sq, float(times[-1]), theta0)
     else:
         d_value = c_right_drift
     drift_report = BoundReport(
@@ -347,12 +351,10 @@ def dissipation_monitor(traj: Trajectory, manifold: WarpedProduct) -> BoundRepor
     """
     scalars = traj.scalars
     times, lengths, dissipation = scalars[:, 0], scalars[:, 4], scalars[:, 5]
-    defect = 0.0
-    for k in range(len(traj) - 1):
-        rate = (lengths[k + 1] - lengths[k]) / (times[k + 1] - times[k])
-        defect = max(defect, float(abs(
-            rate + 0.5 * (dissipation[k] + dissipation[k + 1]))))
-    monotone = bool(np.all(np.diff(lengths) <= 1e-10))
+    rates = np.diff(lengths) / np.diff(times)
+    defect = float(np.max(np.abs(
+        rates + 0.5 * (dissipation[:-1] + dissipation[1:])), initial=0.0))
+    monotone = bool(np.all(np.diff(lengths) <= MONOTONE_TOL))
     return BoundReport(
         name="length_dissipation",
         constant_name="none",
@@ -415,18 +417,39 @@ def angle_power_gap(state: FlowState, manifold: WarpedProduct) -> float:
 # -- refinement studies -------------------------------------------------------
 
 
-def _short_run(manifold: WarpedProduct, init_fields, m: int, t_end: float,
-               cfl: float) -> Trajectory:
-    curve = make_graph_curve(init_fields, m)
-    params = FlowParams(cfl=cfl, t_max=t_end, tol_geo=0.0, record_stride=1)
-    traj, _ = run(manifold, curve, params)
-    return traj
+@dataclass(frozen=True)
+class RefinementLadder:
+    """One scenario integrated on a ladder of grids, for the studies.
+
+    Each grid M runs to t_end from the same initial field with every step
+    recorded, so dt shrinks like M^-2 as M grows. The runs happen on the
+    first read of `trajectories` and are kept on this ladder, so every
+    study handed the same ladder reads the same runs.
+    """
+
+    manifold: WarpedProduct
+    init_field: FourierField
+    grids: tuple = (64, 128, 256)
+    t_end: float = 0.12
+    cfl: float = 0.25
+
+    @cached_property
+    def trajectories(self) -> tuple:
+        params = FlowParams(cfl=self.cfl, t_max=self.t_end, tol_geo=0.0,
+                            record_stride=1)
+        return tuple(run(self.manifold, make_graph_curve(self.init_field, m),
+                         params)[0] for m in self.grids)
 
 
-def _mid_index(traj: Trajectory, t_star: float) -> int:
-    times = traj.times
-    k = int(np.argmin(np.abs(times - t_star)))
-    return min(max(k, 1), len(traj) - 2)
+def _mid_residuals(ladder: RefinementLadder, residual) -> list:
+    """residual(traj, manifold, k) on each grid, at the interior recorded
+    state k nearest t_end / 2."""
+    out = []
+    for traj in ladder.trajectories:
+        k = int(np.argmin(np.abs(traj.times - 0.5 * ladder.t_end)))
+        out.append(residual(traj, ladder.manifold,
+                            min(max(k, 1), len(traj) - 2)))
+    return out
 
 
 def _orders(residuals) -> tuple:
@@ -440,96 +463,68 @@ def _orders(residuals) -> tuple:
     return tuple(out)
 
 
-def _order_pass(orders, residuals, threshold: float, floor: float) -> bool:
-    return all(o >= threshold or residuals[i + 1] <= floor
-               for i, o in enumerate(orders))
+def _study_report(name: str, ladder: RefinementLadder, residuals,
+                  threshold: float, floor: float = 0.0) -> ResidualReport:
+    """Orders between consecutive grids; a step passes when its order
+    reaches threshold or its finer residual is already at the floor."""
+    orders = _orders(residuals)
+    return ResidualReport(
+        name=name,
+        grids=tuple(ladder.grids),
+        max_residuals=tuple(residuals),
+        orders=orders,
+        threshold=threshold,
+        passed=all(o >= threshold or residuals[i + 1] <= floor
+                   for i, o in enumerate(orders)),
+        floor=floor,
+    )
 
 
-def evolution_residual_study(manifold: WarpedProduct, init_fields,
-                             grids=(64, 128, 256), t_end: float = 0.12,
-                             cfl: float = 0.25, threshold: float = 1.8,
+def evolution_residual_study(ladder: RefinementLadder,
+                             threshold: float = 1.8,
                              name: str | None = None) -> ResidualReport:
     """Empirical convergence order of the angle evolution residual under
     simultaneous (M, dt) refinement, dt proportional to M^-2."""
+    manifold = ladder.manifold
     residual = (left_evolution_residual if manifold.kind == LEFT
                 else right_evolution_residual)
-    res = []
-    for m in grids:
-        traj = _short_run(manifold, init_fields, m, t_end, cfl)
-        k = _mid_index(traj, 0.5 * t_end)
-        res.append(float(residual(traj, manifold, k).max()))
-    orders = _orders(res)
-    return ResidualReport(
-        name=name or f"{manifold.kind}_evolution",
-        grids=tuple(grids),
-        max_residuals=tuple(res),
-        orders=orders,
-        threshold=threshold,
-        passed=_order_pass(orders, res, threshold, 0.0),
-    )
+    res = [float(r.max()) for r in _mid_residuals(ladder, residual)]
+    return _study_report(name or f"{manifold.kind}_evolution", ladder, res,
+                         threshold)
 
 
-def commutator_residual_study(manifold: WarpedProduct, init_fields,
-                              grids=(64, 128, 256), t_end: float = 0.12,
-                              cfl: float = 0.25, threshold: float = 1.5,
+def commutator_residual_study(ladder: RefinementLadder,
+                              threshold: float = 1.5,
                               name: str | None = None) -> ResidualReport:
     """Convergence order of the commutator defect nabla_H T - nabla_T H -
     |A|^2 T (two stacked covariant differencings, hence the lower bar)."""
-    res = []
-    for m in grids:
-        traj = _short_run(manifold, init_fields, m, t_end, cfl)
-        k = _mid_index(traj, 0.5 * t_end)
-        res.append(commutator_residual(traj, manifold, k))
-    orders = _orders(res)
-    return ResidualReport(
-        name=name or f"{manifold.kind}_commutator",
-        grids=tuple(grids),
-        max_residuals=tuple(res),
-        orders=orders,
-        threshold=threshold,
-        passed=_order_pass(orders, res, threshold, 0.0),
-    )
+    return _study_report(name or f"{ladder.manifold.kind}_commutator",
+                         ladder, _mid_residuals(ladder, commutator_residual),
+                         threshold)
 
 
-def dissipation_residual_study(manifold: WarpedProduct, init_fields,
-                               grids=(64, 128, 256), t_end: float = 0.12,
-                               cfl: float = 0.25, threshold: float = 1.8,
+def dissipation_residual_study(ladder: RefinementLadder,
+                               threshold: float = 1.8,
                                name: str | None = None) -> ResidualReport:
     """Convergence order of the step-wise dissipation defect
     |Delta L / Delta t + int |A|^2 ds|."""
-    res = []
-    for m in grids:
-        traj = _short_run(manifold, init_fields, m, t_end, cfl)
-        res.append(-dissipation_monitor(traj, manifold).worst_slack)
-    orders = _orders(res)
-    return ResidualReport(
-        name=name or f"{manifold.kind}_dissipation",
-        grids=tuple(grids),
-        max_residuals=tuple(res),
-        orders=orders,
-        threshold=threshold,
-        passed=_order_pass(orders, res, threshold, 0.0),
-    )
+    manifold = ladder.manifold
+    res = [-dissipation_monitor(traj, manifold).worst_slack
+           for traj in ladder.trajectories]
+    return _study_report(name or f"{manifold.kind}_dissipation", ladder, res,
+                         threshold)
 
 
-def gradient_identity_study(manifold: WarpedProduct, init_fields,
-                            grids=(64, 128, 256), floor: float = 1e-11,
+def gradient_identity_study(ladder: RefinementLadder, floor: float = 1e-11,
                             name: str | None = None) -> ResidualReport:
     """Single-time gradient identity under spatial refinement; the residual
-    must drop by at least 3.5x per doubling until the float floor."""
-    threshold = float(np.log2(3.5))
+    must drop by at least 3.5x per doubling until the float floor. Reads
+    only the ladder's initial curves, never its runs."""
+    manifold = ladder.manifold
     res = []
-    for m in grids:
-        curve = make_graph_curve(init_fields, m)
+    for m in ladder.grids:
+        curve = make_graph_curve(ladder.init_field, m)
         state = FlowState(curve, 0.0, compute_fields(curve, manifold))
         res.append(gradient_identity_residual(state, manifold))
-    orders = _orders(res)
-    return ResidualReport(
-        name=name or f"{manifold.kind}_gradient_identity",
-        grids=tuple(grids),
-        max_residuals=tuple(res),
-        orders=orders,
-        threshold=threshold,
-        passed=_order_pass(orders, res, threshold, floor),
-        floor=floor,
-    )
+    return _study_report(name or f"{manifold.kind}_gradient_identity",
+                         ladder, res, float(np.log2(3.5)), floor)

@@ -2,8 +2,9 @@
 
 Deliberately naive second routes to derived quantities: finite differences
 of metric values, dense quadrature, scalar RK4, brute-force polyline
-distances, dense-tensor curve fields, a per-node CSV loop. Nothing here
-shares a code path with the quantities it checks.
+distances, dense-tensor curve fields, a per-node CSV loop, a per-interval
+dissipation loop. Nothing here shares a code path with the quantities it
+checks.
 """
 
 import numpy as np
@@ -181,3 +182,15 @@ def trajectory_csv_text(traj):
             row.append(fmt(f.curvature_norm[j]))
             lines.append(", ".join(row))
     return "\n".join(lines) + "\n"
+
+
+def dissipation_defect_loop(traj):
+    """Largest |Delta L / Delta t + mean of int |A|^2 ds| over consecutive
+    recorded states, one interval at a time; 0 for a single state."""
+    rows = traj.scalars
+    defect = 0.0
+    for k in range(len(rows) - 1):
+        rate = (rows[k + 1, 4] - rows[k, 4]) / (rows[k + 1, 0] - rows[k, 0])
+        defect = max(defect, float(abs(
+            rate + 0.5 * (rows[k, 5] + rows[k + 1, 5]))))
+    return defect

@@ -72,6 +72,21 @@ def test_verify_adds_residual_sections(tmp_path):
     assert "residuals.left_evolution.passed = yes" in report
 
 
+def test_verify_integrates_each_ladder_grid_once(tmp_path, monkeypatch):
+    # the three time-differencing studies share one refinement ladder
+    grids = []
+    real_run = wcsf.verification.run
+
+    def counted(manifold, curve, params):
+        grids.append(curve.m)
+        return real_run(manifold, curve, params)
+
+    monkeypatch.setattr(wcsf.verification, "run", counted)
+    cfg = write_cfg(tmp_path / "demo.cfg", FAST)
+    assert main(["verify", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert tuple(grids) == wcsf.RefinementLadder.grids
+
+
 def test_exit_code_falsified(tmp_path):
     cfg = write_cfg(tmp_path / "f.cfg", FAST + "tol.bound = -1\n")
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1

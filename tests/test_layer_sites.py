@@ -90,3 +90,29 @@ def test_traced_run_reaches_the_common_layers(tmp_path, monkeypatch):
     assert code == 0
     assert sorted(layer for layer in must_reach
                   if tracer.stats[layer][0] == 0) == []
+
+
+def test_traced_verify_counts_ladder_runs_as_study_work(tmp_path,
+                                                        monkeypatch):
+    # the refinement ladder runs inside the first study that reads it, so
+    # the tracer books its kernel calls under "study", never "main"
+    import wcsf.cli
+
+    layers = load_perfbench("layers")
+    for _, module, attr in layers.SITES:
+        owner, name, fn = layers._resolve(module, attr)
+        monkeypatch.setattr(owner, name, fn)
+    tracer = layers.Tracer()
+    tracer.install()
+    scn = wcsf.parse_config("manifold.kind = left\nwarp.exp_cos = 0.3\n"
+                            "init.sin = 0.0, 0.3\ngrid.m = 32\n"
+                            "time.t_max = 0.2\nrecord.stride = 10\n"
+                            + "".join(f"verify.{k} = on\n" for k in
+                                      ("bounds", "dissipation", "evolution",
+                                       "commutator", "gradient")))
+    code, _ = wcsf.cli.execute_scenario(scn, tmp_path)
+    report = (tmp_path / "report.txt").read_text()
+    steps = int(report.split("flow.steps = ")[1].split("\n")[0])
+    assert code == 0 and steps > 1
+    assert tracer.rhs["study"] > 0
+    assert tracer.rhs["main"] == 4 * steps + 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 import wcsf
 from conftest import left_exp_manifold, product_manifold, right_exp_manifold
 
@@ -139,6 +140,14 @@ def test_theta_monitor_exact_zero_slack_at_start(left_exp):
     assert exp_rep.constant_inputs["min_theta_0"] == traj[0].fields.theta.min()
 
 
+def test_drift_report_constant_is_left_drift_constant(left_exp):
+    traj = short_run(left_exp, sin_field(0.3))
+    _, drift_rep = wcsf.theta_bound_monitor(traj, left_exp)
+    t_final, theta0 = traj.scalars[-1, 0], traj.scalars[0, 1]
+    assert drift_rep.constant_value == wcsf.left_drift_constant(
+        left_exp, t_final, theta0)
+
+
 def test_theta_monitor_negative_tolerance_forces_failure(left_exp):
     traj = short_run(left_exp, sin_field(0.3))
     exp_rep, _ = wcsf.theta_bound_monitor(traj, left_exp, eps_tol=-1.0)
@@ -161,6 +170,22 @@ def test_dissipation_monitor_small_defect(product):
     assert -rep.worst_slack < 1e-4
 
 
+@pytest.mark.parametrize("kind", ["product", "left_exp", "right_exp"])
+def test_dissipation_monitor_matches_loop_reference(kind, request):
+    # same arithmetic per interval as the loop, so the result is bitwise
+    manifold = request.getfixturevalue(kind)
+    traj = short_run(manifold, sin_field(0.4), t_max=0.3, stride=3)
+    rep = wcsf.dissipation_monitor(traj, manifold)
+    assert -rep.worst_slack == oracles.dissipation_defect_loop(traj)
+
+
+def test_dissipation_monitor_single_state_has_no_defect(product):
+    curve = wcsf.make_graph_curve(sin_field(0.5), 64)
+    traj, _ = wcsf.run(product, curve, wcsf.FlowParams(t_max=0.0))
+    rep = wcsf.dissipation_monitor(traj, product)
+    assert rep.passed and rep.worst_slack == 0.0
+
+
 def test_closed_form_theta_conventions(left_exp, right_exp):
     for manifold in (left_exp, right_exp):
         traj = short_run(manifold, sin_field(0.3))
@@ -169,22 +194,33 @@ def test_closed_form_theta_conventions(left_exp, right_exp):
         assert forms["alternate"] > 1e-3
 
 
-def test_studies_pass_on_small_grids(left_exp):
-    field = sin_field(0.3)
-    rep = wcsf.evolution_residual_study(left_exp, field, grids=(32, 64),
-                                        t_end=0.04)
+def test_studies_pass_on_small_grids(left_exp, monkeypatch):
+    # the three studies share the ladder's runs, integrated on first read;
+    # the gradient identity study never triggers them
+    calls = []
+    real_run = wcsf.verification.run
+
+    def counted(manifold, curve, params):
+        calls.append(curve.m)
+        return real_run(manifold, curve, params)
+
+    monkeypatch.setattr(wcsf.verification, "run", counted)
+    ladder = wcsf.RefinementLadder(left_exp, sin_field(0.3), grids=(32, 64),
+                                   t_end=0.04)
+    assert wcsf.gradient_identity_study(ladder).passed
+    assert calls == []
+    rep = wcsf.evolution_residual_study(ladder)
     assert rep.passed and rep.orders[0] > 1.8
-    rep = wcsf.commutator_residual_study(left_exp, field, grids=(32, 64),
-                                         t_end=0.04)
+    rep = wcsf.commutator_residual_study(ladder)
     assert rep.passed and rep.orders[0] > 1.5
-    rep = wcsf.dissipation_residual_study(left_exp, field, grids=(32, 64),
-                                          t_end=0.04)
+    rep = wcsf.dissipation_residual_study(ladder)
     assert rep.passed and rep.orders[0] > 1.8
+    assert calls == [32, 64]
 
 
 def test_gradient_identity_study_floor_escape(left_exp):
-    rep = wcsf.gradient_identity_study(left_exp, sin_field(0.3),
-                                       grids=(64, 128))
+    ladder = wcsf.RefinementLadder(left_exp, sin_field(0.3), grids=(64, 128))
+    rep = wcsf.gradient_identity_study(ladder)
     assert rep.passed
     assert max(rep.max_residuals) < 1e-11
 
