@@ -104,8 +104,7 @@ def write_svg(path, traj: Trajectory, max_snapshots: int = 16) -> None:
     # dict.fromkeys drops repeats and keeps their order
     step = (n - 1) / max(k - 1, 1)
     idx = dict.fromkeys(round(i * step) for i in range(k))
-    curves = traj.curves
-    snaps = [curves[i] for i in idx]
+    snaps = [traj.curve(i) for i in idx]
 
     left_x0, left_x1 = _MARG, _MARG + _PANE_W
     right_x0, right_x1 = _MARG + _PANE_W + 2 * _MARG, _SVG_W - 30.0

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-import statistics
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -90,53 +88,76 @@ class FlowState:
 class Trajectory:
     """Recorded flow states at strictly increasing times.
 
-    Keeps the time and the curve of every state, its row of scalars and
-    the fields of the newest state only. Reading an older state rebuilds
-    its fields with compute_fields: the same pure call on the same
-    coordinate array, so they are bit for bit the fields the flow
-    computed, and each read pays one kernel call.
+    Keeps the time, the coordinates and the row of scalars of every
+    state, and the fields of the newest state only. A graph state keeps
+    its x1 column alone, since its r column is the node grid
+    spectral.nodes(m). Reading an older state rebuilds its curve from what
+    was kept and its fields with compute_fields: the same pure call on
+    equal coordinates, so they are bit for bit the fields the flow
+    computed, and each read pays one kernel call. All states share one
+    manifold, mode, node count and winding.
     """
 
     def __init__(self, states=()):
-        self._curves: list[DiscreteCurve] = []
+        self._coords: list[np.ndarray] = []
         self._rows: list[tuple] = []
         self._last: FlowState | None = None
         for s in states:
             self.append(s)
 
     def append(self, state: FlowState) -> None:
-        f = state.fields
-        if self._last is not None:
-            if state.t <= self._last.t:
+        f, c, last = state.fields, state.curve, self._last
+        if last is not None:
+            if state.t <= last.t:
                 raise ValueError("trajectory times must strictly increase")
-            if f.manifold is not self._last.fields.manifold:
+            if f.manifold is not last.fields.manifold:
                 raise ValueError("trajectory states must share one manifold")
-        self._curves.append(state.curve)
+            if (c.mode, c.m, c.winding) != (last.curve.mode, last.curve.m,
+                                            last.curve.winding):
+                raise ValueError("trajectory states must share one mode, "
+                                 "node count and winding")
+        if c.mode == GRAPH:
+            if not np.array_equal(c.coords[:, 0], spectral.nodes(c.m)):
+                raise ValueError("graph states must sit on the node grid")
+            self._coords.append(c.coords[:, 1].copy())
+        else:
+            self._coords.append(c.coords)
         self._rows.append((
             state.t, float(f.theta.min()), float(f.theta_hat.min()),
             float(f.curvature_norm.max()), f.length,
             float((f.curvature_norm ** 2 * f.speed).sum()
-                  * (TWO_PI / state.curve.m))))
+                  * (TWO_PI / c.m))))
         self._last = state
 
     def __len__(self) -> int:
-        return len(self._curves)
+        return len(self._coords)
+
+    def curve(self, i) -> DiscreteCurve:
+        """The curve of state i, rebuilt unless it is the newest."""
+        i = range(len(self._coords))[i]   # IndexError when out of range
+        last = self._last.curve
+        if i == len(self._coords) - 1:
+            return last
+        coords = self._coords[i]
+        if last.mode == GRAPH:
+            coords = np.column_stack((spectral.nodes(last.m), coords))
+        return DiscreteCurve(last.mode, coords, last.winding)
 
     def __getitem__(self, i) -> FlowState:
-        i = range(len(self._curves))[i]   # IndexError when out of range
-        if i == len(self._curves) - 1:
+        i = range(len(self._coords))[i]
+        if i == len(self._coords) - 1:
             return self._last
-        curve = self._curves[i]
+        curve = self.curve(i)
         return FlowState(curve, self._rows[i][0],
                          compute_fields(curve, self._last.fields.manifold))
 
     def __iter__(self):
-        for i in range(len(self._curves)):
+        for i in range(len(self._coords)):
             yield self[i]
 
     @property
     def curves(self) -> tuple:
-        return tuple(self._curves)
+        return tuple(self.curve(i) for i in range(len(self._coords)))
 
     @property
     def scalars(self) -> np.ndarray:
@@ -260,12 +281,16 @@ def _canonicalize(coords: np.ndarray, winding, u_mean: float) -> np.ndarray:
 
 def _taylor_table(terms: int = 24) -> np.ndarray:
     # row n: coefficients of z^n in Q, f1, f2, f3 over dt, from
-    # phi_j(z) = sum_n z^n / (n + j)!; row 0 is (1/2, 1/6, 1/6, 1/6)
+    # phi_j(z) = sum_n z^n / (n + j)!; row 0 is (1/2, 1/6, 1/6, 1/6).
+    # Over d = (n + 3)! every numerator is an integer, and int / int
+    # rounds the exact quotient once, as a float of a Fraction does
     rows = []
     for n in range(terms):
-        p1, p2, p3 = (Fraction(1, math.factorial(n + j)) for j in (1, 2, 3))
-        rows.append([float(p1 / 2 ** (n + 1)), float(p1 - 3 * p2 + 4 * p3),
-                     float(p2 - 2 * p3), float(4 * p3 - p2)])
+        d = math.factorial(n + 3)
+        # d / (n + 1)!, d / (n + 2)!, d / (n + 3)!
+        p1, p2, p3 = (n + 2) * (n + 3), n + 3, 1
+        rows.append([p1 / (d * 2 ** (n + 1)), (p1 - 3 * p2 + 4 * p3) / d,
+                     (p2 - 2 * p3) / d, (4 * p3 - p2) / d])
     return np.array(rows)
 
 
@@ -387,6 +412,15 @@ def _circular_mean(angles: np.ndarray) -> float:
     return float(np.arctan2(np.sin(angles).mean(), np.cos(angles).mean()) % TWO_PI)
 
 
+def _median(values: list) -> float:
+    # statistics.median's rule: the mean of the middle two of an even count
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def _build_report(traj: Trajectory, manifold: WarpedProduct,
                   stop: StopReason, dts: list) -> FlowReport:
     series = traj.scalars[:, :5]
@@ -408,7 +442,7 @@ def _build_report(traj: Trajectory, manifold: WarpedProduct,
         t_final=float(last[0]),
         steps=len(dts),
         dt_min=min(dts) if dts else None,
-        dt_median=statistics.median(dts) if dts else None,
+        dt_median=_median(dts) if dts else None,
         dt_max=max(dts) if dts else None,
         final_max_a=float(last[3]),
         final_min_theta=float(last[1]),

@@ -15,6 +15,9 @@ import numpy as np
 __all__ = ["FourierField"]
 
 TWO_PI = 2.0 * np.pi
+# most points per trigonometric table: a flow grid of up to 512 nodes is
+# one block, a 4096-point grid for the bound constants is eight
+_BLOCK = 512
 
 
 def _bessel_i(a: float, k_max: int) -> np.ndarray:
@@ -82,12 +85,7 @@ class FourierField:
         return self._k.size - 1
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        kx = np.multiply.outer(x, self._k)
-        terms = np.cos(kx) * self.cos_coef
-        if self._has_sin:
-            terms += np.sin(kx) * self.sin_coef
-        return terms.sum(axis=-1)
+        return self._sums(x, derivative=False)[0]
 
     def values(self, pts):
         """Evaluate at points of shape (..., 1) or plain angle arrays."""
@@ -98,21 +96,40 @@ class FourierField:
 
     def values_with_derivative(self, x):
         """(f(x), f'(x)) sharing one trigonometric table."""
-        x = np.asarray(x, dtype=float)
         if self._k.size == 1:
+            x = np.asarray(x, dtype=float)
             return (np.full(x.shape, self.cos_coef[0]),
                     np.zeros(x.shape))
-        kx = x[..., None] * self._k
-        if not self._has_sin:
-            # pure cosine series: the value needs only the cosine table and
-            # the derivative only the sine table
-            return ((np.cos(kx) * self.cos_coef).sum(axis=-1),
-                    (np.sin(kx) * self._ndsin).sum(axis=-1))
-        c = np.cos(kx)
-        s = np.sin(kx)
-        val = (c * self.cos_coef + s * self.sin_coef).sum(axis=-1)
-        dval = (c * self._dcos - s * self._dsin).sum(axis=-1)
-        return val, dval
+        return self._sums(x, derivative=True)
+
+    def _sums(self, x, derivative: bool) -> tuple:
+        """(f(x), f'(x) or None) from (points, K) trigonometric tables
+        built over blocks of at most _BLOCK points, so a 4096-point grid
+        never holds a (4096, K) table. Each point keeps its own K-term
+        sum, so the result does not depend on the blocking. A 0-d x gives
+        numpy scalars."""
+        x = np.asarray(x, dtype=float)
+        flat = x.reshape(-1)
+        val = np.empty(flat.size)
+        dval = np.empty(flat.size) if derivative else None
+        for lo in range(0, flat.size, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            kx = flat[block, None] * self._k
+            c = np.cos(kx)
+            if not self._has_sin:
+                # pure cosine series: the value needs only the cosine table
+                # and the derivative only the sine table
+                val[block] = (c * self.cos_coef).sum(axis=-1)
+                if derivative:
+                    dval[block] = (np.sin(kx) * self._ndsin).sum(axis=-1)
+                continue
+            s = np.sin(kx)
+            val[block] = (c * self.cos_coef + s * self.sin_coef).sum(axis=-1)
+            if derivative:
+                dval[block] = (c * self._dcos - s * self._dsin).sum(axis=-1)
+        if derivative:
+            dval = dval.reshape(x.shape)[()]
+        return val.reshape(x.shape)[()], dval
 
     def derivative(self, axis: int = 0) -> "FourierField":
         """Exact term-wise derivative, cached."""

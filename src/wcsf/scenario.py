@@ -17,7 +17,8 @@ Keys:
     time.cfl             step factor in (0, 1] (default 0.25), see flow
     time.t_max           stop time >= 0 (default 50)
     tol.geo              geodesic convergence threshold (default 1e-6)
-    tol.bound            slack tolerance for bound monitors (default 1e-4)
+    tol.bound            slack tolerance >= 0 for bound monitors (default
+                         1e-4)
     tol.theta_floor      graph-loss threshold on min angle (default 1e-3)
     tol.a_ceiling        blow-up threshold on max curvature (default 1e6)
     record.stride        record at times j k dt0 (default 50), dt0 the
@@ -263,7 +264,10 @@ def parse_config(text: str, name: str = "scenario") -> Scenario:
     tol_geo, tg_ln = _take_float(entries, "tol.geo", 1e-6)
     if tol_geo < 0.0:
         raise ConfigError(f"tol.geo must be nonnegative, got {tol_geo}", tg_ln)
-    tol_bound, _ = _take_float(entries, "tol.bound", 1e-4)
+    tol_bound, tb_ln = _take_float(entries, "tol.bound", 1e-4)
+    if tol_bound < 0.0:
+        raise ConfigError(
+            f"tol.bound must be nonnegative, got {tol_bound}", tb_ln)
     theta_floor, tf_ln = _take_float(entries, "tol.theta_floor", 1e-3)
     if theta_floor < 0.0:
         raise ConfigError(

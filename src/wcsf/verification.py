@@ -17,6 +17,7 @@ term H^0 d_u(value); omitting the advection leaves an O(1) defect.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -279,7 +280,12 @@ def theta_bound_monitor(traj: Trajectory, manifold: WarpedProduct,
              at every interior recorded time, using the same discretized
              terms as the evolution residuals.
     Failures beyond eps_tol are falsification flags, never clamped.
+    eps_tol must be finite and nonnegative: a negative one would flag
+    bounds that hold.
     """
+    if not 0.0 <= eps_tol < math.inf:
+        raise ValueError(
+            f"eps_tol must be finite and nonnegative, got {eps_tol}")
     scalars = traj.scalars
     times = scalars[:, 0]
     theta0 = float(scalars[0, 1])

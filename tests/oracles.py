@@ -3,9 +3,13 @@
 Deliberately naive second routes to derived quantities: finite differences
 of metric values, dense quadrature, scalar RK4, brute-force polyline
 distances, dense-tensor curve fields, a per-node CSV loop, a per-interval
-dissipation loop. Nothing here shares a code path with the quantities it
+dissipation loop, whole-grid Fourier tables and an exact-rational ETDRK4
+series table. Nothing here shares a code path with the quantities it
 checks.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -194,3 +198,40 @@ def dissipation_defect_loop(traj):
         defect = max(defect, float(abs(
             rate + 0.5 * (rows[k, 5] + rows[k + 1, 5]))))
     return defect
+
+
+def fourier_full_table(field, x):
+    """f(x) from one (x.shape, K) table over every point at once."""
+    x = np.asarray(x, dtype=float)
+    kx = np.multiply.outer(x, field._k)
+    terms = np.cos(kx) * field.cos_coef
+    if field._has_sin:
+        terms += np.sin(kx) * field.sin_coef
+    return terms.sum(axis=-1)
+
+
+def fourier_full_table_with_derivative(field, x):
+    """(f(x), f'(x)) from whole-grid tables, cosine-only series reading
+    the cosine table for f and the sine table for f'."""
+    x = np.asarray(x, dtype=float)
+    kx = x[..., None] * field._k
+    if not field._has_sin:
+        return ((np.cos(kx) * field.cos_coef).sum(axis=-1),
+                (np.sin(kx) * -(field._k * field.cos_coef)).sum(axis=-1))
+    c = np.cos(kx)
+    s = np.sin(kx)
+    return ((c * field.cos_coef + s * field.sin_coef).sum(axis=-1),
+            (c * (field._k * field.sin_coef)
+             - s * (field._k * field.cos_coef)).sum(axis=-1))
+
+
+def taylor_table_fraction(terms=24):
+    """ETDRK4 series rows (Q, f1, f2, f3 coefficients of z^n over dt) in
+    exact rationals, each rounded once to a float."""
+    rows = []
+    for n in range(terms):
+        p1, p2, p3 = (Fraction(1, math.factorial(n + j)) for j in (1, 2, 3))
+        rows.append([float(p1 / 2 ** (n + 1)), float(p1 - 3 * p2 + 4 * p3),
+                     float(p2 - 2 * p3), float(4 * p3 - p2)])
+    return np.array(rows)
+

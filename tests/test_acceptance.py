@@ -284,7 +284,9 @@ def test_criterion_8_determinism_and_plumbing(tmp_path):
     suite.mkdir()
     injections = {
         "ok": (base, 0),
-        "falsified": (base + "tol.bound = -1\n", 1),
+        # flat warp: no cushion for the drift bound's time differences
+        "falsified": (base.replace("warp.exp_cos = 0.3\n", "")
+                      + "tol.bound = 0\n", 1),
         "lost": (base + "tol.theta_floor = 0.999\n", 2),
         "blown": (base + "tol.a_ceiling = 0.01\n", 3),
     }

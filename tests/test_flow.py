@@ -1,4 +1,5 @@
 import gc
+import statistics
 import tracemalloc
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 import wcsf
 from wcsf import flow, spectral
 from conftest import left_exp_manifold, product_manifold, right_exp_manifold
-from oracles import polyline_hausdorff, scalar_rk4
+from oracles import polyline_hausdorff, scalar_rk4, taylor_table_fraction
 from wcsf.scenario import parse_config
 
 TWO_PI = 2.0 * np.pi
@@ -193,6 +194,27 @@ def test_trajectory_requires_one_manifold(product, left_exp):
         traj.append(wcsf.FlowState(other.curve, 1.0, other.fields))
 
 
+def test_trajectory_requires_one_mode_grid_and_winding(product):
+    first = graph_state(product, sin_field(0.1))
+    traj = wcsf.Trajectory([first])
+    u = spectral.nodes(64)
+    others = [
+        wcsf.DiscreteCurve("parametric", first.curve.coords, (1, 0)),
+        wcsf.make_graph_curve(sin_field(0.1), 128),
+        wcsf.make_graph_curve(sin_field(0.1), 64, x_winding=1,
+                              allow_x_winding=True),
+        # a graph curve off the node grid could not be rebuilt from x1
+        wcsf.DiscreteCurve("graph", np.column_stack([u + 1e-3, u * 0.0]),
+                           (1, 0)),
+    ]
+    for curve in others:
+        state = wcsf.FlowState(curve, 1.0, wcsf.compute_fields(curve, product))
+        with pytest.raises(ValueError):
+            traj.append(state)
+    assert len(traj) == 1
+    assert traj.curve(0) is first.curve
+
+
 FIELD_ATTRS = ("deriv", "speed", "tangent", "curvature", "curvature_norm",
                "theta", "theta_hat", "length", "pre_tangential", "metric",
                "gamma")
@@ -210,8 +232,9 @@ def rebuild_case(name):
 
 @pytest.mark.parametrize("name", ["left", "right", "parametric"])
 def test_rebuilt_fields_are_the_flows_fields(name, monkeypatch):
-    # a trajectory keeps only curves; reading an older state rebuilds its
-    # fields, which must be bit for bit those the stepper produced
+    # a trajectory keeps only coordinates; reading an older state rebuilds
+    # its curve and fields, which must be bit for bit those the stepper
+    # produced
     manifold, curve = rebuild_case(name)
     flowed = {}
     step = flow.step_rk4
@@ -230,7 +253,11 @@ def test_rebuilt_fields_are_the_flows_fields(name, monkeypatch):
     for k in range(n):
         for state in (traj[k], traj[k - n]):
             want = flowed[state.t]
-            assert state.curve is want.curve
+            # older curves are rebuilt from the kept coordinates
+            assert state.curve.mode == want.curve.mode
+            assert state.curve.winding == want.curve.winding
+            assert (state.curve.coords.tobytes()
+                    == want.curve.coords.tobytes())
             for attr in FIELD_ATTRS:
                 assert np.array_equal(getattr(state.fields, attr),
                                       getattr(want.fields, attr)), attr
@@ -242,7 +269,7 @@ def test_rebuilt_fields_are_the_flows_fields(name, monkeypatch):
 def test_trajectory_holds_curves_not_fields(product):
     # at m = 128 a curve's coordinates take 2 KB and its CurveFields
     # about 12.7 KB more; a trajectory keeps fields for its newest state
-    # only
+    # only, and of an older graph state only the 1 KB x1 column
     curve = wcsf.make_graph_curve(sin_field(0.5), 128)
     params = wcsf.FlowParams(t_max=0.13, record_stride=1)
     tracemalloc.start()
@@ -256,7 +283,7 @@ def test_trajectory_holds_curves_not_fields(product):
     finally:
         tracemalloc.stop()
     assert n >= 200
-    assert held / n <= 4096
+    assert held / n <= 2048
 
 
 def test_flow_params_validation():
@@ -394,6 +421,19 @@ def test_etd_weights_reduce_to_rk4_at_zero():
     assert e[0] == e2[0] == 1.0
     assert q[0] == 0.15
     assert f1[0] == f2[0] == f3[0] == 0.3 * (1.0 / 6.0)
+
+
+def test_taylor_table_is_the_exact_rational_table():
+    assert flow._TAYLOR.tobytes() == taylor_table_fraction().tobytes()
+
+
+def test_median_is_statistics_median():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 4, 7, 10):
+        values = list(rng.uniform(0.0, 1.0, n))
+        assert flow._median(values) == statistics.median(values)
+    # unsorted input of even length: the mean of the two middle values
+    assert flow._median([0.3, 0.1, 0.2, 0.4]) == 0.25
 
 
 def test_etd_weights_series_meets_closed_form():

@@ -1,5 +1,6 @@
 """The run path in fresh interpreters: artifacts that do not depend on the
-BLAS kernel, and no lazily imported numpy submodule beyond numpy.fft."""
+BLAS kernel, no lazily imported numpy submodule beyond numpy.fft, and no
+statistics, fractions or decimal import."""
 
 import hashlib
 import os
@@ -36,7 +37,8 @@ RUN = """\
 import sys
 from wcsf.cli import main
 code = main(["run", sys.argv[1], "--out", sys.argv[2]])
-print("numpy.ma loaded" if "numpy.ma" in sys.modules else "numpy.ma absent")
+for name in ("numpy.ma", "statistics", "fractions", "decimal"):
+    print(name, "loaded" if name in sys.modules else "absent")
 raise SystemExit(code)
 """
 
@@ -78,3 +80,6 @@ def test_svg_run_leaves_numpy_ma_unloaded(tmp_path):
     stdout = run_child(cfg, out)
     assert (out / "chart.svg").stat().st_size > 0
     assert "numpy.ma absent" in stdout
+    # the run needs one median and one exact table, not these modules
+    for name in ("statistics", "fractions", "decimal"):
+        assert f"{name} absent" in stdout

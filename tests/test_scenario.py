@@ -99,6 +99,7 @@ def test_perturbed_base_metric():
     (BASE + "time.cfl = 1.5\n", "time.cfl"),
     (BASE + "time.t_max = -1\n", "time.t_max"),
     (BASE + "tol.geo = -1e-6\n", "tol.geo"),
+    (BASE + "tol.bound = -0.5\n", "line 4: tol.bound"),
     (BASE + "tol.theta_floor = -1\n", "tol.theta_floor"),
     (BASE + "tol.a_ceiling = 0\n", "tol.a_ceiling"),
     (BASE + "record.stride = 0\n", "record.stride"),
@@ -111,6 +112,11 @@ def test_perturbed_base_metric():
 def test_rejects_bad_config(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_config(text)
+
+
+def test_zero_tol_bound_is_valid():
+    # tol.bound = 0 demands the bounds hold exactly; only negative is wrong
+    assert parse_config(BASE + "tol.bound = 0\n").tol_bound == 0.0
 
 
 def test_error_carries_line_number():

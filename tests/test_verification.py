@@ -148,10 +148,26 @@ def test_drift_report_constant_is_left_drift_constant(left_exp):
         left_exp, t_final, theta0)
 
 
-def test_theta_monitor_negative_tolerance_forces_failure(left_exp):
+def test_theta_monitor_flags_a_violated_bound(left_exp):
+    # a steeper graph 0.01 later has a smaller min theta than the
+    # exponential bound allows; the slack is reported, never clamped
+    traj = wcsf.Trajectory()
+    for t, a in ((0.0, 0.3), (0.01, 1.5)):
+        curve = wcsf.make_graph_curve(sin_field(a), 64)
+        traj.append(wcsf.FlowState(curve, t,
+                                   wcsf.compute_fields(curve, left_exp)))
+    exp_rep, _ = wcsf.theta_bound_monitor(traj, left_exp)
+    assert exp_rep.worst_slack < -0.1 and not exp_rep.passed
+
+
+def test_theta_monitor_rejects_bad_tolerance(left_exp):
+    # a negative eps_tol would report bounds that hold as falsified
     traj = short_run(left_exp, sin_field(0.3))
-    exp_rep, _ = wcsf.theta_bound_monitor(traj, left_exp, eps_tol=-1.0)
-    assert not exp_rep.passed
+    for bad in (-0.5, -1e-12, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eps_tol"):
+            wcsf.theta_bound_monitor(traj, left_exp, eps_tol=bad)
+    exp_rep, _ = wcsf.theta_bound_monitor(traj, left_exp, eps_tol=0.0)
+    assert exp_rep.passed and exp_rep.worst_slack == 0.0
 
 
 def test_theta_monitor_vacuous_drift_on_single_state(left_exp):
