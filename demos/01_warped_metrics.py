@@ -24,13 +24,12 @@ for name, manifold in (("left", left), ("right", right)):
     p = wcsf.WarpPoint(0.7, (1.1,))
     g = wcsf.metric_at(manifold, p)
     print(f"{name}: G(r=0.7, x=1.1) =")
-    print(np.array_str(g.matrix, precision=6))
+    print(np.array_str(g, precision=6))
 
 print()
 print("== Christoffel symbols (nonzero entries, left product) ==")
 p = wcsf.WarpPoint(0.0, (0.5,))
-gam = wcsf.christoffel_at(left, p)
-arr = gam.gamma
+arr = wcsf.christoffel_at(left, p)
 for idx in np.argwhere(np.abs(arr) > 1e-14):
     a, b, c = idx
     print(f"  Gamma^{a}_{{{b}{c}}} = {arr[a, b, c]: .8f}")

@@ -44,7 +44,7 @@ def main() -> None:
     print(f"min theta:       {report.initial_min_theta:.6f} -> "
           f"{report.final_min_theta:.6f}")
     print(f"min theta_hat:   {report.final_min_theta_hat:.12f}")
-    print(f"limit base x:    {report.limit_base_point[0]:.6f}")
+    print(f"limit base x:    {report.limit_base_point:.6f}")
     if report.limit_warp_gradient_norm is not None:
         print(f"|grad| at limit: {report.limit_warp_gradient_norm:.3e}")
     print(f"geodesic:        {report.geodesic_certified}")

@@ -18,8 +18,7 @@ from .curves import (CurveFields, DiscreteCurve, ImmersionError,
 from .flow import (FlowParams, FlowReport, FlowState, StopReason, Trajectory,
                    adaptive_dt, run, step_rk4, velocity)
 from .fourier import FourierField
-from .geometry import (LEFT, RIGHT, BaseMetric, ChristoffelTensor, FrameData,
-                       MetricTensor, TangentVec, WarpedProduct, WarpPoint,
+from .geometry import (LEFT, RIGHT, TangentVec, WarpedProduct, WarpPoint,
                        christoffel_at, conformal_residual,
                        dr_identity_residual, inner, metric_at, warp_gradient)
 from .scenario import ConfigError, Scenario, parse_config
@@ -39,8 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "LEFT", "RIGHT",
-    "WarpedProduct", "BaseMetric", "WarpPoint", "TangentVec",
-    "MetricTensor", "ChristoffelTensor", "FrameData",
+    "WarpedProduct", "WarpPoint", "TangentVec",
     "metric_at", "christoffel_at", "inner", "warp_gradient",
     "dr_identity_residual", "conformal_residual",
     "FourierField",

@@ -113,7 +113,6 @@ def execute_scenario(scn: Scenario, out_dir) -> tuple:
         "scenario": {
             "name": scn.name,
             "kind": scn.manifold.kind,
-            "base_dim": scn.manifold.base_dim,
             "m": scn.m,
             "cfl": scn.cfl,
             "t_max": scn.t_max,

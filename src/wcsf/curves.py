@@ -147,18 +147,18 @@ class CurveFields:
         self._coords = coords
         self._frame = None
 
-    def _dense(self):
+    def _dense(self) -> tuple:
         if self._frame is None:
             self._frame = self.manifold.frame(self._coords)
         return self._frame
 
     @property
     def metric(self) -> np.ndarray:
-        return self._dense().metric
+        return self._dense()[0]
 
     @property
     def gamma(self) -> np.ndarray:
-        return self._dense().gamma
+        return self._dense()[1]
 
 
 def _pairs(c0, c1, m: int) -> np.ndarray:
@@ -195,7 +195,7 @@ def compute_fields(curve: DiscreteCurve, manifold: WarpedProduct) -> CurveFields
         rpp = d2[:, 0]
         xpp = d2[:, 1]
     xx = xp * xp
-    g, dg = manifold.base_metric.values_with_derivative(x)
+    g, dg = manifold.base_terms(x)
     # diagonal entries A, B and the contractions c = Gamma(gamma', gamma')
     if manifold.kind == LEFT:
         w2, wdw, dlog = manifold.warp_terms(x)
@@ -212,7 +212,7 @@ def compute_fields(curve: DiscreteCurve, manifold: WarpedProduct) -> CurveFields
         c0 = -g * wdw * xx
         c1 = 2.0 * rp * dlog * xp
         dr_norm = 1.0
-    if not manifold.base_metric.is_flat:
+    if manifold.g11 is not None:
         c1 = c1 + (0.5 * dg / g) * xx
     v2 = a * (rp * rp) + b * xx
     v = np.sqrt(v2)

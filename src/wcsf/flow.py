@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,8 +73,14 @@ class FlowParams:
             raise ValueError("theta_floor must be finite and nonnegative")
         if not 0.0 < self.a_ceiling < math.inf:
             raise ValueError("a_ceiling must be finite and positive")
-        if self.record_stride < 1:
+        # a count: 2.5 would shift the record grid, and a bool is no count
+        try:
+            stride = operator.index(self.record_stride)
+        except TypeError:
+            stride = 0
+        if isinstance(self.record_stride, bool) or stride < 1:
             raise ValueError("record_stride must be a positive integer")
+        object.__setattr__(self, "record_stride", stride)
 
 
 @dataclass(frozen=True)
@@ -107,6 +114,8 @@ class Trajectory:
 
     def append(self, state: FlowState) -> None:
         f, c, last = state.fields, state.curve, self._last
+        if not math.isfinite(state.t):
+            raise ValueError("trajectory times must be finite")
         if last is not None:
             if state.t <= last.t:
                 raise ValueError("trajectory times must strictly increase")
@@ -196,7 +205,7 @@ class FlowReport:
     length_initial: float
     length_final: float
     length_monotone: bool
-    limit_base_point: tuple
+    limit_base_point: float
     limit_warp_gradient_norm: float | None
     geodesic_certified: bool
     converging_undecided: bool
@@ -427,11 +436,10 @@ def _build_report(traj: Trajectory, manifold: WarpedProduct,
     lengths = series[:, 4]
     monotone = bool(np.all(np.diff(lengths) <= MONOTONE_TOL))
     first, last = series[0], series[-1]
-    limit = (_circular_mean(traj.final.curve.coords[:, 1]),)
+    limit = _circular_mean(traj.final.curve.coords[:, 1])
     grad_norm = None
     if manifold.kind == LEFT:
-        pt = np.array([[0.0, *limit]])
-        grad_norm = float(np.sqrt(manifold.dlog_warp(pt)[1][0]))
+        grad_norm = float(np.sqrt(manifold.dlog_warp(np.array([limit]))[1][0]))
     converged = stop is StopReason.CONVERGED
     certified = bool(converged and (grad_norm is None or grad_norm < 1e-3))
     tail = series[-5:, 3]

@@ -69,14 +69,18 @@ class FourierField:
     def exp_cos(cls, a: float, tol: float = 1e-16) -> "FourierField":
         """Expansion of exp(a cos x) through modified Bessel functions:
         exp(a cos x) = I_0(a) + 2 sum_{k>=1} I_k(a) cos(k x), truncated once
-        the next coefficient falls below tol."""
+        the next coefficient falls below tol. ValueError if a coefficient
+        overflows (a = 800 does)."""
         a = float(a)
-        bessel = _bessel_i(a, 129)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bessel = _bessel_i(a, 129)
         k = 1
         while 2.0 * abs(bessel[k + 1]) >= tol and k < 128:
             k += 1
         coef = 2.0 * bessel[: k + 1]
         coef[0] = bessel[0]
+        if not np.isfinite(coef).all():
+            raise ValueError(f"exp_cos({a}) has non-finite coefficients")
         return cls(coef)
 
     @property
@@ -86,13 +90,6 @@ class FourierField:
 
     def __call__(self, x):
         return self._sums(x, derivative=False)[0]
-
-    def values(self, pts):
-        """Evaluate at points of shape (..., 1) or plain angle arrays."""
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim and pts.shape[-1] == 1:
-            pts = pts[..., 0]
-        return self(pts)
 
     def values_with_derivative(self, x):
         """(f(x), f'(x)) sharing one trigonometric table."""
@@ -131,10 +128,8 @@ class FourierField:
             dval = dval.reshape(x.shape)[()]
         return val.reshape(x.shape)[()], dval
 
-    def derivative(self, axis: int = 0) -> "FourierField":
+    def derivative(self) -> "FourierField":
         """Exact term-wise derivative, cached."""
-        if axis != 0:
-            raise ValueError("one dimensional field has only axis 0")
         if self._deriv is None:
             self._deriv = FourierField(self._k * self.sin_coef,
                                        -self._k * self.cos_coef)

@@ -31,10 +31,6 @@ __all__ = [
     "TWO_PI",
     "WarpPoint",
     "TangentVec",
-    "MetricTensor",
-    "ChristoffelTensor",
-    "BaseMetric",
-    "FrameData",
     "WarpedProduct",
     "metric_at",
     "christoffel_at",
@@ -87,90 +83,49 @@ def _components(v) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
-@dataclass(frozen=True)
-class MetricTensor:
-    """Symmetric positive definite matrix G with its inverse."""
-
-    matrix: np.ndarray
-    inverse: np.ndarray
-
-
-@dataclass(frozen=True)
-class ChristoffelTensor:
-    """gamma[a, b, c] = Gamma^a_{bc}, symmetric in (b, c)."""
-
-    gamma: np.ndarray
-
-
-@dataclass(frozen=True)
-class FrameData:
-    """Dense metric data along a set of points, for the monitors and the
-    point operations; the flow's kernel works on the diagonal entries."""
-
-    metric: np.ndarray            # (N, 2, 2)
-    gamma: np.ndarray             # (N, 2, 2, 2)
-    inverse: np.ndarray | None    # (N, 2, 2) when requested
-
-
-def _as_field(obj) -> FourierField:
+def _positive(obj, floor: float, grid: int, message: str) -> FourierField:
+    # obj as a field, ValueError(message) unless its samples on the grid
+    # are finite and above floor; a NaN sample fails "not (... and ...)"
     if isinstance(obj, (int, float)):
-        return FourierField.constant(obj)
-    if isinstance(obj, FourierField):
-        return obj
-    raise ValueError("expected a one dimensional Fourier field or a number")
+        obj = FourierField.constant(obj)
+    if not isinstance(obj, FourierField):
+        raise ValueError("expected a one dimensional Fourier field or a number")
+    vals = obj.grid_values(grid)
+    if not (np.isfinite(vals).all() and vals.min() > floor):
+        raise ValueError(message)
+    return obj
 
 
-class BaseMetric:
-    """Metric g(x) dx^2 on the base circle with a truncated-Fourier g.
-
-    Flat (g = 1) by default. The entry is given as {(0, 0): field or
-    number}, the only slot of a one dimensional base; positivity is checked
-    on a sampling grid at construction time.
-    """
-
-    def __init__(self, dim: int = 1, entries: dict | None = None, grid: int = 4096):
-        if dim != 1:
-            raise ValueError("base dimension must be 1")
-        entries = dict(entries or {})
-        for key in entries:
-            if key != (0, 0):
-                raise ValueError(f"base metric index {key} out of range")
-        self.is_flat = not entries
-        self.g11 = _as_field(entries.get((0, 0), 1.0))
-        if not self.is_flat and self.g11.min_on_grid(grid) <= 1e-10:
-            raise ValueError("base metric is not positive definite")
-
-    def values_with_derivative(self, x):
-        """(g, g') at base angles x; the plain numbers (1.0, 0.0) when flat."""
-        if self.is_flat:
-            return 1.0, 0.0
-        return self.g11.values_with_derivative(x)
+def checked_g11(g11, grid: int = 4096) -> FourierField:
+    """The base metric entry as a field, finite and above 1e-10 on a grid."""
+    return _positive(g11, 1e-10, grid, "base metric is not positive definite")
 
 
 class WarpedProduct:
     """Immutable warped product S^1 x S^1 with a validated positive warp.
 
     kind: "left" (warp psi(x) lives on the base) or "right" (warp phi(r) on
-    the circle factor). warp: a FourierField or a number.
+    the circle factor). warp and the base metric entry g11 = g(x): each a
+    FourierField or a number; g11 None is the flat base g = 1.
     """
 
-    base_dim = 1
-    dim = 2
-
-    def __init__(self, kind: str, warp=1.0,
-                 base_metric: BaseMetric | None = None, grid: int = 4096):
+    def __init__(self, kind: str, warp=1.0, g11=None, grid: int = 4096):
         kind = str(kind).lower()
         if kind not in (LEFT, RIGHT):
             raise ValueError(f"kind must be '{LEFT}' or '{RIGHT}', got {kind!r}")
-        warp = _as_field(warp)
-        if warp.min_on_grid(grid) <= 0.0:
-            raise ValueError("warp not positive")
         self.kind = kind
-        self.warp = warp
-        self.base_metric = base_metric if base_metric is not None else BaseMetric()
+        self.warp = warp = _positive(warp, 0.0, grid, "warp not positive")
+        self.g11 = None if g11 is None else checked_g11(g11, grid)
         self._dwarp = warp.derivative()
         self._ddwarp = self._dwarp.derivative()
         self._circle_cache: dict[int, tuple] = {}
+
+    def base_terms(self, x):
+        """(g, g') at base angles x; the plain numbers (1.0, 0.0) when the
+        base is flat."""
+        if self.g11 is None:
+            return 1.0, 0.0
+        return self.g11.values_with_derivative(x)
 
     def warp_terms(self, s: np.ndarray) -> tuple:
         """(w^2, w w', (log w)') for the warp w at its own angles s: base
@@ -203,28 +158,26 @@ class WarpedProduct:
         d2 = self._ddwarp(r) / phi - d1 * d1
         return d1, d2
 
-    def dlog_warp(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Left warp gradient D(log psi) at points (N, 2).
+    def dlog_warp(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Left warp gradient D(log psi) at base angles x.
 
-        Returns (vectors, norm_sq): raised-index tangent components with a
-        zero r slot, and the squared base norm |D log psi|_g^2.
+        Returns (raised, norm_sq): its x component (log psi)' / g (the r
+        component is zero), and the squared base norm |D log psi|_g^2.
         """
         if self.kind != LEFT:
             raise ValueError("dlog_warp applies to left warped products")
-        x = pts[:, 1]
         dlog = self.warp_terms(x)[2]
-        g, _ = self.base_metric.values_with_derivative(x)
+        g, _ = self.base_terms(x)
         raised = dlog / g
-        vecs = np.zeros((pts.shape[0], 2))
-        vecs[:, 1] = raised
-        return vecs, raised * dlog
+        return raised, raised * dlog
 
-    def frame(self, pts: np.ndarray, with_inverse: bool = False) -> FrameData:
-        """Dense metric and Christoffel data at points of shape (N, 2)."""
+    def frame(self, pts: np.ndarray) -> tuple:
+        """Dense metric (N, 2, 2) and Christoffel symbols (N, 2, 2, 2),
+        gamma[n, a, b, c] = Gamma^a_{bc}, at points of shape (N, 2)."""
         pts = np.asarray(pts, dtype=float)
         n = pts.shape[0]
         x = pts[:, 1]
-        g, dg = self.base_metric.values_with_derivative(x)
+        g, dg = self.base_terms(x)
         metric = np.zeros((n, 2, 2))
         gamma = np.zeros((n, 2, 2, 2))
         if self.kind == LEFT:
@@ -240,12 +193,7 @@ class WarpedProduct:
             gamma[:, 1, 0, 1] = gamma[:, 1, 1, 0] = dlog
             gamma[:, 0, 1, 1] = -wdw * g
         gamma[:, 1, 1, 1] = 0.5 * dg / g
-        inverse = None
-        if with_inverse:
-            inverse = np.zeros((n, 2, 2))
-            inverse[:, 0, 0] = 1.0 / metric[:, 0, 0]
-            inverse[:, 1, 1] = 1.0 / metric[:, 1, 1]
-        return FrameData(metric, gamma, inverse)
+        return metric, gamma
 
     def __repr__(self) -> str:
         return f"WarpedProduct(kind={self.kind!r})"
@@ -254,34 +202,33 @@ class WarpedProduct:
 # -- point operations ------------------------------------------------------
 
 
-def _point_frame(manifold: WarpedProduct, p: WarpPoint, with_inverse: bool = False) -> FrameData:
-    return manifold.frame(p.coords[None, :], with_inverse=with_inverse)
+def _point_frame(manifold: WarpedProduct, p: WarpPoint) -> tuple:
+    metric, gamma = manifold.frame(p.coords[None, :])
+    return metric[0], gamma[0]
 
 
-def metric_at(manifold: WarpedProduct, p: WarpPoint) -> MetricTensor:
-    """Metric matrix and inverse at p."""
-    fr = _point_frame(manifold, p, with_inverse=True)
-    return MetricTensor(fr.metric[0], fr.inverse[0])
+def metric_at(manifold: WarpedProduct, p: WarpPoint) -> np.ndarray:
+    """Metric matrix G_ab at p, shape (2, 2)."""
+    return _point_frame(manifold, p)[0]
 
 
-def christoffel_at(manifold: WarpedProduct, p: WarpPoint) -> ChristoffelTensor:
-    """Christoffel symbols Gamma^a_{bc} at p."""
-    fr = _point_frame(manifold, p)
-    return ChristoffelTensor(fr.gamma[0])
+def christoffel_at(manifold: WarpedProduct, p: WarpPoint) -> np.ndarray:
+    """Christoffel symbols gamma[a, b, c] = Gamma^a_{bc} at p, shape
+    (2, 2, 2)."""
+    return _point_frame(manifold, p)[1]
 
 
 def inner(manifold: WarpedProduct, p: WarpPoint, u, v) -> float:
     """Metric pairing <u, v>_G at p."""
-    g = _point_frame(manifold, p).metric[0]
-    return float(_components(u) @ g @ _components(v))
+    return float(_components(u) @ metric_at(manifold, p) @ _components(v))
 
 
 def warp_gradient(manifold: WarpedProduct, p: WarpPoint):
     """Left: the tangent vector D(log psi), which has zero r-component.
     Right: the scalar pair ((log phi)'(r), (log phi)''(r))."""
     if manifold.kind == LEFT:
-        vecs, _ = manifold.dlog_warp(p.coords[None, :])
-        return TangentVec(vecs[0])
+        raised, _ = manifold.dlog_warp(np.array(p.x))
+        return TangentVec((0.0, raised[0]))
     d1, d2 = manifold.log_warp_derivs(np.array([p.r]))
     return float(d1[0]), float(d2[0])
 
@@ -294,14 +241,12 @@ def dr_identity_residual(manifold: WarpedProduct, p: WarpPoint, X, Y) -> float:
     """
     x = _components(X)
     y = _components(Y)
-    fr = _point_frame(manifold, p)
-    g = fr.metric[0]
-    nabla = fr.gamma[0][:, :, 0] @ x  # components of nabla_X d_r
+    g, gamma = _point_frame(manifold, p)
+    nabla = gamma[:, :, 0] @ x  # components of nabla_X d_r
     lhs = float(y @ g @ nabla)
-    e0 = np.zeros(manifold.dim)
-    e0[0] = 1.0
+    e0 = np.array([1.0, 0.0])
     if manifold.kind == LEFT:
-        dlog = manifold.dlog_warp(p.coords[None, :])[0][0]
+        dlog = np.array([0.0, manifold.dlog_warp(np.array(p.x))[0][0]])
         rhs = float((x @ g @ dlog) * (y @ g @ e0) - (x @ g @ e0) * (y @ g @ dlog))
     else:
         d1, _ = manifold.log_warp_derivs(np.array([p.r]))
@@ -318,11 +263,11 @@ def conformal_residual(manifold: WarpedProduct, p: WarpPoint, X) -> float:
     if manifold.kind != RIGHT:
         raise ValueError("conformal_residual requires a right warped product")
     x = _components(X)
-    fr = _point_frame(manifold, p)
+    gamma = christoffel_at(manifold, p)
     r = np.array([p.r])
     phi = float(manifold.warp(r)[0])
     dphi = float(manifold._dwarp(r)[0])
     # nabla_X (phi d_r) = X(phi) d_r + phi Gamma(X, d_r)
-    nabla = phi * (fr.gamma[0][:, :, 0] @ x)
+    nabla = phi * (gamma[:, :, 0] @ x)
     nabla[0] += x[0] * dphi
     return float(np.max(np.abs(nabla - dphi * x)))

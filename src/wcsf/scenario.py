@@ -5,11 +5,12 @@ Keys:
 
     scenario.name        run label (default: supplied by the caller)
     manifold.kind        left | right (required)
-    manifold.base_dim    1 (only circle bases are expressible here)
     warp.exp_cos         a, for warp e^{a cos}
     warp.cos, warp.sin   Fourier coefficients of the warp (conflicts with
                          warp.exp_cos); default is the constant warp 1
-    base.g11.cos/.sin    Fourier coefficients of the base metric entry g11
+    base.g11.cos, base.g11.sin
+                         Fourier coefficients of the base metric entry g11;
+                         default is the flat base g11 = 1
     init.cos, init.sin   Fourier coefficients of the initial height f
     init.winding         integer winding of f around the base (default 0)
     init.allow_winding   on | off, required for nonzero init.winding
@@ -44,7 +45,7 @@ import numpy as np
 from .curves import DiscreteCurve, make_graph_curve
 from .flow import FlowParams
 from .fourier import FourierField
-from .geometry import LEFT, RIGHT, BaseMetric, WarpedProduct
+from .geometry import LEFT, RIGHT, WarpedProduct, checked_g11
 
 __all__ = ["ConfigError", "Scenario", "parse_config"]
 
@@ -143,8 +144,8 @@ def _take_floats(entries, key):
     return coefs, ln
 
 
-def _field_from(cos, sin):
-    c = np.asarray(cos if cos is not None else (0.0,), dtype=float)
+def _field_from(cos, sin, constant: float = 0.0):
+    c = np.asarray(cos if cos is not None else (constant,), dtype=float)
     s = np.asarray(sin, dtype=float) if sin is not None else None
     return FourierField(c, s)
 
@@ -204,11 +205,6 @@ def parse_config(text: str, name: str = "scenario") -> Scenario:
         raise ConfigError(
             f"manifold.kind must be left or right, got {kind_value!r}", kind_ln)
 
-    base_dim, bd_ln = _take_int(entries, "manifold.base_dim", 1)
-    if base_dim != 1:
-        raise ConfigError(
-            f"manifold.base_dim must be 1 in configs, got {base_dim}", bd_ln)
-
     exp_a, exp_ln = _take_float(entries, "warp.exp_cos", None)
     warp_cos, wc_ln = _take_floats(entries, "warp.cos")
     warp_sin, ws_ln = _take_floats(entries, "warp.sin")
@@ -216,26 +212,25 @@ def parse_config(text: str, name: str = "scenario") -> Scenario:
     if exp_a is not None and (warp_cos is not None or warp_sin is not None):
         raise ConfigError(
             "warp.exp_cos conflicts with warp.cos/warp.sin", exp_ln)
-    if exp_a is not None:
-        warp = FourierField.exp_cos(exp_a)
-    elif warp_cos is not None or warp_sin is not None:
-        warp = _field_from(warp_cos if warp_cos is not None else (1.0,), warp_sin)
-    else:
-        warp = 1.0
 
     g11_cos, gc_ln = _take_floats(entries, "base.g11.cos")
     g11_sin, gs_ln = _take_floats(entries, "base.g11.sin")
-    base_ln = gc_ln if gc_ln is not None else gs_ln
-    base_metric = None
+    g11 = None
     if g11_cos is not None or g11_sin is not None:
-        entry = _field_from(g11_cos if g11_cos is not None else (1.0,), g11_sin)
         try:
-            base_metric = BaseMetric(1, {(0, 0): entry})
+            g11 = checked_g11(_field_from(g11_cos, g11_sin, 1.0))
         except ValueError as exc:
-            raise ConfigError(str(exc), base_ln) from None
+            raise ConfigError(str(exc), gc_ln or gs_ln) from None
 
+    # g11 is already checked, so a ValueError here is the warp's
     try:
-        manifold = WarpedProduct(kind, warp=warp, base_metric=base_metric)
+        if exp_a is not None:
+            warp = FourierField.exp_cos(exp_a)
+        elif warp_cos is not None or warp_sin is not None:
+            warp = _field_from(warp_cos, warp_sin, 1.0)
+        else:
+            warp = 1.0
+        manifold = WarpedProduct(kind, warp=warp, g11=g11)
     except ValueError as exc:
         raise ConfigError(str(exc), warp_ln) from None
 

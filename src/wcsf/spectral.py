@@ -61,18 +61,13 @@ def _multiplier(m: int, order: int) -> np.ndarray:
     return mult
 
 
-def _shape(mult: np.ndarray, ndim: int) -> np.ndarray:
-    if ndim > 1:
-        return mult.reshape((-1,) + (1,) * (ndim - 1))
-    return mult
-
-
 def diff(values: np.ndarray, order: int = 1) -> np.ndarray:
     """Differentiate periodic samples along axis 0 (spectral accuracy)."""
     values = np.asarray(values, dtype=float)
     m = values.shape[0]
     spec = np.fft.rfft(values, axis=0)
-    spec = spec * _shape(_multiplier(m, order), values.ndim)
+    spec = spec * _multiplier(m, order).reshape(
+        (-1,) + (1,) * (values.ndim - 1))
     return np.fft.irfft(spec, n=m, axis=0)
 
 

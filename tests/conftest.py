@@ -18,8 +18,7 @@ def product_manifold():
 
 def perturbed_base():
     # g11 = 1 + 0.2 cos x + 0.1 sin 2x, safely positive
-    entry = wcsf.FourierField(np.array([1.0, 0.2]), np.array([0.0, 0.0, 0.1]))
-    return wcsf.BaseMetric(1, {(0, 0): entry})
+    return wcsf.FourierField(np.array([1.0, 0.2]), np.array([0.0, 0.0, 0.1]))
 
 
 @pytest.fixture

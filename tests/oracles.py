@@ -21,12 +21,12 @@ TWO_PI = 2.0 * np.pi
 
 def fd_christoffel(manifold, point, h=1e-4):
     """Christoffel symbols from central differences of the metric alone."""
-    d = manifold.dim
+    d = 2
     base = np.array(point.coords, dtype=float)
 
     def metric(vec):
         p = wcsf.WarpPoint(vec[0], tuple(vec[1:]))
-        return wcsf.metric_at(manifold, p).matrix
+        return wcsf.metric_at(manifold, p)
 
     dg = np.zeros((d, d, d))
     for c in range(d):
@@ -48,15 +48,15 @@ def fd_christoffel(manifold, point, h=1e-4):
 
 def metric_compat_defect(manifold, point, h=1e-4):
     """Max |d_c G_ab - Gamma^d_ca G_db - Gamma^d_cb G_ad| at one point."""
-    d = manifold.dim
+    d = 2
     base = np.array(point.coords, dtype=float)
 
     def metric(vec):
         p = wcsf.WarpPoint(vec[0], tuple(vec[1:]))
-        return wcsf.metric_at(manifold, p).matrix
+        return wcsf.metric_at(manifold, p)
 
     g = metric(base)
-    gamma = wcsf.christoffel_at(manifold, point).gamma
+    gamma = wcsf.christoffel_at(manifold, point)
     worst = 0.0
     for c in range(d):
         ev = np.zeros(d)
@@ -73,7 +73,7 @@ def quadrature_length(kind, warp, f, n=100_000, winding=0):
     1-dimensional base; warp is a plain callable."""
     u = np.linspace(0.0, TWO_PI, n + 1)
     x = f(u) + winding * u
-    fx = f.derivative(0)(u) + winding
+    fx = f.derivative()(u) + winding
     if kind == wcsf.LEFT:
         speed = np.sqrt(warp(x) ** 2 + fx ** 2)
     else:
@@ -136,14 +136,13 @@ def einsum_fields(curve, manifold):
     the speed derivative v' by a second spectral differentiation instead
     of the chain rule. Returns a dict keyed like the CurveFields
     attributes."""
-    frame = manifold.frame(curve.coords)
-    g = frame.metric
+    g, gamma = manifold.frame(curve.coords)
     d1, d2 = spectral.diff12(curve.periodic_part())
     gp = d1 + np.asarray(curve.winding, dtype=float)
     v2 = np.einsum("nab,na,nb->n", g, gp, gp)
     v = np.sqrt(v2)
     vp = spectral.diff(v, 1)
-    gam2 = np.einsum("nabc,nb,nc->na", frame.gamma, gp, gp)
+    gam2 = np.einsum("nabc,nb,nc->na", gamma, gp, gp)
     h_pre = (d2 + gam2) / v2[:, None] - gp * (vp / (v2 * v))[:, None]
     t = gp / v[:, None]
     gt = np.einsum("nab,nb->na", g, t)
@@ -162,7 +161,7 @@ def einsum_fields(curve, manifold):
         "pre_tangential": pre_tan,
         "length": float(v.sum() * (TWO_PI / curve.m)),
         "metric": g,
-        "gamma": frame.gamma,
+        "gamma": gamma,
     }
 
 

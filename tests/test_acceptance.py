@@ -95,10 +95,10 @@ def test_criterion_1_structural_identities():
     configs = [
         wcsf.WarpedProduct(wcsf.LEFT, warp=wcsf.FourierField.exp_cos(0.3)),
         wcsf.WarpedProduct(wcsf.LEFT, warp=wcsf.FourierField.exp_cos(0.3),
-                           base_metric=bumpy),
+                           g11=bumpy),
         wcsf.WarpedProduct(wcsf.RIGHT, warp=wcsf.FourierField.exp_cos(0.2)),
         wcsf.WarpedProduct(wcsf.RIGHT, warp=wcsf.FourierField.exp_cos(0.2),
-                           base_metric=bumpy),
+                           g11=bumpy),
     ]
     worst_dr, worst_conf, worst_chris = 0.0, 0.0, 0.0
     for manifold in configs:
@@ -115,7 +115,7 @@ def test_criterion_1_structural_identities():
         for _ in range(25):
             p = wcsf.WarpPoint(rng.uniform(0, 2 * np.pi),
                                (rng.uniform(0, 2 * np.pi),))
-            got = wcsf.christoffel_at(manifold, p).gamma
+            got = wcsf.christoffel_at(manifold, p)
             want = oracles.fd_christoffel(manifold, p)
             worst_chris = max(worst_chris, float(np.abs(got - want).max()))
     elapsed = time.perf_counter() - t0
@@ -175,12 +175,12 @@ def test_criterion_3_product_case(scenario3, studies):
 def test_criterion_4_left_warped(scenario4):
     manifold, traj, rep, t_run = scenario4
     exp_rep, drift_rep = wcsf.theta_bound_monitor(traj, manifold)
-    dist = circ_dist(rep.limit_base_point[0], np.pi)
+    dist = circ_dist(rep.limit_base_point, np.pi)
     print(f"criterion 4: stop={rep.stop_reason.value} t={rep.t_final:.2f}, "
           f"exp slack {exp_rep.worst_slack:.3e} "
           f"(C={exp_rep.constant_value:.4f}), "
           f"drift slack {drift_rep.worst_slack:.3e}, "
-          f"limit base point {rep.limit_base_point[0]:.6f} "
+          f"limit base point {rep.limit_base_point:.6f} "
           f"(distance to pi {dist:.3e}), runtime {t_run:.1f}s")
     assert rep.stop_reason is not wcsf.StopReason.GRAPH_LOSS
     assert abs(exp_rep.constant_value - 0.09) < 1e-12
@@ -209,7 +209,7 @@ def test_criterion_4_companion_asymmetric_limit():
     traj, rep, t_run = timed_run(manifold, sin_field(0.3, mean=0.05),
                                  64, 80.0, 40)
     exp_rep, drift_rep = wcsf.theta_bound_monitor(traj, manifold)
-    dist = circ_dist(rep.limit_base_point[0], np.pi)
+    dist = circ_dist(rep.limit_base_point, np.pi)
     print(f"criterion 4 companion: stop={rep.stop_reason.value} "
           f"t={rep.t_final:.2f}, distance to pi {dist:.3e}, "
           f"geodesic certified {rep.geodesic_certified}, "

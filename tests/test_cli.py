@@ -116,6 +116,10 @@ def test_usage_errors(tmp_path):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 64
     bad = write_cfg(tmp_path / "bad.cfg", FAST + "grid.m = 100\n")
     assert main(["run", bad]) == 64
+    # e^{800 cos x} overflows its series; this used to run and exit 3
+    huge = write_cfg(tmp_path / "huge.cfg",
+                     FAST.replace("exp_cos = 0.3", "exp_cos = 800"))
+    assert main(["run", huge, "--out", str(tmp_path / "h")]) == 64
     assert main(["suite", str(tmp_path / "not_a_dir")]) == 64
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -229,7 +229,7 @@ def test_graph_and_parametric_paths_agree_with_winding(left_exp):
 def curved_manifold(kind):
     a = 0.3 if kind == wcsf.LEFT else 0.2
     return wcsf.WarpedProduct(kind, warp=wcsf.FourierField.exp_cos(a),
-                              base_metric=perturbed_base())
+                              g11=perturbed_base())
 
 
 ORACLE_MANIFOLDS = {"left": left_exp_manifold, "right": right_exp_manifold,

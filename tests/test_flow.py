@@ -185,6 +185,12 @@ def test_trajectory_requires_increasing_time(product):
     traj.append(state)
     with pytest.raises(ValueError):
         traj.append(state)
+    # nan <= t is false, so an order check alone lets a NaN time through
+    at_nan = wcsf.FlowState(state.curve, float("nan"), state.fields)
+    for target in (traj, wcsf.Trajectory()):
+        with pytest.raises(ValueError, match="finite"):
+            target.append(at_nan)
+    assert len(traj) == 1
 
 
 def test_trajectory_requires_one_manifold(product, left_exp):
@@ -295,6 +301,12 @@ def test_flow_params_validation():
         wcsf.FlowParams(t_max=-1.0)
     with pytest.raises(ValueError):
         wcsf.FlowParams(record_stride=0)
+    # record times are j * stride * dt0, so the stride must be a count
+    for bad in (2.5, True, False, "2"):
+        with pytest.raises(ValueError, match="record_stride"):
+            wcsf.FlowParams(record_stride=bad)
+    stride = wcsf.FlowParams(record_stride=np.int64(3)).record_stride
+    assert stride == 3 and type(stride) is int
     for t_max in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
             wcsf.FlowParams(t_max=t_max)

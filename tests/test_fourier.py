@@ -73,6 +73,15 @@ def test_exp_cos_negative_and_large_amplitude():
         assert np.abs(f(x) - exact).max() < 1e-14 * exact.max()
 
 
+def test_exp_cos_rejects_non_finite_coefficients():
+    # the Bessel series overflows at a = 800, which gave infinite
+    # coefficients and a NaN grid minimum
+    with pytest.raises(ValueError, match="non-finite"):
+        FourierField.exp_cos(800.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        FourierField.exp_cos(float("nan"))
+
+
 def test_exp_cos_grid_extremes():
     f = FourierField.exp_cos(0.3)
     assert abs(f.max_on_grid() - np.exp(0.3)) < 1e-14
@@ -118,8 +127,7 @@ def test_manifold_construction_builds_no_whole_grid_table():
     g11 = FourierField([1.0, 0.2])
     tracemalloc.start()
     try:
-        wcsf.WarpedProduct(wcsf.LEFT, warp=warp,
-                           base_metric=wcsf.BaseMetric(1, {(0, 0): g11}))
+        wcsf.WarpedProduct(wcsf.LEFT, warp=warp, g11=g11)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

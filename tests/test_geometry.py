@@ -18,7 +18,7 @@ def random_points(rng, n):
 
 def test_left_metric_example():
     m = left_exp_manifold()
-    g = wcsf.metric_at(m, wcsf.WarpPoint(0.0, (0.0,))).matrix
+    g = wcsf.metric_at(m, wcsf.WarpPoint(0.0, (0.0,)))
     assert abs(g[0, 0] - np.exp(0.6)) < 1e-12
     assert g[0, 1] == 0.0 and g[1, 0] == 0.0
     assert g[1, 1] == 1.0
@@ -26,7 +26,7 @@ def test_left_metric_example():
 
 def test_left_christoffel_example():
     m = left_exp_manifold()
-    gamma = wcsf.christoffel_at(m, wcsf.WarpPoint(0.0, (np.pi / 2,))).gamma
+    gamma = wcsf.christoffel_at(m, wcsf.WarpPoint(0.0, (np.pi / 2,)))
     assert abs(gamma[0, 0, 1] - (-0.3)) < 1e-12
     assert abs(gamma[0, 1, 0] - (-0.3)) < 1e-12
     assert abs(gamma[1, 0, 0] - 0.3) < 1e-12
@@ -54,7 +54,7 @@ def test_right_warp_gradient_example():
 
 def test_right_metric_scales_base():
     m = right_exp_manifold()
-    g = wcsf.metric_at(m, wcsf.WarpPoint(0.0, (1.0,))).matrix
+    g = wcsf.metric_at(m, wcsf.WarpPoint(0.0, (1.0,)))
     assert g[0, 0] == 1.0
     assert abs(g[1, 1] - np.exp(0.4)) < 1e-12
 
@@ -65,7 +65,7 @@ def test_christoffel_matches_fd_oracle(build):
     m = build()
     rng = np.random.default_rng(31)
     for p in random_points(rng, 60):
-        got = wcsf.christoffel_at(m, p).gamma
+        got = wcsf.christoffel_at(m, p)
         ref = fd_christoffel(m, p)
         assert np.abs(got - ref).max() < 1e-6
 
@@ -73,10 +73,10 @@ def test_christoffel_matches_fd_oracle(build):
 def test_christoffel_matches_fd_on_perturbed_base():
     for kind in (wcsf.LEFT, wcsf.RIGHT):
         warp = wcsf.FourierField.exp_cos(0.3 if kind == wcsf.LEFT else 0.2)
-        m = wcsf.WarpedProduct(kind, warp=warp, base_metric=perturbed_base())
+        m = wcsf.WarpedProduct(kind, warp=warp, g11=perturbed_base())
         rng = np.random.default_rng(32)
         for p in random_points(rng, 40):
-            assert np.abs(wcsf.christoffel_at(m, p).gamma
+            assert np.abs(wcsf.christoffel_at(m, p)
                           - fd_christoffel(m, p)).max() < 1e-6
 
 
@@ -92,7 +92,7 @@ def test_metric_positive_definite_many_points(left_exp, right_exp):
     for m in (left_exp, right_exp):
         pts = np.column_stack([rng.uniform(0, 2 * np.pi, 10_000),
                                rng.uniform(0, 2 * np.pi, 10_000)])
-        g = m.frame(pts).metric
+        g, _ = m.frame(pts)
         assert np.linalg.eigvalsh(g).min() > 1e-10
         # warp block never mixes circle and base directions
         assert np.abs(g[:, 0, 1:]).max() == 0.0
@@ -111,7 +111,7 @@ def test_dr_identity_perturbed_base():
     rng = np.random.default_rng(37)
     for kind in (wcsf.LEFT, wcsf.RIGHT):
         warp = wcsf.FourierField.exp_cos(0.3 if kind == wcsf.LEFT else 0.2)
-        m = wcsf.WarpedProduct(kind, warp=warp, base_metric=perturbed_base())
+        m = wcsf.WarpedProduct(kind, warp=warp, g11=perturbed_base())
         for p in random_points(rng, 50):
             x = wcsf.TangentVec(rng.normal(size=2))
             y = wcsf.TangentVec(rng.normal(size=2))
@@ -138,7 +138,32 @@ def test_warp_positivity_enforced():
 def test_base_metric_must_be_spd():
     bad = wcsf.FourierField(np.array([1.0, 1.5]))
     with pytest.raises(ValueError, match="positive definite"):
-        wcsf.BaseMetric(1, {(0, 0): bad})
+        wcsf.WarpedProduct(wcsf.LEFT, g11=bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_warp_and_g11_rejected(bad):
+    # a NaN sample minimum compares false with the floor, so a check
+    # written as "minimum <= floor fails" let these through
+    with np.errstate(over="ignore", invalid="ignore"):
+        field = wcsf.FourierField([bad])
+        with pytest.raises(ValueError, match="warp not positive"):
+            wcsf.WarpedProduct(wcsf.LEFT, warp=field)
+        with pytest.raises(ValueError, match="positive definite"):
+            wcsf.WarpedProduct(wcsf.LEFT, g11=field)
+        # finite coefficients whose sum overflows near x = 0, while the
+        # grid minimum 1.2e308 is finite and positive
+        huge = wcsf.FourierField([1.5e308, 0.3e308])
+        with pytest.raises(ValueError, match="warp not positive"):
+            wcsf.WarpedProduct(wcsf.RIGHT, warp=huge)
+
+
+def test_flat_base_is_none_and_a_number_is_curved():
+    flat = wcsf.WarpedProduct(wcsf.LEFT)
+    assert flat.g11 is None and flat.base_terms(np.zeros(3)) == (1.0, 0.0)
+    two = wcsf.WarpedProduct(wcsf.LEFT, g11=2.0)
+    g, dg = two.base_terms(np.zeros(3))
+    assert np.array_equal(g, [2.0, 2.0, 2.0]) and not dg.any()
 
 
 def test_warp_point_and_tangent_vec():

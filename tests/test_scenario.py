@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -45,17 +48,14 @@ def test_exp_cos_matches_explicit_series():
     scn = parse_config(BASE)
     direct = wcsf.FourierField.exp_cos(0.3)
     x = np.linspace(0.0, 2 * np.pi, 97)
-    assert np.allclose(scn.manifold.warp.values(
-        np.column_stack([x])), direct.values(np.column_stack([x])),
-        atol=1e-14)
+    assert np.allclose(scn.manifold.warp(x), direct(x), atol=1e-14)
 
 
 def test_bracketed_and_bare_lists_agree():
     a = parse_config("manifold.kind = right\nwarp.cos = [1.0, 0.5]\n")
     b = parse_config("manifold.kind = right\nwarp.cos = 1.0, 0.5\n")
-    x = np.column_stack([np.linspace(0, 6, 31)])
-    assert np.array_equal(a.manifold.warp.values(x),
-                          b.manifold.warp.values(x))
+    x = np.linspace(0, 6, 31)
+    assert np.array_equal(a.manifold.warp(x), b.manifold.warp(x))
 
 
 def test_boolean_spellings():
@@ -80,14 +80,14 @@ def test_winding_requires_opt_in():
 def test_perturbed_base_metric():
     scn = parse_config(BASE + "base.g11.cos = 1.0, 0.2\n")
     p = wcsf.WarpPoint(0.0, (0.0,))
-    g = wcsf.metric_at(scn.manifold, p).matrix
+    g = wcsf.metric_at(scn.manifold, p)
     assert abs(g[1, 1] - 1.2) < 1e-14
 
 
 @pytest.mark.parametrize("text,fragment", [
     ("warp.exp_cos = 0.3\n", "manifold.kind"),
     ("manifold.kind = middle\n", "manifold.kind"),
-    (BASE + "manifold.base_dim = 2\n", "must be 1"),
+    (BASE + "manifold.base_dim = 1\n", "unknown key 'manifold.base_dim'"),
     (BASE + "warp.cos = 1.0\n", "warp.exp_cos"),
     ("manifold.kind = left\nwarp.cos = 0.0, 2.0\n", "warp not positive"),
     ("manifold.kind = left\nwarp.cos = -1.0\n", "warp not positive"),
@@ -103,6 +103,7 @@ def test_perturbed_base_metric():
     (BASE + "tol.theta_floor = -1\n", "tol.theta_floor"),
     (BASE + "tol.a_ceiling = 0\n", "tol.a_ceiling"),
     (BASE + "record.stride = 0\n", "record.stride"),
+    ("manifold.kind = left\nwarp.exp_cos = 800\n", "line 2: exp_cos"),
     (BASE + "flow.speed = 2\n", "unknown key"),
     (BASE + "grid.m = 64\ngrid.m = 64\n", "duplicate"),
     (BASE + "grid.m 64\n", "="),
@@ -117,6 +118,22 @@ def test_rejects_bad_config(text, fragment):
 def test_zero_tol_bound_is_valid():
     # tol.bound = 0 demands the bounds hold exactly; only negative is wrong
     assert parse_config(BASE + "tol.bound = 0\n").tol_bound == 0.0
+
+
+def test_bad_warp_and_bad_g11_name_their_lines():
+    bad_warp = "manifold.kind = left\nwarp.cos = -1.0\nbase.g11.cos = 1.0\n"
+    with pytest.raises(ConfigError, match="warp not positive") as err:
+        parse_config(bad_warp)
+    assert err.value.line == 2
+    bad_g11 = "manifold.kind = left\nwarp.cos = 1.0\nbase.g11.sin = 0.5, 2\n"
+    with pytest.raises(ConfigError, match="positive definite") as err:
+        parse_config(bad_g11)
+    assert err.value.line == 3
+    # both bad: the base metric is checked first
+    with pytest.raises(ConfigError, match="positive definite") as err:
+        parse_config("manifold.kind = left\nwarp.cos = -1.0\n"
+                     "base.g11.cos = -1.0\n")
+    assert err.value.line == 3
 
 
 def test_error_carries_line_number():
@@ -147,7 +164,7 @@ def test_comments_and_blanks_ignored():
 
 def test_sin_only_warp_defaults_constant_term():
     scn = parse_config("manifold.kind = right\nwarp.sin = 0.0, 0.4\n")
-    v = scn.manifold.warp.values(np.array([[np.pi / 2]]))
+    v = scn.manifold.warp(np.array([np.pi / 2]))
     assert abs(v[0] - 1.4) < 1e-14
 
 
@@ -156,3 +173,23 @@ def test_scenario_is_frozen():
     assert isinstance(scn, Scenario)
     with pytest.raises(AttributeError):
         scn.m = 64
+
+
+def _first_column_keys(cells):
+    return {key for cell in cells for key in re.split(r",\s*", cell.strip())}
+
+
+def test_documented_keys_are_the_parsed_keys():
+    # README's config table, the module docstring and the parser's
+    # _take*(entries, "...") calls must name the same keys
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Scenario configs", 1)[1].split("\n## ", 1)[0]
+    table = {key for row in re.findall(r"^\| (.+?) \|", section, re.M)
+             for key in re.findall(r"`([^`]+)`", row)}
+    doc = _first_column_keys(re.findall(
+        r"^    (\S.*?)(?:\s{2,}|$)", wcsf.scenario.__doc__, re.M))
+    source = Path(wcsf.scenario.__file__).read_text()
+    parsed = set(re.findall(r'_take\w*\(entries, "([^"]+)"', source))
+    assert "manifold.kind" in parsed and len(parsed) == 25
+    assert table == parsed
+    assert doc == parsed

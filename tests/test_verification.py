@@ -44,8 +44,8 @@ def test_left_right_agree_when_warp_constant():
     # the 1e-5 truncation signal being compared.
     c = 1.7
     right = wcsf.WarpedProduct(wcsf.RIGHT, warp=c)
-    base = wcsf.BaseMetric(1, {(0, 0): wcsf.FourierField.constant(c * c)})
-    left = wcsf.WarpedProduct(wcsf.LEFT, warp=1.0, base_metric=base)
+    left = wcsf.WarpedProduct(wcsf.LEFT, warp=1.0,
+                              g11=wcsf.FourierField.constant(c * c))
     field = sin_field(0.3)
     traj_r = short_run(right, field, stride=1, tol_geo=0.0)
     traj_l = short_run(left, field, stride=1, tol_geo=0.0)
@@ -232,6 +232,18 @@ def test_studies_pass_on_small_grids(left_exp, monkeypatch):
     rep = wcsf.dissipation_residual_study(ladder)
     assert rep.passed and rep.orders[0] > 1.8
     assert calls == [32, 64]
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"grids": (64,)}, {"grids": ()}, {"grids": (64, 64)},
+    {"grids": (128, 64)}, {"t_end": 0.0}, {"t_end": float("nan")},
+    {"t_end": float("inf")}, {"cfl": 0.0}, {"cfl": 1.5},
+    {"cfl": float("nan")},
+])
+def test_refinement_ladder_rejects_a_ladder_without_orders(left_exp, kwargs):
+    # one grid gave a study with orders () that passed vacuously
+    with pytest.raises(ValueError):
+        wcsf.RefinementLadder(left_exp, sin_field(0.3), **kwargs)
 
 
 def test_gradient_identity_study_floor_escape(left_exp):
