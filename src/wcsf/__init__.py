@@ -23,7 +23,7 @@ from .geometry import (LEFT, RIGHT, TangentVec, WarpedProduct, WarpPoint,
                        dr_identity_residual, inner, metric_at, warp_gradient)
 from .scenario import ConfigError, Scenario, parse_config
 from .verification import (BoundReport, RefinementLadder, ResidualReport,
-                           angle_power_gap, closed_form_theta,
+                           closed_form_theta,
                            commutator_residual, commutator_residual_study,
                            dissipation_monitor, dissipation_residual_study,
                            evolution_residual_study,
@@ -54,7 +54,7 @@ __all__ = [
     "theta_bound_monitor", "dissipation_monitor",
     "left_exp_constant", "right_exp_constant",
     "left_drift_constant", "right_drift_constant",
-    "closed_form_theta", "angle_power_gap",
+    "closed_form_theta",
     "evolution_residual_study", "commutator_residual_study",
     "dissipation_residual_study", "gradient_identity_study",
     "ConfigError", "Scenario", "parse_config",

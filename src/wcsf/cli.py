@@ -21,7 +21,6 @@ from pathlib import Path
 from . import verification
 from .artifacts import write_report, write_svg, write_trajectory_csv
 from .flow import StopReason, run
-from .geometry import RIGHT
 from .scenario import ConfigError, Scenario, parse_config
 
 __all__ = ["main", "execute_scenario",
@@ -164,18 +163,14 @@ def execute_scenario(scn: Scenario, out_dir) -> tuple:
     if scn.verify_evolution:
         studies.append(verification.evolution_residual_study(ladder))
         studies.append(verification.dissipation_residual_study(ladder))
-        if scn.manifold.kind == RIGHT:
-            sections["power_gap"] = {
-                "gradient_term_theta_vs_theta_sq":
-                    verification.angle_power_gap(traj[0], scn.manifold)}
     if scn.verify_commutator:
         studies.append(verification.commutator_residual_study(ladder))
     if scn.verify_gradient:
         studies.append(verification.gradient_identity_study(ladder))
     if studies:
         sections["residuals"] = {s.name: _study_section(s) for s in studies}
-    sections["closed_form_theta"] = verification.closed_form_theta(
-        traj[0], scn.manifold)
+    sections["closed_form_theta"] = {
+        "direct": verification.closed_form_theta(traj[0], scn.manifold)}
 
     write_report(out / "report.txt", sections)
     write_trajectory_csv(out / "trajectory.csv", traj)

@@ -114,6 +114,8 @@ class CurveFields:
       deriv            gamma' (M, 2)
       speed            v = |gamma'|_G (M,)
       tangent          T = gamma' / v (M, 2)
+      accel            q/v^2 = H + (v'/v^2) T, with q = gamma'' +
+                       Gamma(gamma', gamma') the covariant acceleration (M, 2)
       curvature        H, normal to T (M, 2)
       curvature_norm   |A| = |H|_G (M,)
       theta            <T, d_r>_G (M,)
@@ -128,15 +130,17 @@ class CurveFields:
     are built by WarpedProduct.frame on first access, never per step.
     """
 
-    __slots__ = ("deriv", "speed", "tangent", "curvature", "curvature_norm",
-                 "theta", "theta_hat", "length", "pre_tangential",
-                 "manifold", "_coords", "_frame")
+    __slots__ = ("deriv", "speed", "tangent", "accel", "curvature",
+                 "curvature_norm", "theta", "theta_hat", "length",
+                 "pre_tangential", "manifold", "_coords", "_frame")
 
-    def __init__(self, deriv, speed, tangent, curvature, curvature_norm,
-                 theta, theta_hat, length, pre_tangential, manifold, coords):
+    def __init__(self, deriv, speed, tangent, accel, curvature,
+                 curvature_norm, theta, theta_hat, length, pre_tangential,
+                 manifold, coords):
         self.deriv = deriv
         self.speed = speed
         self.tangent = tangent
+        self.accel = accel
         self.curvature = curvature
         self.curvature_norm = curvature_norm
         self.theta = theta
@@ -175,7 +179,8 @@ def compute_fields(curve: DiscreteCurve, manifold: WarpedProduct) -> CurveFields
     product of node arrays. With the covariant acceleration
     q = gamma'' + Gamma(gamma', gamma'), the curvature vector is
     H = q/v^2 - gamma' v'/v^3, and the exact chain rule
-    v v' = <gamma', q>_G makes it the part of q/v^2 normal to T. Its
+    v v' = <gamma', q>_G makes it the part of q/v^2 normal to T; q/v^2
+    itself is kept as accel, the parametric flow's velocity. Its
     tangential defect <H, T>_G is therefore rounding-level; it is kept as
     pre_tangential so tests can assert that.
     """
@@ -231,6 +236,7 @@ def compute_fields(curve: DiscreteCurve, manifold: WarpedProduct) -> CurveFields
         deriv=_pairs(rp, xp, m),
         speed=v,
         tangent=_pairs(t0, t1, m),
+        accel=_pairs(k0, k1, m),
         curvature=_pairs(h0, h1, m),
         curvature_norm=np.sqrt(a * h0 * h0 + b * h1 * h1),
         theta=theta,

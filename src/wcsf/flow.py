@@ -1,18 +1,22 @@
 """Time integration of the curve shortening flow d gamma/dt = H.
 
-Graph mode integrates the gauged velocity W = H - H^0 gamma', which is H
-plus a tangential shift, so the r-coordinate of every node stays fixed and
-the evolving object is exactly the graph function. Parametric mode moves
-nodes with the full curvature vector.
+Both modes move nodes with H plus a tangential vector, which traces the
+same curve evolution. Graph mode integrates the gauged velocity
+W = H - H^0 gamma', so the r-coordinate of every node stays fixed and the
+evolving object is exactly the graph function. Parametric mode integrates
+the harmonic-map (DeTurck) velocity q/v^2 = H + (v'/v^2) T with
+q = gamma'' + Gamma(gamma', gamma') (Deckelnick, Dziuk & Elliott, Acta
+Numerica 14, 2005; Elliott & Fritz, IMA J. Numer. Anal. 37, 2017), a
+strictly parabolic system that spreads the nodes like a harmonic map.
 
 Steps are exponential time differencing RK4 (ETDRK4: Cox & Matthews,
 J. Comput. Phys. 176, 2002; Kassam & Trefethen, SIAM J. Sci. Comput. 26,
-2005). The leading term of W^1 is f''/v^2; each step freezes alpha, the
-midpoint of the range of 1/v^2, applies L = -alpha k^2 exactly to the
-Fourier modes of the periodic part of f, and treats N = W^1 - L f with
-the four explicit stages. Parametric mode is the alpha = 0 case, where the
-stage weights are those of classical RK4. Once the curve is nearly flat
-nothing is left stiff and only the accuracy cap DT_MAX holds a graph step,
+2005). The leading term of either velocity is gamma''/v^2 on its moving
+columns (x alone on a graph, r and x otherwise); each step freezes alpha,
+the midpoint of the range of 1/v^2, applies L = -alpha k^2 exactly to the
+Fourier modes of the periodic part of those columns, and treats
+N = W - L gamma with the four explicit stages. Once the curve is nearly
+flat nothing is left stiff and only the accuracy cap DT_MAX holds a step,
 so a record interval no longer than DT_MAX then takes one step.
 """
 
@@ -130,7 +134,8 @@ class Trajectory:
                 raise ValueError("graph states must sit on the node grid")
             self._coords.append(c.coords[:, 1].copy())
         else:
-            self._coords.append(c.coords)
+            # a copy, like the graph column: the caller may reuse its array
+            self._coords.append(c.coords.copy())
         self._rows.append((
             state.t, float(f.theta.min()), float(f.theta_hat.min()),
             float(f.curvature_norm.max()), f.length,
@@ -219,13 +224,14 @@ def _graph_velocity(fields: CurveFields) -> np.ndarray:
 
 
 def velocity(state: FlowState) -> np.ndarray:
-    """Node velocities: H in parametric mode, W = H - H^0 gamma' in graph
-    mode. In graph parametrization gamma' has r-component exactly 1, so
-    W^0 = 0 and node r-coordinates never move; W differs from H by a
-    tangential vector and traces the same curve evolution.
+    """Node velocities: W = H - H^0 gamma' in graph mode, the DeTurck
+    velocity q/v^2 = H + (v'/v^2) T in parametric mode. Both differ from H
+    by a tangential vector and trace the same curve evolution. In graph
+    parametrization gamma' has r-component exactly 1, so W^0 = 0 and node
+    r-coordinates never move.
     """
     if state.curve.mode != GRAPH:
-        return state.fields.curvature.copy()
+        return state.fields.accel.copy()
     w = np.zeros((state.curve.m, 2))
     w[:, 1] = _graph_velocity(state.fields)
     return w
@@ -234,8 +240,9 @@ def velocity(state: FlowState) -> np.ndarray:
 def adaptive_dt(state: FlowState, cfl: float, t_max: float | None = None) -> float:
     """dt = cfl (min_j local arclength spacing)^2, capped at t_max - t.
 
-    The parabolic step of an explicit scheme: the parametric step limit,
-    and the unit dt0 of the record times j * record_stride * dt0.
+    The parabolic step of an explicit scheme, taken on the initial curve
+    as the unit dt0 of the record times j * record_stride * dt0. The
+    steps themselves are held by the split's stiffness and DT_MAX.
     """
     h = float(state.fields.speed.min()) * (TWO_PI / state.curve.m)
     dt = cfl * h * h
@@ -244,7 +251,7 @@ def adaptive_dt(state: FlowState, cfl: float, t_max: float | None = None) -> flo
     return float(dt)
 
 
-# Graph steps never exceed this. Near a flat curve the split leaves no
+# Steps never exceed this. Near a flat curve the split leaves no
 # stiffness to limit dt, but the remainder still carries the warp's pull
 # on the curve: one dt = 50 step moves a left-family r-circle from
 # x = pi/2 to 3.92 instead of to its limit pi. 1/8 is the smallest power
@@ -264,13 +271,11 @@ def _split(fields: CurveFields) -> tuple:
 def _step_limit(state: FlowState, cfl: float) -> float:
     """Largest step the state allows.
 
-    In graph mode the explicit remainder (1/v^2 - alpha) f'' is stiff at
-    most s (m/2)^2, so dt = cfl (2 pi/m)^2 / s holds dt s (m/2)^2 at
-    cfl pi^2, the margin of explicit RK4 at the parabolic step. DT_MAX
-    caps it for accuracy; on a nearly flat curve it is the only limit.
+    The explicit remainder (1/v^2 - alpha) gamma'' is stiff at most
+    s (m/2)^2, so dt = cfl (2 pi/m)^2 / s holds dt s (m/2)^2 at cfl pi^2,
+    the margin of explicit RK4 at the parabolic step. DT_MAX caps it for
+    accuracy; on a nearly flat curve it is the only limit.
     """
-    if state.curve.mode != GRAPH:
-        return adaptive_dt(state, cfl)
     _, s = _split(state.fields)
     h = TWO_PI / state.curve.m
     return min(cfl * h * h / s, DT_MAX) if s > 0.0 else DT_MAX
@@ -314,8 +319,9 @@ def _etd_weights(z: np.ndarray, dt: float) -> tuple:
 
     E = e^z, E2 = e^{z/2}, Q = dt phi1(z/2) / 2, and the Cox-Matthews f1,
     f2, f3: by their series where |z| < 2, in closed form elsewhere. At
-    z = 0 they are RK4's dt/2 and dt/6. z must be <= 0 and nonincreasing,
-    as z = -dt alpha k^2 is over increasing wavenumbers k.
+    z = 0, the mean mode, they are RK4's dt/2 and dt/6. z must be <= 0
+    and nonincreasing, as z = -dt alpha k^2 is over increasing
+    wavenumbers k.
     """
     e = np.exp(z)
     e2 = np.exp(0.5 * z)
@@ -340,47 +346,39 @@ def step_rk4(state: FlowState, manifold: WarpedProduct, dt: float,
              t_new: float | None = None) -> FlowState:
     """One ETDRK4 step of length dt; refreshes every cached field.
 
-    Graph mode splits off L = -alpha k^2 with alpha frozen from state
-    (see the module docstring); parametric mode takes alpha = 0, where the
-    stages are classical RK4. The first stage reuses state.fields, so a
-    step costs four compute_fields calls: stages a, b, c and the new
-    state. t_new stamps the new state in place of state.t + dt, so a run
-    lands exactly on its record times.
+    Splits off L = -alpha k^2 with alpha frozen from state (see the module
+    docstring), in graph and parametric mode alike; the stages run on the
+    rfft modes of the moving columns, an (m, 1) x column on a graph. The
+    first stage reuses state.fields, so a step costs four compute_fields
+    calls: stages a, b, c and the new state. t_new stamps the new state in
+    place of state.t + dt, so a run lands exactly on its record times.
     """
     c0 = state.curve
     m, mode, winding = c0.m, c0.mode, c0.winding
-    if mode == GRAPH:
-        u = spectral.nodes(m)
-        ramp = winding[1] * u
-        k = spectral.wavenumbers(m)
-        lin = _split(state.fields)[0] * (k * k)   # -L on each mode
+    graph = mode == GRAPH
+    u = spectral.nodes(m)
+    cols = slice(1, 2) if graph else slice(0, 2)
+    ramp = u[:, None] * np.asarray(winding[cols], dtype=float)
+    k = spectral.wavenumbers(m)
+    lin = (_split(state.fields)[0] * (k * k))[:, None]   # -L on each mode
 
-        def coords_of(y):
-            coords = np.empty((m, 2))
-            coords[:, 0] = u
-            coords[:, 1] = np.fft.irfft(y, n=m) + ramp
-            return coords
+    def coords_of(y):
+        coords = np.empty((m, 2))
+        coords[:, 0] = u     # the fixed r column of a graph
+        coords[:, cols] = np.fft.irfft(y, n=m, axis=0) + ramp
+        return coords
 
-        def remainder(fields, y):
-            return np.fft.rfft(_graph_velocity(fields)) + lin * y
-
-        y0 = np.fft.rfft(c0.coords[:, 1] - ramp)
-    else:
-        lin = np.zeros(1)
-
-        def coords_of(y):
-            return y
-
-        def remainder(fields, y):
-            return fields.curvature
-
-        y0 = c0.coords
+    def remainder(fields, y):
+        w = _graph_velocity(fields)[:, None] if graph else fields.accel
+        return np.fft.rfft(w, axis=0) + lin * y
 
     def stage(y):
         curve = DiscreteCurve(mode, coords_of(y), winding)
         return remainder(compute_fields(curve, manifold), y)
 
-    e, e2, q, f1, f2, f3 = _etd_weights(-dt * lin, dt)
+    weights = _etd_weights(-dt * lin[:, 0], dt)
+    e, e2, q, f1, f2, f3 = (w[:, None] for w in weights)
+    y0 = np.fft.rfft(c0.coords[:, cols] - ramp, axis=0)
     n0 = remainder(state.fields, y0)
     a = e2 * y0 + q * n0
     na = stage(a)

@@ -44,7 +44,6 @@ __all__ = [
     "left_drift_constant",
     "right_drift_constant",
     "closed_form_theta",
-    "angle_power_gap",
     "evolution_residual_study",
     "commutator_residual_study",
     "dissipation_residual_study",
@@ -160,16 +159,11 @@ def left_evolution_residual(traj: Trajectory, manifold: WarpedProduct,
 
 
 def right_evolution_residual(traj: Trajectory, manifold: WarpedProduct,
-                             k: int, squared_gradient: bool = False) -> np.ndarray:
+                             k: int) -> np.ndarray:
     """Node-wise defect of the right-family angle evolution equation
 
         dTheta/dt = Lap Theta + |A|^2 Theta + 2 (log phi)' Theta <grad Theta, T>
                     - (log phi)'' Theta (1 - Theta^2)
-
-    squared_gradient swaps the gradient-term weight from Theta to Theta^2,
-    an alternative normalization seen in derivations of the same bound; the
-    two residuals are reported side by side so any disagreement is visible
-    in the data rather than silently resolved.
     """
     _require_kind(manifold, RIGHT, "right_evolution_residual")
     prev, mid, nxt = _triple(traj, k)
@@ -179,9 +173,8 @@ def right_evolution_residual(traj: Trajectory, manifold: WarpedProduct,
     lap = _arc_laplacian(f.theta, f.speed)
     lp1, lp2 = manifold.log_warp_derivs(mid.curve.coords[:, 0])
     grad = _arc_derivative(f.theta, f.speed)
-    weight = f.theta ** 2 if squared_gradient else f.theta
     rhs = (lap + f.curvature_norm ** 2 * f.theta
-           + 2.0 * lp1 * weight * grad
+           + 2.0 * lp1 * f.theta * grad
            - lp2 * f.theta * (1.0 - f.theta ** 2))
     return np.abs(dth - rhs)
 
@@ -274,7 +267,8 @@ def theta_bound_monitor(traj: Trajectory, manifold: WarpedProduct,
       exp:   min Theta(t) >= e^{-C t} min Theta(0), at every recorded time.
       drift: dTheta/dt >= Lap Theta + |A|^2 Theta / 2 - C_drift, node-wise
              at every interior recorded time, using the same discretized
-             terms as the evolution residuals.
+             terms as the evolution residuals; vacuous on a parametric
+             trajectory, whose states are not time-differenced.
     Failures beyond eps_tol are falsification flags, never clamped.
     eps_tol must be finite and nonnegative: a negative one would flag
     bounds that hold.
@@ -309,9 +303,8 @@ def theta_bound_monitor(traj: Trajectory, manifold: WarpedProduct,
         c_right_drift = right_drift_constant(manifold, grid)
     worst = np.inf
     checked = 0
-    for prev, mid, nxt in _windows(traj):
-        if mid.curve.mode != GRAPH:
-            continue
+    graph = traj.curve(-1).mode == GRAPH    # one mode for every state
+    for prev, mid, nxt in _windows(traj) if graph else ():
         f = mid.fields
         dth = _material_dt(prev, mid, nxt,
                            prev.fields.theta, f.theta, nxt.fields.theta)
@@ -324,8 +317,9 @@ def theta_bound_monitor(traj: Trajectory, manifold: WarpedProduct,
         worst = min(worst, float(slack.min()))
         checked += 1
     notes = ""
-    if checked == 0:
-        worst = np.inf
+    if not graph:
+        notes = "parametric states are not time-differenced; vacuous"
+    elif checked == 0:
         notes = "no interior recorded states to difference; vacuous"
     if manifold.kind == LEFT:
         d_value = _left_drift(c_exp, max_psi_sq, float(times[-1]), theta0)
@@ -371,16 +365,11 @@ def dissipation_monitor(traj: Trajectory, manifold: WarpedProduct) -> BoundRepor
 # -- closed-form angle bookkeeping -------------------------------------------
 
 
-def closed_form_theta(state: FlowState, manifold: WarpedProduct) -> dict:
-    """Deviation of the measured angle from the two closed graph formulas.
-
-    "direct" is the expansion of <T, d_r> in the ambient metric:
+def closed_form_theta(state: FlowState, manifold: WarpedProduct) -> float:
+    """Largest deviation of the measured angle from the closed graph
+    formula, the expansion of <T, d_r> in the ambient metric:
         left:  psi^2 / sqrt(psi^2 + |f'|_g^2)
         right: 1 / sqrt(1 + phi^2 |f'|_g^2)
-    "alternate" is the variant with the warp moved across the norm:
-        left:  1 / sqrt(1 + psi^2 |f'|_g^2)
-        right: 1 / sqrt(1 + |f'|_g^2 / phi^2)
-    The run report logs both so the matching convention is visible data.
     """
     if state.curve.mode != GRAPH:
         raise ValueError("closed forms apply to graph curves")
@@ -390,28 +379,12 @@ def closed_form_theta(state: FlowState, manifold: WarpedProduct) -> dict:
         fp2 = f.metric[:, 1, 1] * fp * fp
         psi_sq = f.metric[:, 0, 0]
         direct = psi_sq / np.sqrt(psi_sq + fp2)
-        alternate = 1.0 / np.sqrt(1.0 + psi_sq * fp2)
     else:
         phi = manifold.warp(state.curve.coords[:, 0])
         phi_sq = phi * phi
         fp2 = f.metric[:, 1, 1] / phi_sq * fp * fp
         direct = 1.0 / np.sqrt(1.0 + phi_sq * fp2)
-        alternate = 1.0 / np.sqrt(1.0 + fp2 / phi_sq)
-    return {
-        "direct": float(np.max(np.abs(f.theta - direct))),
-        "alternate": float(np.max(np.abs(f.theta - alternate))),
-    }
-
-
-def angle_power_gap(state: FlowState, manifold: WarpedProduct) -> float:
-    """Size of the disagreement between the Theta- and Theta^2-weighted
-    gradient terms of the right-family evolution equation at one state:
-    max |2 (log phi)' T(Theta) (Theta - Theta^2)|."""
-    _require_kind(manifold, RIGHT, "angle_power_gap")
-    f = state.fields
-    lp1, _ = manifold.log_warp_derivs(state.curve.coords[:, 0])
-    grad = _arc_derivative(f.theta, f.speed)
-    return float(np.max(np.abs(2.0 * lp1 * grad * (f.theta - f.theta ** 2))))
+    return float(np.max(np.abs(f.theta - direct)))
 
 
 # -- refinement studies -------------------------------------------------------

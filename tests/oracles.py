@@ -3,8 +3,8 @@
 Deliberately naive second routes to derived quantities: finite differences
 of metric values, dense quadrature, scalar RK4, brute-force polyline
 distances, dense-tensor curve fields, a per-node CSV loop, a per-interval
-dissipation loop, whole-grid Fourier tables and an exact-rational ETDRK4
-series table. Nothing here shares a code path with the quantities it
+dissipation loop, whole-grid Fourier tables, an exact-rational ETDRK4
+series table and a direct-sum trigonometric interpolant. Nothing here shares a code path with the quantities it
 checks.
 """
 
@@ -143,7 +143,8 @@ def einsum_fields(curve, manifold):
     v = np.sqrt(v2)
     vp = spectral.diff(v, 1)
     gam2 = np.einsum("nabc,nb,nc->na", gamma, gp, gp)
-    h_pre = (d2 + gam2) / v2[:, None] - gp * (vp / (v2 * v))[:, None]
+    accel = (d2 + gam2) / v2[:, None]
+    h_pre = accel - gp * (vp / (v2 * v))[:, None]
     t = gp / v[:, None]
     gt = np.einsum("nab,nb->na", g, t)
     pre_tan = np.einsum("na,na->n", gt, h_pre)
@@ -154,6 +155,7 @@ def einsum_fields(curve, manifold):
         "deriv": gp,
         "speed": v,
         "tangent": t,
+        "accel": accel,
         "curvature": h,
         "curvature_norm": habs,
         "theta": theta,
@@ -234,3 +236,18 @@ def taylor_table_fraction(terms=24):
                      float(p2 - 2 * p3), float(4 * p3 - p2)])
     return np.array(rows)
 
+
+
+def graph_twin_gap(graph_curve, param_curve):
+    """Largest |x_p - f_g(r_p)| over the parametric nodes (r_p, x_p), with
+    f_g the trigonometric interpolant of the graph curve's x values,
+    summed mode by mode from a direct DFT of its periodic part."""
+    m = graph_curve.m
+    wx = graph_curve.winding[1]
+    u = TWO_PI * np.arange(m) / m
+    k = np.arange(m // 2 + 1)
+    coef = np.exp(-1j * np.outer(k, u)) @ (graph_curve.coords[:, 1] - wx * u)
+    coef[1:m // 2] *= 2.0   # each interior mode stands for its +/- pair
+    r, x = param_curve.coords[:, 0], param_curve.coords[:, 1]
+    f = (np.exp(1j * np.outer(r, k)) @ coef).real / m + wx * r
+    return float(np.abs(x - f).max())

@@ -9,7 +9,8 @@ import pytest
 import wcsf
 from wcsf import flow, spectral
 from conftest import left_exp_manifold, product_manifold, right_exp_manifold
-from oracles import polyline_hausdorff, scalar_rk4, taylor_table_fraction
+from oracles import (einsum_fields, polyline_hausdorff, scalar_rk4,
+                     taylor_table_fraction)
 from wcsf.scenario import parse_config
 
 TWO_PI = 2.0 * np.pi
@@ -34,7 +35,8 @@ def test_velocity_left_r_circle_example(left_exp):
     w = wcsf.velocity(state)
     assert np.abs(w[:, 0]).max() == 0.0
     assert np.abs(w[:, 1] - 0.3).max() < 1e-12
-    # parametric mode agrees because H has no circle component here
+    # parametric mode agrees: an r-circle has v' = 0, so q/v^2 = H, and H
+    # has no circle component here
     u = spectral.nodes(64)
     coords = np.column_stack([u, np.full(64, np.pi / 2)])
     pc = wcsf.DiscreteCurve("parametric", coords, (1, 0))
@@ -463,21 +465,31 @@ def test_etd_weights_series_meets_closed_form():
     assert np.allclose(f3, 4.0 * phi3 - phi2, rtol=1e-12, atol=0.0)
 
 
-def test_parametric_step_is_classical_rk4(product):
+def test_parametric_velocity_is_the_einsum_acceleration(product, left_exp):
+    # parametric nodes move with the DeTurck velocity q/v^2, q the
+    # covariant acceleration gamma'' + Gamma(gamma', gamma')
     u = spectral.nodes(64)
-    coords = np.column_stack([u, 0.4 * np.sin(u)])
-    curve = wcsf.DiscreteCurve("parametric", coords, (1, 0))
-    state = wcsf.FlowState(curve, 0.0, wcsf.compute_fields(curve, product))
-    dt = wcsf.adaptive_dt(state, 0.25)
+    curve = wcsf.DiscreteCurve(
+        "parametric", np.column_stack([u + 0.2 * np.sin(u), 0.4 * np.sin(u)]),
+        (1, 0))
+    for manifold in (product, left_exp):
+        state = wcsf.FlowState(curve, 0.0,
+                               wcsf.compute_fields(curve, manifold))
+        want = einsum_fields(curve, manifold)["accel"]
+        assert np.abs(wcsf.velocity(state) - want).max() < 1e-12
 
-    def h(y):
-        c = wcsf.DiscreteCurve("parametric", y, (1, 0))
-        return wcsf.compute_fields(c, product).curvature
 
-    k1 = h(coords)
-    k2 = h(coords + 0.5 * dt * k1)
-    k3 = h(coords + 0.5 * dt * k2)
-    k4 = h(coords + dt * k3)
-    want = coords + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    got = wcsf.step_rk4(state, product, dt).curve.coords
-    assert np.abs(got - want).max() < 1e-15
+def test_parametric_trajectory_keeps_its_own_coordinates():
+    # the recorded initial state must not follow later writes to the
+    # caller's coordinate array
+    flat = wcsf.WarpedProduct(wcsf.LEFT)
+    u = spectral.nodes(32)
+    a = np.column_stack([u, 0.3 * np.sin(u)])
+    curve = wcsf.DiscreteCurve("parametric", a, (1, 0))
+    traj, _ = wcsf.run(flat, curve,
+                       wcsf.FlowParams(t_max=0.05, record_stride=5))
+    assert len(traj) >= 3
+    kept = traj.curve(0).coords.copy()
+    a[:, 1] = 0.0
+    assert np.array_equal(traj.curve(0).coords, kept)
+    assert traj[0].fields.length == traj.scalars[0, 4]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wcsf
+from oracles import graph_twin_gap
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                     database=None)
@@ -74,3 +75,35 @@ def test_graph_loss_and_blowup_are_stop_reasons(case):
     if ceiling > 0.0:
         _, rep = wcsf.run(manifold, curve, short(a_ceiling=ceiling))
         assert rep.stop_reason is wcsf.StopReason.BLOWUP
+
+
+def parametric_twin(curve):
+    return wcsf.DiscreteCurve("parametric", curve.coords, curve.winding)
+
+
+@SETTINGS
+@given(flows())
+def test_parametric_twin_converges_to_the_graph_run(case):
+    # the DeTurck flow of a graph traces the graph flow: the distance of
+    # the parametric nodes from the graph run's final curve is a
+    # discretization error, which must fall by 16x per doubling of m
+    manifold, curve = case
+    gaps = []
+    for m in (curve.m, 2 * curve.m):
+        g = wcsf.resample(curve, m)
+        traj_g, _ = wcsf.run(manifold, g, short(tol_geo=0.0))
+        traj_p, _ = wcsf.run(manifold, parametric_twin(g), short(tol_geo=0.0))
+        assert traj_g.final.t == traj_p.final.t == 0.3
+        gaps.append(graph_twin_gap(traj_g.final.curve, traj_p.final.curve))
+    assert gaps[1] <= gaps[0] / 16.0 or gaps[1] < 1e-10, gaps
+
+
+@SETTINGS
+@given(flows())
+def test_parametric_flow_keeps_a_graph(case):
+    manifold, curve = case
+    traj, rep = wcsf.run(manifold, parametric_twin(curve), short())
+    assert np.all(rep.series[:, 2] > 0.0)
+    assert rep.length_monotone
+    exp_rep, _ = wcsf.theta_bound_monitor(traj, manifold)
+    assert exp_rep.passed, exp_rep.worst_slack

@@ -94,8 +94,6 @@ def test_kind_guards():
     with pytest.raises(ValueError):
         wcsf.right_evolution_residual(traj_l, left, k)
     with pytest.raises(ValueError):
-        wcsf.angle_power_gap(traj_l[0], left)
-    with pytest.raises(ValueError):
         wcsf.right_exp_constant(left)
     with pytest.raises(ValueError):
         wcsf.left_exp_constant(right)
@@ -113,22 +111,6 @@ def test_evolution_residual_small_on_recorded_run(left_exp):
     traj = short_run(left_exp, sin_field(0.3))
     res = wcsf.left_evolution_residual(traj, left_exp, len(traj) // 2)
     assert res.max() < 1e-4
-
-
-def test_right_power_convention():
-    # the flow satisfies the first-power form of the gradient term; the
-    # squared variant leaves a visibly larger defect, of the size the gap
-    # functional reports
-    right = right_exp_manifold()
-    traj = short_run(right, sin_field(0.3))
-    k = len(traj) // 2
-    first = wcsf.right_evolution_residual(traj, right, k).max()
-    squared = wcsf.right_evolution_residual(traj, right, k,
-                                            squared_gradient=True).max()
-    gap = wcsf.angle_power_gap(traj[k], right)
-    assert squared > 4.0 * first
-    assert gap > 1e-6
-    assert abs(squared - gap) < gap  # same order of magnitude
 
 
 def test_theta_monitor_exact_zero_slack_at_start(left_exp):
@@ -176,6 +158,15 @@ def test_theta_monitor_vacuous_drift_on_single_state(left_exp):
     exp_rep, drift_rep = wcsf.theta_bound_monitor(traj, left_exp)
     assert exp_rep.passed and drift_rep.passed
     assert "vacuous" in drift_rep.notes
+    # a parametric run has interior states, but none is time-differenced
+    pc = wcsf.DiscreteCurve("parametric", curve.coords, curve.winding)
+    traj, _ = wcsf.run(left_exp, pc,
+                       wcsf.FlowParams(t_max=0.05, record_stride=1))
+    assert len(traj) >= 3
+    _, drift_rep = wcsf.theta_bound_monitor(traj, left_exp)
+    assert drift_rep.passed and drift_rep.worst_slack == np.inf
+    assert drift_rep.notes == ("parametric states are not time-differenced;"
+                               " vacuous")
 
 
 def test_dissipation_monitor_small_defect(product):
@@ -205,9 +196,8 @@ def test_dissipation_monitor_single_state_has_no_defect(product):
 def test_closed_form_theta_conventions(left_exp, right_exp):
     for manifold in (left_exp, right_exp):
         traj = short_run(manifold, sin_field(0.3))
-        forms = wcsf.closed_form_theta(traj[0], manifold)
-        assert forms["direct"] < 1e-12
-        assert forms["alternate"] > 1e-3
+        direct = wcsf.closed_form_theta(traj[0], manifold)
+        assert direct < 1e-12
 
 
 def test_studies_pass_on_small_grids(left_exp, monkeypatch):
