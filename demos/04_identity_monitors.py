@@ -56,6 +56,14 @@ for label, ladder in ladders.items():
     show(label, wcsf.dissipation_residual_study(ladder))
 
 print()
+print("== bound constants: one function each, the family read from kind ==")
+for label in ("left warped", "right warped"):
+    manifold, _ = setups[label]
+    print(f"  {label:14s} C = {wcsf.exp_constant(manifold):.6f}, "
+          f"C_drift(t = 1, min Theta(0) = 1) = "
+          f"{wcsf.drift_constant(manifold, 1.0, 1.0):.6f}")
+
+print()
 print("== inequality monitors on a full left-warped run ==")
 manifold, field = setups["left warped"]
 curve = wcsf.make_graph_curve(field, 64)

@@ -23,15 +23,12 @@ from .geometry import (LEFT, RIGHT, TangentVec, WarpedProduct, WarpPoint,
                        dr_identity_residual, inner, metric_at, warp_gradient)
 from .scenario import ConfigError, Scenario, parse_config
 from .verification import (BoundReport, RefinementLadder, ResidualReport,
-                           closed_form_theta,
-                           commutator_residual, commutator_residual_study,
-                           dissipation_monitor, dissipation_residual_study,
-                           evolution_residual_study,
-                           gradient_identity_residual,
-                           gradient_identity_study, left_drift_constant,
-                           left_evolution_residual, left_exp_constant,
-                           right_drift_constant, right_evolution_residual,
-                           right_exp_constant, theta_bound_monitor)
+                           closed_form_theta, commutator_residual,
+                           commutator_residual_study, dissipation_monitor,
+                           dissipation_residual_study, drift_constant,
+                           evolution_residual, evolution_residual_study,
+                           exp_constant, gradient_identity_residual,
+                           gradient_identity_study, theta_bound_monitor)
 
 __version__ = "0.1.0"
 
@@ -49,11 +46,9 @@ __all__ = [
     "FlowParams", "FlowState", "FlowReport", "StopReason", "Trajectory",
     "velocity", "adaptive_dt", "step_rk4", "run",
     "BoundReport", "ResidualReport", "RefinementLadder",
-    "left_evolution_residual", "right_evolution_residual",
-    "gradient_identity_residual", "commutator_residual",
+    "evolution_residual", "gradient_identity_residual", "commutator_residual",
     "theta_bound_monitor", "dissipation_monitor",
-    "left_exp_constant", "right_exp_constant",
-    "left_drift_constant", "right_drift_constant",
+    "exp_constant", "drift_constant",
     "closed_form_theta",
     "evolution_residual_study", "commutator_residual_study",
     "dissipation_residual_study", "gradient_identity_study",

@@ -70,6 +70,7 @@ def _emit(lines, prefix, mapping) -> None:
 
 _SVG_W, _SVG_H = 920.0, 430.0
 _PANE_W, _PANE_H, _MARG = 400.0, 330.0, 55.0
+_SNAPSHOTS = 16     # most curves drawn, evenly spaced over the states
 
 
 def _scale(values, lo_px, hi_px):
@@ -95,11 +96,11 @@ def _polyline(xs, ys, stroke, width="1.2", dash=None) -> str:
             f'{extra} points="{pts}" />')
 
 
-def write_svg(path, traj: Trajectory, max_snapshots: int = 16) -> None:
+def write_svg(path, traj: Trajectory) -> None:
     """Two-pane chart: curve snapshots in the (r, x1) plane on the left,
     min angle diagnostics against time on the right. Self-contained SVG."""
     n = len(traj)
-    k = min(max_snapshots, n)
+    k = min(_SNAPSHOTS, n)
     # np.unique would import numpy.ma; the indices never decrease, so
     # dict.fromkeys drops repeats and keeps their order
     step = (n - 1) / max(k - 1, 1)

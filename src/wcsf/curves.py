@@ -107,6 +107,7 @@ def make_graph_curve(field: FourierField, m: int, x_winding: int = 0,
     return DiscreteCurve(GRAPH, coords, (1, x_winding))
 
 
+@dataclass(eq=False, slots=True)
 class CurveFields:
     """Per-node geometric data shared by the flow and the monitors.
 
@@ -122,47 +123,23 @@ class CurveFields:
       theta_hat        theta / |d_r|_G, clipped to [-1, 1] (M,)
       length           float
       pre_tangential   <H, T>_G, analytically zero (M,)
-      metric           G at the nodes (M, 2, 2)
-      gamma            Christoffel symbols at the nodes (M, 2, 2, 2)
       manifold         the WarpedProduct the fields were computed in
 
-    metric and gamma are dense tensors that only the monitors read; they
-    are built by WarpedProduct.frame on first access, never per step.
+    The metric is diagonal, so the kernel never builds dense tensors; code
+    that needs them asks manifold.frame(curve.coords).
     """
 
-    __slots__ = ("deriv", "speed", "tangent", "accel", "curvature",
-                 "curvature_norm", "theta", "theta_hat", "length",
-                 "pre_tangential", "manifold", "_coords", "_frame")
-
-    def __init__(self, deriv, speed, tangent, accel, curvature,
-                 curvature_norm, theta, theta_hat, length, pre_tangential,
-                 manifold, coords):
-        self.deriv = deriv
-        self.speed = speed
-        self.tangent = tangent
-        self.accel = accel
-        self.curvature = curvature
-        self.curvature_norm = curvature_norm
-        self.theta = theta
-        self.theta_hat = theta_hat
-        self.length = length
-        self.pre_tangential = pre_tangential
-        self.manifold = manifold
-        self._coords = coords
-        self._frame = None
-
-    def _dense(self) -> tuple:
-        if self._frame is None:
-            self._frame = self.manifold.frame(self._coords)
-        return self._frame
-
-    @property
-    def metric(self) -> np.ndarray:
-        return self._dense()[0]
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return self._dense()[1]
+    deriv: np.ndarray
+    speed: np.ndarray
+    tangent: np.ndarray
+    accel: np.ndarray
+    curvature: np.ndarray
+    curvature_norm: np.ndarray
+    theta: np.ndarray
+    theta_hat: np.ndarray
+    length: float
+    pre_tangential: np.ndarray
+    manifold: WarpedProduct
 
 
 def _pairs(c0, c1, m: int) -> np.ndarray:
@@ -244,7 +221,6 @@ def compute_fields(curve: DiscreteCurve, manifold: WarpedProduct) -> CurveFields
         length=float(v.sum() * (TWO_PI / m)),
         pre_tangential=theta * h0 + bt1 * h1,
         manifold=manifold,
-        coords=curve.coords,
     )
 
 
@@ -272,21 +248,16 @@ def length(curve: DiscreteCurve, manifold: WarpedProduct) -> float:
     return compute_fields(curve, manifold).length
 
 
-def arc_derivative(eta, curve: DiscreteCurve, manifold: WarpedProduct,
-                   speed: np.ndarray | None = None) -> np.ndarray:
-    """Arclength derivative T(eta) = eta'(u) / |gamma'(u)|."""
-    if speed is None:
-        speed = compute_fields(curve, manifold).speed
-    return spectral.diff(np.asarray(eta, dtype=float), 1) / speed
+def arc_derivative(values, speed: np.ndarray) -> np.ndarray:
+    """Arclength derivative of node values, values'(u) / |gamma'(u)|, with
+    speed = |gamma'| the CurveFields.speed of their curve."""
+    return spectral.diff(values, 1) / speed
 
 
-def arc_laplacian(eta, curve: DiscreteCurve, manifold: WarpedProduct,
-                  speed: np.ndarray | None = None) -> np.ndarray:
-    """Curve Laplacian of eta: the arclength derivative applied twice."""
-    if speed is None:
-        speed = compute_fields(curve, manifold).speed
-    inner = spectral.diff(np.asarray(eta, dtype=float), 1) / speed
-    return spectral.diff(inner, 1) / speed
+def arc_laplacian(values, speed: np.ndarray) -> np.ndarray:
+    """Curve Laplacian of node values: the arclength derivative applied
+    twice."""
+    return spectral.diff(arc_derivative(values, speed), 1) / speed
 
 
 def graphicality(curve: DiscreteCurve, manifold: WarpedProduct):

@@ -237,18 +237,15 @@ def velocity(state: FlowState) -> np.ndarray:
     return w
 
 
-def adaptive_dt(state: FlowState, cfl: float, t_max: float | None = None) -> float:
-    """dt = cfl (min_j local arclength spacing)^2, capped at t_max - t.
+def adaptive_dt(state: FlowState, cfl: float) -> float:
+    """dt = cfl (min_j local arclength spacing)^2.
 
     The parabolic step of an explicit scheme, taken on the initial curve
     as the unit dt0 of the record times j * record_stride * dt0. The
     steps themselves are held by the split's stiffness and DT_MAX.
     """
     h = float(state.fields.speed.min()) * (TWO_PI / state.curve.m)
-    dt = cfl * h * h
-    if t_max is not None:
-        dt = min(dt, t_max - state.t)
-    return float(dt)
+    return float(cfl * h * h)
 
 
 # Steps never exceed this. Near a flat curve the split leaves no
@@ -476,8 +473,9 @@ def run(manifold: WarpedProduct, curve0: DiscreteCurve,
     equal steps within the step limit, so every record time is hit
     exactly. Graph loss and blowup are reported outcomes, not exceptions.
     The run is deterministic: the same inputs produce bit-identical
-    results.
+    results. It flows a copy of the caller's coordinate array.
     """
+    curve0 = DiscreteCurve(curve0.mode, curve0.coords.copy(), curve0.winding)
     state = FlowState(curve0, 0.0, compute_fields(curve0, manifold))
     traj = Trajectory([state])
     dt0 = adaptive_dt(state, params.cfl)

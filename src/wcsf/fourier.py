@@ -18,6 +18,8 @@ TWO_PI = 2.0 * np.pi
 # most points per trigonometric table: a flow grid of up to 512 nodes is
 # one block, a 4096-point grid for the bound constants is eight
 _BLOCK = 512
+# exp_cos drops the coefficients after the first one below this
+_EXP_COS_TOL = 1e-16
 
 
 def _bessel_i(a: float, k_max: int) -> np.ndarray:
@@ -66,16 +68,16 @@ class FourierField:
         return cls([float(value)])
 
     @classmethod
-    def exp_cos(cls, a: float, tol: float = 1e-16) -> "FourierField":
+    def exp_cos(cls, a: float) -> "FourierField":
         """Expansion of exp(a cos x) through modified Bessel functions:
         exp(a cos x) = I_0(a) + 2 sum_{k>=1} I_k(a) cos(k x), truncated once
-        the next coefficient falls below tol. ValueError if a coefficient
-        overflows (a = 800 does)."""
+        the next coefficient falls below 1e-16 (at most 129 terms).
+        ValueError if a coefficient overflows (a = 800 does)."""
         a = float(a)
         with np.errstate(over="ignore", invalid="ignore"):
             bessel = _bessel_i(a, 129)
         k = 1
-        while 2.0 * abs(bessel[k + 1]) >= tol and k < 128:
+        while 2.0 * abs(bessel[k + 1]) >= _EXP_COS_TOL and k < 128:
             k += 1
         coef = 2.0 * bessel[: k + 1]
         coef[0] = bessel[0]

@@ -83,22 +83,26 @@ def _components(v) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
-def _positive(obj, floor: float, grid: int, message: str) -> FourierField:
+# points of the uniform grid on which warps and base metrics are checked
+_GRID = 4096
+
+
+def _positive(obj, floor: float, message: str) -> FourierField:
     # obj as a field, ValueError(message) unless its samples on the grid
     # are finite and above floor; a NaN sample fails "not (... and ...)"
     if isinstance(obj, (int, float)):
         obj = FourierField.constant(obj)
     if not isinstance(obj, FourierField):
         raise ValueError("expected a one dimensional Fourier field or a number")
-    vals = obj.grid_values(grid)
+    vals = obj.grid_values(_GRID)
     if not (np.isfinite(vals).all() and vals.min() > floor):
         raise ValueError(message)
     return obj
 
 
-def checked_g11(g11, grid: int = 4096) -> FourierField:
+def checked_g11(g11) -> FourierField:
     """The base metric entry as a field, finite and above 1e-10 on a grid."""
-    return _positive(g11, 1e-10, grid, "base metric is not positive definite")
+    return _positive(g11, 1e-10, "base metric is not positive definite")
 
 
 class WarpedProduct:
@@ -109,13 +113,13 @@ class WarpedProduct:
     FourierField or a number; g11 None is the flat base g = 1.
     """
 
-    def __init__(self, kind: str, warp=1.0, g11=None, grid: int = 4096):
+    def __init__(self, kind: str, warp=1.0, g11=None):
         kind = str(kind).lower()
         if kind not in (LEFT, RIGHT):
             raise ValueError(f"kind must be '{LEFT}' or '{RIGHT}', got {kind!r}")
         self.kind = kind
-        self.warp = warp = _positive(warp, 0.0, grid, "warp not positive")
-        self.g11 = None if g11 is None else checked_g11(g11, grid)
+        self.warp = warp = _positive(warp, 0.0, "warp not positive")
+        self.g11 = None if g11 is None else checked_g11(g11)
         self._dwarp = warp.derivative()
         self._ddwarp = self._dwarp.derivative()
         self._circle_cache: dict[int, tuple] = {}

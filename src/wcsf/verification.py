@@ -5,8 +5,10 @@ data itself: the evolution equation of the angle function in both warped
 families, the single-time gradient identity, the tangent/curvature
 commutator, the exponential lower bound on the angle with its explicit
 constants, the drift inequality behind it, and the length dissipation
-identity. Residual studies refine (M, dt) together and report empirical
-convergence orders.
+identity. Each identity and each constant is one function that picks its
+formula by manifold.kind; where it needs the dense metric or the
+Christoffel symbols it asks manifold.frame at the curve's nodes. Residual
+studies refine (M, dt) together and report empirical convergence orders.
 
 Time derivatives along the flow need care in graph gauge: a fixed node
 keeps its r-coordinate while the material point of the unreduced flow
@@ -24,25 +26,23 @@ from functools import cached_property
 import numpy as np
 
 from . import spectral
-from .curves import GRAPH, compute_fields, make_graph_curve
+from .curves import (GRAPH, arc_derivative, arc_laplacian, compute_fields,
+                     make_graph_curve)
 from .flow import MONOTONE_TOL, FlowParams, FlowState, Trajectory, run
 from .fourier import FourierField
-from .geometry import LEFT, RIGHT, TWO_PI, WarpedProduct
+from .geometry import LEFT, TWO_PI, WarpedProduct
 
 __all__ = [
     "ResidualReport",
     "BoundReport",
     "RefinementLadder",
-    "left_evolution_residual",
-    "right_evolution_residual",
+    "evolution_residual",
     "gradient_identity_residual",
     "commutator_residual",
     "theta_bound_monitor",
     "dissipation_monitor",
-    "left_exp_constant",
-    "right_exp_constant",
-    "left_drift_constant",
-    "right_drift_constant",
+    "exp_constant",
+    "drift_constant",
     "closed_form_theta",
     "evolution_residual_study",
     "commutator_residual_study",
@@ -84,6 +84,9 @@ class BoundReport:
 
 # -- shared pieces ----------------------------------------------------------
 
+# points of the uniform grid on which the bound constants are maximized
+_GRID = 4096
+
 
 def _triple(traj: Trajectory, k: int):
     if len(traj) < 3:
@@ -113,69 +116,51 @@ def _material_dt(prev: FlowState, mid: FlowState, nxt: FlowState,
     node_dt = spectral.centered_dt(values_prev, values_mid, values_next,
                                    mid.t - prev.t, nxt.t - mid.t)
     h0 = mid.fields.curvature[:, 0]
-    du = spectral.diff(np.asarray(values_mid, dtype=float), 1)
+    du = spectral.diff(values_mid, 1)
     if du.ndim > 1:
         return node_dt + h0[:, None] * du
     return node_dt + h0 * du
 
 
-def _arc_derivative(values, speed):
-    return spectral.diff(np.asarray(values, dtype=float), 1) / speed
-
-
-def _arc_laplacian(values, speed):
-    return spectral.diff(_arc_derivative(values, speed), 1) / speed
-
-
-def _require_kind(manifold: WarpedProduct, kind: str, op: str) -> None:
-    if manifold.kind != kind:
-        raise ValueError(f"{op} requires a {kind} warped product")
-
-
-# -- evolution equation residuals -------------------------------------------
-
-
-def left_evolution_residual(traj: Trajectory, manifold: WarpedProduct,
-                            k: int) -> np.ndarray:
-    """Node-wise defect of the left-family angle evolution equation
-
-        dTheta/dt = Lap Theta + |A|^2 Theta + 2 <H, D log psi> Theta
-                    - 2 <grad Theta, T> <T, D log psi>
-    """
-    _require_kind(manifold, LEFT, "left_evolution_residual")
-    prev, mid, nxt = _triple(traj, k)
+def _theta_rates(prev: FlowState, mid: FlowState, nxt: FlowState) -> tuple:
+    """(dTheta/dt, Lap Theta) at the nodes of mid: the two terms that the
+    evolution residual and the drift inequality share."""
     f = mid.fields
     dth = _material_dt(prev, mid, nxt,
                        prev.fields.theta, f.theta, nxt.fields.theta)
-    lap = _arc_laplacian(f.theta, f.speed)
-    # <V, D log psi>_G = g V^1 (log psi)' / g: D log psi has no r component
-    raised, _ = manifold.dlog_warp(mid.curve.coords[:, 1])
-    h_dot = f.metric[:, 1, 1] * f.curvature[:, 1] * raised
-    t_dot = f.metric[:, 1, 1] * f.tangent[:, 1] * raised
-    grad = _arc_derivative(f.theta, f.speed)
-    rhs = (lap + f.curvature_norm ** 2 * f.theta
-           + 2.0 * h_dot * f.theta - 2.0 * grad * t_dot)
-    return np.abs(dth - rhs)
+    return dth, arc_laplacian(f.theta, f.speed)
 
 
-def right_evolution_residual(traj: Trajectory, manifold: WarpedProduct,
-                             k: int) -> np.ndarray:
-    """Node-wise defect of the right-family angle evolution equation
+# -- single-time and evolution identities ------------------------------------
 
-        dTheta/dt = Lap Theta + |A|^2 Theta + 2 (log phi)' Theta <grad Theta, T>
-                    - (log phi)'' Theta (1 - Theta^2)
+
+def evolution_residual(traj: Trajectory, manifold: WarpedProduct,
+                       k: int) -> np.ndarray:
+    """Node-wise defect of the angle evolution equation at state k:
+
+        left:  dTheta/dt = Lap Theta + |A|^2 Theta + 2 <H, D log psi> Theta
+                           - 2 <grad Theta, T> <T, D log psi>
+        right: dTheta/dt = Lap Theta + |A|^2 Theta
+                           + 2 (log phi)' Theta <grad Theta, T>
+                           - (log phi)'' Theta (1 - Theta^2)
     """
-    _require_kind(manifold, RIGHT, "right_evolution_residual")
     prev, mid, nxt = _triple(traj, k)
     f = mid.fields
-    dth = _material_dt(prev, mid, nxt,
-                       prev.fields.theta, f.theta, nxt.fields.theta)
-    lap = _arc_laplacian(f.theta, f.speed)
-    lp1, lp2 = manifold.log_warp_derivs(mid.curve.coords[:, 0])
-    grad = _arc_derivative(f.theta, f.speed)
-    rhs = (lap + f.curvature_norm ** 2 * f.theta
-           + 2.0 * lp1 * f.theta * grad
-           - lp2 * f.theta * (1.0 - f.theta ** 2))
+    dth, lap = _theta_rates(prev, mid, nxt)
+    grad = arc_derivative(f.theta, f.speed)
+    if manifold.kind == LEFT:
+        # <V, D log psi>_G = g V^1 (log psi)' / g (no r component)
+        raised, _ = manifold.dlog_warp(mid.curve.coords[:, 1])
+        g11 = manifold.frame(mid.curve.coords)[0][:, 1, 1]
+        h_dot = g11 * f.curvature[:, 1] * raised
+        t_dot = g11 * f.tangent[:, 1] * raised
+        rhs = (lap + f.curvature_norm ** 2 * f.theta
+               + 2.0 * h_dot * f.theta - 2.0 * grad * t_dot)
+    else:
+        lp1, lp2 = manifold.log_warp_derivs(mid.curve.coords[:, 0])
+        rhs = (lap + f.curvature_norm ** 2 * f.theta
+               + 2.0 * lp1 * f.theta * grad
+               - lp2 * f.theta * (1.0 - f.theta ** 2))
     return np.abs(dth - rhs)
 
 
@@ -187,8 +172,9 @@ def gradient_identity_residual(state: FlowState, manifold: WarpedProduct) -> flo
         right: T(Theta) = <H, d_r> + (log phi)'(1 - Theta^2)
     """
     f = state.fields
-    t_theta = _arc_derivative(f.theta, f.speed)
-    h_dr = np.einsum("na,na->n", f.metric[:, 0, :], f.curvature)
+    t_theta = arc_derivative(f.theta, f.speed)
+    metric, _ = manifold.frame(state.curve.coords)
+    h_dr = np.einsum("na,na->n", metric[:, 0, :], f.curvature)
     if manifold.kind == LEFT:
         return float(np.max(np.abs(t_theta - h_dr)))
     lp1, _ = manifold.log_warp_derivs(state.curve.coords[:, 0])
@@ -204,54 +190,52 @@ def commutator_residual(traj: Trajectory, manifold: WarpedProduct, k: int) -> fl
     """
     prev, mid, nxt = _triple(traj, k)
     f = mid.fields
+    metric, gamma = manifold.frame(mid.curve.coords)
     dt_t = _material_dt(prev, mid, nxt,
                         prev.fields.tangent, f.tangent, nxt.fields.tangent)
-    nab_h_t = dt_t + np.einsum("nabc,nb,nc->na", f.gamma, f.curvature, f.tangent)
+    nab_h_t = dt_t + np.einsum("nabc,nb,nc->na", gamma, f.curvature, f.tangent)
     dh_du = spectral.diff(f.curvature, 1)
     nab_t_h = dh_du / f.speed[:, None] + np.einsum(
-        "nabc,nb,nc->na", f.gamma, f.tangent, f.curvature)
+        "nabc,nb,nc->na", gamma, f.tangent, f.curvature)
     resid = nab_h_t - nab_t_h - (f.curvature_norm ** 2)[:, None] * f.tangent
     norms = np.sqrt(np.maximum(
-        np.einsum("nab,na,nb->n", f.metric, resid, resid), 0.0))
+        np.einsum("nab,na,nb->n", metric, resid, resid), 0.0))
     return float(norms.max())
 
 
 # -- bound constants ---------------------------------------------------------
 
 
-def left_exp_constant(manifold: WarpedProduct, n: int = 4096) -> float:
-    """C = max over the base of |D log psi|_g^2, by grid maximization of the
-    exact series."""
-    _require_kind(manifold, LEFT, "left_exp_constant")
-    _, norm_sq = manifold.dlog_warp(
-        np.linspace(0.0, TWO_PI, n, endpoint=False))
-    return float(norm_sq.max())
+def exp_constant(manifold: WarpedProduct) -> float:
+    """The rate C of the exponential angle bound, maximized over a
+    4096-point grid of the exact series:
 
-
-def right_exp_constant(manifold: WarpedProduct, n: int = 4096) -> float:
-    """C = max over the circle of |(log phi)''|."""
-    _require_kind(manifold, RIGHT, "right_exp_constant")
-    r = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    _, lp2 = manifold.log_warp_derivs(r)
-    return float(np.abs(lp2).max())
+        left:  max over the base of |D log psi|_g^2
+        right: max over the circle of |(log phi)''|
+    """
+    s = np.linspace(0.0, TWO_PI, _GRID, endpoint=False)
+    if manifold.kind == LEFT:
+        return float(manifold.dlog_warp(s)[1].max())
+    return float(np.abs(manifold.log_warp_derivs(s)[1]).max())
 
 
 def _left_drift(c: float, max_psi_sq: float, t: float, min_theta0: float):
     return 4.0 * c * (1.0 + max_psi_sq * np.exp(c * t) / min_theta0)
 
 
-def left_drift_constant(manifold: WarpedProduct, t0: float,
-                        min_theta0: float, n: int = 4096) -> float:
-    """Drift constant 4 C (1 + max psi^2 e^{C t0} / min Theta(0)) with
-    C = left_exp_constant."""
-    return _left_drift(left_exp_constant(manifold, n),
-                       manifold.warp.max_on_grid(n) ** 2, t0, min_theta0)
+def drift_constant(manifold: WarpedProduct, t0: float,
+                   min_theta0: float) -> float:
+    """Constant of the drift inequality up to time t0:
 
-
-def right_drift_constant(manifold: WarpedProduct, n: int = 4096) -> float:
-    """Drift constant max over the circle of 4 ((log phi)')^2 + |(log phi)''|."""
-    _require_kind(manifold, RIGHT, "right_drift_constant")
-    r = np.linspace(0.0, TWO_PI, n, endpoint=False)
+        left:  4 C (1 + max psi^2 e^{C t0} / min Theta(0)), C = exp_constant
+        right: max over the circle of 4 ((log phi)')^2 + |(log phi)''|,
+               which reads neither t0 nor min Theta(0)
+    """
+    if manifold.kind == LEFT:
+        return _left_drift(exp_constant(manifold),
+                           manifold.warp.max_on_grid(_GRID) ** 2, t0,
+                           min_theta0)
+    r = np.linspace(0.0, TWO_PI, _GRID, endpoint=False)
     lp1, lp2 = manifold.log_warp_derivs(r)
     return float((4.0 * lp1 ** 2 + np.abs(lp2)).max())
 
@@ -260,14 +244,14 @@ def right_drift_constant(manifold: WarpedProduct, n: int = 4096) -> float:
 
 
 def theta_bound_monitor(traj: Trajectory, manifold: WarpedProduct,
-                        eps_tol: float = 1e-4, grid: int = 4096):
+                        eps_tol: float = 1e-4):
     """Check the two angle inequalities over a completed run.
 
     Returns (exp_report, drift_report):
       exp:   min Theta(t) >= e^{-C t} min Theta(0), at every recorded time.
       drift: dTheta/dt >= Lap Theta + |A|^2 Theta / 2 - C_drift, node-wise
              at every interior recorded time, using the same discretized
-             terms as the evolution residuals; vacuous on a parametric
+             terms as the evolution residual; vacuous on a parametric
              trajectory, whose states are not time-differenced.
     Failures beyond eps_tol are falsification flags, never clamped.
     eps_tol must be finite and nonnegative: a negative one would flag
@@ -279,41 +263,38 @@ def theta_bound_monitor(traj: Trajectory, manifold: WarpedProduct,
     scalars = traj.scalars
     times = scalars[:, 0]
     theta0 = float(scalars[0, 1])
+    c_exp = exp_constant(manifold)
+    inputs = {"grid": _GRID, "min_theta_0": theta0}
     if manifold.kind == LEFT:
-        c_exp = left_exp_constant(manifold, grid)
-        c_name, d_name = "C_left", "C_left_drift"
-        max_psi_sq = manifold.warp.max_on_grid(grid) ** 2
-        inputs = {"grid": grid, "min_theta_0": theta0, "max_warp_sq": max_psi_sq}
+        max_psi_sq = manifold.warp.max_on_grid(_GRID) ** 2
+        inputs["max_warp_sq"] = max_psi_sq
+
+        def c_drift(t):
+            return _left_drift(c_exp, max_psi_sq, t, theta0)
     else:
-        c_exp = right_exp_constant(manifold, grid)
-        c_name, d_name = "C_right", "C_right_drift"
-        inputs = {"grid": grid, "min_theta_0": theta0}
+        c_right = drift_constant(manifold, 0.0, theta0)
+
+        def c_drift(t):
+            return c_right
 
     slack_exp = scalars[:, 1] - np.exp(-c_exp * times) * theta0
     exp_report = BoundReport(
         name="theta_exp_lower_bound",
-        constant_name=c_name,
+        constant_name=f"C_{manifold.kind}",
         constant_value=c_exp,
         constant_inputs=dict(inputs),
         worst_slack=float(slack_exp.min()),
         passed=bool(slack_exp.min() >= -eps_tol),
     )
 
-    if manifold.kind == RIGHT:
-        c_right_drift = right_drift_constant(manifold, grid)
     worst = np.inf
     checked = 0
     graph = traj.curve(-1).mode == GRAPH    # one mode for every state
     for prev, mid, nxt in _windows(traj) if graph else ():
         f = mid.fields
-        dth = _material_dt(prev, mid, nxt,
-                           prev.fields.theta, f.theta, nxt.fields.theta)
-        lap = _arc_laplacian(f.theta, f.speed)
-        if manifold.kind == LEFT:
-            c_drift = _left_drift(c_exp, max_psi_sq, mid.t, theta0)
-        else:
-            c_drift = c_right_drift
-        slack = dth - lap - 0.5 * f.curvature_norm ** 2 * f.theta + c_drift
+        dth, lap = _theta_rates(prev, mid, nxt)
+        slack = (dth - lap - 0.5 * f.curvature_norm ** 2 * f.theta
+                 + c_drift(mid.t))
         worst = min(worst, float(slack.min()))
         checked += 1
     notes = ""
@@ -321,14 +302,10 @@ def theta_bound_monitor(traj: Trajectory, manifold: WarpedProduct,
         notes = "parametric states are not time-differenced; vacuous"
     elif checked == 0:
         notes = "no interior recorded states to difference; vacuous"
-    if manifold.kind == LEFT:
-        d_value = _left_drift(c_exp, max_psi_sq, float(times[-1]), theta0)
-    else:
-        d_value = c_right_drift
     drift_report = BoundReport(
         name="theta_drift_inequality",
-        constant_name=d_name,
-        constant_value=float(d_value),
+        constant_name=f"C_{manifold.kind}_drift",
+        constant_value=float(c_drift(float(times[-1]))),
         constant_inputs=dict(inputs),
         worst_slack=worst,
         passed=bool(worst >= -eps_tol),
@@ -375,14 +352,15 @@ def closed_form_theta(state: FlowState, manifold: WarpedProduct) -> float:
         raise ValueError("closed forms apply to graph curves")
     f = state.fields
     fp = f.deriv[:, 1]
+    metric, _ = manifold.frame(state.curve.coords)
     if manifold.kind == LEFT:
-        fp2 = f.metric[:, 1, 1] * fp * fp
-        psi_sq = f.metric[:, 0, 0]
+        fp2 = metric[:, 1, 1] * fp * fp
+        psi_sq = metric[:, 0, 0]
         direct = psi_sq / np.sqrt(psi_sq + fp2)
     else:
         phi = manifold.warp(state.curve.coords[:, 0])
         phi_sq = phi * phi
-        fp2 = f.metric[:, 1, 1] / phi_sq * fp * fp
+        fp2 = metric[:, 1, 1] / phi_sq * fp * fp
         direct = 1.0 / np.sqrt(1.0 + phi_sq * fp2)
     return float(np.max(np.abs(f.theta - direct)))
 
@@ -445,13 +423,14 @@ def _orders(residuals) -> tuple:
     return tuple(out)
 
 
-def _study_report(name: str, ladder: RefinementLadder, residuals,
+def _study_report(identity: str, ladder: RefinementLadder, residuals,
                   threshold: float, floor: float = 0.0) -> ResidualReport:
     """Orders between consecutive grids; a step passes when its order
-    reaches threshold or its finer residual is already at the floor."""
+    reaches threshold or its finer residual is already at the floor. The
+    report is named <kind>_<identity>."""
     orders = _orders(residuals)
     return ResidualReport(
-        name=name,
+        name=f"{ladder.manifold.kind}_{identity}",
         grids=tuple(ladder.grids),
         max_residuals=tuple(residuals),
         orders=orders,
@@ -462,51 +441,39 @@ def _study_report(name: str, ladder: RefinementLadder, residuals,
     )
 
 
-def evolution_residual_study(ladder: RefinementLadder,
-                             threshold: float = 1.8,
-                             name: str | None = None) -> ResidualReport:
+def evolution_residual_study(ladder: RefinementLadder) -> ResidualReport:
     """Empirical convergence order of the angle evolution residual under
-    simultaneous (M, dt) refinement, dt proportional to M^-2."""
-    manifold = ladder.manifold
-    residual = (left_evolution_residual if manifold.kind == LEFT
-                else right_evolution_residual)
-    res = [float(r.max()) for r in _mid_residuals(ladder, residual)]
-    return _study_report(name or f"{manifold.kind}_evolution", ladder, res,
-                         threshold)
+    simultaneous (M, dt) refinement, dt proportional to M^-2; passes at
+    order 1.8."""
+    res = [float(r.max()) for r in _mid_residuals(ladder, evolution_residual)]
+    return _study_report("evolution", ladder, res, 1.8)
 
 
-def commutator_residual_study(ladder: RefinementLadder,
-                              threshold: float = 1.5,
-                              name: str | None = None) -> ResidualReport:
+def commutator_residual_study(ladder: RefinementLadder) -> ResidualReport:
     """Convergence order of the commutator defect nabla_H T - nabla_T H -
-    |A|^2 T (two stacked covariant differencings, hence the lower bar)."""
-    return _study_report(name or f"{ladder.manifold.kind}_commutator",
-                         ladder, _mid_residuals(ladder, commutator_residual),
-                         threshold)
+    |A|^2 T; passes at order 1.5 (two stacked covariant differencings,
+    hence the lower bar)."""
+    return _study_report("commutator", ladder,
+                         _mid_residuals(ladder, commutator_residual), 1.5)
 
 
-def dissipation_residual_study(ladder: RefinementLadder,
-                               threshold: float = 1.8,
-                               name: str | None = None) -> ResidualReport:
+def dissipation_residual_study(ladder: RefinementLadder) -> ResidualReport:
     """Convergence order of the step-wise dissipation defect
-    |Delta L / Delta t + int |A|^2 ds|."""
-    manifold = ladder.manifold
-    res = [-dissipation_monitor(traj, manifold).worst_slack
+    |Delta L / Delta t + int |A|^2 ds|; passes at order 1.8."""
+    res = [-dissipation_monitor(traj, ladder.manifold).worst_slack
            for traj in ladder.trajectories]
-    return _study_report(name or f"{manifold.kind}_dissipation", ladder, res,
-                         threshold)
+    return _study_report("dissipation", ladder, res, 1.8)
 
 
-def gradient_identity_study(ladder: RefinementLadder, floor: float = 1e-11,
-                            name: str | None = None) -> ResidualReport:
+def gradient_identity_study(ladder: RefinementLadder) -> ResidualReport:
     """Single-time gradient identity under spatial refinement; the residual
-    must drop by at least 3.5x per doubling until the float floor. Reads
-    only the ladder's initial curves, never its runs."""
+    must drop by at least 3.5x per doubling until the float floor 1e-11.
+    Reads only the ladder's initial curves, never its runs."""
     manifold = ladder.manifold
     res = []
     for m in ladder.grids:
         curve = make_graph_curve(ladder.init_field, m)
         state = FlowState(curve, 0.0, compute_fields(curve, manifold))
         res.append(gradient_identity_residual(state, manifold))
-    return _study_report(name or f"{manifold.kind}_gradient_identity",
-                         ladder, res, float(np.log2(3.5)), floor)
+    return _study_report("gradient_identity", ladder, res,
+                         float(np.log2(3.5)), 1e-11)

@@ -162,8 +162,6 @@ def einsum_fields(curve, manifold):
         "theta_hat": np.clip(theta / np.sqrt(g[:, 0, 0]), -1.0, 1.0),
         "pre_tangential": pre_tan,
         "length": float(v.sum() * (TWO_PI / curve.m)),
-        "metric": g,
-        "gamma": gamma,
     }
 
 

@@ -24,10 +24,7 @@ def test_stationary_residuals_vanish(left_exp, right_exp):
         traj = short_run(manifold, wcsf.FourierField.constant(x0),
                          tol_geo=0.0, stride=1)
         k = len(traj) // 2
-        if manifold.kind == wcsf.LEFT:
-            res = wcsf.left_evolution_residual(traj, manifold, k)
-        else:
-            res = wcsf.right_evolution_residual(traj, manifold, k)
+        res = wcsf.evolution_residual(traj, manifold, k)
         assert np.abs(res).max() < 1e-12
         assert wcsf.commutator_residual(traj, manifold, k) < 1e-12
         assert wcsf.gradient_identity_residual(traj[k], manifold) < 1e-12
@@ -50,66 +47,70 @@ def test_left_right_agree_when_warp_constant():
     traj_r = short_run(right, field, stride=1, tol_geo=0.0)
     traj_l = short_run(left, field, stride=1, tol_geo=0.0)
     k = min(len(traj_r), len(traj_l)) // 2
-    res_r = wcsf.right_evolution_residual(traj_r, right, k)
-    res_l = wcsf.left_evolution_residual(traj_l, left, k)
+    res_r = wcsf.evolution_residual(traj_r, right, k)
+    res_l = wcsf.evolution_residual(traj_l, left, k)
     assert np.abs(res_r - res_l).max() < 1e-11
     assert abs(wcsf.commutator_residual(traj_r, right, k)
                - wcsf.commutator_residual(traj_l, left, k)) < 1e-11
 
 
 def test_left_exp_constant_value(left_exp):
-    c = wcsf.left_exp_constant(left_exp)
+    c = wcsf.exp_constant(left_exp)
     assert abs(c - 0.09) < 1e-12
-    assert c == wcsf.left_exp_constant(left_exp)
+    assert c == wcsf.exp_constant(left_exp)
 
 
 def test_right_constants_values(right_exp):
-    c = wcsf.right_exp_constant(right_exp)
+    c = wcsf.exp_constant(right_exp)
     assert abs(c - 0.2) < 1e-12
-    d = wcsf.right_drift_constant(right_exp)
+    d = wcsf.drift_constant(right_exp, 2.0, 1.0)
     # analytic max of 0.16 sin^2 + 0.2 |cos| at cos r = 0.625
     assert abs(d - 0.2225) < 1e-6
-    assert d == wcsf.right_drift_constant(right_exp)
+    assert d == wcsf.drift_constant(right_exp, 0.0, 0.5)
 
 
 def test_left_drift_constant_formula(left_exp):
-    got = wcsf.left_drift_constant(left_exp, t0=2.0, min_theta0=1.2)
+    got = wcsf.drift_constant(left_exp, t0=2.0, min_theta0=1.2)
     c = 0.09
     expect = 4.0 * c * (1.0 + np.exp(0.6) * np.exp(c * 2.0) / 1.2)
     assert abs(got - expect) < 1e-10
 
 
 def test_product_constant_is_zero(product):
-    assert wcsf.left_exp_constant(product) == 0.0
+    assert wcsf.exp_constant(product) == 0.0
 
 
-def test_kind_guards():
-    left = left_exp_manifold()
-    right = right_exp_manifold()
-    traj_l = short_run(left, sin_field(0.2))
-    traj_r = short_run(right, sin_field(0.2))
-    k = 1
-    with pytest.raises(ValueError):
-        wcsf.left_evolution_residual(traj_r, right, k)
-    with pytest.raises(ValueError):
-        wcsf.right_evolution_residual(traj_l, left, k)
-    with pytest.raises(ValueError):
-        wcsf.right_exp_constant(left)
-    with pytest.raises(ValueError):
-        wcsf.left_exp_constant(right)
+def test_left_constants_on_a_curved_base():
+    # g11 = 1 + 0.2 cos x enters C = max |D log psi|_g^2 through the
+    # raised gradient: (log psi)' = -0.3 sin x, so C is the max of
+    # 0.09 sin^2 x / (1 + 0.2 cos x), about 0.0909
+    g11 = wcsf.FourierField([1.0, 0.2])
+    curved = wcsf.WarpedProduct(wcsf.LEFT, warp=wcsf.FourierField.exp_cos(0.3),
+                                g11=g11)
+    x = np.linspace(0.0, 2.0 * np.pi, 1 << 20, endpoint=False)
+    dense = float(np.max(0.09 * np.sin(x) ** 2 / (1.0 + 0.2 * np.cos(x))))
+    c = wcsf.exp_constant(curved)
+    assert abs(c - dense) < 1e-8
+    assert c > 0.0901    # the flat-base value 0.09 is left behind
+    got = wcsf.drift_constant(curved, t0=2.0, min_theta0=1.2)
+    # max psi^2 = e^{0.6}, at x = 0
+    expect = 4.0 * c * (1.0 + np.exp(0.6) * np.exp(c * 2.0) / 1.2)
+    assert abs(got - expect) < 1e-10
 
 
 def test_residual_needs_interior_index(left_exp):
     traj = short_run(left_exp, sin_field(0.2))
     with pytest.raises(ValueError):
-        wcsf.left_evolution_residual(traj, left_exp, 0)
+        wcsf.evolution_residual(traj, left_exp, 0)
     with pytest.raises(ValueError):
-        wcsf.left_evolution_residual(traj, left_exp, len(traj) - 1)
+        wcsf.evolution_residual(traj, left_exp, len(traj) - 1)
 
 
-def test_evolution_residual_small_on_recorded_run(left_exp):
-    traj = short_run(left_exp, sin_field(0.3))
-    res = wcsf.left_evolution_residual(traj, left_exp, len(traj) // 2)
+@pytest.mark.parametrize("kind", ["left_exp", "right_exp"])
+def test_evolution_residual_small_on_recorded_run(kind, request):
+    manifold = request.getfixturevalue(kind)
+    traj = short_run(manifold, sin_field(0.3))
+    res = wcsf.evolution_residual(traj, manifold, len(traj) // 2)
     assert res.max() < 1e-4
 
 
@@ -126,7 +127,7 @@ def test_drift_report_constant_is_left_drift_constant(left_exp):
     traj = short_run(left_exp, sin_field(0.3))
     _, drift_rep = wcsf.theta_bound_monitor(traj, left_exp)
     t_final, theta0 = traj.scalars[-1, 0], traj.scalars[0, 1]
-    assert drift_rep.constant_value == wcsf.left_drift_constant(
+    assert drift_rep.constant_value == wcsf.drift_constant(
         left_exp, t_final, theta0)
 
 
@@ -251,4 +252,4 @@ def test_material_derivative_needs_graph_nodes(product):
                        wcsf.FlowParams(t_max=0.02, record_stride=1,
                                        tol_geo=0.0))
     with pytest.raises(ValueError):
-        wcsf.left_evolution_residual(traj, product, 1)
+        wcsf.evolution_residual(traj, product, 1)
