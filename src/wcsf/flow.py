@@ -464,7 +464,7 @@ def _build_report(traj: Trajectory, manifold: WarpedProduct,
 
 
 def run(manifold: WarpedProduct, curve0: DiscreteCurve,
-        params: FlowParams = FlowParams()):
+        params: FlowParams = FlowParams(), traj: Trajectory | None = None):
     """Integrate until a stop condition fires.
 
     Returns (Trajectory, FlowReport). States are recorded at t = 0, at the
@@ -474,10 +474,17 @@ def run(manifold: WarpedProduct, curve0: DiscreteCurve,
     exactly. Graph loss and blowup are reported outcomes, not exceptions.
     The run is deterministic: the same inputs produce bit-identical
     results. It flows a copy of the caller's coordinate array.
+
+    Every recorded state is appended to traj, an empty Trajectory (or a
+    subclass that keeps less of each state); None records into a new one.
     """
+    if traj is None:
+        traj = Trajectory()
+    elif len(traj):
+        raise ValueError("run records into an empty Trajectory")
     curve0 = DiscreteCurve(curve0.mode, curve0.coords.copy(), curve0.winding)
     state = FlowState(curve0, 0.0, compute_fields(curve0, manifold))
-    traj = Trajectory([state])
+    traj.append(state)
     dt0 = adaptive_dt(state, params.cfl)
     j = 1
     dts = []

@@ -15,8 +15,11 @@ import numpy as np
 __all__ = ["FourierField"]
 
 TWO_PI = 2.0 * np.pi
+# points of the one uniform sampling grid: warps and base metrics are
+# checked on it and the bound constants maximized over it
+_GRID = 4096
 # most points per trigonometric table: a flow grid of up to 512 nodes is
-# one block, a 4096-point grid for the bound constants is eight
+# one block, the sampling grid is eight
 _BLOCK = 512
 # exp_cos drops the coefficients after the first one below this
 _EXP_COS_TOL = 1e-16
@@ -137,14 +140,12 @@ class FourierField:
                                        -self._k * self.cos_coef)
         return self._deriv
 
-    def grid_values(self, n: int = 4096) -> np.ndarray:
-        return self(np.linspace(0.0, TWO_PI, n, endpoint=False))
+    def grid_values(self) -> np.ndarray:
+        """Values on the uniform _GRID-point sampling grid."""
+        return self(np.linspace(0.0, TWO_PI, _GRID, endpoint=False))
 
-    def min_on_grid(self, n: int = 4096) -> float:
-        return float(self.grid_values(n).min())
-
-    def max_on_grid(self, n: int = 4096) -> float:
-        return float(self.grid_values(n).max())
+    def max_on_grid(self) -> float:
+        return float(self.grid_values().max())
 
     def __repr__(self) -> str:
         return f"FourierField(degree={self.degree})"

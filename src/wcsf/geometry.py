@@ -83,10 +83,6 @@ def _components(v) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
-# points of the uniform grid on which warps and base metrics are checked
-_GRID = 4096
-
-
 def _positive(obj, floor: float, message: str) -> FourierField:
     # obj as a field, ValueError(message) unless its samples on the grid
     # are finite and above floor; a NaN sample fails "not (... and ...)"
@@ -94,7 +90,7 @@ def _positive(obj, floor: float, message: str) -> FourierField:
         obj = FourierField.constant(obj)
     if not isinstance(obj, FourierField):
         raise ValueError("expected a one dimensional Fourier field or a number")
-    vals = obj.grid_values(_GRID)
+    vals = obj.grid_values()
     if not (np.isfinite(vals).all() and vals.min() > floor):
         raise ValueError(message)
     return obj

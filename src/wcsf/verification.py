@@ -26,10 +26,10 @@ from functools import cached_property
 import numpy as np
 
 from . import spectral
-from .curves import (GRAPH, arc_derivative, arc_laplacian, compute_fields,
-                     make_graph_curve)
+from .curves import (GRAPH, DiscreteCurve, _validate_m, arc_derivative,
+                     arc_laplacian, compute_fields, make_graph_curve)
 from .flow import MONOTONE_TOL, FlowParams, FlowState, Trajectory, run
-from .fourier import FourierField
+from .fourier import _GRID, FourierField
 from .geometry import LEFT, TWO_PI, WarpedProduct
 
 __all__ = [
@@ -83,9 +83,6 @@ class BoundReport:
 
 
 # -- shared pieces ----------------------------------------------------------
-
-# points of the uniform grid on which the bound constants are maximized
-_GRID = 4096
 
 
 def _triple(traj: Trajectory, k: int):
@@ -233,7 +230,7 @@ def drift_constant(manifold: WarpedProduct, t0: float,
     """
     if manifold.kind == LEFT:
         return _left_drift(exp_constant(manifold),
-                           manifold.warp.max_on_grid(_GRID) ** 2, t0,
+                           manifold.warp.max_on_grid() ** 2, t0,
                            min_theta0)
     r = np.linspace(0.0, TWO_PI, _GRID, endpoint=False)
     lp1, lp2 = manifold.log_warp_derivs(r)
@@ -266,7 +263,7 @@ def theta_bound_monitor(traj: Trajectory, manifold: WarpedProduct,
     c_exp = exp_constant(manifold)
     inputs = {"grid": _GRID, "min_theta_0": theta0}
     if manifold.kind == LEFT:
-        max_psi_sq = manifold.warp.max_on_grid(_GRID) ** 2
+        max_psi_sq = manifold.warp.max_on_grid() ** 2
         inputs["max_warp_sq"] = max_psi_sq
 
         def c_drift(t):
@@ -368,6 +365,49 @@ def closed_form_theta(state: FlowState, manifold: WarpedProduct) -> float:
 # -- refinement studies -------------------------------------------------------
 
 
+class _Rung(Trajectory):
+    """A ladder rung's recording: the scalar row of every state, but the
+    coordinates of only the newest three states and of the window the
+    studies difference, the interior state nearest t_mid and its two
+    neighbours. So a rung holds at most six coordinate arrays however many
+    steps it records."""
+
+    def __init__(self, t_mid: float):
+        self._t_mid = t_mid
+        self._gap = math.inf      # |t - t_mid| of the nearest state so far
+        self._nearest = 0
+        self._held: set = set()   # indices whose coordinates are kept
+        super().__init__()
+
+    def append(self, state: FlowState) -> None:
+        super().append(state)
+        i = len(self) - 1
+        gap = abs(state.t - self._t_mid)
+        if gap < self._gap:       # the first of equal gaps, as argmin picks
+            self._gap, self._nearest = gap, i
+        c = max(self._nearest, 1)
+        keep = {i - 2, i - 1, i, c - 1, c, c + 1}
+        for j in self._held - keep:
+            self._coords[j] = None
+        self._held = (self._held | {i}) & keep
+
+    @property
+    def mid(self) -> int:
+        """The state the studies difference: the one nearest t_mid, moved
+        inward so it has a recorded neighbour on each side."""
+        return min(max(self._nearest, 1), len(self) - 2)
+
+    def curve(self, i) -> DiscreteCurve:
+        j = range(len(self))[i]
+        if self._coords[j] is None:
+            c = self.mid
+            raise LookupError(
+                f"state {j} of this ladder rung was dropped: it keeps the "
+                f"coordinates of states {c - 1}..{c + 1} and of the newest "
+                "three only")
+        return super().curve(j)
+
+
 @dataclass(frozen=True)
 class RefinementLadder:
     """One scenario integrated on a ladder of grids, for the studies.
@@ -375,7 +415,10 @@ class RefinementLadder:
     Each grid M runs to t_end from the same initial field with every step
     recorded, so dt shrinks like M^-2 as M grows. The runs happen on the
     first read of `trajectories` and are kept on this ladder, so every
-    study handed the same ladder reads the same runs.
+    study handed the same ladder reads the same runs. A rung keeps the
+    scalar row of every state but the coordinates of only the three
+    states around t_end / 2 and the newest three; reading any other state
+    raises LookupError.
     """
 
     manifold: WarpedProduct
@@ -389,6 +432,8 @@ class RefinementLadder:
         g = self.grids
         if len(g) < 2 or any(a >= b for a, b in zip(g, g[1:])):
             raise ValueError("a ladder needs two or more increasing grids")
+        for m in g:     # fail here, not inside the first study
+            _validate_m(m)
         if not (0.0 < self.t_end < math.inf and 0.0 < self.cfl <= 1.0):
             raise ValueError("a ladder needs a finite t_end > 0 and a cfl "
                              "in (0, 1]")
@@ -398,18 +443,15 @@ class RefinementLadder:
         params = FlowParams(cfl=self.cfl, t_max=self.t_end, tol_geo=0.0,
                             record_stride=1)
         return tuple(run(self.manifold, make_graph_curve(self.init_field, m),
-                         params)[0] for m in self.grids)
+                         params, _Rung(0.5 * self.t_end))[0]
+                     for m in self.grids)
 
 
 def _mid_residuals(ladder: RefinementLadder, residual) -> list:
     """residual(traj, manifold, k) on each grid, at the interior recorded
     state k nearest t_end / 2."""
-    out = []
-    for traj in ladder.trajectories:
-        k = int(np.argmin(np.abs(traj.times - 0.5 * ladder.t_end)))
-        out.append(residual(traj, ladder.manifold,
-                            min(max(k, 1), len(traj) - 2)))
-    return out
+    return [residual(traj, ladder.manifold, traj.mid)
+            for traj in ladder.trajectories]
 
 
 def _orders(residuals) -> tuple:

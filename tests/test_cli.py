@@ -81,9 +81,9 @@ def test_verify_integrates_each_ladder_grid_once(tmp_path, monkeypatch):
     grids = []
     real_run = wcsf.verification.run
 
-    def counted(manifold, curve, params):
+    def counted(manifold, curve, params, traj=None):
         grids.append(curve.m)
-        return real_run(manifold, curve, params)
+        return real_run(manifold, curve, params, traj)
 
     monkeypatch.setattr(wcsf.verification, "run", counted)
     cfg = write_cfg(tmp_path / "demo.cfg", FAST)

@@ -509,3 +509,18 @@ def test_run_without_steps_keeps_its_own_coordinates(mode):
     assert np.array_equal(traj.curve(0).coords, kept)
     fresh = wcsf.compute_fields(traj.curve(0), flat)
     assert traj[0].fields.length == fresh.length == traj.scalars[0, 4]
+
+
+def test_run_records_into_the_callers_trajectory(product):
+    # run appends to the Trajectory it is handed and returns that object,
+    # with the same states as a run that makes its own
+    curve = wcsf.make_graph_curve(sin_field(0.3), 32)
+    params = wcsf.FlowParams(t_max=0.05, record_stride=2)
+    mine = wcsf.Trajectory()
+    traj, report = wcsf.run(product, curve, params, mine)
+    assert traj is mine and len(mine) > 2
+    fresh, fresh_report = wcsf.run(product, curve, params)
+    assert np.array_equal(mine.scalars, fresh.scalars)
+    assert report.steps == fresh_report.steps
+    with pytest.raises(ValueError, match="empty"):
+        wcsf.run(product, curve, params, mine)

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -207,9 +210,9 @@ def test_studies_pass_on_small_grids(left_exp, monkeypatch):
     calls = []
     real_run = wcsf.verification.run
 
-    def counted(manifold, curve, params):
+    def counted(manifold, curve, params, traj=None):
         calls.append(curve.m)
-        return real_run(manifold, curve, params)
+        return real_run(manifold, curve, params, traj)
 
     monkeypatch.setattr(wcsf.verification, "run", counted)
     ladder = wcsf.RefinementLadder(left_exp, sin_field(0.3), grids=(32, 64),
@@ -229,12 +232,64 @@ def test_studies_pass_on_small_grids(left_exp, monkeypatch):
     {"grids": (64,)}, {"grids": ()}, {"grids": (64, 64)},
     {"grids": (128, 64)}, {"t_end": 0.0}, {"t_end": float("nan")},
     {"t_end": float("inf")}, {"cfl": 0.0}, {"cfl": 1.5},
-    {"cfl": float("nan")},
+    {"cfl": float("nan")}, {"grids": (48, 96)}, {"grids": (True, 64)},
 ])
 def test_refinement_ladder_rejects_a_ladder_without_orders(left_exp, kwargs):
     # one grid gave a study with orders () that passed vacuously
     with pytest.raises(ValueError):
         wcsf.RefinementLadder(left_exp, sin_field(0.3), **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"grids": (32, 64), "t_end": 0.04}])
+def test_lean_rungs_give_the_full_runs_numbers(left_exp, kwargs):
+    # a rung keeps the coordinates of few states; the studies must still
+    # read exactly the numbers of a fully kept run at the same state k
+    ladder = wcsf.RefinementLadder(left_exp, sin_field(0.3), **kwargs)
+    reports = (wcsf.evolution_residual_study(ladder),
+               wcsf.commutator_residual_study(ladder),
+               wcsf.dissipation_residual_study(ladder))
+    expected = ([], [], [])
+    for m in ladder.grids:
+        traj, _ = wcsf.run(left_exp, wcsf.make_graph_curve(sin_field(0.3), m),
+                           wcsf.FlowParams(cfl=ladder.cfl, t_max=ladder.t_end,
+                                           tol_geo=0.0, record_stride=1))
+        k = int(np.argmin(np.abs(traj.times - 0.5 * ladder.t_end)))
+        k = min(max(k, 1), len(traj) - 2)
+        expected[0].append(
+            float(wcsf.evolution_residual(traj, left_exp, k).max()))
+        expected[1].append(wcsf.commutator_residual(traj, left_exp, k))
+        expected[2].append(
+            -wcsf.dissipation_monitor(traj, left_exp).worst_slack)
+    for rep, want in zip(reports, expected):
+        assert rep.max_residuals == tuple(want)
+    if kwargs:
+        # rungs this short put the window against both ends of the run
+        assert [len(t) for t in ladder.trajectories] == [4, 11]
+
+
+def test_ladder_memory_is_bounded():
+    # the studies read every state's scalar row but the coordinates of
+    # three states per rung; keeping all 595 curves held 1.3 MB
+    manifold = wcsf.WarpedProduct(wcsf.LEFT,
+                                  warp=wcsf.FourierField.exp_cos(0.3),
+                                  g11=wcsf.FourierField([1.0, 0.2]))
+    ladder = wcsf.RefinementLadder(manifold, sin_field(0.3))
+    tracemalloc.start()
+    try:
+        wcsf.evolution_residual_study(ladder)
+        wcsf.commutator_residual_study(ladder)
+        wcsf.dissipation_residual_study(ladder)
+        # state 0 of the finest rung is far from t_end / 2 and the end
+        with pytest.raises(LookupError, match="state 0 .* was dropped"):
+            ladder.trajectories[-1][0]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del ladder
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 400 * 1024
 
 
 def test_gradient_identity_study_floor_escape(left_exp):
