@@ -36,7 +36,7 @@ print("== length of an r-circle in the left warped metric ==")
 # the circle fiber at base point x has length 2 pi psi(x)
 for x0 in (0.0, 1.0, np.pi):
     circle = wcsf.make_graph_curve(wcsf.FourierField.constant(x0), 64)
-    got = wcsf.length(circle, left)
+    got = wcsf.compute_fields(circle, left).length
     exact = 2.0 * np.pi * np.exp(0.3 * np.cos(x0))
     print(f"  x = {x0:.4f}: L = {got:.12f}, closed form {exact:.12f}, "
           f"gap {abs(got - exact):.1e}")
@@ -44,9 +44,10 @@ for x0 in (0.0, 1.0, np.pi):
 print()
 print("== angle function and graphicality ==")
 curve = wcsf.make_graph_curve(half_sine, 128)
-theta, theta_hat = wcsf.angle_function(curve, product)
+fields = wcsf.compute_fields(curve, product)
 min_hat, graphical = wcsf.graphicality(curve, product)
-print(f"min theta = {theta.min():.6f}, min theta_hat = {theta_hat.min():.6f}")
+print(f"min theta = {fields.theta.min():.6f}, "
+      f"min theta_hat = {fields.theta_hat.min():.6f}")
 print(f"graphical: {graphical} (exact min: 1/sqrt(1.25) = "
       f"{1.0 / np.sqrt(1.25):.6f})")
 
@@ -65,8 +66,8 @@ print()
 print("== spectral resampling ==")
 coarse = wcsf.make_graph_curve(half_sine, 64)
 fine = wcsf.resample(coarse, 256)
-l_coarse = wcsf.length(coarse, product)
-l_fine = wcsf.length(fine, product)
+l_coarse = wcsf.compute_fields(coarse, product).length
+l_fine = wcsf.compute_fields(fine, product).length
 print(f"length at M=64:  {l_coarse:.14f}")
 print(f"length at M=256: {l_fine:.14f}")
 print("bandlimited data resamples without loss.")

@@ -12,15 +12,13 @@ closed geodesics.
 """
 
 from .curves import (CurveFields, DiscreteCurve, ImmersionError,
-                     angle_function, arc_derivative, arc_laplacian,
-                     compute_fields, graphicality, length, make_graph_curve,
-                     mean_curvature, resample, unit_tangent)
+                     arc_derivative, arc_laplacian, compute_fields,
+                     graphicality, make_graph_curve, resample)
 from .flow import (FlowParams, FlowReport, FlowState, StopReason, Trajectory,
                    adaptive_dt, run, step_rk4, velocity)
 from .fourier import FourierField
-from .geometry import (LEFT, RIGHT, TangentVec, WarpedProduct, WarpPoint,
-                       christoffel_at, conformal_residual,
-                       dr_identity_residual, inner, metric_at, warp_gradient)
+from .geometry import (LEFT, RIGHT, WarpedProduct, conformal_residual,
+                       dr_identity_residual)
 from .scenario import ConfigError, Scenario, parse_config
 from .verification import (BoundReport, RefinementLadder, ResidualReport,
                            closed_form_theta, commutator_residual,
@@ -35,13 +33,10 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "LEFT", "RIGHT",
-    "WarpedProduct", "WarpPoint", "TangentVec",
-    "metric_at", "christoffel_at", "inner", "warp_gradient",
-    "dr_identity_residual", "conformal_residual",
+    "WarpedProduct", "dr_identity_residual", "conformal_residual",
     "FourierField",
     "DiscreteCurve", "CurveFields", "ImmersionError",
-    "make_graph_curve", "compute_fields", "unit_tangent", "mean_curvature",
-    "angle_function", "length", "arc_derivative", "arc_laplacian",
+    "make_graph_curve", "compute_fields", "arc_derivative", "arc_laplacian",
     "graphicality", "resample",
     "FlowParams", "FlowState", "FlowReport", "StopReason", "Trajectory",
     "velocity", "adaptive_dt", "step_rk4", "run",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .flow import Trajectory
-from .geometry import TWO_PI
+from .spectral import TWO_PI
 
 __all__ = ["write_trajectory_csv", "write_report", "write_svg"]
 

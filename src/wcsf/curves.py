@@ -7,13 +7,15 @@ sees smooth periodic data: coords[:, c] = winding[c] * u + periodic part.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
 from .fourier import FourierField
-from .geometry import LEFT, TWO_PI, WarpedProduct
+from .geometry import LEFT, WarpedProduct
+from .spectral import TWO_PI
 
 __all__ = [
     "GRAPH",
@@ -23,10 +25,6 @@ __all__ = [
     "CurveFields",
     "make_graph_curve",
     "compute_fields",
-    "unit_tangent",
-    "mean_curvature",
-    "angle_function",
-    "length",
     "arc_derivative",
     "arc_laplacian",
     "graphicality",
@@ -43,8 +41,19 @@ class ImmersionError(ValueError):
     """Raised when a curve has a numerically degenerate tangent."""
 
 
+def _integer(value, what: str) -> int:
+    """value as an int, or ValueError: int() would truncate 32.7 to 32,
+    and a bool is no count."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def _validate_m(m: int) -> int:
-    m = int(m)
+    m = _integer(m, "node count")
     if m < 32 or (m & (m - 1)) != 0:
         raise ValueError(f"node count must be a power of two >= 32, got {m}")
     return m
@@ -67,7 +76,8 @@ class DiscreteCurve:
     def __post_init__(self):
         coords = np.asarray(self.coords, dtype=float)
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "winding", tuple(int(w) for w in self.winding))
+        object.__setattr__(self, "winding",
+                           tuple(_integer(w, "winding") for w in self.winding))
         if self.mode not in (GRAPH, PARAMETRIC):
             raise ValueError(f"unknown curve mode {self.mode!r}")
         if coords.ndim != 2 or coords.shape[1] != 2:
@@ -87,19 +97,15 @@ class DiscreteCurve:
         return self.coords - u[:, None] * np.asarray(self.winding, dtype=float)
 
 
-def make_graph_curve(field: FourierField, m: int, x_winding: int = 0,
-                     allow_x_winding: bool = False) -> DiscreteCurve:
+def make_graph_curve(field: FourierField, m: int,
+                     x_winding: int = 0) -> DiscreteCurve:
     """Sample the graph x = f(r) at m uniform nodes.
 
-    x_winding adds an integer multiple of r to x; such winding graphs are
-    rejected unless explicitly allowed, because they break the plain
-    torus-graph reading of the samples.
+    x_winding adds an integer multiple of r to x: the graph then winds
+    x_winding times around the base while it winds once around the circle.
     """
     m = _validate_m(m)
-    x_winding = int(x_winding)
-    if x_winding and not allow_x_winding:
-        raise ValueError("winding graph coordinates are disabled; "
-                         "pass allow_x_winding=True to build ramps")
+    x_winding = _integer(x_winding, "x_winding")
     u = spectral.nodes(m)
     coords = np.empty((m, 2))
     coords[:, 0] = u
@@ -121,7 +127,8 @@ class CurveFields:
       curvature_norm   |A| = |H|_G (M,)
       theta            <T, d_r>_G (M,)
       theta_hat        theta / |d_r|_G, clipped to [-1, 1] (M,)
-      length           float
+      length           float, the node sum of v 2 pi / M (the trapezoid
+                       rule, spectrally accurate on periodic data)
       pre_tangential   <H, T>_G, analytically zero (M,)
       manifold         the WarpedProduct the fields were computed in
 
@@ -222,30 +229,6 @@ def compute_fields(curve: DiscreteCurve, manifold: WarpedProduct) -> CurveFields
         pre_tangential=theta * h0 + bt1 * h1,
         manifold=manifold,
     )
-
-
-def unit_tangent(curve: DiscreteCurve, manifold: WarpedProduct) -> np.ndarray:
-    """T_j = gamma'_j / |gamma'_j|_G, unit within 1e-12."""
-    return compute_fields(curve, manifold).tangent
-
-
-def mean_curvature(curve: DiscreteCurve, manifold: WarpedProduct):
-    """Curvature vector H (normal to T) and |A| = |H|_G."""
-    f = compute_fields(curve, manifold)
-    return f.curvature, f.curvature_norm
-
-
-def angle_function(curve: DiscreteCurve, manifold: WarpedProduct):
-    """The angle Theta = <T, d_r>_G and its normalized variant
-    Theta_hat = Theta / |d_r|_G in [-1, 1]."""
-    f = compute_fields(curve, manifold)
-    return f.theta, f.theta_hat
-
-
-def length(curve: DiscreteCurve, manifold: WarpedProduct) -> float:
-    """Trapezoidal length sum |gamma'_j|_G 2 pi / M (for periodic data the
-    trapezoid rule is the plain node sum); spectrally accurate."""
-    return compute_fields(curve, manifold).length
 
 
 def arc_derivative(values, speed: np.ndarray) -> np.ndarray:

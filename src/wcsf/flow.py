@@ -24,15 +24,15 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
 from .curves import (GRAPH, CurveFields, DiscreteCurve, ImmersionError,
-                     compute_fields)
-from .geometry import LEFT, TWO_PI, WarpedProduct
+                     _integer, compute_fields)
+from .geometry import LEFT, WarpedProduct
+from .spectral import TWO_PI
 
 __all__ = [
     "StopReason",
@@ -77,12 +77,9 @@ class FlowParams:
             raise ValueError("theta_floor must be finite and nonnegative")
         if not 0.0 < self.a_ceiling < math.inf:
             raise ValueError("a_ceiling must be finite and positive")
-        # a count: 2.5 would shift the record grid, and a bool is no count
-        try:
-            stride = operator.index(self.record_stride)
-        except TypeError:
-            stride = 0
-        if isinstance(self.record_stride, bool) or stride < 1:
+        # a count: 2.5 would shift the record grid
+        stride = _integer(self.record_stride, "record_stride")
+        if stride < 1:
             raise ValueError("record_stride must be a positive integer")
         object.__setattr__(self, "record_stride", stride)
 

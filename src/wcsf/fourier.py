@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .spectral import TWO_PI
+
 __all__ = ["FourierField"]
 
-TWO_PI = 2.0 * np.pi
-# points of the one uniform sampling grid: warps and base metrics are
-# checked on it and the bound constants maximized over it
+# the one uniform sampling grid: warps and base metrics are checked on it
+# and the bound constants maximized over it (read-only)
 _GRID = 4096
+_SAMPLES = np.linspace(0.0, TWO_PI, _GRID, endpoint=False)
+_SAMPLES.setflags(write=False)
 # most points per trigonometric table: a flow grid of up to 512 nodes is
 # one block, the sampling grid is eight
 _BLOCK = 512
@@ -142,7 +145,7 @@ class FourierField:
 
     def grid_values(self) -> np.ndarray:
         """Values on the uniform _GRID-point sampling grid."""
-        return self(np.linspace(0.0, TWO_PI, _GRID, endpoint=False))
+        return self(_SAMPLES)
 
     def max_on_grid(self) -> float:
         return float(self.grid_values().max())

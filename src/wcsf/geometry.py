@@ -19,68 +19,21 @@ metric oracle, so these closed forms never go unverified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from . import spectral
 from .fourier import FourierField
 
 __all__ = [
     "LEFT",
     "RIGHT",
-    "TWO_PI",
-    "WarpPoint",
-    "TangentVec",
     "WarpedProduct",
-    "metric_at",
-    "christoffel_at",
-    "inner",
-    "warp_gradient",
     "dr_identity_residual",
     "conformal_residual",
 ]
 
 LEFT = "left"
 RIGHT = "right"
-TWO_PI = 2.0 * np.pi
-
-
-@dataclass(frozen=True)
-class WarpPoint:
-    """A point of S^1 x S^1 with every angle stored reduced mod 2 pi."""
-
-    r: float
-    x: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", float(self.r) % TWO_PI)
-        xs = self.x if isinstance(self.x, (tuple, list)) else (self.x,)
-        object.__setattr__(self, "x", tuple(float(a) % TWO_PI for a in xs))
-
-    @property
-    def coords(self) -> np.ndarray:
-        return np.array((self.r,) + self.x)
-
-
-@dataclass(frozen=True)
-class TangentVec:
-    """Coordinate components (v^0, v^1) in the frame (d_r, d_x)."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.components, dtype=float)
-        if c.ndim != 1:
-            raise ValueError("components must be a flat vector")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("tangent vector components must be finite")
-        object.__setattr__(self, "components", c)
-
-
-def _components(v) -> np.ndarray:
-    if isinstance(v, TangentVec):
-        return v.components
-    return np.asarray(v, dtype=float)
 
 
 def _positive(obj, floor: float, message: str) -> FourierField:
@@ -141,7 +94,7 @@ class WarpedProduct:
             raise ValueError("circle_tables applies to right warped products")
         tab = self._circle_cache.get(m)
         if tab is None:
-            tab = self.warp_terms(TWO_PI * np.arange(m) / m)
+            tab = self.warp_terms(spectral.nodes(m))
             for arr in tab:
                 arr.setflags(write=False)
             self._circle_cache[m] = tab
@@ -199,75 +152,66 @@ class WarpedProduct:
         return f"WarpedProduct(kind={self.kind!r})"
 
 
-# -- point operations ------------------------------------------------------
+# -- structural identities at node arrays ----------------------------------
 
 
-def _point_frame(manifold: WarpedProduct, p: WarpPoint) -> tuple:
-    metric, gamma = manifold.frame(p.coords[None, :])
-    return metric[0], gamma[0]
+def _node_arrays(pts, *vectors) -> tuple:
+    """pts and each vector field as float arrays of shape (N, 2); vector
+    components must be finite."""
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("points must have shape (N, 2)")
+    out = [pts]
+    for v in vectors:
+        v = np.asarray(v, dtype=float)
+        if v.shape != pts.shape:
+            raise ValueError("vectors must have the points' shape (N, 2)")
+        if not np.isfinite(v).all():
+            raise ValueError("tangent vector components must be finite")
+        out.append(v)
+    return tuple(out)
 
 
-def metric_at(manifold: WarpedProduct, p: WarpPoint) -> np.ndarray:
-    """Metric matrix G_ab at p, shape (2, 2)."""
-    return _point_frame(manifold, p)[0]
+def _inner(metric, u, v) -> np.ndarray:
+    return np.einsum("na,nab,nb->n", u, metric, v)
 
 
-def christoffel_at(manifold: WarpedProduct, p: WarpPoint) -> np.ndarray:
-    """Christoffel symbols gamma[a, b, c] = Gamma^a_{bc} at p, shape
-    (2, 2, 2)."""
-    return _point_frame(manifold, p)[1]
-
-
-def inner(manifold: WarpedProduct, p: WarpPoint, u, v) -> float:
-    """Metric pairing <u, v>_G at p."""
-    return float(_components(u) @ metric_at(manifold, p) @ _components(v))
-
-
-def warp_gradient(manifold: WarpedProduct, p: WarpPoint):
-    """Left: the tangent vector D(log psi), which has zero r-component.
-    Right: the scalar pair ((log phi)'(r), (log phi)''(r))."""
-    if manifold.kind == LEFT:
-        raised, _ = manifold.dlog_warp(np.array(p.x))
-        return TangentVec((0.0, raised[0]))
-    d1, d2 = manifold.log_warp_derivs(np.array([p.r]))
-    return float(d1[0]), float(d2[0])
-
-
-def dr_identity_residual(manifold: WarpedProduct, p: WarpPoint, X, Y) -> float:
-    """Defect of the structural identity for nabla_X d_r.
+def dr_identity_residual(manifold: WarpedProduct, pts, X, Y) -> np.ndarray:
+    """Defect of the structural identity for nabla_X d_r at every point,
+    with pts, X and Y of shape (N, 2):
 
     Left:  <Y, nabla_X d_r> = <X, D log psi><Y, d_r> - <X, d_r><Y, D log psi>
     Right: <Y, nabla_X d_r> = (log phi)'(r) (<X, Y> - <X, d_r><Y, d_r>)
     """
-    x = _components(X)
-    y = _components(Y)
-    g, gamma = _point_frame(manifold, p)
-    nabla = gamma[:, :, 0] @ x  # components of nabla_X d_r
-    lhs = float(y @ g @ nabla)
-    e0 = np.array([1.0, 0.0])
+    pts, x, y = _node_arrays(pts, X, Y)
+    g, gamma = manifold.frame(pts)
+    # components of nabla_X d_r are Gamma^a_{b0} X^b
+    lhs = _inner(g, y, np.einsum("nab,nb->na", gamma[..., 0], x))
+    x_r = np.einsum("nb,nb->n", g[:, 0], x)     # <X, d_r>
+    y_r = np.einsum("nb,nb->n", g[:, 0], y)
     if manifold.kind == LEFT:
-        dlog = np.array([0.0, manifold.dlog_warp(np.array(p.x))[0][0]])
-        rhs = float((x @ g @ dlog) * (y @ g @ e0) - (x @ g @ e0) * (y @ g @ dlog))
+        grad = np.zeros_like(x)                 # D log psi
+        grad[:, 1] = manifold.dlog_warp(pts[:, 1])[0]
+        rhs = _inner(g, x, grad) * y_r - x_r * _inner(g, y, grad)
     else:
-        d1, _ = manifold.log_warp_derivs(np.array([p.r]))
-        rhs = float(d1[0]) * float(x @ g @ y - (x @ g @ e0) * (y @ g @ e0))
-    return abs(lhs - rhs)
+        d1, _ = manifold.log_warp_derivs(pts[:, 0])
+        rhs = d1 * (_inner(g, x, y) - x_r * y_r)
+    return np.abs(lhs - rhs)
 
 
-def conformal_residual(manifold: WarpedProduct, p: WarpPoint, X) -> float:
-    """Defect of nabla_X (phi d_r) = phi'(r) X, component-wise maximum.
+def conformal_residual(manifold: WarpedProduct, pts, X) -> np.ndarray:
+    """Defect of nabla_X (phi d_r) = phi'(r) X at every point, the
+    component-wise maximum, with pts and X of shape (N, 2).
 
     Only right warped products carry this conformal field; left manifolds
     are rejected.
     """
     if manifold.kind != RIGHT:
         raise ValueError("conformal_residual requires a right warped product")
-    x = _components(X)
-    gamma = christoffel_at(manifold, p)
-    r = np.array([p.r])
-    phi = float(manifold.warp(r)[0])
-    dphi = float(manifold._dwarp(r)[0])
+    pts, x = _node_arrays(pts, X)
+    _, gamma = manifold.frame(pts)
+    phi, dphi = manifold.warp.values_with_derivative(pts[:, 0])
     # nabla_X (phi d_r) = X(phi) d_r + phi Gamma(X, d_r)
-    nabla = phi * (gamma[:, :, 0] @ x)
-    nabla[0] += x[0] * dphi
-    return float(np.max(np.abs(nabla - dphi * x)))
+    nabla = phi[:, None] * np.einsum("nab,nb->na", gamma[..., 0], x)
+    nabla[:, 0] += x[:, 0] * dphi
+    return np.abs(nabla - dphi[:, None] * x).max(axis=1)

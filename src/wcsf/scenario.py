@@ -13,7 +13,6 @@ Keys:
                          default is the flat base g11 = 1
     init.cos, init.sin   Fourier coefficients of the initial height f
     init.winding         integer winding of f around the base (default 0)
-    init.allow_winding   on | off, required for nonzero init.winding
     grid.m               nodes, power of two in [32, 1024] (default 128)
     time.cfl             step factor in (0, 1] (default 0.25), see flow
     time.t_max           stop time >= 0 (default 50)
@@ -158,7 +157,6 @@ class Scenario:
     manifold: WarpedProduct
     init_field: FourierField
     winding: int
-    allow_winding: bool
     m: int
     cfl: float
     t_max: float
@@ -176,8 +174,7 @@ class Scenario:
 
     def initial_curve(self) -> DiscreteCurve:
         return make_graph_curve(self.init_field, self.m,
-                                x_winding=self.winding,
-                                allow_x_winding=self.allow_winding)
+                                x_winding=self.winding)
 
     def flow_params(self) -> FlowParams:
         return FlowParams(cfl=self.cfl, t_max=self.t_max, tol_geo=self.tol_geo,
@@ -238,11 +235,7 @@ def parse_config(text: str, name: str = "scenario") -> Scenario:
     init_sin, _ = _take_floats(entries, "init.sin")
     init_field = _field_from(init_cos, init_sin)
 
-    winding, w_ln = _take_int(entries, "init.winding", 0)
-    allow_winding, _ = _take_bool(entries, "init.allow_winding", False)
-    if winding != 0 and not allow_winding:
-        raise ConfigError(
-            "nonzero init.winding requires init.allow_winding = on", w_ln)
+    winding, _ = _take_int(entries, "init.winding", 0)
 
     m, m_ln = _take_int(entries, "grid.m", 128)
     if m < 32 or m > 1024 or m & (m - 1):
@@ -290,7 +283,7 @@ def parse_config(text: str, name: str = "scenario") -> Scenario:
 
     return Scenario(
         name=str(run_name), manifold=manifold, init_field=init_field,
-        winding=winding, allow_winding=allow_winding, m=m, cfl=cfl,
+        winding=winding, m=m, cfl=cfl,
         t_max=t_max, tol_geo=tol_geo, tol_bound=tol_bound,
         theta_floor=theta_floor, a_ceiling=a_ceiling, record_stride=stride,
         verify_bounds=verify_bounds, verify_dissipation=verify_dissipation,

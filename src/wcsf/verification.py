@@ -29,8 +29,8 @@ from . import spectral
 from .curves import (GRAPH, DiscreteCurve, _validate_m, arc_derivative,
                      arc_laplacian, compute_fields, make_graph_curve)
 from .flow import MONOTONE_TOL, FlowParams, FlowState, Trajectory, run
-from .fourier import _GRID, FourierField
-from .geometry import LEFT, TWO_PI, WarpedProduct
+from .fourier import _GRID, _SAMPLES, FourierField
+from .geometry import LEFT, WarpedProduct
 
 __all__ = [
     "ResidualReport",
@@ -210,10 +210,9 @@ def exp_constant(manifold: WarpedProduct) -> float:
         left:  max over the base of |D log psi|_g^2
         right: max over the circle of |(log phi)''|
     """
-    s = np.linspace(0.0, TWO_PI, _GRID, endpoint=False)
     if manifold.kind == LEFT:
-        return float(manifold.dlog_warp(s)[1].max())
-    return float(np.abs(manifold.log_warp_derivs(s)[1]).max())
+        return float(manifold.dlog_warp(_SAMPLES)[1].max())
+    return float(np.abs(manifold.log_warp_derivs(_SAMPLES)[1]).max())
 
 
 def _left_drift(c: float, max_psi_sq: float, t: float, min_theta0: float):
@@ -232,8 +231,7 @@ def drift_constant(manifold: WarpedProduct, t0: float,
         return _left_drift(exp_constant(manifold),
                            manifold.warp.max_on_grid() ** 2, t0,
                            min_theta0)
-    r = np.linspace(0.0, TWO_PI, _GRID, endpoint=False)
-    lp1, lp2 = manifold.log_warp_derivs(r)
+    lp1, lp2 = manifold.log_warp_derivs(_SAMPLES)
     return float((4.0 * lp1 ** 2 + np.abs(lp2)).max())
 
 

@@ -21,6 +21,18 @@ def perturbed_base():
     return wcsf.FourierField(np.array([1.0, 0.2]), np.array([0.0, 0.0, 0.1]))
 
 
+def curved_manifold(kind):
+    a = 0.3 if kind == wcsf.LEFT else 0.2
+    return wcsf.WarpedProduct(kind, warp=wcsf.FourierField.exp_cos(a),
+                              g11=perturbed_base())
+
+
+MANIFOLDS = {"left": left_exp_manifold, "right": right_exp_manifold,
+             "product": product_manifold,
+             "curved_left": lambda: curved_manifold(wcsf.LEFT),
+             "curved_right": lambda: curved_manifold(wcsf.RIGHT)}
+
+
 @pytest.fixture
 def left_exp():
     return left_exp_manifold()

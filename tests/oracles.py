@@ -19,21 +19,23 @@ from wcsf import spectral
 TWO_PI = 2.0 * np.pi
 
 
+def _metric(manifold, vec):
+    """The (2, 2) metric at the point vec = (r, x)."""
+    return manifold.frame(np.asarray(vec, dtype=float)[None, :])[0][0]
+
+
 def fd_christoffel(manifold, point, h=1e-4):
-    """Christoffel symbols from central differences of the metric alone."""
+    """Christoffel symbols at point = (r, x) from central differences of
+    the metric alone."""
     d = 2
-    base = np.array(point.coords, dtype=float)
-
-    def metric(vec):
-        p = wcsf.WarpPoint(vec[0], tuple(vec[1:]))
-        return wcsf.metric_at(manifold, p)
-
+    base = np.array(point, dtype=float)
     dg = np.zeros((d, d, d))
     for c in range(d):
         ev = np.zeros(d)
         ev[c] = h
-        dg[c] = (metric(base + ev) - metric(base - ev)) / (2.0 * h)
-    ginv = np.linalg.inv(metric(base))
+        dg[c] = (_metric(manifold, base + ev)
+                 - _metric(manifold, base - ev)) / (2.0 * h)
+    ginv = np.linalg.inv(_metric(manifold, base))
     gamma = np.zeros((d, d, d))
     for a in range(d):
         for b in range(d):
@@ -47,21 +49,18 @@ def fd_christoffel(manifold, point, h=1e-4):
 
 
 def metric_compat_defect(manifold, point, h=1e-4):
-    """Max |d_c G_ab - Gamma^d_ca G_db - Gamma^d_cb G_ad| at one point."""
+    """Max |d_c G_ab - Gamma^d_ca G_db - Gamma^d_cb G_ad| at one point
+    (r, x)."""
     d = 2
-    base = np.array(point.coords, dtype=float)
-
-    def metric(vec):
-        p = wcsf.WarpPoint(vec[0], tuple(vec[1:]))
-        return wcsf.metric_at(manifold, p)
-
-    g = metric(base)
-    gamma = wcsf.christoffel_at(manifold, point)
+    base = np.array(point, dtype=float)
+    g = _metric(manifold, base)
+    gamma = manifold.frame(base[None, :])[1][0]
     worst = 0.0
     for c in range(d):
         ev = np.zeros(d)
         ev[c] = h
-        dg = (metric(base + ev) - metric(base - ev)) / (2.0 * h)
+        dg = (_metric(manifold, base + ev)
+              - _metric(manifold, base - ev)) / (2.0 * h)
         predicted = (np.einsum("da,db->ab", gamma[:, c, :], g)
                      + np.einsum("db,ad->ab", gamma[:, c, :], g))
         worst = max(worst, float(np.abs(dg - predicted).max()))

@@ -102,20 +102,21 @@ def test_criterion_1_structural_identities():
     ]
     worst_dr, worst_conf, worst_chris = 0.0, 0.0, 0.0
     for manifold in configs:
-        for _ in range(1000):
-            p = wcsf.WarpPoint(rng.uniform(0, 2 * np.pi),
-                               (rng.uniform(0, 2 * np.pi),))
-            x = wcsf.TangentVec(rng.normal(size=2))
-            y = wcsf.TangentVec(rng.normal(size=2))
-            worst_dr = max(worst_dr, wcsf.dr_identity_residual(
-                manifold, p, x, y))
-            if manifold.kind == wcsf.RIGHT:
-                worst_conf = max(worst_conf, wcsf.conformal_residual(
-                    manifold, p, x))
-        for _ in range(25):
-            p = wcsf.WarpPoint(rng.uniform(0, 2 * np.pi),
-                               (rng.uniform(0, 2 * np.pi),))
-            got = wcsf.christoffel_at(manifold, p)
+        # drawn point by point, r, x, X, Y in turn, then checked at once
+        draws = [(rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi),
+                  rng.normal(size=2), rng.normal(size=2))
+                 for _ in range(1000)]
+        pts = np.array([d[:2] for d in draws])
+        x = np.array([d[2] for d in draws])
+        y = np.array([d[3] for d in draws])
+        worst_dr = max(worst_dr, float(wcsf.dr_identity_residual(
+            manifold, pts, x, y).max()))
+        if manifold.kind == wcsf.RIGHT:
+            worst_conf = max(worst_conf, float(wcsf.conformal_residual(
+                manifold, pts, x).max()))
+        pts = np.array([(rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi))
+                        for _ in range(25)])
+        for p, got in zip(pts, manifold.frame(pts)[1]):
             want = oracles.fd_christoffel(manifold, p)
             worst_chris = max(worst_chris, float(np.abs(got - want).max()))
     elapsed = time.perf_counter() - t0

@@ -3,7 +3,7 @@ import pytest
 
 import wcsf
 from wcsf import spectral
-from conftest import (left_exp_manifold, perturbed_base, product_manifold,
+from conftest import (MANIFOLDS, left_exp_manifold, product_manifold,
                       right_exp_manifold)
 from oracles import einsum_fields, quadrature_length
 
@@ -27,32 +27,32 @@ def test_r_circle_product_basics(product):
 
 def test_r_circle_left_angle_example(left_exp):
     c = r_circle(0.0)
-    theta, theta_hat = wcsf.angle_function(c, left_exp)
-    assert np.abs(theta - np.exp(0.3)).max() < 1e-12
-    assert abs(float(theta[0]) - 1.349859) < 1e-6
-    assert np.abs(theta_hat - 1.0).max() < 1e-12
+    f = wcsf.compute_fields(c, left_exp)
+    assert np.abs(f.theta - np.exp(0.3)).max() < 1e-12
+    assert abs(float(f.theta[0]) - 1.349859) < 1e-6
+    assert np.abs(f.theta_hat - 1.0).max() < 1e-12
 
 
 def test_r_circle_left_length_example(left_exp):
-    c = r_circle(0.0)
+    length = wcsf.compute_fields(r_circle(0.0), left_exp).length
     # exact value 2 pi e^{0.3} = 8.4814130...
-    assert abs(wcsf.length(c, left_exp) - 2.0 * np.pi * np.exp(0.3)) < 1e-12
-    assert abs(wcsf.length(c, left_exp) - 8.4814130265285) < 1e-12
+    assert abs(length - 2.0 * np.pi * np.exp(0.3)) < 1e-12
+    assert abs(length - 8.4814130265285) < 1e-12
 
 
 def test_left_r_circle_curvature_is_warp_gradient(left_exp):
     c = r_circle(np.pi / 2)
-    h, habs = wcsf.mean_curvature(c, left_exp)
-    assert np.abs(h[:, 0]).max() < 1e-12
-    assert np.abs(h[:, 1] - 0.3).max() < 1e-12
-    assert np.abs(habs - 0.3).max() < 1e-12
+    f = wcsf.compute_fields(c, left_exp)
+    assert np.abs(f.curvature[:, 0]).max() < 1e-12
+    assert np.abs(f.curvature[:, 1] - 0.3).max() < 1e-12
+    assert np.abs(f.curvature_norm - 0.3).max() < 1e-12
 
 
 def test_sinusoid_length_against_quadrature(product):
     c = sinusoid(0.5, m=128)
     f05 = wcsf.FourierField([0.0], [0.0, 0.5])
     oracle = quadrature_length(wcsf.LEFT, lambda x: np.ones_like(x), f05)
-    got = wcsf.length(c, product)
+    got = wcsf.compute_fields(c, product).length
     assert abs(got - oracle) < 1e-9
     # the same integral, integrand sqrt(1 + 0.25 cos^2 r)
     u = np.linspace(0.0, 2.0 * np.pi, 100_001)
@@ -169,8 +169,8 @@ def test_resample_examples(product):
                           rng.normal(size=10) * 0.02)
     c256 = wcsf.make_graph_curve(f, 256)
     c512 = wcsf.resample(c256, 512)
-    l1 = wcsf.length(c256, product)
-    l2 = wcsf.length(c512, product)
+    l1 = wcsf.compute_fields(c256, product).length
+    l2 = wcsf.compute_fields(c512, product).length
     assert abs(l1 - l2) / l1 < 1e-10
 
 
@@ -181,11 +181,9 @@ def test_resample_rejects_parametric(product):
         wcsf.resample(c, 128)
 
 
-def test_winding_requires_flag():
+def test_winding_graph_ramp():
     f = wcsf.FourierField.constant(0.0)
-    with pytest.raises(ValueError, match="allow_x_winding"):
-        wcsf.make_graph_curve(f, 64, x_winding=1)
-    ramp = wcsf.make_graph_curve(f, 64, x_winding=1, allow_x_winding=True)
+    ramp = wcsf.make_graph_curve(f, 64, x_winding=1)
     assert ramp.winding == (1, 1)
     u = spectral.nodes(64)
     assert np.abs(ramp.coords[:, 1] - u).max() < 1e-14
@@ -222,23 +220,11 @@ def test_graph_and_parametric_paths_agree(name):
 
 def test_graph_and_parametric_paths_agree_with_winding(left_exp):
     ramp = wcsf.make_graph_curve(wcsf.FourierField([0.0], [0.0, 0.2]), 64,
-                                 x_winding=1, allow_x_winding=True)
+                                 x_winding=1)
     twin = wcsf.DiscreteCurve("parametric", ramp.coords, ramp.winding)
     gap = _worst_gap(wcsf.compute_fields(ramp, left_exp),
                      wcsf.compute_fields(twin, left_exp))
     assert gap < 1e-12
-
-
-def curved_manifold(kind):
-    a = 0.3 if kind == wcsf.LEFT else 0.2
-    return wcsf.WarpedProduct(kind, warp=wcsf.FourierField.exp_cos(a),
-                              g11=perturbed_base())
-
-
-ORACLE_MANIFOLDS = {"left": left_exp_manifold, "right": right_exp_manifold,
-                    "product": product_manifold,
-                    "curved_left": lambda: curved_manifold(wcsf.LEFT),
-                    "curved_right": lambda: curved_manifold(wcsf.RIGHT)}
 
 
 def moving_r_curve(f, m):
@@ -249,7 +235,7 @@ def moving_r_curve(f, m):
     return wcsf.DiscreteCurve("parametric", np.column_stack([r, f(u)]), (1, 0))
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_MANIFOLDS))
+@pytest.mark.parametrize("name", sorted(MANIFOLDS))
 @pytest.mark.parametrize("shape, bounds", [
     ("graph", {64: 1e-9, 128: 1e-12}),
     ("moving_r", {64: 1e-7, 128: 1e-11}),
@@ -258,7 +244,7 @@ def test_kernel_matches_einsum_oracle(name, shape, bounds):
     # the scalar kernel against the dense-tensor formula with a spectral
     # speed derivative: they may differ only by the aliasing of that
     # second differentiation and by rounding
-    manifold = ORACLE_MANIFOLDS[name]()
+    manifold = MANIFOLDS[name]()
     f = wcsf.FourierField([0.1], [0.0, 0.4, 0.0, 0.05])
     for m, bound in bounds.items():
         c = (wcsf.make_graph_curve(f, m) if shape == "graph"
@@ -286,6 +272,17 @@ def test_dimension_mismatch_rejected():
 
 def test_grid_size_validation():
     f = wcsf.FourierField.constant(0.0)
-    for bad in (16, 100, 63):
+    for bad in (16, 100, 63, 32.7, 64.0):
         with pytest.raises(ValueError):
             wcsf.make_graph_curve(f, bad)
+    # int() would truncate these to a valid node count or winding
+    c = wcsf.make_graph_curve(f, 64)
+    for bad in (64.9, 128.0):
+        with pytest.raises(ValueError, match="integer"):
+            wcsf.resample(c, bad)
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match="integer"):
+            wcsf.make_graph_curve(f, 64, x_winding=bad)
+    for bad in ((1, 0.5), (1.0, 0), (1, True)):
+        with pytest.raises(ValueError, match="integer"):
+            wcsf.DiscreteCurve("parametric", c.coords, bad)

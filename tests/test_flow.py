@@ -208,8 +208,7 @@ def test_trajectory_requires_one_mode_grid_and_winding(product):
     others = [
         wcsf.DiscreteCurve("parametric", first.curve.coords, (1, 0)),
         wcsf.make_graph_curve(sin_field(0.1), 128),
-        wcsf.make_graph_curve(sin_field(0.1), 64, x_winding=1,
-                              allow_x_winding=True),
+        wcsf.make_graph_curve(sin_field(0.1), 64, x_winding=1),
         # a graph curve off the node grid could not be rebuilt from x1
         wcsf.DiscreteCurve("graph", np.column_stack([u + 1e-3, u * 0.0]),
                            (1, 0)),

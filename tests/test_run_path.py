@@ -1,6 +1,5 @@
 """The run path in fresh interpreters: artifacts that do not depend on the
-BLAS kernel, no lazily imported numpy submodule beyond numpy.fft, and no
-statistics, fractions or decimal import."""
+BLAS kernel, and no module loaded beyond numpy and an allow-list."""
 
 import hashlib
 import os
@@ -35,12 +34,20 @@ output.svg = on
 
 RUN = """\
 import sys
+import numpy
+before = set(sys.modules)
 from wcsf.cli import main
 code = main(["run", sys.argv[1], "--out", sys.argv[2]])
-for name in ("numpy.ma", "statistics", "fractions", "decimal"):
-    print(name, "loaded" if name in sys.modules else "absent")
+for name in sorted(set(sys.modules) - before):
+    print("loaded", name)
 raise SystemExit(code)
 """
+
+# what a run may import beyond `import numpy`: each further module costs
+# setup time or memory on every run
+ALLOWED_PACKAGES = ("wcsf", "numpy.fft")
+ALLOWED_MODULES = {"argparse", "gettext", "locale", "_locale", "copy",
+                   "dataclasses", "__future__"}
 
 
 def run_child(cfg: Path, out: Path, **env) -> str:
@@ -73,13 +80,18 @@ def test_artifacts_identical_across_openblas_kernels(tmp_path):
     assert hashes["Haswell"] == hashes["Prescott"]
 
 
-def test_svg_run_leaves_numpy_ma_unloaded(tmp_path):
+def allowed(name: str) -> bool:
+    return name in ALLOWED_MODULES or any(
+        name == pkg or name.startswith(pkg + ".") for pkg in ALLOWED_PACKAGES)
+
+
+def test_svg_run_loads_only_allowed_modules(tmp_path):
     cfg = tmp_path / "product.cfg"
     cfg.write_text(PRODUCT_SVG)
     out = tmp_path / "out"
     stdout = run_child(cfg, out)
     assert (out / "chart.svg").stat().st_size > 0
-    assert "numpy.ma absent" in stdout
-    # the run needs one median and one exact table, not these modules
-    for name in ("statistics", "fractions", "decimal"):
-        assert f"{name} absent" in stdout
+    loaded = [line.split()[1] for line in stdout.splitlines()
+              if line.startswith("loaded ")]
+    assert "wcsf.artifacts" in loaded
+    assert [name for name in loaded if not allowed(name)] == []

@@ -25,7 +25,7 @@ def test_defaults():
     assert scn.theta_floor == 1e-3
     assert scn.a_ceiling == 1e6
     assert scn.record_stride == 50
-    assert scn.winding == 0 and not scn.allow_winding
+    assert scn.winding == 0
     assert scn.verify_bounds and scn.verify_dissipation
     assert not scn.verify_evolution
     assert not scn.verify_commutator
@@ -69,19 +69,19 @@ def test_boolean_spellings():
         parse_config(BASE + "output.svg = maybe\n")
 
 
-def test_winding_requires_opt_in():
-    with pytest.raises(ConfigError, match="allow_winding"):
-        parse_config(BASE + "init.winding = 1\n")
-    scn = parse_config(BASE + "init.winding = 1\ninit.allow_winding = on\n")
+def test_nonzero_winding_builds_a_winding_graph():
+    scn = parse_config(BASE + "init.winding = 1\n")
     curve = scn.initial_curve()
     assert curve.winding == (1, 1)
+    # a nonzero winding states the intent; no second key opts in
+    with pytest.raises(ConfigError, match="unknown key 'init.allow_winding'"):
+        parse_config(BASE + "init.winding = 1\ninit.allow_winding = on\n")
 
 
 def test_perturbed_base_metric():
     scn = parse_config(BASE + "base.g11.cos = 1.0, 0.2\n")
-    p = wcsf.WarpPoint(0.0, (0.0,))
-    g = wcsf.metric_at(scn.manifold, p)
-    assert abs(g[1, 1] - 1.2) < 1e-14
+    g, _ = scn.manifold.frame(np.zeros((1, 2)))
+    assert abs(g[0, 1, 1] - 1.2) < 1e-14
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -190,6 +190,6 @@ def test_documented_keys_are_the_parsed_keys():
         r"^    (\S.*?)(?:\s{2,}|$)", wcsf.scenario.__doc__, re.M))
     source = Path(wcsf.scenario.__file__).read_text()
     parsed = set(re.findall(r'_take\w*\(entries, "([^"]+)"', source))
-    assert "manifold.kind" in parsed and len(parsed) == 25
+    assert "manifold.kind" in parsed and len(parsed) == 24
     assert table == parsed
     assert doc == parsed

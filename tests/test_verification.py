@@ -233,6 +233,7 @@ def test_studies_pass_on_small_grids(left_exp, monkeypatch):
     {"grids": (128, 64)}, {"t_end": 0.0}, {"t_end": float("nan")},
     {"t_end": float("inf")}, {"cfl": 0.0}, {"cfl": 1.5},
     {"cfl": float("nan")}, {"grids": (48, 96)}, {"grids": (True, 64)},
+    {"grids": (32.7, 64)}, {"grids": (64.0, 128)},
 ])
 def test_refinement_ladder_rejects_a_ladder_without_orders(left_exp, kwargs):
     # one grid gave a study with orders () that passed vacuously
