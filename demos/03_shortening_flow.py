@@ -11,8 +11,6 @@ structure degenerates, curvature blows up, or time runs out.
 
 import argparse
 
-import numpy as np
-
 import wcsf
 
 
@@ -52,9 +50,9 @@ def main() -> None:
     print()
     print("recorded history (every tenth recorded state):")
     print("        t     min theta   max |A|      length")
-    for row in report.series[::10]:
+    for row in traj.scalars[::10]:
         print(f"  {row[0]:9.4f} {row[1]:11.6f} {row[3]:10.3e} {row[4]:11.8f}")
-    last = report.series[-1]
+    last = traj.scalars[-1]
     print(f"  {last[0]:9.4f} {last[1]:11.6f} {last[3]:10.3e} {last[4]:11.8f}")
 
     # the angle bound certificates for this trajectory

@@ -8,8 +8,6 @@ points at a defect. This script runs the studies at small sizes so it
 finishes in seconds, then shows what the inequality monitors report.
 """
 
-import numpy as np
-
 import wcsf
 
 GRIDS = (32, 64, 128)

@@ -47,15 +47,12 @@ def _build_parser() -> _Parser:
                      description="curve shortening flows in warped products")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one scenario config")
-    p_run.add_argument("config", help="path to a .cfg scenario file")
-    p_run.add_argument("--out", default=None,
-                       help="artifact directory (default wcsf_out/<name>)")
-
-    p_ver = sub.add_parser("verify",
-                           help="run one scenario with all checks enabled")
-    p_ver.add_argument("config", help="path to a .cfg scenario file")
-    p_ver.add_argument("--out", default=None,
+    for command, text in [
+            ("run", "run one scenario config"),
+            ("verify", "run one scenario with all checks enabled")]:
+        p = sub.add_parser(command, help=text)
+        p.add_argument("config", help="path to a .cfg scenario file")
+        p.add_argument("--out", default=None,
                        help="artifact directory (default wcsf_out/<name>)")
 
     p_suite = sub.add_parser("suite", help="run every .cfg in a directory")
@@ -105,7 +102,8 @@ def execute_scenario(scn: Scenario, out_dir) -> tuple:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    traj, rep = run(scn.manifold, scn.initial_curve(), scn.flow_params())
+    params = scn.params
+    traj, rep = run(scn.manifold, scn.initial_curve(), params)
     wall = time.perf_counter() - started
 
     sections = {
@@ -113,13 +111,13 @@ def execute_scenario(scn: Scenario, out_dir) -> tuple:
             "name": scn.name,
             "kind": scn.manifold.kind,
             "m": scn.m,
-            "cfl": scn.cfl,
-            "t_max": scn.t_max,
-            "tol_geo": scn.tol_geo,
+            "cfl": params.cfl,
+            "t_max": params.t_max,
+            "tol_geo": params.tol_geo,
             "tol_bound": scn.tol_bound,
-            "theta_floor": scn.theta_floor,
-            "a_ceiling": scn.a_ceiling,
-            "record_stride": scn.record_stride,
+            "theta_floor": params.theta_floor,
+            "a_ceiling": params.a_ceiling,
+            "record_stride": params.record_stride,
             "winding": scn.winding,
         },
         "flow": {
@@ -158,7 +156,7 @@ def execute_scenario(scn: Scenario, out_dir) -> tuple:
 
     # the first study that reads the ladder integrates it; the rest reuse it
     ladder = verification.RefinementLadder(scn.manifold, scn.init_field,
-                                           cfl=scn.cfl)
+                                           cfl=params.cfl)
     studies = []
     if scn.verify_evolution:
         studies.append(verification.evolution_residual_study(ladder))

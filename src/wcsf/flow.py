@@ -187,11 +187,9 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class FlowReport:
-    """Run summary: stop condition, final diagnostics, recorded series.
-
-    series has one row per recorded state with columns
-    (t, min theta, min theta_hat, max |A|, length). dt_min, dt_median and
-    dt_max range over the steps taken, None when there were none.
+    """Run summary: stop condition and final diagnostics. The recorded
+    series is the trajectory's scalars. dt_min, dt_median and dt_max range
+    over the steps taken, None when there were none.
     """
 
     stop_reason: StopReason
@@ -211,8 +209,6 @@ class FlowReport:
     limit_warp_gradient_norm: float | None
     geodesic_certified: bool
     converging_undecided: bool
-    graph_loss_falsification: bool
-    series: np.ndarray
 
 
 def _graph_velocity(fields: CurveFields) -> np.ndarray:
@@ -424,17 +420,16 @@ def _median(values: list) -> float:
 
 def _build_report(traj: Trajectory, manifold: WarpedProduct,
                   stop: StopReason, dts: list) -> FlowReport:
-    series = traj.scalars[:, :5]
-    lengths = series[:, 4]
-    monotone = bool(np.all(np.diff(lengths) <= MONOTONE_TOL))
-    first, last = series[0], series[-1]
+    rows = traj.scalars
+    monotone = bool(np.all(np.diff(rows[:, 4]) <= MONOTONE_TOL))
+    first, last = rows[0], rows[-1]
     limit = _circular_mean(traj.final.curve.coords[:, 1])
     grad_norm = None
     if manifold.kind == LEFT:
         grad_norm = float(np.sqrt(manifold.dlog_warp(np.array([limit]))[1][0]))
     converged = stop is StopReason.CONVERGED
     certified = bool(converged and (grad_norm is None or grad_norm < 1e-3))
-    tail = series[-5:, 3]
+    tail = rows[-5:, 3]
     undecided = bool(stop is StopReason.MAX_TIME and tail.size >= 2
                      and np.all(np.diff(tail) < 0.0))
     return FlowReport(
@@ -455,8 +450,6 @@ def _build_report(traj: Trajectory, manifold: WarpedProduct,
         limit_warp_gradient_norm=grad_norm,
         geodesic_certified=certified,
         converging_undecided=undecided,
-        graph_loss_falsification=bool(stop is StopReason.GRAPH_LOSS),
-        series=series,
     )
 
 

@@ -3,7 +3,8 @@
 Lines are `key = value` pairs; blank lines and `#` comments are skipped.
 Keys:
 
-    scenario.name        run label (default: supplied by the caller)
+    scenario.name        run label and artifact directory name, one plain
+                         path component (default: supplied by the caller)
     manifold.kind        left | right (required)
     warp.exp_cos         a, for warp e^{a cos}
     warp.cos, warp.sin   Fourier coefficients of the warp (conflicts with
@@ -25,30 +26,31 @@ Keys:
                          parabolic step of the initial curve
     verify.bounds        on | off (default on)
     verify.dissipation   on | off (default on)
-    verify.evolution     on | off (default off; runs refinement studies)
+    verify.evolution     on | off (default off; runs the evolution and
+                         dissipation refinement studies)
     verify.commutator    on | off (default off)
     verify.gradient      on | off (default off)
     output.svg           on | off (default off)
 
-Every number must be finite. All parse and validation errors carry the
-offending line number.
+The run controls time.*, tol.geo, tol.theta_floor, tol.a_ceiling and
+record.stride set the fields of Scenario.params, a flow.FlowParams, which
+owns their defaults and ranges. Every number must be finite. All parse
+and validation errors carry the offending line number.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curves import DiscreteCurve, make_graph_curve
+from .curves import DiscreteCurve, _validate_m, make_graph_curve
 from .flow import FlowParams
 from .fourier import FourierField
 from .geometry import LEFT, RIGHT, WarpedProduct, checked_g11
 
 __all__ = ["ConfigError", "Scenario", "parse_config"]
-
-_MISSING = object()
 
 
 class ConfigError(ValueError):
@@ -78,69 +80,76 @@ def _scan(text: str) -> dict:
     return entries
 
 
-def _take(entries, key, default=_MISSING):
-    if key in entries:
-        return entries.pop(key)
-    return (default, None)
-
-
-def _take_float(entries, key, default):
-    value, ln = _take(entries, key, default)
-    if value is default and ln is None:
+def _take(entries, key, parse, default=None):
+    """(parse(value), line) for key, popped from entries, or (default, None)
+    when the config does not set it. A ValueError from parse becomes a
+    ConfigError that names the key and its line."""
+    if key not in entries:
         return default, None
+    value, ln = entries.pop(key)
     try:
-        number = float(value)
+        return parse(value), ln
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}", ln) from None
+
+
+def _number(text: str) -> float:
+    try:
+        number = float(text)
     except ValueError:
-        raise ConfigError(f"{key} expects a number, got {value!r}", ln) from None
+        raise ValueError(f"expects a number, got {text!r}") from None
     if not math.isfinite(number):
-        raise ConfigError(f"{key} expects a finite number, got {value!r}", ln)
-    return number, ln
+        raise ValueError(f"expects a finite number, got {text!r}")
+    return number
 
 
-def _take_int(entries, key, default):
-    value, ln = _take(entries, key, default)
-    if value is default and ln is None:
-        return default, None
+def _numbers(text: str) -> tuple:
+    if text.startswith("[") and text.endswith("]"):
+        text = text[1:-1]
+    return tuple(_number(tok.strip()) for tok in text.split(","))
+
+
+def _int(text: str) -> int:
     try:
-        return int(value), ln
+        return int(text)
     except ValueError:
-        raise ConfigError(f"{key} expects an integer, got {value!r}", ln) from None
+        raise ValueError(f"expects an integer, got {text!r}") from None
 
 
-_TRUE = {"on", "true", "yes", "1"}
-_FALSE = {"off", "false", "no", "0"}
+def _choice(table: dict, expects: str):
+    """Converter reading one word of table, in any letter case."""
+    def parse(text: str):
+        try:
+            return table[text.lower()]
+        except KeyError:
+            raise ValueError(f"{expects}, got {text!r}") from None
+    return parse
 
 
-def _take_bool(entries, key, default):
-    value, ln = _take(entries, key, default)
-    if value is default and ln is None:
-        return default, None
-    low = value.lower()
-    if low in _TRUE:
-        return True, ln
-    if low in _FALSE:
-        return False, ln
-    raise ConfigError(f"{key} expects on or off, got {value!r}", ln)
+_flag = _choice({**dict.fromkeys(("on", "true", "yes", "1"), True),
+                 **dict.fromkeys(("off", "false", "no", "0"), False)},
+                "expects on or off")
+_kind = _choice({"left": LEFT, "right": RIGHT}, "must be left or right")
 
 
-def _take_floats(entries, key):
-    value, ln = _take(entries, key, None)
-    if value is None:
-        return None, None
-    body = value.strip()
-    if body.startswith("[") and body.endswith("]"):
-        body = body[1:-1]
-    if not body.strip():
-        raise ConfigError(f"{key} is empty", ln)
-    try:
-        coefs = tuple(float(tok) for tok in body.split(","))
-    except ValueError:
-        raise ConfigError(
-            f"{key} expects comma-separated numbers, got {value!r}", ln) from None
-    if not all(map(math.isfinite, coefs)):
-        raise ConfigError(
-            f"{key} expects finite numbers, got {value!r}", ln)
-    return coefs, ln
+def _run_name(text: str) -> str:
+    # the name is the run's directory under the artifact root
+    if text in ("", ".", "..") or "/" in text or "\\" in text:
+        raise ValueError(f"must be one plain path component, got {text!r}")
+    return text
+
+
+def _nodes(text: str) -> int:
+    m = _validate_m(_int(text))
+    if m > 1024:
+        raise ValueError(f"node count must be a power of two <= 1024, got {m}")
+    return m
+
+
+def _set(params: FlowParams, field: str, parse):
+    """Converter giving params with field set to the parsed value; the
+    range check is FlowParams'."""
+    return lambda text: replace(params, **{field: parse(text)})
 
 
 def _field_from(cos, sin, constant: float = 0.0):
@@ -151,20 +160,16 @@ def _field_from(cos, sin, constant: float = 0.0):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Parsed, validated description of one flow run."""
+    """Parsed, validated description of one flow run; params is the
+    FlowParams the run uses."""
 
     name: str
     manifold: WarpedProduct
     init_field: FourierField
     winding: int
     m: int
-    cfl: float
-    t_max: float
-    tol_geo: float
+    params: FlowParams
     tol_bound: float
-    theta_floor: float
-    a_ceiling: float
-    record_stride: int
     verify_bounds: bool
     verify_dissipation: bool
     verify_evolution: bool
@@ -176,12 +181,6 @@ class Scenario:
         return make_graph_curve(self.init_field, self.m,
                                 x_winding=self.winding)
 
-    def flow_params(self) -> FlowParams:
-        return FlowParams(cfl=self.cfl, t_max=self.t_max, tol_geo=self.tol_geo,
-                          theta_floor=self.theta_floor,
-                          a_ceiling=self.a_ceiling,
-                          record_stride=self.record_stride)
-
 
 def parse_config(text: str, name: str = "scenario") -> Scenario:
     """Parse one config text into a Scenario, constructing the manifold.
@@ -192,26 +191,22 @@ def parse_config(text: str, name: str = "scenario") -> Scenario:
     """
     entries = _scan(text)
 
-    run_name, _ = _take(entries, "scenario.name", name)
+    run_name, _ = _take(entries, "scenario.name", _run_name, name)
 
-    kind_value, kind_ln = _take(entries, "manifold.kind", None)
-    if kind_value is None:
-        raise ConfigError("missing required key manifold.kind")
-    kind = {"left": LEFT, "right": RIGHT}.get(kind_value.lower())
+    kind, _ = _take(entries, "manifold.kind", _kind)
     if kind is None:
-        raise ConfigError(
-            f"manifold.kind must be left or right, got {kind_value!r}", kind_ln)
+        raise ConfigError("missing required key manifold.kind")
 
-    exp_a, exp_ln = _take_float(entries, "warp.exp_cos", None)
-    warp_cos, wc_ln = _take_floats(entries, "warp.cos")
-    warp_sin, ws_ln = _take_floats(entries, "warp.sin")
+    exp_a, exp_ln = _take(entries, "warp.exp_cos", _number)
+    warp_cos, wc_ln = _take(entries, "warp.cos", _numbers)
+    warp_sin, ws_ln = _take(entries, "warp.sin", _numbers)
     warp_ln = next((ln for ln in (wc_ln, ws_ln, exp_ln) if ln is not None), None)
     if exp_a is not None and (warp_cos is not None or warp_sin is not None):
         raise ConfigError(
             "warp.exp_cos conflicts with warp.cos/warp.sin", exp_ln)
 
-    g11_cos, gc_ln = _take_floats(entries, "base.g11.cos")
-    g11_sin, gs_ln = _take_floats(entries, "base.g11.sin")
+    g11_cos, gc_ln = _take(entries, "base.g11.cos", _numbers)
+    g11_sin, gs_ln = _take(entries, "base.g11.sin", _numbers)
     g11 = None
     if g11_cos is not None or g11_sin is not None:
         try:
@@ -231,61 +226,48 @@ def parse_config(text: str, name: str = "scenario") -> Scenario:
     except ValueError as exc:
         raise ConfigError(str(exc), warp_ln) from None
 
-    init_cos, _ = _take_floats(entries, "init.cos")
-    init_sin, _ = _take_floats(entries, "init.sin")
+    init_cos, _ = _take(entries, "init.cos", _numbers)
+    init_sin, _ = _take(entries, "init.sin", _numbers)
     init_field = _field_from(init_cos, init_sin)
 
-    winding, _ = _take_int(entries, "init.winding", 0)
+    winding, _ = _take(entries, "init.winding", _int, 0)
+    m, _ = _take(entries, "grid.m", _nodes, 128)
 
-    m, m_ln = _take_int(entries, "grid.m", 128)
-    if m < 32 or m > 1024 or m & (m - 1):
-        raise ConfigError(
-            f"grid.m must be a power of two between 32 and 1024, got {m}", m_ln)
+    # FlowParams owns the run controls' defaults and ranges
+    params = FlowParams()
+    params, _ = _take(entries, "time.cfl",
+                      _set(params, "cfl", _number), params)
+    params, _ = _take(entries, "time.t_max",
+                      _set(params, "t_max", _number), params)
+    params, _ = _take(entries, "tol.geo",
+                      _set(params, "tol_geo", _number), params)
+    params, _ = _take(entries, "tol.theta_floor",
+                      _set(params, "theta_floor", _number), params)
+    params, _ = _take(entries, "tol.a_ceiling",
+                      _set(params, "a_ceiling", _number), params)
+    params, _ = _take(entries, "record.stride",
+                      _set(params, "record_stride", _int), params)
 
-    cfl, cfl_ln = _take_float(entries, "time.cfl", 0.25)
-    if not 0.0 < cfl <= 1.0:
-        raise ConfigError(f"time.cfl must lie in (0, 1], got {cfl}", cfl_ln)
-    t_max, tm_ln = _take_float(entries, "time.t_max", 50.0)
-    if t_max < 0.0:
-        raise ConfigError(f"time.t_max must be nonnegative, got {t_max}", tm_ln)
-
-    tol_geo, tg_ln = _take_float(entries, "tol.geo", 1e-6)
-    if tol_geo < 0.0:
-        raise ConfigError(f"tol.geo must be nonnegative, got {tol_geo}", tg_ln)
-    tol_bound, tb_ln = _take_float(entries, "tol.bound", 1e-4)
+    # the monitors read tol.bound only after the run, so check it here
+    tol_bound, tb_ln = _take(entries, "tol.bound", _number, 1e-4)
     if tol_bound < 0.0:
         raise ConfigError(
             f"tol.bound must be nonnegative, got {tol_bound}", tb_ln)
-    theta_floor, tf_ln = _take_float(entries, "tol.theta_floor", 1e-3)
-    if theta_floor < 0.0:
-        raise ConfigError(
-            f"tol.theta_floor must be nonnegative, got {theta_floor}", tf_ln)
-    a_ceiling, ac_ln = _take_float(entries, "tol.a_ceiling", 1e6)
-    if a_ceiling <= 0.0:
-        raise ConfigError(
-            f"tol.a_ceiling must be positive, got {a_ceiling}", ac_ln)
 
-    stride, st_ln = _take_int(entries, "record.stride", 50)
-    if stride < 1:
-        raise ConfigError(
-            f"record.stride must be a positive integer, got {stride}", st_ln)
-
-    verify_bounds, _ = _take_bool(entries, "verify.bounds", True)
-    verify_dissipation, _ = _take_bool(entries, "verify.dissipation", True)
-    verify_evolution, _ = _take_bool(entries, "verify.evolution", False)
-    verify_commutator, _ = _take_bool(entries, "verify.commutator", False)
-    verify_gradient, _ = _take_bool(entries, "verify.gradient", False)
-    svg, _ = _take_bool(entries, "output.svg", False)
+    verify_bounds, _ = _take(entries, "verify.bounds", _flag, True)
+    verify_dissipation, _ = _take(entries, "verify.dissipation", _flag, True)
+    verify_evolution, _ = _take(entries, "verify.evolution", _flag, False)
+    verify_commutator, _ = _take(entries, "verify.commutator", _flag, False)
+    verify_gradient, _ = _take(entries, "verify.gradient", _flag, False)
+    svg, _ = _take(entries, "output.svg", _flag, False)
 
     if entries:
         key, (_, ln) = min(entries.items(), key=lambda kv: kv[1][1])
         raise ConfigError(f"unknown key {key!r}", ln)
 
     return Scenario(
-        name=str(run_name), manifold=manifold, init_field=init_field,
-        winding=winding, m=m, cfl=cfl,
-        t_max=t_max, tol_geo=tol_geo, tol_bound=tol_bound,
-        theta_floor=theta_floor, a_ceiling=a_ceiling, record_stride=stride,
+        name=run_name, manifold=manifold, init_field=init_field,
+        winding=winding, m=m, params=params, tol_bound=tol_bound,
         verify_bounds=verify_bounds, verify_dissipation=verify_dissipation,
         verify_evolution=verify_evolution, verify_commutator=verify_commutator,
         verify_gradient=verify_gradient, svg=svg,

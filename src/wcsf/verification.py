@@ -432,16 +432,19 @@ class RefinementLadder:
             raise ValueError("a ladder needs two or more increasing grids")
         for m in g:     # fail here, not inside the first study
             _validate_m(m)
-        if not (0.0 < self.t_end < math.inf and 0.0 < self.cfl <= 1.0):
-            raise ValueError("a ladder needs a finite t_end > 0 and a cfl "
-                             "in (0, 1]")
+        if not self.t_end > 0.0:
+            raise ValueError("a ladder needs t_end > 0")
+        self.params     # FlowParams checks the cfl and that t_end is finite
+
+    @cached_property
+    def params(self) -> FlowParams:
+        return FlowParams(cfl=self.cfl, t_max=self.t_end, tol_geo=0.0,
+                          record_stride=1)
 
     @cached_property
     def trajectories(self) -> tuple:
-        params = FlowParams(cfl=self.cfl, t_max=self.t_end, tol_geo=0.0,
-                            record_stride=1)
         return tuple(run(self.manifold, make_graph_curve(self.init_field, m),
-                         params, _Rung(0.5 * self.t_end))[0]
+                         self.params, _Rung(0.5 * self.t_end))[0]
                      for m in self.grids)
 
 

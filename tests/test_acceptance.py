@@ -159,7 +159,7 @@ def test_criterion_2_symmetry_reduction_oracle(crit2_runs):
 def test_criterion_3_product_case(scenario3, studies):
     manifold, traj, rep, t_run = scenario3
     study, t_study = studies["product"]["evolution"]
-    theta_drop = float(rep.series[0, 1] - rep.series[:, 1].min())
+    theta_drop = float(traj.scalars[0, 1] - traj.scalars[:, 1].min())
     elapsed = t_run + t_study
     print(f"criterion 3: stop={rep.stop_reason.value} t={rep.t_final:.2f} "
           f"max|A|={rep.final_max_a:.2e}, min theta drop {theta_drop:.2e}, "

@@ -3,8 +3,7 @@ import pytest
 
 import wcsf
 from wcsf import spectral
-from conftest import (MANIFOLDS, left_exp_manifold, product_manifold,
-                      right_exp_manifold)
+from conftest import MANIFOLDS
 from oracles import einsum_fields, quadrature_length
 
 
@@ -205,8 +204,7 @@ def test_graph_and_parametric_paths_agree(name):
     # twin takes r' = 1, r'' = 0 as given while the parametric twin
     # differentiates its r column, so the two may only differ at rounding
     # level
-    manifold = {"left": left_exp_manifold, "right": right_exp_manifold,
-                "product": product_manifold}[name]()
+    manifold = MANIFOLDS[name]()
     f = wcsf.FourierField([0.1], [0.0, 0.4, 0.0, 0.05])
     gaps = {}
     for m in (64, 128):

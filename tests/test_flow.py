@@ -125,7 +125,7 @@ def test_run_deterministic(left_exp):
     params = wcsf.FlowParams(t_max=0.3, record_stride=20)
     t1, r1 = wcsf.run(left_exp, curve, params)
     t2, r2 = wcsf.run(left_exp, curve, params)
-    assert np.array_equal(r1.series, r2.series)
+    assert np.array_equal(t1.scalars, t2.scalars)
     assert r1.t_final == r2.t_final and r1.steps == r2.steps
     assert np.array_equal(t1.final.curve.coords, t2.final.curve.coords)
 
@@ -134,7 +134,6 @@ def test_graph_loss_flagged(product):
     curve = wcsf.make_graph_curve(sin_field(0.5), 64)
     traj, rep = wcsf.run(product, curve, wcsf.FlowParams(theta_floor=0.999))
     assert rep.stop_reason is wcsf.StopReason.GRAPH_LOSS
-    assert rep.graph_loss_falsification
     assert not rep.geodesic_certified
 
 
@@ -166,7 +165,7 @@ def test_length_monotone_in_report(product, left_exp, right_exp):
         traj, rep = wcsf.run(manifold, curve,
                              wcsf.FlowParams(t_max=1.0, record_stride=25))
         assert rep.length_monotone
-        lengths = rep.series[:, 4]
+        lengths = traj.scalars[:, 4]
         assert np.all(np.diff(lengths) <= 1e-10)
 
 
@@ -387,7 +386,9 @@ def test_stock_record_intervals_fit_under_the_cap(path):
     curve = scn.initial_curve()
     state = wcsf.FlowState(curve, 0.0,
                            wcsf.compute_fields(curve, scn.manifold))
-    assert scn.record_stride * wcsf.adaptive_dt(state, scn.cfl) <= flow.DT_MAX
+    params = scn.params
+    dt0 = wcsf.adaptive_dt(state, params.cfl)
+    assert params.record_stride * dt0 <= flow.DT_MAX
 
 
 TIME_ERROR_CASES = {

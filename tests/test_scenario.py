@@ -18,13 +18,13 @@ def test_defaults():
     scn = parse_config(BASE, name="demo")
     assert scn.name == "demo"
     assert scn.m == 128
-    assert scn.cfl == 0.25
-    assert scn.t_max == 50.0
-    assert scn.tol_geo == 1e-6
+    assert scn.params.cfl == 0.25
+    assert scn.params.t_max == 50.0
+    assert scn.params.tol_geo == 1e-6
     assert scn.tol_bound == 1e-4
-    assert scn.theta_floor == 1e-3
-    assert scn.a_ceiling == 1e6
-    assert scn.record_stride == 50
+    assert scn.params.theta_floor == 1e-3
+    assert scn.params.a_ceiling == 1e6
+    assert scn.params.record_stride == 50
     assert scn.winding == 0
     assert scn.verify_bounds and scn.verify_dissipation
     assert not scn.verify_evolution
@@ -40,8 +40,16 @@ def test_round_trip_objects():
     assert curve.coords.shape == (64, 2)
     assert np.allclose(curve.coords[:, 1],
                        0.3 * np.sin(curve.coords[:, 0]), atol=1e-12)
-    params = scn.flow_params()
-    assert params.t_max == 2.0 and params.cfl == 0.25
+    assert scn.params.t_max == 2.0 and scn.params.cfl == 0.25
+
+
+def test_run_controls_are_flow_params():
+    # FlowParams owns the run controls' defaults; the config only sets them
+    assert parse_config(BASE).params == wcsf.FlowParams()
+    scn = parse_config(BASE + "time.cfl = 0.5\nrecord.stride = 7\n"
+                       "tol.a_ceiling = 1e3\n")
+    assert scn.params == wcsf.FlowParams(cfl=0.5, record_stride=7,
+                                         a_ceiling=1e3)
 
 
 def test_exp_cos_matches_explicit_series():
@@ -109,6 +117,12 @@ def test_perturbed_base_metric():
     (BASE + "grid.m 64\n", "="),
     (BASE + "grid.m = sixty\n", "integer"),
     (BASE + "init.cos =\n", "init.cos"),
+    (BASE + "scenario.name =\n", "line 4: scenario.name"),
+    (BASE + "scenario.name = a/b\n", "line 4: scenario.name"),
+    (BASE + "scenario.name = a\\b\n", "line 4: scenario.name"),
+    (BASE + "scenario.name = .\n", "line 4: scenario.name"),
+    (BASE + "scenario.name = ..\n", "line 4: scenario.name"),
+    (BASE + "scenario.name = ../out\n", "line 4: scenario.name"),
 ])
 def test_rejects_bad_config(text, fragment):
     with pytest.raises(ConfigError, match=fragment):

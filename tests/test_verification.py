@@ -6,7 +6,6 @@ import pytest
 
 import oracles
 import wcsf
-from conftest import left_exp_manifold, product_manifold, right_exp_manifold
 
 
 def sin_field(a):
