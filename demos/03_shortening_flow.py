@@ -12,6 +12,7 @@ structure degenerates, curvature blows up, or time runs out.
 import argparse
 
 import wcsf
+from wcsf.flow import LENGTH, MAX_A, MIN_THETA, TIME
 
 
 def main() -> None:
@@ -38,7 +39,7 @@ def main() -> None:
     print(f"length:          {report.length_initial:.8f} -> "
           f"{report.length_final:.8f} "
           f"(monotone: {report.length_monotone})")
-    print(f"max |A|:         {report.final_max_a:.3e}")
+    print(f"max |A|:         {report.final_max_curvature:.3e}")
     print(f"min theta:       {report.initial_min_theta:.6f} -> "
           f"{report.final_min_theta:.6f}")
     print(f"min theta_hat:   {report.final_min_theta_hat:.12f}")
@@ -50,10 +51,9 @@ def main() -> None:
     print()
     print("recorded history (every tenth recorded state):")
     print("        t     min theta   max |A|      length")
-    for row in traj.scalars[::10]:
-        print(f"  {row[0]:9.4f} {row[1]:11.6f} {row[3]:10.3e} {row[4]:11.8f}")
-    last = traj.scalars[-1]
-    print(f"  {last[0]:9.4f} {last[1]:11.6f} {last[3]:10.3e} {last[4]:11.8f}")
+    history = traj.scalars[:, [TIME, MIN_THETA, MAX_A, LENGTH]]
+    for t, theta, max_a, length in [*history[::10], history[-1]]:
+        print(f"  {t:9.4f} {theta:11.6f} {max_a:10.3e} {length:11.8f}")
 
     # the angle bound certificates for this trajectory
     exp_rep, drift_rep = wcsf.theta_bound_monitor(traj, manifold)

@@ -68,7 +68,7 @@ curve = wcsf.make_graph_curve(field, 64)
 traj, report = wcsf.run(manifold, curve, wcsf.FlowParams(t_max=10.0,
                                                          record_stride=50))
 exp_rep, drift_rep = wcsf.theta_bound_monitor(traj, manifold)
-diss = wcsf.dissipation_monitor(traj, manifold)
+diss = wcsf.dissipation_monitor(traj)
 for rep in (exp_rep, drift_rep, diss):
     head = f"  {rep.name:22s}"
     if rep.constant_name != "none":

@@ -7,9 +7,11 @@ byte-identical. Wall-clock timings never enter these files.
 
 from __future__ import annotations
 
+import enum
+
 import numpy as np
 
-from .flow import Trajectory
+from .flow import MIN_THETA, MIN_THETA_HAT, TIME, Trajectory
 from .spectral import TWO_PI
 
 __all__ = ["write_trajectory_csv", "write_report", "write_svg"]
@@ -24,6 +26,8 @@ def _fmt(value) -> str:
         return str(int(value))
     if value is None:
         return "none"
+    if isinstance(value, enum.Enum):
+        return _fmt(value.value)
     if isinstance(value, (tuple, list, np.ndarray)):
         return ", ".join(_fmt(v) for v in value)
     return str(value)
@@ -51,7 +55,8 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
 def write_report(path, sections: dict) -> None:
     """Write a nested dict as flat `dotted.key = value` lines.
 
-    Booleans render as yes/no, floats via repr, sequences comma-joined.
+    Booleans render as yes/no, floats via repr, enums as their value,
+    sequences comma-joined.
     Insertion order is preserved so identical runs give identical files.
     """
     lines = []
@@ -140,8 +145,8 @@ def write_svg(path, traj: Trajectory) -> None:
                  f'font-family="monospace" font-size="11">r in [0, 2pi]   '
                  f'x1 in [{xmin:.3f}, {xmax:.3f}]</text>')
 
-    scalars = traj.scalars
-    times, min_theta, min_hat = scalars[:, 0], scalars[:, 1], scalars[:, 2]
+    scalars = traj.scalars[:, [TIME, MIN_THETA, MIN_THETA_HAT]]
+    times, min_theta, min_hat = scalars.T
     tx, _, _ = _scale(times, right_x0, right_x1)
     vy, vmin, vmax = _scale(np.concatenate([min_theta, min_hat, [0.0]]), y0, y1)
     parts.append(_polyline(tx(times), vy(min_theta), "rgb(200,80,60)", "1.5"))

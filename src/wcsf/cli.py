@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import verification
@@ -120,26 +120,7 @@ def execute_scenario(scn: Scenario, out_dir) -> tuple:
             "record_stride": params.record_stride,
             "winding": scn.winding,
         },
-        "flow": {
-            "stop_reason": rep.stop_reason.value,
-            "t_final": rep.t_final,
-            "steps": rep.steps,
-            "dt_min": rep.dt_min,
-            "dt_median": rep.dt_median,
-            "dt_max": rep.dt_max,
-            "recorded_states": len(traj),
-            "initial_min_theta": rep.initial_min_theta,
-            "final_min_theta": rep.final_min_theta,
-            "final_min_theta_hat": rep.final_min_theta_hat,
-            "final_max_curvature": rep.final_max_a,
-            "length_initial": rep.length_initial,
-            "length_final": rep.length_final,
-            "length_monotone": rep.length_monotone,
-            "limit_base_point": rep.limit_base_point,
-            "limit_warp_gradient_norm": rep.limit_warp_gradient_norm,
-            "geodesic_certified": rep.geodesic_certified,
-            "converging_undecided": rep.converging_undecided,
-        },
+        "flow": asdict(rep),
     }
 
     bounds = []
@@ -150,7 +131,7 @@ def execute_scenario(scn: Scenario, out_dir) -> tuple:
                               "drift": _bound_section(drift_rep)}
         bounds += [exp_rep, drift_rep]
     if scn.verify_dissipation:
-        diss = verification.dissipation_monitor(traj, scn.manifold)
+        diss = verification.dissipation_monitor(traj)
         sections["dissipation"] = _bound_section(diss)
         bounds.append(diss)
 

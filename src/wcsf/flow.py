@@ -93,6 +93,11 @@ class FlowState:
     fields: CurveFields
 
 
+# the columns of Trajectory.scalars, one row per recorded state: the time,
+# min theta, min theta_hat, max |A|, the length and int |A|^2 ds
+TIME, MIN_THETA, MIN_THETA_HAT, MAX_A, LENGTH, DISSIPATION = range(6)
+
+
 class Trajectory:
     """Recorded flow states at strictly increasing times.
 
@@ -159,7 +164,7 @@ class Trajectory:
         if i == len(self._coords) - 1:
             return self._last
         curve = self.curve(i)
-        return FlowState(curve, self._rows[i][0],
+        return FlowState(curve, self._rows[i][TIME],
                          compute_fields(curve, self._last.fields.manifold))
 
     def __iter__(self):
@@ -172,13 +177,13 @@ class Trajectory:
 
     @property
     def scalars(self) -> np.ndarray:
-        """One row per state: (t, min theta, min theta_hat, max |A|,
-        length, int |A|^2 ds)."""
+        """One row per state, in the columns TIME, MIN_THETA,
+        MIN_THETA_HAT, MAX_A, LENGTH and DISSIPATION."""
         return np.array(self._rows)
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([row[0] for row in self._rows])
+        return np.array([row[TIME] for row in self._rows])
 
     @property
     def final(self) -> FlowState:
@@ -187,7 +192,8 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class FlowReport:
-    """Run summary: stop condition and final diagnostics. The recorded
+    """Run summary: stop condition and final diagnostics, field for field
+    the flow section of a run's report.txt, in its order. The recorded
     series is the trajectory's scalars. dt_min, dt_median and dt_max range
     over the steps taken, None when there were none.
     """
@@ -198,10 +204,11 @@ class FlowReport:
     dt_min: float | None
     dt_median: float | None
     dt_max: float | None
-    final_max_a: float
+    recorded_states: int
+    initial_min_theta: float
     final_min_theta: float
     final_min_theta_hat: float
-    initial_min_theta: float
+    final_max_curvature: float
     length_initial: float
     length_final: float
     length_monotone: bool
@@ -377,7 +384,7 @@ def step_rk4(state: FlowState, manifold: WarpedProduct, dt: float,
     c = e2 * a + q * (2.0 * nb - n0)
     nc = stage(c)
     y1 = e * y0 + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
-    coords = _canonicalize(coords_of(y1), winding, spectral.node_mean(m))
+    coords = _canonicalize(coords_of(y1), winding, float(u.mean()))
     curve = DiscreteCurve(mode, coords, winding)
     t1 = state.t + dt if t_new is None else t_new
     return FlowState(curve, t1, compute_fields(curve, manifold))
@@ -421,7 +428,7 @@ def _median(values: list) -> float:
 def _build_report(traj: Trajectory, manifold: WarpedProduct,
                   stop: StopReason, dts: list) -> FlowReport:
     rows = traj.scalars
-    monotone = bool(np.all(np.diff(rows[:, 4]) <= MONOTONE_TOL))
+    monotone = bool(np.all(np.diff(rows[:, LENGTH]) <= MONOTONE_TOL))
     first, last = rows[0], rows[-1]
     limit = _circular_mean(traj.final.curve.coords[:, 1])
     grad_norm = None
@@ -429,22 +436,23 @@ def _build_report(traj: Trajectory, manifold: WarpedProduct,
         grad_norm = float(np.sqrt(manifold.dlog_warp(np.array([limit]))[1][0]))
     converged = stop is StopReason.CONVERGED
     certified = bool(converged and (grad_norm is None or grad_norm < 1e-3))
-    tail = rows[-5:, 3]
+    tail = rows[-5:, MAX_A]
     undecided = bool(stop is StopReason.MAX_TIME and tail.size >= 2
                      and np.all(np.diff(tail) < 0.0))
     return FlowReport(
         stop_reason=stop,
-        t_final=float(last[0]),
+        t_final=float(last[TIME]),
         steps=len(dts),
         dt_min=min(dts) if dts else None,
         dt_median=_median(dts) if dts else None,
         dt_max=max(dts) if dts else None,
-        final_max_a=float(last[3]),
-        final_min_theta=float(last[1]),
-        final_min_theta_hat=float(last[2]),
-        initial_min_theta=float(first[1]),
-        length_initial=float(first[4]),
-        length_final=float(last[4]),
+        recorded_states=len(traj),
+        initial_min_theta=float(first[MIN_THETA]),
+        final_min_theta=float(last[MIN_THETA]),
+        final_min_theta_hat=float(last[MIN_THETA_HAT]),
+        final_max_curvature=float(last[MAX_A]),
+        length_initial=float(first[LENGTH]),
+        length_final=float(last[LENGTH]),
         length_monotone=monotone,
         limit_base_point=limit,
         limit_warp_gradient_norm=grad_norm,

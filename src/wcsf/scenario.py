@@ -49,6 +49,7 @@ from .curves import DiscreteCurve, _validate_m, make_graph_curve
 from .flow import FlowParams
 from .fourier import FourierField
 from .geometry import LEFT, RIGHT, WarpedProduct, checked_g11
+from .verification import BOUND_TOL
 
 __all__ = ["ConfigError", "Scenario", "parse_config"]
 
@@ -191,7 +192,9 @@ def parse_config(text: str, name: str = "scenario") -> Scenario:
     """
     entries = _scan(text)
 
-    run_name, _ = _take(entries, "scenario.name", _run_name, name)
+    # the caller's default name is checked like one the config sets
+    entries.setdefault("scenario.name", (name, None))
+    run_name, _ = _take(entries, "scenario.name", _run_name)
 
     kind, _ = _take(entries, "manifold.kind", _kind)
     if kind is None:
@@ -249,7 +252,7 @@ def parse_config(text: str, name: str = "scenario") -> Scenario:
                       _set(params, "record_stride", _int), params)
 
     # the monitors read tol.bound only after the run, so check it here
-    tol_bound, tb_ln = _take(entries, "tol.bound", _number, 1e-4)
+    tol_bound, tb_ln = _take(entries, "tol.bound", _number, BOUND_TOL)
     if tol_bound < 0.0:
         raise ConfigError(
             f"tol.bound must be nonnegative, got {tol_bound}", tb_ln)

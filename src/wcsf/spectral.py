@@ -7,7 +7,6 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 _NODES: dict[int, np.ndarray] = {}
-_NODE_MEAN: dict[int, float] = {}
 _WAVENUMBERS: dict[int, np.ndarray] = {}
 _MULT: dict[tuple[int, int], np.ndarray] = {}
 
@@ -20,15 +19,6 @@ def nodes(m: int) -> np.ndarray:
         u.setflags(write=False)
         _NODES[m] = u
     return u
-
-
-def node_mean(m: int) -> float:
-    """Mean of the parameter nodes (cached)."""
-    mean = _NODE_MEAN.get(m)
-    if mean is None:
-        mean = float(nodes(m).mean())
-        _NODE_MEAN[m] = mean
-    return mean
 
 
 def wavenumbers(m: int) -> np.ndarray:

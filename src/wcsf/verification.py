@@ -28,7 +28,8 @@ import numpy as np
 from . import spectral
 from .curves import (GRAPH, DiscreteCurve, _validate_m, arc_derivative,
                      arc_laplacian, compute_fields, make_graph_curve)
-from .flow import MONOTONE_TOL, FlowParams, FlowState, Trajectory, run
+from .flow import (DISSIPATION, LENGTH, MIN_THETA, MONOTONE_TOL, TIME,
+                   FlowParams, FlowState, Trajectory, run)
 from .fourier import _GRID, _SAMPLES, FourierField
 from .geometry import LEFT, WarpedProduct
 
@@ -238,8 +239,13 @@ def drift_constant(manifold: WarpedProduct, t0: float,
 # -- inequality monitors ------------------------------------------------------
 
 
+# how far below zero a bound's slack may fall and the bound still hold: the
+# default eps_tol of theta_bound_monitor and of a config's tol.bound
+BOUND_TOL = 1e-4
+
+
 def theta_bound_monitor(traj: Trajectory, manifold: WarpedProduct,
-                        eps_tol: float = 1e-4):
+                        eps_tol: float = BOUND_TOL):
     """Check the two angle inequalities over a completed run.
 
     Returns (exp_report, drift_report):
@@ -256,8 +262,8 @@ def theta_bound_monitor(traj: Trajectory, manifold: WarpedProduct,
         raise ValueError(
             f"eps_tol must be finite and nonnegative, got {eps_tol}")
     scalars = traj.scalars
-    times = scalars[:, 0]
-    theta0 = float(scalars[0, 1])
+    times = scalars[:, TIME]
+    theta0 = float(scalars[0, MIN_THETA])
     c_exp = exp_constant(manifold)
     inputs = {"grid": _GRID, "min_theta_0": theta0}
     if manifold.kind == LEFT:
@@ -272,7 +278,7 @@ def theta_bound_monitor(traj: Trajectory, manifold: WarpedProduct,
         def c_drift(t):
             return c_right
 
-    slack_exp = scalars[:, 1] - np.exp(-c_exp * times) * theta0
+    slack_exp = scalars[:, MIN_THETA] - np.exp(-c_exp * times) * theta0
     exp_report = BoundReport(
         name="theta_exp_lower_bound",
         constant_name=f"C_{manifold.kind}",
@@ -309,7 +315,7 @@ def theta_bound_monitor(traj: Trajectory, manifold: WarpedProduct,
     return exp_report, drift_report
 
 
-def dissipation_monitor(traj: Trajectory, manifold: WarpedProduct) -> BoundReport:
+def dissipation_monitor(traj: Trajectory) -> BoundReport:
     """Length dissipation check dL/dt = -int |A|^2 ds over recorded pairs.
 
     worst_slack is minus the largest interval defect
@@ -318,7 +324,7 @@ def dissipation_monitor(traj: Trajectory, manifold: WarpedProduct) -> BoundRepor
     must hold in every run.
     """
     scalars = traj.scalars
-    times, lengths, dissipation = scalars[:, 0], scalars[:, 4], scalars[:, 5]
+    times, lengths, dissipation = scalars[:, [TIME, LENGTH, DISSIPATION]].T
     rates = np.diff(lengths) / np.diff(times)
     defect = float(np.max(np.abs(
         rates + 0.5 * (dissipation[:-1] + dissipation[1:])), initial=0.0))
@@ -503,7 +509,7 @@ def commutator_residual_study(ladder: RefinementLadder) -> ResidualReport:
 def dissipation_residual_study(ladder: RefinementLadder) -> ResidualReport:
     """Convergence order of the step-wise dissipation defect
     |Delta L / Delta t + int |A|^2 ds|; passes at order 1.8."""
-    res = [-dissipation_monitor(traj, ladder.manifold).worst_slack
+    res = [-dissipation_monitor(traj).worst_slack
            for traj in ladder.trajectories]
     return _study_report("dissipation", ladder, res, 1.8)
 

@@ -162,12 +162,13 @@ def test_criterion_3_product_case(scenario3, studies):
     theta_drop = float(traj.scalars[0, 1] - traj.scalars[:, 1].min())
     elapsed = t_run + t_study
     print(f"criterion 3: stop={rep.stop_reason.value} t={rep.t_final:.2f} "
-          f"max|A|={rep.final_max_a:.2e}, min theta drop {theta_drop:.2e}, "
+          f"max|A|={rep.final_max_curvature:.2e}, "
+          f"min theta drop {theta_drop:.2e}, "
           f"orders {tuple(round(o, 2) for o in study.orders)}, "
           f"runtime {elapsed:.1f}s")
     assert rep.stop_reason is wcsf.StopReason.CONVERGED
     assert rep.t_final < 50.0
-    assert rep.final_max_a < 1e-6
+    assert rep.final_max_curvature < 1e-6
     assert theta_drop <= 1e-4
     assert study.passed and all(o >= 1.8 for o in study.orders)
     assert elapsed < 60.0

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,16 @@ def test_report_has_the_dt_range_but_no_rhs_count(tmp_path):
     at = keys.index("flow.steps")
     assert keys[at + 1:at + 4] == ["flow.dt_min", "flow.dt_median",
                                    "flow.dt_max"]
+
+
+def test_report_flow_section_is_the_flow_report(tmp_path):
+    cfg = write_cfg(tmp_path / "demo.cfg", FAST)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    keys = [line.split(" = ")[0]
+            for line in (out / "report.txt").read_text().splitlines()]
+    assert [k[len("flow."):] for k in keys if k.startswith("flow.")] == [
+        f.name for f in fields(wcsf.FlowReport)]
 
 
 def test_rerun_byte_identical(tmp_path):
@@ -182,6 +194,16 @@ def test_default_out_dir(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path / "demo.cfg", FAST)
     assert main(["run", cfg]) == 0
     assert (tmp_path / "wcsf_out" / "demo" / "report.txt").exists()
+
+
+def test_a_file_stem_that_is_no_run_name_is_a_usage_error(tmp_path,
+                                                          monkeypatch):
+    # the stem of "..cfg" is ".", which would put the artifacts straight
+    # into wcsf_out/
+    monkeypatch.chdir(tmp_path)
+    write_cfg(tmp_path / "..cfg", FAST)
+    assert main(["run", "..cfg"]) == 64
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["..cfg"]
 
 
 def test_report_values_match_trajectory(tmp_path):

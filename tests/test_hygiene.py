@@ -1,6 +1,7 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no module imports a name it never uses, and no
+function of the package takes a parameter it never reads.
 
-The scan reads the package (its __init__.py re-exports what it imports),
+The scans read the package (its __init__.py re-exports what it imports),
 the demos and the tests with the standard library's ast module alone.
 """
 
@@ -10,8 +11,8 @@ from pathlib import Path
 ROOT = Path(__file__).parents[1]
 
 
-def _sources():
-    for sub in ("src/wcsf", "demos", "tests"):
+def _sources(subs=("src/wcsf", "demos", "tests")):
+    for sub in subs:
         for path in sorted((ROOT / sub).glob("*.py")):
             if path.name != "__init__.py":
                 yield path
@@ -52,4 +53,50 @@ def test_no_module_imports_a_name_it_never_uses():
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in _sources()
              for line, name in unused_imports(path.read_text())]
+    assert found == []
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def unused_parameters(source: str) -> list:
+    """(line, "function(parameter)") for each parameter of a module-level
+    function or method that its body never reads. Nested functions, self
+    and names starting with an underscore are exempt."""
+    tree = ast.parse(source)
+    functions = [(node.name, node) for node in tree.body
+                 if isinstance(node, _FUNCTIONS)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            functions += [(f"{cls.name}.{node.name}", node)
+                          for node in cls.body if isinstance(node, _FUNCTIONS)]
+    found = []
+    for name, fn in functions:
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [
+            p for p in (a.vararg, a.kwarg) if p is not None]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        found += [(p.lineno, f"{name}({p.arg})") for p in params
+                  if p.arg != "self" and not p.arg.startswith("_")
+                  and p.arg not in read]
+    return sorted(found)
+
+
+def test_the_scan_sees_an_unused_parameter():
+    assert unused_parameters("def f(a, b):\n    return a\n") == [
+        (1, "f(b)")]
+    assert unused_parameters(
+        "class C:\n    def m(self, x, _y, *args, k=1, **kw):\n"
+        "        return args, kw\n") == [(2, "C.m(k)"), (2, "C.m(x)")]
+    # a nested function may ignore its argument; reading one counts
+    assert unused_parameters(
+        "def f(t):\n    def g(s):\n        return t\n    return g\n") == []
+
+
+def test_no_package_function_takes_a_parameter_it_never_reads():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in _sources(("src/wcsf",))
+             for line, name in unused_parameters(path.read_text())]
     assert found == []

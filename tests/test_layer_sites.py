@@ -116,3 +116,29 @@ def test_traced_verify_counts_ladder_runs_as_study_work(tmp_path,
     assert code == 0 and steps > 1
     assert tracer.rhs["study"] > 0
     assert tracer.rhs["main"] == 4 * steps + 1
+
+
+# (steps, kernel calls) of each smoke workload at seed 0; the benchmark
+# gates steps and rhs_evals, so a change that moves them shows here first
+SMOKE_COUNTS = {"left_warped.smoke": (19, 77),
+                "right_warped.smoke": (36, 145),
+                "product_record.smoke": (80, 321),
+                "curved_verify.smoke": (20, 81)}
+
+
+def test_smoke_workloads_keep_their_step_and_kernel_counts(monkeypatch):
+    kernel = wcsf.flow.compute_fields
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(wcsf.flow, "compute_fields", counted)
+    counts = {}
+    for name, workload in load_perfbench("workloads").SMOKE.items():
+        scn = wcsf.parse_config(workload.config(0))
+        calls[0] = 0
+        _, rep = wcsf.run(scn.manifold, scn.initial_curve(), scn.params)
+        counts[name] = (rep.steps, calls[0])
+    assert counts == SMOKE_COUNTS

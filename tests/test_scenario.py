@@ -129,6 +129,13 @@ def test_rejects_bad_config(text, fragment):
         parse_config(text)
 
 
+@pytest.mark.parametrize("name", ["", ".", "..", "a/b"])
+def test_rejects_a_bad_default_name(name):
+    # the caller's name, a .cfg file's stem, is checked like scenario.name
+    with pytest.raises(ConfigError, match="scenario.name"):
+        parse_config(BASE, name=name)
+
+
 def test_zero_tol_bound_is_valid():
     # tol.bound = 0 demands the bounds hold exactly; only negative is wrong
     assert parse_config(BASE + "tol.bound = 0\n").tol_bound == 0.0

@@ -30,7 +30,7 @@ def test_stationary_residuals_vanish(left_exp, right_exp):
         assert np.abs(res).max() < 1e-12
         assert wcsf.commutator_residual(traj, manifold, k) < 1e-12
         assert wcsf.gradient_identity_residual(traj[k], manifold) < 1e-12
-        diss = wcsf.dissipation_monitor(traj, manifold)
+        diss = wcsf.dissipation_monitor(traj)
         assert diss.passed and abs(diss.worst_slack) < 1e-12
 
 
@@ -174,7 +174,7 @@ def test_theta_monitor_vacuous_drift_on_single_state(left_exp):
 
 def test_dissipation_monitor_small_defect(product):
     traj = short_run(product, sin_field(0.5))
-    rep = wcsf.dissipation_monitor(traj, product)
+    rep = wcsf.dissipation_monitor(traj)
     assert rep.passed
     assert rep.worst_slack <= 0.0
     assert -rep.worst_slack < 1e-4
@@ -185,14 +185,14 @@ def test_dissipation_monitor_matches_loop_reference(kind, request):
     # same arithmetic per interval as the loop, so the result is bitwise
     manifold = request.getfixturevalue(kind)
     traj = short_run(manifold, sin_field(0.4), t_max=0.3, stride=3)
-    rep = wcsf.dissipation_monitor(traj, manifold)
+    rep = wcsf.dissipation_monitor(traj)
     assert -rep.worst_slack == oracles.dissipation_defect_loop(traj)
 
 
 def test_dissipation_monitor_single_state_has_no_defect(product):
     curve = wcsf.make_graph_curve(sin_field(0.5), 64)
     traj, _ = wcsf.run(product, curve, wcsf.FlowParams(t_max=0.0))
-    rep = wcsf.dissipation_monitor(traj, product)
+    rep = wcsf.dissipation_monitor(traj)
     assert rep.passed and rep.worst_slack == 0.0
 
 
@@ -259,7 +259,7 @@ def test_lean_rungs_give_the_full_runs_numbers(left_exp, kwargs):
             float(wcsf.evolution_residual(traj, left_exp, k).max()))
         expected[1].append(wcsf.commutator_residual(traj, left_exp, k))
         expected[2].append(
-            -wcsf.dissipation_monitor(traj, left_exp).worst_slack)
+            -wcsf.dissipation_monitor(traj).worst_slack)
     for rep, want in zip(reports, expected):
         assert rep.max_residuals == tuple(want)
     if kwargs:
