@@ -7,14 +7,16 @@ byte-identical. Wall-clock timings never enter these files.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 
 import numpy as np
 
-from .flow import MIN_THETA, MIN_THETA_HAT, TIME, Trajectory
+from .flow import MIN_THETA, MIN_THETA_HAT, TIME, FlowState, Trajectory
 from .spectral import TWO_PI
 
-__all__ = ["write_trajectory_csv", "write_report", "write_svg"]
+__all__ = ["open_trajectory_csv", "write_trajectory_csv", "write_report",
+           "write_svg"]
 
 
 def _fmt(value) -> str:
@@ -33,23 +35,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_trajectory_csv(path, traj: Trajectory) -> None:
-    """Write every recorded state, one row per node, one state at a time.
+@contextlib.contextmanager
+def open_trajectory_csv(path):
+    """Open a trajectory CSV for writing and write its header line; the
+    file is closed when the with block ends, by an exception too.
 
-    Columns: t, j, r, x1, theta, theta_hat, curvature. Coordinates are
-    reduced mod 2 pi; curvature is the node's |A|. Values are written as
-    repr of Python floats, like _fmt. Iterating the trajectory rebuilds
-    each older state's fields once.
+    Columns: t, j, r, x1, theta, theta_hat, curvature. write_trajectory_csv
+    adds each recorded state's rows, so a run's file is written while the
+    run records, one state at a time.
     """
     with open(path, "w", newline="\n") as fh:
         fh.write("t, j, r, x1, theta, theta_hat, curvature\n")
-        for state in traj:
-            f = state.fields
-            table = np.column_stack((np.mod(state.curve.coords, TWO_PI),
-                                     f.theta, f.theta_hat, f.curvature_norm))
-            t_str = _fmt(state.t)
-            fh.write("".join(f"{t_str}, {j}, {', '.join(map(repr, row))}\n"
-                             for j, row in enumerate(table.tolist())))
+        yield fh
+
+
+def write_trajectory_csv(fh, state: FlowState) -> None:
+    """Write one recorded state to an open trajectory CSV, one row per
+    node. Coordinates are reduced mod 2 pi; curvature is the node's |A|.
+    Values are written as repr of Python floats, like _fmt.
+    """
+    f = state.fields
+    table = np.column_stack((np.mod(state.curve.coords, TWO_PI),
+                             f.theta, f.theta_hat, f.curvature_norm))
+    t_str = _fmt(state.t)
+    fh.write("".join(f"{t_str}, {j}, {', '.join(map(repr, row))}\n"
+                     for j, row in enumerate(table.tolist())))
 
 
 def write_report(path, sections: dict) -> None:
@@ -75,7 +85,7 @@ def _emit(lines, prefix, mapping) -> None:
 
 _SVG_W, _SVG_H = 920.0, 430.0
 _PANE_W, _PANE_H, _MARG = 400.0, 330.0, 55.0
-_SNAPSHOTS = 16     # most curves drawn, evenly spaced over the states
+_SNAPSHOTS = 16     # most curves drawn, evenly spaced over the kept states
 
 
 def _scale(values, lo_px, hi_px):
@@ -103,14 +113,17 @@ def _polyline(xs, ys, stroke, width="1.2", dash=None) -> str:
 
 def write_svg(path, traj: Trajectory) -> None:
     """Two-pane chart: curve snapshots in the (r, x1) plane on the left,
-    min angle diagnostics against time on the right. Self-contained SVG."""
-    n = len(traj)
-    k = min(_SNAPSHOTS, n)
-    # np.unique would import numpy.ma; the indices never decrease, so
+    min angle diagnostics against time on the right. Self-contained SVG.
+
+    The snapshots are up to _SNAPSHOTS states evenly spaced among those
+    whose curves traj kept; the right pane reads every scalar row."""
+    kept = traj.kept()
+    k = min(_SNAPSHOTS, len(kept))
+    # np.unique would import numpy.ma; the positions never decrease, so
     # dict.fromkeys drops repeats and keeps their order
-    step = (n - 1) / max(k - 1, 1)
-    idx = dict.fromkeys(round(i * step) for i in range(k))
-    snaps = [traj.curve(i) for i in idx]
+    step = (len(kept) - 1) / max(k - 1, 1)
+    snaps = [traj.curve(kept[p])
+             for p in dict.fromkeys(round(i * step) for i in range(k))]
 
     left_x0, left_x1 = _MARG, _MARG + _PANE_W
     right_x0, right_x1 = _MARG + _PANE_W + 2 * _MARG, _SVG_W - 30.0

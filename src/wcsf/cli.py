@@ -19,8 +19,9 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import verification
-from .artifacts import write_report, write_svg, write_trajectory_csv
-from .flow import StopReason, run
+from .artifacts import (_SNAPSHOTS, open_trajectory_csv, write_report,
+                        write_svg, write_trajectory_csv)
+from .flow import MIN_THETA, FlowState, StopReason, Trajectory, run
 from .scenario import ConfigError, Scenario, parse_config
 
 __all__ = ["main", "execute_scenario",
@@ -97,13 +98,59 @@ def _study_section(rep) -> dict:
     }
 
 
+class _Recorder(Trajectory):
+    """The record of a scenario's own run, taken as run appends each state.
+
+    On append the state's rows go to the open trajectory CSV and, when
+    bounds are checked, the state goes to the drift check, so nothing is
+    rebuilt after the run. The recorder keeps every scalar row and the
+    first state, but coordinates only for the chart: state 0, the newest
+    state and the states at multiples of a power-of-two stride, which
+    doubles whenever more than 2 * _SNAPSHOTS older states would be kept.
+    So it holds at most 2 * _SNAPSHOTS + 1 curves however long the run,
+    and every curve of a run of at most that many states.
+    """
+
+    def __init__(self, csv, check_drift: bool):
+        super().__init__()
+        self._csv = csv
+        self._check_drift = check_drift
+        self._stride = 1
+        self.first: FlowState | None = None
+        self.drift: verification.DriftCheck | None = None
+
+    def append(self, state: FlowState) -> None:
+        super().append(state)
+        write_trajectory_csv(self._csv, state)
+        i = len(self) - 1
+        if i == 0:
+            self.first = state
+            if self._check_drift:
+                self.drift = verification.DriftCheck(
+                    state.fields.manifold, float(self.scalars[0, MIN_THETA]))
+        if self.drift is not None:
+            self.drift.add(state)
+        if i and (i - 1) % self._stride:    # the previous newest, off stride
+            self._drop((i - 1,))
+        # states 0, stride, ... below i: (i - 1) // stride + 1 of them
+        if (i - 1) // self._stride >= 2 * _SNAPSHOTS:
+            self._drop(range(self._stride, i, 2 * self._stride))
+            self._stride *= 2
+
+
 def execute_scenario(scn: Scenario, out_dir) -> tuple:
-    """Run one scenario, write its artifacts, return (exit_code, stop)."""
+    """Run one scenario, write its artifacts, return (exit_code, stop).
+
+    trajectory.csv is written while the flow runs, one recorded state at
+    a time; the report and the chart follow the run."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     params = scn.params
-    traj, rep = run(scn.manifold, scn.initial_curve(), params)
+    curve0 = scn.initial_curve()
+    with open_trajectory_csv(out / "trajectory.csv") as csv:
+        traj, rep = run(scn.manifold, curve0, params,
+                        _Recorder(csv, scn.verify_bounds))
     wall = time.perf_counter() - started
 
     sections = {
@@ -149,10 +196,9 @@ def execute_scenario(scn: Scenario, out_dir) -> tuple:
     if studies:
         sections["residuals"] = {s.name: _study_section(s) for s in studies}
     sections["closed_form_theta"] = {
-        "direct": verification.closed_form_theta(traj[0], scn.manifold)}
+        "direct": verification.closed_form_theta(traj.first, scn.manifold)}
 
     write_report(out / "report.txt", sections)
-    write_trajectory_csv(out / "trajectory.csv", traj)
     if scn.svg:
         write_svg(out / "chart.svg", traj)
 

@@ -109,6 +109,10 @@ class Trajectory:
     equal coordinates, so they are bit for bit the fields the flow
     computed, and each read pays one kernel call. All states share one
     manifold, mode, node count and winding.
+
+    A subclass that records long runs may _drop the coordinates of older
+    states it will not read; their scalar rows stay, and reading their
+    curves raises LookupError.
     """
 
     def __init__(self, states=()):
@@ -148,6 +152,15 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self._coords)
 
+    def _drop(self, indices) -> None:
+        """Forget the coordinates of the states at indices."""
+        for j in indices:
+            self._coords[j] = None
+
+    def kept(self) -> list:
+        """Indices of the states whose curves can be read, oldest first."""
+        return [i for i, c in enumerate(self._coords) if c is not None]
+
     def curve(self, i) -> DiscreteCurve:
         """The curve of state i, rebuilt unless it is the newest."""
         i = range(len(self._coords))[i]   # IndexError when out of range
@@ -155,6 +168,9 @@ class Trajectory:
         if i == len(self._coords) - 1:
             return last
         coords = self._coords[i]
+        if coords is None:
+            raise LookupError(f"state {i} of this trajectory was dropped: "
+                              "only its scalar row is kept")
         if last.mode == GRAPH:
             coords = np.column_stack((spectral.nodes(last.m), coords))
         return DiscreteCurve(last.mode, coords, last.winding)
@@ -172,18 +188,10 @@ class Trajectory:
             yield self[i]
 
     @property
-    def curves(self) -> tuple:
-        return tuple(self.curve(i) for i in range(len(self._coords)))
-
-    @property
     def scalars(self) -> np.ndarray:
         """One row per state, in the columns TIME, MIN_THETA,
         MIN_THETA_HAT, MAX_A, LENGTH and DISSIPATION."""
         return np.array(self._rows)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([row[TIME] for row in self._rows])
 
     @property
     def final(self) -> FlowState:

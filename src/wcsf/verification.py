@@ -26,8 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from . import spectral
-from .curves import (GRAPH, DiscreteCurve, _validate_m, arc_derivative,
-                     arc_laplacian, compute_fields, make_graph_curve)
+from .curves import (GRAPH, _validate_m, arc_derivative, arc_laplacian,
+                     compute_fields, make_graph_curve)
 from .flow import (DISSIPATION, LENGTH, MIN_THETA, MONOTONE_TOL, TIME,
                    FlowParams, FlowState, Trajectory, run)
 from .fourier import _GRID, _SAMPLES, FourierField
@@ -40,6 +40,7 @@ __all__ = [
     "evolution_residual",
     "gradient_identity_residual",
     "commutator_residual",
+    "DriftCheck",
     "theta_bound_monitor",
     "dissipation_monitor",
     "exp_constant",
@@ -95,16 +96,6 @@ def _triple(traj: Trajectory, k: int):
     if mid.curve.mode != GRAPH:
         raise ValueError("time differencing requires graph mode nodes")
     return prev, mid, nxt
-
-
-def _windows(traj: Trajectory):
-    """Consecutive (prev, mid, next) states in one pass over the
-    trajectory, so each state's fields are rebuilt once."""
-    states = iter(traj)
-    prev, mid = next(states, None), next(states, None)
-    for nxt in states:
-        yield prev, mid, nxt
-        prev, mid = mid, nxt
 
 
 def _material_dt(prev: FlowState, mid: FlowState, nxt: FlowState,
@@ -244,6 +235,51 @@ def drift_constant(manifold: WarpedProduct, t0: float,
 BOUND_TOL = 1e-4
 
 
+class DriftCheck:
+    """The drift inequality of theta_bound_monitor, checked on a run's
+    recorded states as they come.
+
+    add(state) takes the states in recorded order and differences the two
+    before each state with it, so the check holds two states however long
+    the run. Parametric states are skipped: they are not time-differenced.
+    worst is the least slack so far (inf before the first window) and
+    checked the number of windows; constant(t) is C_drift up to time t.
+    """
+
+    def __init__(self, manifold: WarpedProduct, min_theta0: float):
+        self.c_exp = exp_constant(manifold)
+        self.inputs = {"grid": _GRID, "min_theta_0": min_theta0}
+        if manifold.kind == LEFT:
+            self.inputs["max_warp_sq"] = manifold.warp.max_on_grid() ** 2
+            self._c_right = None
+        else:
+            self._c_right = drift_constant(manifold, 0.0, min_theta0)
+        self.worst = math.inf
+        self.checked = 0
+        self._prev = self._mid = None
+
+    def constant(self, t: float) -> float:
+        """C_drift up to time t (drift_constant, from the cached inputs)."""
+        if self._c_right is not None:
+            return self._c_right
+        return _left_drift(self.c_exp, self.inputs["max_warp_sq"], t,
+                           self.inputs["min_theta_0"])
+
+    def add(self, state: FlowState) -> None:
+        if state.curve.mode != GRAPH:
+            return
+        prev, mid = self._prev, self._mid
+        self._prev, self._mid = mid, state
+        if prev is None:
+            return
+        f = mid.fields
+        dth, lap = _theta_rates(prev, mid, state)
+        slack = (dth - lap - 0.5 * f.curvature_norm ** 2 * f.theta
+                 + self.constant(mid.t))
+        self.worst = min(self.worst, float(slack.min()))
+        self.checked += 1
+
+
 def theta_bound_monitor(traj: Trajectory, manifold: WarpedProduct,
                         eps_tol: float = BOUND_TOL):
     """Check the two angle inequalities over a completed run.
@@ -257,6 +293,10 @@ def theta_bound_monitor(traj: Trajectory, manifold: WarpedProduct,
     Failures beyond eps_tol are falsification flags, never clamped.
     eps_tol must be finite and nonnegative: a negative one would flag
     bounds that hold.
+
+    A trajectory whose `drift` attribute is a DriftCheck fed every state
+    as it was recorded (as `wcsf run` records its main run) is not
+    differenced again; any other is, one rebuilt state at a time.
     """
     if not 0.0 <= eps_tol < math.inf:
         raise ValueError(
@@ -264,52 +304,35 @@ def theta_bound_monitor(traj: Trajectory, manifold: WarpedProduct,
     scalars = traj.scalars
     times = scalars[:, TIME]
     theta0 = float(scalars[0, MIN_THETA])
-    c_exp = exp_constant(manifold)
-    inputs = {"grid": _GRID, "min_theta_0": theta0}
-    if manifold.kind == LEFT:
-        max_psi_sq = manifold.warp.max_on_grid() ** 2
-        inputs["max_warp_sq"] = max_psi_sq
+    graph = traj.curve(-1).mode == GRAPH    # one mode for every state
+    drift = getattr(traj, "drift", None)
+    if drift is None:
+        drift = DriftCheck(manifold, theta0)
+        for state in traj if graph else ():
+            drift.add(state)
 
-        def c_drift(t):
-            return _left_drift(c_exp, max_psi_sq, t, theta0)
-    else:
-        c_right = drift_constant(manifold, 0.0, theta0)
-
-        def c_drift(t):
-            return c_right
-
-    slack_exp = scalars[:, MIN_THETA] - np.exp(-c_exp * times) * theta0
+    slack_exp = scalars[:, MIN_THETA] - np.exp(-drift.c_exp * times) * theta0
     exp_report = BoundReport(
         name="theta_exp_lower_bound",
         constant_name=f"C_{manifold.kind}",
-        constant_value=c_exp,
-        constant_inputs=dict(inputs),
+        constant_value=drift.c_exp,
+        constant_inputs=dict(drift.inputs),
         worst_slack=float(slack_exp.min()),
         passed=bool(slack_exp.min() >= -eps_tol),
     )
 
-    worst = np.inf
-    checked = 0
-    graph = traj.curve(-1).mode == GRAPH    # one mode for every state
-    for prev, mid, nxt in _windows(traj) if graph else ():
-        f = mid.fields
-        dth, lap = _theta_rates(prev, mid, nxt)
-        slack = (dth - lap - 0.5 * f.curvature_norm ** 2 * f.theta
-                 + c_drift(mid.t))
-        worst = min(worst, float(slack.min()))
-        checked += 1
     notes = ""
     if not graph:
         notes = "parametric states are not time-differenced; vacuous"
-    elif checked == 0:
+    elif drift.checked == 0:
         notes = "no interior recorded states to difference; vacuous"
     drift_report = BoundReport(
         name="theta_drift_inequality",
         constant_name=f"C_{manifold.kind}_drift",
-        constant_value=float(c_drift(float(times[-1]))),
-        constant_inputs=dict(inputs),
-        worst_slack=worst,
-        passed=bool(worst >= -eps_tol),
+        constant_value=float(drift.constant(float(times[-1]))),
+        constant_inputs=dict(drift.inputs),
+        worst_slack=drift.worst,
+        passed=bool(drift.worst >= -eps_tol),
         notes=notes,
     )
     return exp_report, drift_report
@@ -391,8 +414,7 @@ class _Rung(Trajectory):
             self._gap, self._nearest = gap, i
         c = max(self._nearest, 1)
         keep = {i - 2, i - 1, i, c - 1, c, c + 1}
-        for j in self._held - keep:
-            self._coords[j] = None
+        self._drop(self._held - keep)
         self._held = (self._held | {i}) & keep
 
     @property
@@ -400,16 +422,6 @@ class _Rung(Trajectory):
         """The state the studies difference: the one nearest t_mid, moved
         inward so it has a recorded neighbour on each side."""
         return min(max(self._nearest, 1), len(self) - 2)
-
-    def curve(self, i) -> DiscreteCurve:
-        j = range(len(self))[i]
-        if self._coords[j] is None:
-            c = self.mid
-            raise LookupError(
-                f"state {j} of this ladder rung was dropped: it keeps the "
-                f"coordinates of states {c - 1}..{c + 1} and of the newest "
-                "three only")
-        return super().curve(j)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,12 @@ def curved_manifold(kind):
                               g11=perturbed_base())
 
 
+def report_steps(out):
+    """flow.steps of the report.txt in the directory out."""
+    report = (out / "report.txt").read_text()
+    return int(report.split("flow.steps = ")[1].split("\n")[0])
+
+
 MANIFOLDS = {"left": left_exp_manifold, "right": right_exp_manifold,
              "product": product_manifold,
              "curved_left": lambda: curved_manifold(wcsf.LEFT),

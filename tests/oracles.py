@@ -2,9 +2,10 @@
 
 Deliberately naive second routes to derived quantities: finite differences
 of metric values, dense quadrature, scalar RK4, brute-force polyline
-distances, dense-tensor curve fields, a per-node CSV loop, a per-interval
-dissipation loop, whole-grid Fourier tables, an exact-rational ETDRK4
-series table and a direct-sum trigonometric interpolant. Nothing here shares a code path with the quantities it
+distances, dense-tensor curve fields, a per-node CSV loop, the chart's
+snapshot rule, a per-interval dissipation loop, whole-grid Fourier tables,
+an exact-rational ETDRK4 series table and a direct-sum trigonometric
+interpolant. Nothing here shares a code path with the quantities it
 checks.
 """
 
@@ -184,6 +185,19 @@ def trajectory_csv_text(traj):
             row.append(fmt(f.curvature_norm[j]))
             lines.append(", ".join(row))
     return "\n".join(lines) + "\n"
+
+
+def svg_snapshot_indices(n, snapshots=16):
+    """The states a chart of n recorded states draws when every curve is
+    kept: up to `snapshots` of them at i (n - 1) / (k - 1), each rounded
+    half to even in exact rational arithmetic, repeats dropped."""
+    k = min(snapshots, n)
+    picked = []
+    for i in range(k):
+        j = round(Fraction(i * (n - 1), max(k - 1, 1)))
+        if j not in picked:
+            picked.append(j)
+    return picked
 
 
 def dissipation_defect_loop(traj):

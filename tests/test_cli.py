@@ -1,12 +1,16 @@
+import io
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import wcsf
-from oracles import trajectory_csv_text
-from wcsf.artifacts import write_trajectory_csv
-from wcsf.cli import main
+import wcsf.cli
+from conftest import report_steps
+from oracles import svg_snapshot_indices, trajectory_csv_text
+from wcsf.artifacts import (_SNAPSHOTS, open_trajectory_csv, write_svg,
+                            write_trajectory_csv)
+from wcsf.cli import _Recorder, execute_scenario, main
 
 FAST = """\
 manifold.kind = left
@@ -223,13 +227,108 @@ def test_report_values_match_trajectory(tmp_path):
 
 @pytest.mark.parametrize("warp", [0.3, None])
 def test_trajectory_csv_matches_loop_writer(tmp_path, warp):
-    # left-warped and product runs; the streamed writer must give the
-    # same bytes as the per-node loop in the oracles
+    # left-warped and product runs; the writer, fed one state at a time,
+    # must give the same bytes as the per-node loop in the oracles
     manifold = wcsf.WarpedProduct(
         wcsf.LEFT, warp=wcsf.FourierField.exp_cos(warp) if warp else 1.0)
     curve = wcsf.make_graph_curve(wcsf.FourierField([0.1], [0.0, 0.4]), 64)
     traj, _ = wcsf.run(manifold, curve,
                        wcsf.FlowParams(t_max=0.5, record_stride=10))
     path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(path, traj)
+    with open_trajectory_csv(path) as fh:
+        for state in traj:
+            write_trajectory_csv(fh, state)
     assert path.read_bytes() == trajectory_csv_text(traj).encode()
+
+
+# a flat left run of 25 steps and 26 recorded states, bounds and chart on
+SHORT_PRODUCT = """\
+manifold.kind = left
+init.sin = 0.0, 0.5
+grid.m = 64
+record.stride = 5
+time.t_max = 0.3
+output.svg = on
+"""
+
+
+def test_a_scenario_run_rebuilds_no_state(tmp_path, monkeypatch):
+    # the CSV rows, the drift check, the closed form and the chart read
+    # the states as run records them, so the kernel runs only inside the
+    # flow: 4 calls a step and one for the initial state
+    kernel = wcsf.curves.compute_fields
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return kernel(*args, **kwargs)
+
+    for module in (wcsf.flow, wcsf.verification, wcsf.curves):
+        monkeypatch.setattr(module, "compute_fields", counted)
+    code, _ = execute_scenario(wcsf.parse_config(SHORT_PRODUCT), tmp_path)
+    steps = report_steps(tmp_path)
+    assert code == 0 and steps == 25
+    assert calls[0] == 4 * steps + 1
+
+
+def test_a_long_run_keeps_a_bounded_chart_set(tmp_path, monkeypatch):
+    # every state reaches trajectory.csv, but the chart keeps the curves
+    # of at most 2 * _SNAPSHOTS + 1 of them, the first and newest included
+    charted = []
+
+    def capture(path, traj):
+        charted.append(traj)
+        write_svg(path, traj)
+
+    monkeypatch.setattr(wcsf.cli, "write_svg", capture)
+    cfg = (SHORT_PRODUCT.replace("grid.m = 64", "grid.m = 32")
+           .replace("record.stride = 5", "record.stride = 1")
+           .replace("time.t_max = 0.3", "time.t_max = 2.5"))
+    assert execute_scenario(wcsf.parse_config(cfg), tmp_path)[0] == 0
+    (traj,) = charted
+    kept = traj.kept()
+    assert len(traj) >= 200
+    assert len(kept) <= 2 * _SNAPSHOTS + 1
+    assert kept[0] == 0 and kept[-1] == len(traj) - 1
+    rows = (tmp_path / "trajectory.csv").read_text().count("\n")
+    assert rows == 1 + 32 * len(traj)
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 17, 33])
+def test_a_short_run_charts_the_snapshots_of_a_full_record(tmp_path,
+                                                          monkeypatch, n):
+    # up to 2 * _SNAPSHOTS + 1 states the recorder keeps every curve, so
+    # the chart draws the states it drew when every curve was kept
+    manifold = wcsf.WarpedProduct(wcsf.LEFT, warp=1.0)
+    curve = wcsf.make_graph_curve(wcsf.FourierField([0.0], [0.0, 0.5]), 32)
+    state0 = wcsf.FlowState(curve, 0.0, wcsf.compute_fields(curve, manifold))
+    params = wcsf.FlowParams(t_max=(n - 1) * wcsf.adaptive_dt(state0, 0.25),
+                             tol_geo=0.0, record_stride=1)
+    traj, _ = wcsf.run(manifold, curve, params,
+                       _Recorder(io.StringIO(), check_drift=False))
+    assert len(traj) == n
+    drawn = []
+    real_curve = wcsf.flow.Trajectory.curve
+
+    def spy(self, i):
+        drawn.append(i)
+        return real_curve(self, i)
+
+    monkeypatch.setattr(wcsf.flow.Trajectory, "curve", spy)
+    write_svg(tmp_path / "chart.svg", traj)
+    assert drawn == svg_snapshot_indices(n)
+
+
+@pytest.mark.parametrize("kind", [wcsf.LEFT, wcsf.RIGHT])
+def test_streamed_drift_check_matches_the_post_run_monitor(kind):
+    # one drift arithmetic: fed state by state while run records, or over
+    # the rebuilt states of a kept trajectory, the reports are equal
+    manifold = wcsf.WarpedProduct(kind, warp=wcsf.FourierField.exp_cos(0.3))
+    curve = wcsf.make_graph_curve(wcsf.FourierField([0.0], [0.0, 0.3]), 32)
+    params = wcsf.FlowParams(t_max=0.3, record_stride=3)
+    kept, _ = wcsf.run(manifold, curve, params)
+    streamed, _ = wcsf.run(manifold, curve, params,
+                           _Recorder(io.StringIO(), check_drift=True))
+    assert streamed.drift.checked == len(kept) - 2 > 0
+    assert (wcsf.theta_bound_monitor(streamed, manifold)
+            == wcsf.theta_bound_monitor(kept, manifold))

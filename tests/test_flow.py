@@ -265,7 +265,7 @@ def test_rebuilt_fields_are_the_flows_fields(name, monkeypatch):
             for attr in FIELD_ATTRS:
                 assert np.array_equal(getattr(state.fields, attr),
                                       getattr(want.fields, attr)), attr
-    assert [s.t for s in traj] == list(traj.times)
+    assert [s.t for s in traj] == list(traj.scalars[:, flow.TIME])
     with pytest.raises(IndexError):
         traj[n]
 
@@ -323,7 +323,7 @@ def test_record_stride_controls_sampling(product):
     traj, rep = wcsf.run(product, curve,
                          wcsf.FlowParams(t_max=0.05, record_stride=1))
     assert len(traj) == rep.steps + 1
-    times = traj.times
+    times = traj.scalars[:, flow.TIME]
     assert np.all(np.diff(times) > 0.0)
     assert times[0] == 0.0 and abs(times[-1] - 0.05) < 1e-12
 
@@ -333,7 +333,7 @@ def test_recorded_times_on_the_fixed_grid(left_exp):
     params = wcsf.FlowParams(t_max=0.4, record_stride=30)
     traj, rep = wcsf.run(left_exp, curve, params)
     dt0 = wcsf.adaptive_dt(traj[0], params.cfl)
-    times = traj.times
+    times = traj.scalars[:, flow.TIME]
     assert len(traj) >= 4 and times[-1] == 0.4
     for j, t in enumerate(times[:-1]):
         assert t == j * params.record_stride * dt0
@@ -413,9 +413,10 @@ def test_time_error_against_a_finer_reference(name, monkeypatch):
     traj, _ = wcsf.run(manifold, curve, params)
     monkeypatch.setattr(flow, "DT_MAX", flow.DT_MAX / 10.0)
     ref, _ = wcsf.run(manifold, curve, params)
-    assert list(traj.times) == list(ref.times)
-    err = max(np.abs(a.coords[:, 1] - b.coords[:, 1]).max()
-              for a, b in zip(traj.curves, ref.curves))
+    assert list(traj.scalars[:, flow.TIME]) == list(ref.scalars[:, flow.TIME])
+    err = max(np.abs(traj.curve(i).coords[:, 1]
+                     - ref.curve(i).coords[:, 1]).max()
+              for i in range(len(traj)))
     assert err <= bound
 
 

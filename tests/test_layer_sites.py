@@ -7,8 +7,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import wcsf
 import wcsf.flow
+from conftest import report_steps
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -47,8 +50,7 @@ def test_rhs_counter_counts_four_per_step_plus_one(tmp_path, monkeypatch):
                             "init.sin = 0.0, 0.3\ngrid.m = 32\n"
                             "time.t_max = 0.5\nrecord.stride = 7\n")
     code, _ = wcsf.cli.execute_scenario(scn, tmp_path)
-    report = (tmp_path / "report.txt").read_text()
-    steps = int(report.split("flow.steps = ")[1].split("\n")[0])
+    steps = report_steps(tmp_path)
     assert code == 0 and steps > 1
     assert counts["main"] == 4 * steps + 1
 
@@ -68,28 +70,37 @@ def test_sweep_calls_are_accepted():
     assert nxt.t == dt and nxt.curve.m == 64
 
 
-def test_traced_run_reaches_the_common_layers(tmp_path, monkeypatch):
-    # a traced benchmark repetition fails when a layer its workload must
-    # reach saw no calls, e.g. after a call-graph change moves a monitor
-    # or writer out of execute_scenario; a short product run with the SVG
-    # on must reach every common layer and the SVG writer
-    import wcsf.cli
-
+def install_tracer(monkeypatch):
+    """A perfbench Tracer wrapped around every layer site; monkeypatch
+    puts the program's own functions back afterwards."""
     layers = load_perfbench("layers")
     for _, module, attr in layers.SITES:
         owner, name, fn = layers._resolve(module, attr)
         monkeypatch.setattr(owner, name, fn)
     tracer = layers.Tracer()
     tracer.install()
-    scn = wcsf.parse_config("manifold.kind = left\ninit.sin = 0.0, 0.5\n"
-                            "grid.m = 128\nrecord.stride = 20\n"
-                            "output.svg = on\ntime.t_max = 0.05\n")
+    return tracer
+
+
+@pytest.mark.parametrize("name", sorted(load_perfbench("workloads").SMOKE))
+def test_traced_run_reaches_every_layer_of_its_workload(tmp_path,
+                                                        monkeypatch, name):
+    # a traced benchmark repetition fails when a layer its workload must
+    # reach saw no calls, e.g. after a call-graph change moves a monitor
+    # or writer out of execute_scenario or behind another name; each
+    # workload's short variant must reach its layers, and the kernel
+    # must run 4 times a step plus once inside the scenario's own flow
+    import wcsf.cli
+
+    workload = load_perfbench("workloads").SMOKE[name]
+    tracer = install_tracer(monkeypatch)
+    scn = wcsf.parse_config(workload.config(0))
     code, _ = wcsf.cli.execute_scenario(scn, tmp_path)
-    must_reach = (load_perfbench("workloads").COMMON_LAYERS
-                  | {"artifacts.write_svg"})
-    assert code == 0
-    assert sorted(layer for layer in must_reach
+    steps = report_steps(tmp_path)
+    assert code == workload.exit_code
+    assert sorted(layer for layer in workload.reaches
                   if tracer.stats[layer][0] == 0) == []
+    assert tracer.rhs["main"] == 4 * steps + 1
 
 
 def test_traced_verify_counts_ladder_runs_as_study_work(tmp_path,
@@ -98,12 +109,7 @@ def test_traced_verify_counts_ladder_runs_as_study_work(tmp_path,
     # the tracer books its kernel calls under "study", never "main"
     import wcsf.cli
 
-    layers = load_perfbench("layers")
-    for _, module, attr in layers.SITES:
-        owner, name, fn = layers._resolve(module, attr)
-        monkeypatch.setattr(owner, name, fn)
-    tracer = layers.Tracer()
-    tracer.install()
+    tracer = install_tracer(monkeypatch)
     scn = wcsf.parse_config("manifold.kind = left\nwarp.exp_cos = 0.3\n"
                             "init.sin = 0.0, 0.3\ngrid.m = 32\n"
                             "time.t_max = 0.2\nrecord.stride = 10\n"
@@ -111,8 +117,7 @@ def test_traced_verify_counts_ladder_runs_as_study_work(tmp_path,
                                       ("bounds", "dissipation", "evolution",
                                        "commutator", "gradient")))
     code, _ = wcsf.cli.execute_scenario(scn, tmp_path)
-    report = (tmp_path / "report.txt").read_text()
-    steps = int(report.split("flow.steps = ")[1].split("\n")[0])
+    steps = report_steps(tmp_path)
     assert code == 0 and steps > 1
     assert tracer.rhs["study"] > 0
     assert tracer.rhs["main"] == 4 * steps + 1

@@ -253,7 +253,8 @@ def test_lean_rungs_give_the_full_runs_numbers(left_exp, kwargs):
         traj, _ = wcsf.run(left_exp, wcsf.make_graph_curve(sin_field(0.3), m),
                            wcsf.FlowParams(cfl=ladder.cfl, t_max=ladder.t_end,
                                            tol_geo=0.0, record_stride=1))
-        k = int(np.argmin(np.abs(traj.times - 0.5 * ladder.t_end)))
+        times = traj.scalars[:, wcsf.flow.TIME]
+        k = int(np.argmin(np.abs(times - 0.5 * ladder.t_end)))
         k = min(max(k, 1), len(traj) - 2)
         expected[0].append(
             float(wcsf.evolution_residual(traj, left_exp, k).max()))
