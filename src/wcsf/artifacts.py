@@ -13,7 +13,7 @@ import enum
 import numpy as np
 
 from .flow import MIN_THETA, MIN_THETA_HAT, TIME, FlowState, Trajectory
-from .spectral import TWO_PI
+from .spectral import TWO_PI, mod_two_pi
 
 __all__ = ["open_trajectory_csv", "write_trajectory_csv", "write_report",
            "write_svg"]
@@ -55,7 +55,7 @@ def write_trajectory_csv(fh, state: FlowState) -> None:
     Values are written as repr of Python floats, like _fmt.
     """
     f = state.fields
-    table = np.column_stack((np.mod(state.curve.coords, TWO_PI),
+    table = np.column_stack((mod_two_pi(state.curve.coords),
                              f.theta, f.theta_hat, f.curvature_norm))
     t_str = _fmt(state.t)
     fh.write("".join(f"{t_str}, {j}, {', '.join(map(repr, row))}\n"
@@ -129,13 +129,13 @@ def write_svg(path, traj: Trajectory) -> None:
     right_x0, right_x1 = _MARG + _PANE_W + 2 * _MARG, _SVG_W - 30.0
     y0, y1 = _SVG_H - _MARG, _MARG - 15.0
 
-    all_r = np.concatenate([np.append(c.coords[:, 0], c.coords[0, 0] + TWO_PI)
-                            for c in snaps])
-    all_x = np.concatenate([np.append(c.coords[:, 1],
-                                      c.coords[0, 1] + TWO_PI * c.winding[1])
-                            for c in snaps])
-    rx, _, _ = _scale(all_r, left_x0, left_x1)
-    xy, xmin, xmax = _scale(all_x, y0, y1)
+    # each snapshot's nodes, closed by its first node one period on
+    closed = [np.vstack((c.coords,
+                         c.coords[0] + (TWO_PI, TWO_PI * c.winding[1])))
+              for c in snaps]
+    rx, _, _ = _scale(np.concatenate([p[:, 0] for p in closed]),
+                      left_x0, left_x1)
+    xy, xmin, xmax = _scale(np.concatenate([p[:, 1] for p in closed]), y0, y1)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W:.0f}" '
@@ -146,12 +146,10 @@ def write_svg(path, traj: Trajectory) -> None:
         f'<text x="{right_x0:.1f}" y="30" font-family="monospace" '
         f'font-size="14">min angle vs t</text>',
     ]
-    for k, c in enumerate(snaps):
-        shade = 0.85 - 0.7 * (k / max(len(snaps) - 1, 1))
+    for k, p in enumerate(closed):
+        shade = 0.85 - 0.7 * (k / max(len(closed) - 1, 1))
         color = f"rgb({int(60 + 150 * shade)},{int(60 + 100 * shade)},200)"
-        r = np.append(c.coords[:, 0], c.coords[0, 0] + TWO_PI)
-        x = np.append(c.coords[:, 1], c.coords[0, 1] + TWO_PI * c.winding[1])
-        parts.append(_polyline(rx(r), xy(x), color))
+        parts.append(_polyline(rx(p[:, 0]), xy(p[:, 1]), color))
     parts.append(_polyline([left_x0, left_x0, left_x1], [y1, y0, y0],
                            "black", "1.0"))
     parts.append(f'<text x="{left_x0:.1f}" y="{y0 + 32:.1f}" '

@@ -74,28 +74,14 @@ def _load_scenario(path: Path) -> Scenario:
         raise ConfigError(f"{path.name}: {exc}") from None
 
 
-def _bound_section(rep) -> dict:
-    section = {
-        "constant_name": rep.constant_name,
-        "constant_value": rep.constant_value,
-        "worst_slack": rep.worst_slack,
-        "passed": rep.passed,
-    }
-    for key, value in rep.constant_inputs.items():
-        section[f"input.{key}"] = value
-    if rep.notes:
-        section["notes"] = rep.notes
+def _section(record) -> dict:
+    """A bound or residual report's section: its fields in order, less the
+    name its key already gives and any empty notes."""
+    section = asdict(record)
+    del section["name"]
+    if section.get("notes") == "":
+        del section["notes"]
     return section
-
-
-def _study_section(rep) -> dict:
-    return {
-        "grids": rep.grids,
-        "max_residuals": rep.max_residuals,
-        "orders": rep.orders,
-        "threshold": rep.threshold,
-        "passed": rep.passed,
-    }
 
 
 class _Recorder(Trajectory):
@@ -154,32 +140,21 @@ def execute_scenario(scn: Scenario, out_dir) -> tuple:
     wall = time.perf_counter() - started
 
     sections = {
-        "scenario": {
-            "name": scn.name,
-            "kind": scn.manifold.kind,
-            "m": scn.m,
-            "cfl": params.cfl,
-            "t_max": params.t_max,
-            "tol_geo": params.tol_geo,
-            "tol_bound": scn.tol_bound,
-            "theta_floor": params.theta_floor,
-            "a_ceiling": params.a_ceiling,
-            "record_stride": params.record_stride,
-            "winding": scn.winding,
-        },
+        "scenario": {"name": scn.name, "kind": scn.manifold.kind, "m": scn.m,
+                     **asdict(params), "winding": scn.winding},
         "flow": asdict(rep),
     }
 
     bounds = []
     if scn.verify_bounds:
         exp_rep, drift_rep = verification.theta_bound_monitor(
-            traj, scn.manifold, eps_tol=scn.tol_bound)
-        sections["bounds"] = {"exp": _bound_section(exp_rep),
-                              "drift": _bound_section(drift_rep)}
+            traj, scn.manifold, eps_tol=params.tol_bound)
+        sections["bounds"] = {"exp": _section(exp_rep),
+                              "drift": _section(drift_rep)}
         bounds += [exp_rep, drift_rep]
     if scn.verify_dissipation:
         diss = verification.dissipation_monitor(traj)
-        sections["dissipation"] = _bound_section(diss)
+        sections["dissipation"] = _section(diss)
         bounds.append(diss)
 
     # the first study that reads the ladder integrates it; the rest reuse it
@@ -194,7 +169,7 @@ def execute_scenario(scn: Scenario, out_dir) -> tuple:
     if scn.verify_gradient:
         studies.append(verification.gradient_identity_study(ladder))
     if studies:
-        sections["residuals"] = {s.name: _study_section(s) for s in studies}
+        sections["residuals"] = {s.name: _section(s) for s in studies}
     sections["closed_form_theta"] = {
         "direct": verification.closed_form_theta(traj.first, scn.manifold)}
 

@@ -32,7 +32,7 @@ from . import spectral
 from .curves import (GRAPH, CurveFields, DiscreteCurve, ImmersionError,
                      _integer, compute_fields)
 from .geometry import LEFT, WarpedProduct
-from .spectral import TWO_PI
+from .spectral import TWO_PI, mod_two_pi
 
 __all__ = [
     "StopReason",
@@ -54,13 +54,20 @@ class StopReason(enum.Enum):
     BLOWUP = "blowup"
 
 
+# how far below zero a bound's slack may fall and the bound still hold: the
+# default of FlowParams.tol_bound and of the bound monitors' eps_tol
+BOUND_TOL = 1e-4
+
+
 @dataclass(frozen=True)
 class FlowParams:
-    """Integration controls; the defaults serve every stock scenario."""
+    """Integration controls; the defaults serve every stock scenario.
+    tol_bound is the bound monitors' slack tolerance; run() never reads it."""
 
     cfl: float = 0.25
     t_max: float = 50.0
     tol_geo: float = 1e-6
+    tol_bound: float = BOUND_TOL
     theta_floor: float = 1e-3
     a_ceiling: float = 1e6
     record_stride: int = 50
@@ -73,6 +80,8 @@ class FlowParams:
         # a NaN threshold would silently switch its stop condition off
         if not 0.0 <= self.tol_geo < math.inf:
             raise ValueError("tol_geo must be finite and nonnegative")
+        if not 0.0 <= self.tol_bound < math.inf:
+            raise ValueError("tol_bound must be finite and nonnegative")
         if not 0.0 <= self.theta_floor < math.inf:
             raise ValueError("theta_floor must be finite and nonnegative")
         if not 0.0 < self.a_ceiling < math.inf:
@@ -421,7 +430,8 @@ MONOTONE_TOL = 1e-10
 
 
 def _circular_mean(angles: np.ndarray) -> float:
-    return float(np.arctan2(np.sin(angles).mean(), np.cos(angles).mean()) % TWO_PI)
+    return float(mod_two_pi(np.arctan2(np.sin(angles).mean(),
+                                       np.cos(angles).mean())))
 
 
 def _median(values: list) -> float:

@@ -3,8 +3,11 @@
 Lines are `key = value` pairs; blank lines and `#` comments are skipped.
 Keys:
 
-    scenario.name        run label and artifact directory name, one plain
-                         path component (default: supplied by the caller)
+    scenario.name        run label, one plain path component (default:
+                         supplied by the caller); the default artifact
+                         directory of `wcsf run` and `wcsf verify` is
+                         wcsf_out/<name>, but `wcsf suite` writes each
+                         run under the stem of its .cfg file
     manifold.kind        left | right (required)
     warp.exp_cos         a, for warp e^{a cos}
     warp.cos, warp.sin   Fourier coefficients of the warp (conflicts with
@@ -32,10 +35,11 @@ Keys:
     verify.gradient      on | off (default off)
     output.svg           on | off (default off)
 
-The run controls time.*, tol.geo, tol.theta_floor, tol.a_ceiling and
-record.stride set the fields of Scenario.params, a flow.FlowParams, which
-owns their defaults and ranges. Every number must be finite. All parse
-and validation errors carry the offending line number.
+The run controls time.cfl, time.t_max, tol.geo, tol.bound,
+tol.theta_floor, tol.a_ceiling and record.stride set the fields of
+Scenario.params, a flow.FlowParams, which owns their defaults and ranges.
+Every number must be finite. All parse and validation errors carry the
+offending line number.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ from .curves import DiscreteCurve, _validate_m, make_graph_curve
 from .flow import FlowParams
 from .fourier import FourierField
 from .geometry import LEFT, RIGHT, WarpedProduct, checked_g11
-from .verification import BOUND_TOL
 
 __all__ = ["ConfigError", "Scenario", "parse_config"]
 
@@ -134,7 +137,7 @@ _kind = _choice({"left": LEFT, "right": RIGHT}, "must be left or right")
 
 
 def _run_name(text: str) -> str:
-    # the name is the run's directory under the artifact root
+    # wcsf run and wcsf verify name their default artifact directory after it
     if text in ("", ".", "..") or "/" in text or "\\" in text:
         raise ValueError(f"must be one plain path component, got {text!r}")
     return text
@@ -170,7 +173,6 @@ class Scenario:
     winding: int
     m: int
     params: FlowParams
-    tol_bound: float
     verify_bounds: bool
     verify_dissipation: bool
     verify_evolution: bool
@@ -244,18 +246,14 @@ def parse_config(text: str, name: str = "scenario") -> Scenario:
                       _set(params, "t_max", _number), params)
     params, _ = _take(entries, "tol.geo",
                       _set(params, "tol_geo", _number), params)
+    params, _ = _take(entries, "tol.bound",
+                      _set(params, "tol_bound", _number), params)
     params, _ = _take(entries, "tol.theta_floor",
                       _set(params, "theta_floor", _number), params)
     params, _ = _take(entries, "tol.a_ceiling",
                       _set(params, "a_ceiling", _number), params)
     params, _ = _take(entries, "record.stride",
                       _set(params, "record_stride", _int), params)
-
-    # the monitors read tol.bound only after the run, so check it here
-    tol_bound, tb_ln = _take(entries, "tol.bound", _number, BOUND_TOL)
-    if tol_bound < 0.0:
-        raise ConfigError(
-            f"tol.bound must be nonnegative, got {tol_bound}", tb_ln)
 
     verify_bounds, _ = _take(entries, "verify.bounds", _flag, True)
     verify_dissipation, _ = _take(entries, "verify.dissipation", _flag, True)
@@ -270,7 +268,7 @@ def parse_config(text: str, name: str = "scenario") -> Scenario:
 
     return Scenario(
         name=run_name, manifold=manifold, init_field=init_field,
-        winding=winding, m=m, params=params, tol_bound=tol_bound,
+        winding=winding, m=m, params=params,
         verify_bounds=verify_bounds, verify_dissipation=verify_dissipation,
         verify_evolution=verify_evolution, verify_commutator=verify_commutator,
         verify_gradient=verify_gradient, svg=svg,

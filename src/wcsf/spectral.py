@@ -6,6 +6,14 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
+
+def mod_two_pi(angles):
+    """angles reduced into [0, 2 pi). np.mod alone returns 2 pi itself for
+    an angle a few ulps below 0, whose remainder rounds up to it."""
+    reduced = np.mod(angles, TWO_PI)
+    return np.where(reduced == TWO_PI, 0.0, reduced)
+
+
 _NODES: dict[int, np.ndarray] = {}
 _WAVENUMBERS: dict[int, np.ndarray] = {}
 _MULT: dict[tuple[int, int], np.ndarray] = {}

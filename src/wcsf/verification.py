@@ -28,8 +28,8 @@ import numpy as np
 from . import spectral
 from .curves import (GRAPH, _validate_m, arc_derivative, arc_laplacian,
                      compute_fields, make_graph_curve)
-from .flow import (DISSIPATION, LENGTH, MIN_THETA, MONOTONE_TOL, TIME,
-                   FlowParams, FlowState, Trajectory, run)
+from .flow import (BOUND_TOL, DISSIPATION, LENGTH, MIN_THETA, MONOTONE_TOL,
+                   TIME, FlowParams, FlowState, Trajectory, run)
 from .fourier import _GRID, _SAMPLES, FourierField
 from .geometry import LEFT, WarpedProduct
 
@@ -64,7 +64,6 @@ class ResidualReport:
     orders: tuple
     threshold: float
     passed: bool
-    floor: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -72,15 +71,16 @@ class BoundReport:
     """Outcome of one inequality monitor.
 
     worst_slack is min over checks of (left side - right side); the bound
-    holds when it stays above -eps_tol.
+    holds when it stays above -eps_tol. input holds what the constant was
+    computed from.
     """
 
     name: str
     constant_name: str
     constant_value: float
-    constant_inputs: dict
     worst_slack: float
     passed: bool
+    input: dict
     notes: str = ""
 
 
@@ -230,11 +230,6 @@ def drift_constant(manifold: WarpedProduct, t0: float,
 # -- inequality monitors ------------------------------------------------------
 
 
-# how far below zero a bound's slack may fall and the bound still hold: the
-# default eps_tol of theta_bound_monitor and of a config's tol.bound
-BOUND_TOL = 1e-4
-
-
 class DriftCheck:
     """The drift inequality of theta_bound_monitor, checked on a run's
     recorded states as they come.
@@ -316,9 +311,9 @@ def theta_bound_monitor(traj: Trajectory, manifold: WarpedProduct,
         name="theta_exp_lower_bound",
         constant_name=f"C_{manifold.kind}",
         constant_value=drift.c_exp,
-        constant_inputs=dict(drift.inputs),
         worst_slack=float(slack_exp.min()),
         passed=bool(slack_exp.min() >= -eps_tol),
+        input=dict(drift.inputs),
     )
 
     notes = ""
@@ -330,9 +325,9 @@ def theta_bound_monitor(traj: Trajectory, manifold: WarpedProduct,
         name="theta_drift_inequality",
         constant_name=f"C_{manifold.kind}_drift",
         constant_value=float(drift.constant(float(times[-1]))),
-        constant_inputs=dict(drift.inputs),
         worst_slack=drift.worst,
         passed=bool(drift.worst >= -eps_tol),
+        input=dict(drift.inputs),
         notes=notes,
     )
     return exp_report, drift_report
@@ -356,9 +351,9 @@ def dissipation_monitor(traj: Trajectory) -> BoundReport:
         name="length_dissipation",
         constant_name="none",
         constant_value=0.0,
-        constant_inputs={},
         worst_slack=-defect,
         passed=monotone,
+        input={},
         notes="passed tracks monotone nonincreasing length",
     )
 
@@ -498,7 +493,6 @@ def _study_report(identity: str, ladder: RefinementLadder, residuals,
         threshold=threshold,
         passed=all(o >= threshold or residuals[i + 1] <= floor
                    for i, o in enumerate(orders)),
-        floor=floor,
     )
 
 

@@ -179,7 +179,8 @@ def trajectory_csv_text(traj):
         t_str = fmt(state.t)
         for j in range(state.curve.m):
             row = [t_str, str(j)]
-            row.extend(fmt(c) for c in coords[j])
+            # np.mod gives 2 pi for an angle just below 0; it is 0
+            row.extend(fmt(0.0 if c == TWO_PI else c) for c in coords[j])
             row.append(fmt(f.theta[j]))
             row.append(fmt(f.theta_hat[j]))
             row.append(fmt(f.curvature_norm[j]))

@@ -71,6 +71,38 @@ def test_report_flow_section_is_the_flow_report(tmp_path):
         f.name for f in fields(wcsf.FlowReport)]
 
 
+def test_report_sections_are_their_records(tmp_path):
+    # each section is its record's fields in order: the scenario's
+    # FlowParams sit between m and winding, and a bound or residual report
+    # loses its name, flattens input and drops empty notes
+    cfg = write_cfg(tmp_path / "demo.cfg", FAST + "base.g11.cos = 1.0, 0.2\n")
+    out = tmp_path / "out"
+    assert main(["verify", cfg, "--out", str(out)]) == 0
+    keys = [line.split(" = ")[0]
+            for line in (out / "report.txt").read_text().splitlines()]
+
+    def section(prefix):
+        return [k[len(prefix):] for k in keys if k.startswith(prefix)]
+
+    assert section("scenario.") == ["name", "kind", "m"] + [
+        f.name for f in fields(wcsf.FlowParams)] + ["winding"]
+    bound = [f.name for f in fields(wcsf.BoundReport)][1:]
+    inputs = ["input.grid", "input.min_theta_0", "input.max_warp_sq"]
+    at = bound.index("input")
+    for prefix, flat in (("bounds.exp.", inputs), ("bounds.drift.", inputs),
+                         ("dissipation.", [])):
+        want = bound[:at] + flat + bound[at + 1:]
+        if prefix != "dissipation.":     # no note on a graph run's bounds
+            want.remove("notes")
+        assert section(prefix) == want
+    studies = {k.split(".")[1] for k in keys if k.startswith("residuals.")}
+    assert studies == {"left_evolution", "left_dissipation",
+                       "left_commutator", "left_gradient_identity"}
+    for name in studies:
+        assert section(f"residuals.{name}.") == [
+            f.name for f in fields(wcsf.ResidualReport)][1:]
+
+
 def test_rerun_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path / "demo.cfg", FAST)
     a, b = tmp_path / "a", tmp_path / "b"

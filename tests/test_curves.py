@@ -173,7 +173,7 @@ def test_resample_examples(product):
     assert abs(l1 - l2) / l1 < 1e-10
 
 
-def test_resample_rejects_parametric(product):
+def test_resample_rejects_parametric():
     u = spectral.nodes(64)
     c = wcsf.DiscreteCurve("parametric", np.column_stack([u, 0 * u]), (1, 0))
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import gc
+import io
 import statistics
 import tracemalloc
 from pathlib import Path
@@ -11,6 +12,7 @@ from wcsf import flow, spectral
 from conftest import left_exp_manifold, product_manifold, right_exp_manifold
 from oracles import (einsum_fields, polyline_hausdorff, scalar_rk4,
                      taylor_table_fraction)
+from wcsf.artifacts import write_trajectory_csv
 from wcsf.scenario import parse_config
 
 TWO_PI = 2.0 * np.pi
@@ -308,7 +310,7 @@ def test_flow_params_validation():
     for t_max in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
             wcsf.FlowParams(t_max=t_max)
-    for name in ("tol_geo", "theta_floor", "a_ceiling"):
+    for name in ("tol_geo", "tol_bound", "theta_floor", "a_ceiling"):
         for bad in (float("nan"), float("inf"), -1.0):
             with pytest.raises(ValueError, match=name):
                 wcsf.FlowParams(**{name: bad})
@@ -447,6 +449,18 @@ def test_median_is_statistics_median():
         assert flow._median(values) == statistics.median(values)
     # unsorted input of even length: the mean of the two middle values
     assert flow._median([0.3, 0.1, 0.2, 0.4]) == 0.25
+
+
+def test_reduced_angles_lie_below_two_pi():
+    # an angle a few ulps below 0 reduces to 0, not to 2 pi, in the limit
+    # base point and in every trajectory.csv coordinate
+    for angles in ([-1e-17], [1e-17, -3e-17], [-1e-17, 2e-17, -4e-17]):
+        assert 0.0 <= flow._circular_mean(np.array(angles)) < TWO_PI
+    state = graph_state(product_manifold(), wcsf.FourierField([-1e-17]))
+    fh = io.StringIO()
+    write_trajectory_csv(fh, state)
+    rows = np.loadtxt(io.StringIO(fh.getvalue()), delimiter=",")
+    assert np.all((0.0 <= rows[:, 2:4]) & (rows[:, 2:4] < TWO_PI))
 
 
 def test_etd_weights_series_meets_closed_form():

@@ -21,7 +21,7 @@ def test_defaults():
     assert scn.params.cfl == 0.25
     assert scn.params.t_max == 50.0
     assert scn.params.tol_geo == 1e-6
-    assert scn.tol_bound == 1e-4
+    assert scn.params.tol_bound == 1e-4
     assert scn.params.theta_floor == 1e-3
     assert scn.params.a_ceiling == 1e6
     assert scn.params.record_stride == 50
@@ -138,7 +138,7 @@ def test_rejects_a_bad_default_name(name):
 
 def test_zero_tol_bound_is_valid():
     # tol.bound = 0 demands the bounds hold exactly; only negative is wrong
-    assert parse_config(BASE + "tol.bound = 0\n").tol_bound == 0.0
+    assert parse_config(BASE + "tol.bound = 0\n").params.tol_bound == 0.0
 
 
 def test_bad_warp_and_bad_g11_name_their_lines():

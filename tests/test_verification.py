@@ -122,7 +122,7 @@ def test_theta_monitor_exact_zero_slack_at_start(left_exp):
     assert exp_rep.passed and exp_rep.worst_slack == 0.0
     assert abs(exp_rep.constant_value - 0.09) < 1e-12
     assert drift_rep.passed and drift_rep.worst_slack > 0.0
-    assert exp_rep.constant_inputs["min_theta_0"] == traj[0].fields.theta.min()
+    assert exp_rep.input["min_theta_0"] == traj[0].fields.theta.min()
 
 
 def test_drift_report_constant_is_left_drift_constant(left_exp):
