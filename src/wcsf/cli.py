@@ -158,8 +158,7 @@ def execute_scenario(scn: Scenario, out_dir) -> tuple:
         bounds.append(diss)
 
     # the first study that reads the ladder integrates it; the rest reuse it
-    ladder = verification.RefinementLadder(scn.manifold, scn.init_field,
-                                           cfl=params.cfl)
+    ladder = verification.RefinementLadder(scn.manifold, scn.init_field)
     studies = []
     if scn.verify_evolution:
         studies.append(verification.evolution_residual_study(ladder))

@@ -234,13 +234,13 @@ def compute_fields(curve: DiscreteCurve, manifold: WarpedProduct) -> CurveFields
 def arc_derivative(values, speed: np.ndarray) -> np.ndarray:
     """Arclength derivative of node values, values'(u) / |gamma'(u)|, with
     speed = |gamma'| the CurveFields.speed of their curve."""
-    return spectral.diff(values, 1) / speed
+    return spectral.diff(values) / speed
 
 
 def arc_laplacian(values, speed: np.ndarray) -> np.ndarray:
     """Curve Laplacian of node values: the arclength derivative applied
     twice."""
-    return spectral.diff(arc_derivative(values, speed), 1) / speed
+    return spectral.diff(arc_derivative(values, speed)) / speed
 
 
 def graphicality(curve: DiscreteCurve, manifold: WarpedProduct):

@@ -59,12 +59,17 @@ class StopReason(enum.Enum):
 BOUND_TOL = 1e-4
 
 
+# every run's step factor: a 2x looser stiffness limit saves 3-37% of the
+# stock scenarios' steps and costs up to 11x the time error on a steep
+# graph (ROADMAP's step floor table)
+CFL = 0.25
+
+
 @dataclass(frozen=True)
 class FlowParams:
     """Integration controls; the defaults serve every stock scenario.
     tol_bound is the bound monitors' slack tolerance; run() never reads it."""
 
-    cfl: float = 0.25
     t_max: float = 50.0
     tol_geo: float = 1e-6
     tol_bound: float = BOUND_TOL
@@ -73,17 +78,10 @@ class FlowParams:
     record_stride: int = 50
 
     def __post_init__(self):
-        if not 0.0 < self.cfl <= 1.0:
-            raise ValueError("cfl must lie in (0, 1]")
-        if not 0.0 <= self.t_max < math.inf:
-            raise ValueError("t_max must be finite and nonnegative")
         # a NaN threshold would silently switch its stop condition off
-        if not 0.0 <= self.tol_geo < math.inf:
-            raise ValueError("tol_geo must be finite and nonnegative")
-        if not 0.0 <= self.tol_bound < math.inf:
-            raise ValueError("tol_bound must be finite and nonnegative")
-        if not 0.0 <= self.theta_floor < math.inf:
-            raise ValueError("theta_floor must be finite and nonnegative")
+        for name in ("t_max", "tol_geo", "tol_bound", "theta_floor"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
         if not 0.0 < self.a_ceiling < math.inf:
             raise ValueError("a_ceiling must be finite and positive")
         # a count: 2.5 would shift the record grid
@@ -212,7 +210,8 @@ class FlowReport:
     """Run summary: stop condition and final diagnostics, field for field
     the flow section of a run's report.txt, in its order. The recorded
     series is the trajectory's scalars. dt_min, dt_median and dt_max range
-    over the steps taken, None when there were none.
+    over the steps taken, None when there were none. A curve winding
+    around the base has no limit base point, and so no warp gradient.
     """
 
     stop_reason: StopReason
@@ -229,7 +228,7 @@ class FlowReport:
     length_initial: float
     length_final: float
     length_monotone: bool
-    limit_base_point: float
+    limit_base_point: float | None
     limit_warp_gradient_norm: float | None
     geodesic_certified: bool
     converging_undecided: bool
@@ -258,8 +257,9 @@ def adaptive_dt(state: FlowState, cfl: float) -> float:
     """dt = cfl (min_j local arclength spacing)^2.
 
     The parabolic step of an explicit scheme, taken on the initial curve
-    as the unit dt0 of the record times j * record_stride * dt0. The
-    steps themselves are held by the split's stiffness and DT_MAX.
+    as the unit dt0 of the record times j * record_stride * dt0; run
+    passes cfl = CFL. The steps themselves are held by the split's
+    stiffness and DT_MAX.
     """
     h = float(state.fields.speed.min()) * (TWO_PI / state.curve.m)
     return float(cfl * h * h)
@@ -282,17 +282,17 @@ def _split(fields: CurveFields) -> tuple:
     return 0.5 * (hi + lo), 0.5 * (hi - lo)
 
 
-def _step_limit(state: FlowState, cfl: float) -> float:
+def _step_limit(state: FlowState) -> float:
     """Largest step the state allows.
 
     The explicit remainder (1/v^2 - alpha) gamma'' is stiff at most
-    s (m/2)^2, so dt = cfl (2 pi/m)^2 / s holds dt s (m/2)^2 at cfl pi^2,
+    s (m/2)^2, so dt = CFL (2 pi/m)^2 / s holds dt s (m/2)^2 at CFL pi^2,
     the margin of explicit RK4 at the parabolic step. DT_MAX caps it for
     accuracy; on a nearly flat curve it is the only limit.
     """
     _, s = _split(state.fields)
     h = TWO_PI / state.curve.m
-    return min(cfl * h * h / s, DT_MAX) if s > 0.0 else DT_MAX
+    return min(CFL * h * h / s, DT_MAX) if s > 0.0 else DT_MAX
 
 
 def _canonicalize(coords: np.ndarray, winding, u_mean: float) -> np.ndarray:
@@ -307,13 +307,13 @@ def _canonicalize(coords: np.ndarray, winding, u_mean: float) -> np.ndarray:
     return coords
 
 
-def _taylor_table(terms: int = 24) -> np.ndarray:
+def _taylor_table() -> np.ndarray:
     # row n: coefficients of z^n in Q, f1, f2, f3 over dt, from
     # phi_j(z) = sum_n z^n / (n + j)!; row 0 is (1/2, 1/6, 1/6, 1/6).
     # Over d = (n + 3)! every numerator is an integer, and int / int
     # rounds the exact quotient once, as a float of a Fraction does
     rows = []
-    for n in range(terms):
+    for n in range(24):
         d = math.factorial(n + 3)
         # d / (n + 1)!, d / (n + 2)!, d / (n + 3)!
         p1, p2, p3 = (n + 2) * (n + 3), n + 3, 1
@@ -448,10 +448,13 @@ def _build_report(traj: Trajectory, manifold: WarpedProduct,
     rows = traj.scalars
     monotone = bool(np.all(np.diff(rows[:, LENGTH]) <= MONOTONE_TOL))
     first, last = rows[0], rows[-1]
-    limit = _circular_mean(traj.final.curve.coords[:, 1])
-    grad_norm = None
-    if manifold.kind == LEFT:
-        grad_norm = float(np.sqrt(manifold.dlog_warp(np.array([limit]))[1][0]))
+    limit = grad_norm = None
+    # a graph winding w times around the base limits to a (1, w) geodesic
+    if traj.final.curve.winding[1] == 0:
+        limit = _circular_mean(traj.final.curve.coords[:, 1])
+        if manifold.kind == LEFT:
+            _, norm_sq = manifold.dlog_warp(np.array([limit]))
+            grad_norm = float(np.sqrt(norm_sq[0]))
     converged = stop is StopReason.CONVERGED
     certified = bool(converged and (grad_norm is None or grad_norm < 1e-3))
     tail = rows[-5:, MAX_A]
@@ -501,7 +504,7 @@ def run(manifold: WarpedProduct, curve0: DiscreteCurve,
     curve0 = DiscreteCurve(curve0.mode, curve0.coords.copy(), curve0.winding)
     state = FlowState(curve0, 0.0, compute_fields(curve0, manifold))
     traj.append(state)
-    dt0 = adaptive_dt(state, params.cfl)
+    dt0 = adaptive_dt(state, CFL)
     j = 1
     dts = []
     while True:
@@ -510,7 +513,7 @@ def run(manifold: WarpedProduct, curve0: DiscreteCurve,
             break
         t_record = j * params.record_stride * dt0
         t_next = min(t_record, params.t_max)
-        n = math.ceil((t_next - state.t) / _step_limit(state, params.cfl))
+        n = math.ceil((t_next - state.t) / _step_limit(state))
         dt = (t_next - state.t) / n if n > 1 else t_next - state.t
         try:
             state = step_rk4(state, manifold, dt, None if n > 1 else t_next)

@@ -91,11 +91,6 @@ class FourierField:
             raise ValueError(f"exp_cos({a}) has non-finite coefficients")
         return cls(coef)
 
-    @property
-    def degree(self) -> int:
-        """Highest wavenumber stored."""
-        return self._k.size - 1
-
     def __call__(self, x):
         return self._sums(x, derivative=False)[0]
 
@@ -151,4 +146,4 @@ class FourierField:
         return float(self.grid_values().max())
 
     def __repr__(self) -> str:
-        return f"FourierField(degree={self.degree})"
+        return f"FourierField(degree={self._k.size - 1})"

@@ -18,7 +18,6 @@ Keys:
     init.cos, init.sin   Fourier coefficients of the initial height f
     init.winding         integer winding of f around the base (default 0)
     grid.m               nodes, power of two in [32, 1024] (default 128)
-    time.cfl             step factor in (0, 1] (default 0.25), see flow
     time.t_max           stop time >= 0 (default 50)
     tol.geo              geodesic convergence threshold (default 1e-6)
     tol.bound            slack tolerance >= 0 for bound monitors (default
@@ -35,9 +34,10 @@ Keys:
     verify.gradient      on | off (default off)
     output.svg           on | off (default off)
 
-The run controls time.cfl, time.t_max, tol.geo, tol.bound,
-tol.theta_floor, tol.a_ceiling and record.stride set the fields of
-Scenario.params, a flow.FlowParams, which owns their defaults and ranges.
+The run controls time.t_max, tol.geo, tol.bound, tol.theta_floor,
+tol.a_ceiling and record.stride set the fields of Scenario.params, a
+flow.FlowParams, which owns their defaults and ranges. Every run steps
+with the factor flow.CFL.
 Every number must be finite. All parse and validation errors carry the
 offending line number.
 """
@@ -240,8 +240,6 @@ def parse_config(text: str, name: str = "scenario") -> Scenario:
 
     # FlowParams owns the run controls' defaults and ranges
     params = FlowParams()
-    params, _ = _take(entries, "time.cfl",
-                      _set(params, "cfl", _number), params)
     params, _ = _take(entries, "time.t_max",
                       _set(params, "t_max", _number), params)
     params, _ = _take(entries, "tol.geo",

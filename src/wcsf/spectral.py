@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
@@ -14,57 +16,44 @@ def mod_two_pi(angles):
     return np.where(reduced == TWO_PI, 0.0, reduced)
 
 
-_NODES: dict[int, np.ndarray] = {}
-_WAVENUMBERS: dict[int, np.ndarray] = {}
-_MULT: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.cache
 def nodes(m: int) -> np.ndarray:
-    """Parameter nodes u_j = 2 pi j / m (cached, treat as read-only)."""
-    u = _NODES.get(m)
-    if u is None:
-        u = TWO_PI * np.arange(m) / m
-        u.setflags(write=False)
-        _NODES[m] = u
+    """Parameter nodes u_j = 2 pi j / m (cached, read-only)."""
+    u = TWO_PI * np.arange(m) / m
+    u.setflags(write=False)
     return u
 
 
+@functools.cache
 def wavenumbers(m: int) -> np.ndarray:
     """Integer wavenumbers 0..m/2 of the rfft bins, as floats (cached,
-    treat as read-only)."""
-    k = _WAVENUMBERS.get(m)
-    if k is None:
-        k = np.fft.rfftfreq(m, d=1.0 / m)
-        k.setflags(write=False)
-        _WAVENUMBERS[m] = k
+    read-only)."""
+    k = np.fft.rfftfreq(m, d=1.0 / m)
+    k.setflags(write=False)
     return k
 
 
-def _multiplier(m: int, order: int) -> np.ndarray:
-    key = (m, order)
-    mult = _MULT.get(key)
-    if mult is None:
-        k = wavenumbers(m)
-        if order == 1:
-            mult = 1j * k
-            if m % 2 == 0:
-                # odd derivative of the unresolved Nyquist mode is dropped
-                mult[-1] = 0.0
-        elif order == 2:
-            mult = -(k * k) + 0.0j
-        else:
-            raise ValueError("derivative order must be 1 or 2")
-        mult.setflags(write=False)
-        _MULT[key] = mult
-    return mult
+@functools.cache
+def _multipliers(m: int) -> tuple:
+    """The rfft multipliers (i k, -k^2) of the first and second
+    derivative (cached, read-only)."""
+    k = wavenumbers(m)
+    first = 1j * k
+    if m % 2 == 0:
+        # odd derivative of the unresolved Nyquist mode is dropped
+        first[-1] = 0.0
+    second = -(k * k) + 0.0j
+    first.setflags(write=False)
+    second.setflags(write=False)
+    return first, second
 
 
-def diff(values: np.ndarray, order: int = 1) -> np.ndarray:
-    """Differentiate periodic samples along axis 0 (spectral accuracy)."""
+def diff(values: np.ndarray) -> np.ndarray:
+    """First derivative of periodic samples along axis 0 (spectral)."""
     values = np.asarray(values, dtype=float)
     m = values.shape[0]
     spec = np.fft.rfft(values, axis=0)
-    spec = spec * _multiplier(m, order).reshape(
+    spec = spec * _multipliers(m)[0].reshape(
         (-1,) + (1,) * (values.ndim - 1))
     return np.fft.irfft(spec, n=m, axis=0)
 
@@ -72,17 +61,18 @@ def diff(values: np.ndarray, order: int = 1) -> np.ndarray:
 def diff12(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and second derivative in one pass.
 
-    One forward FFT with a batched inverse; both orders use the same
-    multipliers as diff, so the pair agrees with separate calls.
+    One forward FFT with a batched inverse; the first derivative uses the
+    multiplier of diff, so it equals diff(values) bit for bit.
     """
     values = np.asarray(values, dtype=float)
     m = values.shape[0]
     flat = values.reshape(m, -1)
     cols = flat.shape[1]
     spec = np.fft.rfft(flat, axis=0)
+    first, second = _multipliers(m)
     packed = np.empty((spec.shape[0], 2 * cols), dtype=complex)
-    np.multiply(spec, _multiplier(m, 1)[:, None], out=packed[:, :cols])
-    np.multiply(spec, _multiplier(m, 2)[:, None], out=packed[:, cols:])
+    np.multiply(spec, first[:, None], out=packed[:, :cols])
+    np.multiply(spec, second[:, None], out=packed[:, cols:])
     both = np.fft.irfft(packed, n=m, axis=0)
     d1 = both[:, :cols].reshape(values.shape)
     d2 = both[:, cols:].reshape(values.shape)

@@ -6,8 +6,8 @@ families, the single-time gradient identity, the tangent/curvature
 commutator, the exponential lower bound on the angle with its explicit
 constants, the drift inequality behind it, and the length dissipation
 identity. Each identity and each constant is one function that picks its
-formula by manifold.kind; where it needs the dense metric or the
-Christoffel symbols it asks manifold.frame at the curve's nodes. Residual
+formula by manifold.kind; only the commutator, which contracts the
+Christoffel symbols, asks manifold.frame at the curve's nodes. Residual
 studies refine (M, dt) together and report empirical convergence orders.
 
 Time derivatives along the flow need care in graph gauge: a fixed node
@@ -105,7 +105,7 @@ def _material_dt(prev: FlowState, mid: FlowState, nxt: FlowState,
     node_dt = spectral.centered_dt(values_prev, values_mid, values_next,
                                    mid.t - prev.t, nxt.t - mid.t)
     h0 = mid.fields.curvature[:, 0]
-    du = spectral.diff(values_mid, 1)
+    du = spectral.diff(values_mid)
     if du.ndim > 1:
         return node_dt + h0[:, None] * du
     return node_dt + h0 * du
@@ -140,7 +140,7 @@ def evolution_residual(traj: Trajectory, manifold: WarpedProduct,
     if manifold.kind == LEFT:
         # <V, D log psi>_G = g V^1 (log psi)' / g (no r component)
         raised, _ = manifold.dlog_warp(mid.curve.coords[:, 1])
-        g11 = manifold.frame(mid.curve.coords)[0][:, 1, 1]
+        g11, _ = manifold.base_terms(mid.curve.coords[:, 1])
         h_dot = g11 * f.curvature[:, 1] * raised
         t_dot = g11 * f.tangent[:, 1] * raised
         rhs = (lap + f.curvature_norm ** 2 * f.theta
@@ -162,10 +162,10 @@ def gradient_identity_residual(state: FlowState, manifold: WarpedProduct) -> flo
     """
     f = state.fields
     t_theta = arc_derivative(f.theta, f.speed)
-    metric, _ = manifold.frame(state.curve.coords)
-    h_dr = np.einsum("na,na->n", metric[:, 0, :], f.curvature)
+    h_dr = f.curvature[:, 0]    # <H, d_r>, times psi^2 on a left product
     if manifold.kind == LEFT:
-        return float(np.max(np.abs(t_theta - h_dr)))
+        psi_sq = manifold.warp_terms(state.curve.coords[:, 1])[0]
+        return float(np.max(np.abs(t_theta - psi_sq * h_dr)))
     lp1, _ = manifold.log_warp_derivs(state.curve.coords[:, 0])
     return float(np.max(np.abs(t_theta - h_dr - lp1 * (1.0 - f.theta ** 2))))
 
@@ -183,7 +183,7 @@ def commutator_residual(traj: Trajectory, manifold: WarpedProduct, k: int) -> fl
     dt_t = _material_dt(prev, mid, nxt,
                         prev.fields.tangent, f.tangent, nxt.fields.tangent)
     nab_h_t = dt_t + np.einsum("nabc,nb,nc->na", gamma, f.curvature, f.tangent)
-    dh_du = spectral.diff(f.curvature, 1)
+    dh_du = spectral.diff(f.curvature)
     nab_t_h = dh_du / f.speed[:, None] + np.einsum(
         "nabc,nb,nc->na", gamma, f.tangent, f.curvature)
     resid = nab_h_t - nab_t_h - (f.curvature_norm ** 2)[:, None] * f.tangent
@@ -207,24 +207,11 @@ def exp_constant(manifold: WarpedProduct) -> float:
     return float(np.abs(manifold.log_warp_derivs(_SAMPLES)[1]).max())
 
 
-def _left_drift(c: float, max_psi_sq: float, t: float, min_theta0: float):
-    return 4.0 * c * (1.0 + max_psi_sq * np.exp(c * t) / min_theta0)
-
-
 def drift_constant(manifold: WarpedProduct, t0: float,
                    min_theta0: float) -> float:
-    """Constant of the drift inequality up to time t0:
-
-        left:  4 C (1 + max psi^2 e^{C t0} / min Theta(0)), C = exp_constant
-        right: max over the circle of 4 ((log phi)')^2 + |(log phi)''|,
-               which reads neither t0 nor min Theta(0)
-    """
-    if manifold.kind == LEFT:
-        return _left_drift(exp_constant(manifold),
-                           manifold.warp.max_on_grid() ** 2, t0,
-                           min_theta0)
-    lp1, lp2 = manifold.log_warp_derivs(_SAMPLES)
-    return float((4.0 * lp1 ** 2 + np.abs(lp2)).max())
+    """Constant of the drift inequality up to time t0, DriftCheck's
+    constant(t0)."""
+    return DriftCheck(manifold, min_theta0).constant(t0)
 
 
 # -- inequality monitors ------------------------------------------------------
@@ -248,17 +235,25 @@ class DriftCheck:
             self.inputs["max_warp_sq"] = manifold.warp.max_on_grid() ** 2
             self._c_right = None
         else:
-            self._c_right = drift_constant(manifold, 0.0, min_theta0)
+            lp1, lp2 = manifold.log_warp_derivs(_SAMPLES)
+            self._c_right = float((4.0 * lp1 ** 2 + np.abs(lp2)).max())
         self.worst = math.inf
         self.checked = 0
         self._prev = self._mid = None
 
     def constant(self, t: float) -> float:
-        """C_drift up to time t (drift_constant, from the cached inputs)."""
+        """C_drift up to time t:
+
+            left:  4 C (1 + max psi^2 e^{C t} / min Theta(0)),
+                   C = exp_constant
+            right: max over the circle of 4 ((log phi)')^2 + |(log phi)''|,
+                   which reads neither t nor min Theta(0)
+        """
         if self._c_right is not None:
             return self._c_right
-        return _left_drift(self.c_exp, self.inputs["max_warp_sq"], t,
-                           self.inputs["min_theta_0"])
+        c = self.c_exp
+        return 4.0 * c * (1.0 + self.inputs["max_warp_sq"] * np.exp(c * t)
+                          / self.inputs["min_theta_0"])
 
     def add(self, state: FlowState) -> None:
         if state.curve.mode != GRAPH:
@@ -371,15 +366,16 @@ def closed_form_theta(state: FlowState, manifold: WarpedProduct) -> float:
         raise ValueError("closed forms apply to graph curves")
     f = state.fields
     fp = f.deriv[:, 1]
-    metric, _ = manifold.frame(state.curve.coords)
+    r, x = state.curve.coords.T
+    g, _ = manifold.base_terms(x)
     if manifold.kind == LEFT:
-        fp2 = metric[:, 1, 1] * fp * fp
-        psi_sq = metric[:, 0, 0]
+        fp2 = g * fp * fp
+        psi_sq = manifold.warp_terms(x)[0]
         direct = psi_sq / np.sqrt(psi_sq + fp2)
     else:
-        phi = manifold.warp(state.curve.coords[:, 0])
+        phi = manifold.warp(r)
         phi_sq = phi * phi
-        fp2 = metric[:, 1, 1] / phi_sq * fp * fp
+        fp2 = (manifold.warp_terms(r)[0] * g) / phi_sq * fp * fp
         direct = 1.0 / np.sqrt(1.0 + phi_sq * fp2)
     return float(np.max(np.abs(f.theta - direct)))
 
@@ -436,7 +432,6 @@ class RefinementLadder:
     init_field: FourierField
     grids: tuple = (64, 128, 256)
     t_end: float = 0.12
-    cfl: float = 0.25
 
     def __post_init__(self):
         # one grid has no order to fit, so a study over it passed vacuously
@@ -447,12 +442,11 @@ class RefinementLadder:
             _validate_m(m)
         if not self.t_end > 0.0:
             raise ValueError("a ladder needs t_end > 0")
-        self.params     # FlowParams checks the cfl and that t_end is finite
+        self.params     # FlowParams checks that t_end is finite
 
     @cached_property
     def params(self) -> FlowParams:
-        return FlowParams(cfl=self.cfl, t_max=self.t_end, tol_geo=0.0,
-                          record_stride=1)
+        return FlowParams(t_max=self.t_end, tol_geo=0.0, record_stride=1)
 
     @cached_property
     def trajectories(self) -> tuple:

@@ -141,7 +141,7 @@ def einsum_fields(curve, manifold):
     gp = d1 + np.asarray(curve.winding, dtype=float)
     v2 = np.einsum("nab,na,nb->n", g, gp, gp)
     v = np.sqrt(v2)
-    vp = spectral.diff(v, 1)
+    vp = spectral.diff(v)
     gam2 = np.einsum("nabc,nb,nc->na", gamma, gp, gp)
     accel = (d2 + gam2) / v2[:, None]
     h_pre = accel - gp * (vp / (v2 * v))[:, None]

@@ -47,6 +47,15 @@ def test_run_writes_artifacts(tmp_path, capsys):
     assert "exit 0" in stdout and "wall seconds" in stdout
 
 
+def test_a_winding_run_reports_no_limit_base_point(tmp_path):
+    cfg = write_cfg(tmp_path / "winding.cfg", FAST + "init.winding = 1\n")
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    report = (out / "report.txt").read_text().splitlines()
+    assert "flow.limit_base_point = none" in report
+    assert "flow.limit_warp_gradient_norm = none" in report
+
+
 def test_report_has_the_dt_range_but_no_rhs_count(tmp_path):
     # perfbench counts RHS evaluations itself when report.txt has no
     # flow.rhs_evals line, so the report must not carry one

@@ -13,6 +13,7 @@ from conftest import left_exp_manifold, product_manifold, right_exp_manifold
 from oracles import (einsum_fields, polyline_hausdorff, scalar_rk4,
                      taylor_table_fraction)
 from wcsf.artifacts import write_trajectory_csv
+from wcsf.cli import execute_scenario
 from wcsf.scenario import parse_config
 
 TWO_PI = 2.0 * np.pi
@@ -294,10 +295,6 @@ def test_trajectory_holds_curves_not_fields(product):
 
 def test_flow_params_validation():
     with pytest.raises(ValueError):
-        wcsf.FlowParams(cfl=0.0)
-    with pytest.raises(ValueError):
-        wcsf.FlowParams(cfl=1.5)
-    with pytest.raises(ValueError):
         wcsf.FlowParams(t_max=-1.0)
     with pytest.raises(ValueError):
         wcsf.FlowParams(record_stride=0)
@@ -334,7 +331,7 @@ def test_recorded_times_on_the_fixed_grid(left_exp):
     curve = wcsf.make_graph_curve(sin_field(0.3), 64)
     params = wcsf.FlowParams(t_max=0.4, record_stride=30)
     traj, rep = wcsf.run(left_exp, curve, params)
-    dt0 = wcsf.adaptive_dt(traj[0], params.cfl)
+    dt0 = wcsf.adaptive_dt(traj[0], wcsf.flow.CFL)
     times = traj.scalars[:, flow.TIME]
     assert len(traj) >= 4 and times[-1] == 0.4
     for j, t in enumerate(times[:-1]):
@@ -389,7 +386,7 @@ def test_stock_record_intervals_fit_under_the_cap(path):
     state = wcsf.FlowState(curve, 0.0,
                            wcsf.compute_fields(curve, scn.manifold))
     params = scn.params
-    dt0 = wcsf.adaptive_dt(state, params.cfl)
+    dt0 = wcsf.adaptive_dt(state, wcsf.flow.CFL)
     assert params.record_stride * dt0 <= flow.DT_MAX
 
 
@@ -426,7 +423,7 @@ def test_steady_record_intervals_take_one_step(left_exp):
     curve = wcsf.make_graph_curve(sin_field(0.3), 128)
     params = wcsf.FlowParams(t_max=5.0, record_stride=100)
     traj, rep = wcsf.run(left_exp, curve, params)
-    interval = params.record_stride * wcsf.adaptive_dt(traj[0], params.cfl)
+    interval = params.record_stride * wcsf.adaptive_dt(traj[0], wcsf.flow.CFL)
     assert abs(rep.dt_max - interval) < 1e-12
     assert rep.dt_min <= rep.dt_median <= rep.dt_max
 
@@ -539,3 +536,84 @@ def test_run_records_into_the_callers_trajectory(product):
     assert report.steps == fresh_report.steps
     with pytest.raises(ValueError, match="empty"):
         wcsf.run(product, curve, params, mine)
+
+
+@pytest.mark.parametrize("kind", ["left_exp", "right_exp"])
+def test_a_winding_graph_has_no_limit_base_point(kind, request):
+    # a graph winding once around the base converges to a closed geodesic
+    # of class (1, 1), not to an r-circle: no base point is its limit
+    manifold = request.getfixturevalue(kind)
+    curve = wcsf.make_graph_curve(sin_field(0.3), 32, x_winding=1)
+    traj, rep = wcsf.run(manifold, curve,
+                         wcsf.FlowParams(t_max=80.0, record_stride=200))
+    assert rep.stop_reason is wcsf.StopReason.CONVERGED
+    assert rep.limit_base_point is None
+    assert rep.limit_warp_gradient_norm is None
+    assert rep.geodesic_certified
+    # the final x values spread over the base: their mean resultant
+    # length is far from 1
+    x = traj.final.curve.coords[:, 1]
+    assert abs(np.exp(1j * x).mean()) < 0.5
+
+
+def test_canonicalize_shift_leaves_the_run_unchanged(left_exp):
+    # a graph of mean 3.5 is shifted by -2 pi after its first step; from
+    # then on it is the run started at mean 3.5 - 2 pi, bit for bit
+    params = wcsf.FlowParams(t_max=50.0, record_stride=50)
+    runs = []
+    for mean in (3.5, 3.5 - 2.0 * np.pi):
+        field = wcsf.FourierField([mean], [0.0, 0.3])
+        runs.append(wcsf.run(left_exp, wcsf.make_graph_curve(field, 32),
+                             params))
+    (shifted, rep), (plain, plain_rep) = runs
+    assert shifted.curve(0).coords[:, 1].mean() > np.pi
+    assert shifted.curve(1).coords[:, 1].mean() < 0.0
+    assert rep.stop_reason is wcsf.StopReason.CONVERGED
+    assert np.array_equal(shifted.scalars[1:], plain.scalars[1:])
+    assert np.array_equal(shifted.final.curve.coords,
+                          plain.final.curve.coords)
+    assert rep == plain_rep
+
+
+def failing_kernel(monkeypatch, n):
+    """Make flow's compute_fields raise ImmersionError on its n-th call."""
+    kernel = flow.compute_fields
+    calls = []
+
+    def kernel_or_fail(curve, manifold):
+        calls.append(None)
+        if len(calls) == n:
+            raise wcsf.ImmersionError("degenerate node")
+        return kernel(curve, manifold)
+
+    monkeypatch.setattr(flow, "compute_fields", kernel_or_fail)
+
+
+def test_an_immersion_error_stops_the_run_as_blowup(left_exp, monkeypatch,
+                                                    tmp_path):
+    # the kernel runs once on the initial curve and four times a step, so
+    # call 1 + 4 * 2 + 2 fails inside the third step of three
+    curve = wcsf.make_graph_curve(sin_field(0.3), 32)
+    params = wcsf.FlowParams(t_max=0.2, record_stride=10)
+    steps = []
+    step = flow.step_rk4
+
+    def recorded_step(*args):
+        steps.append(step(*args))
+        return steps[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(flow, "step_rk4", recorded_step)
+        wcsf.run(left_exp, curve, params)
+    failing_kernel(monkeypatch, 1 + 4 * 2 + 2)
+    traj, rep = wcsf.run(left_exp, curve, params)
+    assert rep.stop_reason is wcsf.StopReason.BLOWUP
+    assert len(steps) == 3 and rep.steps == 2
+    assert traj.final.t == steps[1].t
+    assert np.array_equal(traj.final.curve.coords, steps[1].curve.coords)
+
+    failing_kernel(monkeypatch, 1 + 4 * 2 + 2)
+    scn = parse_config("manifold.kind = left\nwarp.exp_cos = 0.3\n"
+                       "init.sin = 0.0, 0.3\ngrid.m = 32\n"
+                       "time.t_max = 0.2\nrecord.stride = 10\n")
+    assert execute_scenario(scn, tmp_path) == (3, "blowup")

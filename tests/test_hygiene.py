@@ -1,12 +1,15 @@
-"""Source hygiene: no module imports a name it never uses, and no
-function takes a parameter it never reads (a test's included: an unread
-fixture is set up for nothing).
+"""Source hygiene: no module imports a name it never uses, no function
+takes a parameter it never reads (a test's included: an unread fixture is
+set up for nothing), and no package function has a default that no call
+overrides (a setting with one value in use is a constant).
 
 The scans read the package (its __init__.py re-exports what it imports),
-the demos and the tests with the standard library's ast module alone.
+the demos and the tests, and for calls the benchmark too, with the
+standard library's ast module alone.
 """
 
 import ast
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).parents[1]
@@ -100,4 +103,91 @@ def test_no_function_takes_a_parameter_it_never_reads():
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in _sources()
              for line, name in unused_parameters(path.read_text())]
+    assert found == []
+
+
+def defaulted_parameters(source: str) -> list:
+    """(line, callee, parameter, position) for each parameter with a
+    default of a module-level function or method. callee is the name a
+    call uses: the function's, or the class's for __init__. position is
+    the index of the parameter among a call's positional arguments, past
+    a method's self or cls; None when it is keyword-only."""
+    tree = ast.parse(source)
+    functions = [(node.name, node, 0) for node in tree.body
+                 if isinstance(node, _FUNCTIONS)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, _FUNCTIONS):
+                    static = any(isinstance(d, ast.Name)
+                                 and d.id == "staticmethod"
+                                 for d in node.decorator_list)
+                    name = cls.name if node.name == "__init__" else node.name
+                    functions.append((name, node, 0 if static else 1))
+    found = []
+    for name, fn, shift in functions:
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        first = len(positional) - len(a.defaults)
+        found += [(p.lineno, name, p.arg, i - shift)
+                  for i, p in enumerate(positional) if i >= first]
+        found += [(p.lineno, name, p.arg, None)
+                  for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                  if d is not None]
+    return found
+
+
+def calls(source: str) -> dict:
+    """For each called name, a list of (positional count, keyword names)
+    per call. A *args spread counts as every position and a **kwargs
+    spread as every keyword (the name "**")."""
+    out = {}
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        spread = any(isinstance(a, ast.Starred) for a in node.args)
+        count = math.inf if spread else len(node.args)
+        keys = {k.arg or "**" for k in node.keywords}
+        out.setdefault(name, []).append((count, keys))
+    return out
+
+
+def unpassed_defaults(source: str, call_sources) -> list:
+    """(line, "callee(parameter)") for each defaulted parameter in source
+    that no call in call_sources passes, by position or by keyword."""
+    seen = {}
+    for text in call_sources:
+        for name, found in calls(text).items():
+            seen.setdefault(name, []).extend(found)
+    return sorted(
+        (line, f"{name}({param})")
+        for line, name, param, pos in defaulted_parameters(source)
+        if not any(param in keys or "**" in keys
+                   or (pos is not None and count > pos)
+                   for count, keys in seen.get(name, ())))
+
+
+def test_the_scan_sees_a_default_no_call_passes():
+    source = ("def f(a, b=1, *, c=2):\n    return a, b, c\n"
+              "class C:\n    def __init__(self, x, y=0):\n        pass\n"
+              "    def m(self, z=3):\n        return z\n")
+    assert unpassed_defaults(source, ["f(1)\nC(1)\nC(1).m()\n"]) == [
+        (1, "f(b)"), (1, "f(c)"), (4, "C(y)"), (6, "m(z)")]
+    # by position past self, by keyword, or through a spread
+    assert unpassed_defaults(source, [
+        "f(1, 2, c=3)\nC(1, 2)\nC(1).m(4)\n"]) == []
+    assert unpassed_defaults(source, [
+        "f(*args, **kw)\nC(*args)\nobj.m(**kw)\n"]) == []
+
+
+def test_every_default_is_passed_by_some_call():
+    call_sources = [path.read_text()
+                    for sub in ("src/wcsf", "demos", "tests", "perfbench")
+                    for path in sorted((ROOT / sub).glob("*.py"))]
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in sorted((ROOT / "src/wcsf").glob("*.py"))
+             for line, name in unpassed_defaults(path.read_text(),
+                                                 call_sources)]
     assert found == []

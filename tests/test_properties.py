@@ -4,12 +4,15 @@ Examples are drawn deterministically (derandomize), on coarse grids and
 short horizons, so the whole module stays fast and reproducible.
 """
 
+import io
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wcsf
 from oracles import graph_twin_gap
+from wcsf.cli import _Recorder
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                     database=None)
@@ -106,3 +109,19 @@ def test_parametric_flow_keeps_a_graph(case):
     assert rep.length_monotone
     exp_rep, _ = wcsf.theta_bound_monitor(traj, manifold)
     assert exp_rep.passed, exp_rep.worst_slack
+
+
+@SETTINGS
+@given(flows())
+def test_streamed_drift_check_matches_the_post_run_monitor(case):
+    # the drift check fed state by state while run records gives the
+    # reports of the monitor over the kept trajectory, on warps with sine
+    # terms in both families
+    manifold, curve = case
+    kept, _ = wcsf.run(manifold, curve, short())
+    streamed, _ = wcsf.run(manifold, curve, short(),
+                           _Recorder(io.StringIO(), check_drift=True))
+    # a flat draw converges at once: no window, both reports vacuous
+    assert streamed.drift.checked == max(len(kept) - 2, 0)
+    assert (wcsf.theta_bound_monitor(streamed, manifold)
+            == wcsf.theta_bound_monitor(kept, manifold))

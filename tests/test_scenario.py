@@ -18,7 +18,6 @@ def test_defaults():
     scn = parse_config(BASE, name="demo")
     assert scn.name == "demo"
     assert scn.m == 128
-    assert scn.params.cfl == 0.25
     assert scn.params.t_max == 50.0
     assert scn.params.tol_geo == 1e-6
     assert scn.params.tol_bound == 1e-4
@@ -40,16 +39,14 @@ def test_round_trip_objects():
     assert curve.coords.shape == (64, 2)
     assert np.allclose(curve.coords[:, 1],
                        0.3 * np.sin(curve.coords[:, 0]), atol=1e-12)
-    assert scn.params.t_max == 2.0 and scn.params.cfl == 0.25
+    assert scn.params.t_max == 2.0
 
 
 def test_run_controls_are_flow_params():
     # FlowParams owns the run controls' defaults; the config only sets them
     assert parse_config(BASE).params == wcsf.FlowParams()
-    scn = parse_config(BASE + "time.cfl = 0.5\nrecord.stride = 7\n"
-                       "tol.a_ceiling = 1e3\n")
-    assert scn.params == wcsf.FlowParams(cfl=0.5, record_stride=7,
-                                         a_ceiling=1e3)
+    scn = parse_config(BASE + "record.stride = 7\ntol.a_ceiling = 1e3\n")
+    assert scn.params == wcsf.FlowParams(record_stride=7, a_ceiling=1e3)
 
 
 def test_exp_cos_matches_explicit_series():
@@ -103,8 +100,7 @@ def test_perturbed_base_metric():
     (BASE + "grid.m = 100\n", "power of two"),
     (BASE + "grid.m = 16\n", "power of two"),
     (BASE + "grid.m = 2048\n", "power of two"),
-    (BASE + "time.cfl = 0\n", "time.cfl"),
-    (BASE + "time.cfl = 1.5\n", "time.cfl"),
+    (BASE + "time.cfl = 0.25\n", "unknown key 'time.cfl'"),
     (BASE + "time.t_max = -1\n", "time.t_max"),
     (BASE + "tol.geo = -1e-6\n", "tol.geo"),
     (BASE + "tol.bound = -0.5\n", "line 4: tol.bound"),
@@ -211,6 +207,6 @@ def test_documented_keys_are_the_parsed_keys():
         r"^    (\S.*?)(?:\s{2,}|$)", wcsf.scenario.__doc__, re.M))
     source = Path(wcsf.scenario.__file__).read_text()
     parsed = set(re.findall(r'_take\w*\(entries, "([^"]+)"', source))
-    assert "manifold.kind" in parsed and len(parsed) == 24
+    assert "manifold.kind" in parsed and len(parsed) == 23
     assert table == parsed
     assert doc == parsed

@@ -10,16 +10,24 @@ def test_diff_exact_on_trig_polynomial():
     y = 1.5 + np.cos(3 * u) - 0.4 * np.sin(5 * u)
     d1 = -3 * np.sin(3 * u) - 2.0 * np.cos(5 * u)
     d2 = -9 * np.cos(3 * u) + 10.0 * np.sin(5 * u)
-    assert np.abs(spectral.diff(y, 1) - d1).max() < 1e-12
-    assert np.abs(spectral.diff(y, 2) - d2).max() < 5e-12
+    assert np.abs(spectral.diff(y) - d1).max() < 1e-12
+    assert np.abs(spectral.diff12(y)[1] - d2).max() < 5e-12
 
 
 def test_diff12_consistent():
     rng = np.random.default_rng(21)
     y = rng.normal(size=128)
     d1, d2 = spectral.diff12(y)
-    assert np.abs(d1 - spectral.diff(y, 1)).max() < 1e-12
-    assert np.abs(d2 - spectral.diff(y, 2)).max() < 1e-12
+    assert np.array_equal(d1, spectral.diff(y))
+    k = spectral.wavenumbers(128)
+    direct = np.fft.irfft(-(k * k) * np.fft.rfft(y), n=128)
+    assert np.abs(d2 - direct).max() < 1e-12
+    # diff's one-column transform gives diff12's first derivative bit for
+    # bit, on every grid and on columns
+    for m in (32, 64, 128, 256, 512):
+        for shape in ((m,), (m, 2)):
+            y = rng.normal(size=shape)
+            assert np.array_equal(spectral.diff(y), spectral.diff12(y)[0])
 
 
 def test_nyquist_mode_handling():
@@ -27,16 +35,16 @@ def test_nyquist_mode_handling():
     u = spectral.nodes(m)
     y = np.cos((m // 2) * u)
     # first derivative of the unresolved sawtooth mode is zeroed
-    assert np.abs(spectral.diff(y, 1)).max() < 1e-10
+    assert np.abs(spectral.diff(y)).max() < 1e-10
     # second derivative keeps its real multiplier
-    assert np.abs(spectral.diff(y, 2) + (m // 2) ** 2 * y).max() < 1e-9
+    assert np.abs(spectral.diff12(y)[1] + (m // 2) ** 2 * y).max() < 1e-9
 
 
 def test_diff_axis0_on_columns():
     m = 32
     u = spectral.nodes(m)
     y = np.stack([np.sin(u), np.cos(2 * u)], axis=1)
-    d = spectral.diff(y, 1)
+    d = spectral.diff(y)
     assert np.abs(d[:, 0] - np.cos(u)).max() < 1e-12
     assert np.abs(d[:, 1] + 2 * np.sin(2 * u)).max() < 1e-12
 
@@ -54,6 +62,13 @@ def test_nodes_cached_and_readonly():
     assert u is spectral.nodes(64)
     with pytest.raises(ValueError):
         u[0] = 1.0
+    k = spectral.wavenumbers(64)
+    assert k is spectral.wavenumbers(64)
+    first, second = spectral._multipliers(64)
+    assert first is spectral._multipliers(64)[0]
+    for table in (k, first, second):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
 
 
 def test_centered_dt_exact_on_quadratic():

@@ -230,8 +230,7 @@ def test_studies_pass_on_small_grids(left_exp, monkeypatch):
 @pytest.mark.parametrize("kwargs", [
     {"grids": (64,)}, {"grids": ()}, {"grids": (64, 64)},
     {"grids": (128, 64)}, {"t_end": 0.0}, {"t_end": float("nan")},
-    {"t_end": float("inf")}, {"cfl": 0.0}, {"cfl": 1.5},
-    {"cfl": float("nan")}, {"grids": (48, 96)}, {"grids": (True, 64)},
+    {"t_end": float("inf")}, {"grids": (48, 96)}, {"grids": (True, 64)},
     {"grids": (32.7, 64)}, {"grids": (64.0, 128)},
 ])
 def test_refinement_ladder_rejects_a_ladder_without_orders(left_exp, kwargs):
@@ -251,8 +250,8 @@ def test_lean_rungs_give_the_full_runs_numbers(left_exp, kwargs):
     expected = ([], [], [])
     for m in ladder.grids:
         traj, _ = wcsf.run(left_exp, wcsf.make_graph_curve(sin_field(0.3), m),
-                           wcsf.FlowParams(cfl=ladder.cfl, t_max=ladder.t_end,
-                                           tol_geo=0.0, record_stride=1))
+                           wcsf.FlowParams(t_max=ladder.t_end, tol_geo=0.0,
+                                           record_stride=1))
         times = traj.scalars[:, wcsf.flow.TIME]
         k = int(np.argmin(np.abs(times - 0.5 * ladder.t_end)))
         k = min(max(k, 1), len(traj) - 2)
