@@ -158,7 +158,8 @@ def execute_scenario(scn: Scenario, out_dir) -> tuple:
         bounds.append(diss)
 
     # the first study that reads the ladder integrates it; the rest reuse it
-    ladder = verification.RefinementLadder(scn.manifold, scn.init_field)
+    ladder = verification.RefinementLadder(scn.manifold, scn.init_field,
+                                           winding=scn.winding)
     studies = []
     if scn.verify_evolution:
         studies.append(verification.evolution_residual_study(ladder))

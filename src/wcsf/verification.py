@@ -10,11 +10,12 @@ formula by manifold.kind; only the commutator, which contracts the
 Christoffel symbols, asks manifold.frame at the curve's nodes. Residual
 studies refine (M, dt) together and report empirical convergence orders.
 
-Time derivatives along the flow need care in graph gauge: a fixed node
-keeps its r-coordinate while the material point of the unreduced flow
-drifts through the parametrization at rate H^0. The material derivative at
-a node is therefore the centered difference in time plus the advection
-term H^0 d_u(value); omitting the advection leaves an O(1) defect.
+Time derivatives along the flow need care: nodes move with the stepper's
+velocity W, in the graph or the DeTurck gauge, and W - H = rho gamma' is
+tangential. So the material point of the normal flow drifts through the
+parametrization at du/dt = -rho (rho = -H^0 in the graph gauge), and the
+material derivative at a node is the centered difference in time minus
+rho d_u(value); omitting that advection leaves an O(1) defect.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from functools import cached_property
 import numpy as np
 
 from . import spectral
-from .curves import (GRAPH, _validate_m, arc_derivative, arc_laplacian,
-                     compute_fields, make_graph_curve)
+from .curves import (GRAPH, _integer, _validate_m, arc_derivative,
+                     arc_laplacian, compute_fields, make_graph_curve)
 from .flow import (BOUND_TOL, DISSIPATION, LENGTH, MIN_THETA, MONOTONE_TOL,
-                   TIME, FlowParams, FlowState, Trajectory, run)
+                   TIME, FlowParams, FlowState, Trajectory, run, velocity)
 from .fourier import _GRID, _SAMPLES, FourierField
 from .geometry import LEFT, WarpedProduct
 
@@ -92,23 +93,24 @@ def _triple(traj: Trajectory, k: int):
         raise ValueError("need at least three recorded states")
     if not 1 <= k <= len(traj) - 2:
         raise ValueError(f"index {k} has no recorded neighbors on both sides")
-    prev, mid, nxt = traj[k - 1], traj[k], traj[k + 1]
-    if mid.curve.mode != GRAPH:
-        raise ValueError("time differencing requires graph mode nodes")
-    return prev, mid, nxt
+    return traj[k - 1], traj[k], traj[k + 1]
 
 
 def _material_dt(prev: FlowState, mid: FlowState, nxt: FlowState,
                  values_prev, values_mid, values_next):
-    """d/dt along the flow at matched nodes: centered difference plus the
-    H^0 advection correction (see the module docstring)."""
+    """d/dt along the normal flow at matched nodes, in either gauge: the
+    centered difference minus rho d_u(value), with
+    rho = <W - H, gamma'> / <gamma', gamma'> in Euclidean dot products
+    (see the module docstring)."""
     node_dt = spectral.centered_dt(values_prev, values_mid, values_next,
                                    mid.t - prev.t, nxt.t - mid.t)
-    h0 = mid.fields.curvature[:, 0]
+    f = mid.fields
+    rho = (((velocity(mid) - f.curvature) * f.deriv).sum(axis=1)
+           / (f.deriv * f.deriv).sum(axis=1))
     du = spectral.diff(values_mid)
     if du.ndim > 1:
-        return node_dt + h0[:, None] * du
-    return node_dt + h0 * du
+        return node_dt - rho[:, None] * du
+    return node_dt - rho * du
 
 
 def _theta_rates(prev: FlowState, mid: FlowState, nxt: FlowState) -> tuple:
@@ -223,9 +225,9 @@ class DriftCheck:
 
     add(state) takes the states in recorded order and differences the two
     before each state with it, so the check holds two states however long
-    the run. Parametric states are skipped: they are not time-differenced.
-    worst is the least slack so far (inf before the first window) and
-    checked the number of windows; constant(t) is C_drift up to time t.
+    the run, in either gauge. worst is the least slack so far (inf before
+    the first window) and checked the number of windows; constant(t) is
+    C_drift up to time t.
     """
 
     def __init__(self, manifold: WarpedProduct, min_theta0: float):
@@ -256,8 +258,6 @@ class DriftCheck:
                           / self.inputs["min_theta_0"])
 
     def add(self, state: FlowState) -> None:
-        if state.curve.mode != GRAPH:
-            return
         prev, mid = self._prev, self._mid
         self._prev, self._mid = mid, state
         if prev is None:
@@ -278,8 +278,7 @@ def theta_bound_monitor(traj: Trajectory, manifold: WarpedProduct,
       exp:   min Theta(t) >= e^{-C t} min Theta(0), at every recorded time.
       drift: dTheta/dt >= Lap Theta + |A|^2 Theta / 2 - C_drift, node-wise
              at every interior recorded time, using the same discretized
-             terms as the evolution residual; vacuous on a parametric
-             trajectory, whose states are not time-differenced.
+             terms as the evolution residual, in either gauge.
     Failures beyond eps_tol are falsification flags, never clamped.
     eps_tol must be finite and nonnegative: a negative one would flag
     bounds that hold.
@@ -294,11 +293,10 @@ def theta_bound_monitor(traj: Trajectory, manifold: WarpedProduct,
     scalars = traj.scalars
     times = scalars[:, TIME]
     theta0 = float(scalars[0, MIN_THETA])
-    graph = traj.curve(-1).mode == GRAPH    # one mode for every state
     drift = getattr(traj, "drift", None)
     if drift is None:
         drift = DriftCheck(manifold, theta0)
-        for state in traj if graph else ():
+        for state in traj:
             drift.add(state)
 
     slack_exp = scalars[:, MIN_THETA] - np.exp(-drift.c_exp * times) * theta0
@@ -312,9 +310,7 @@ def theta_bound_monitor(traj: Trajectory, manifold: WarpedProduct,
     )
 
     notes = ""
-    if not graph:
-        notes = "parametric states are not time-differenced; vacuous"
-    elif drift.checked == 0:
+    if drift.checked == 0:
         notes = "no interior recorded states to difference; vacuous"
     drift_report = BoundReport(
         name="theta_drift_inequality",
@@ -419,19 +415,20 @@ class _Rung(Trajectory):
 class RefinementLadder:
     """One scenario integrated on a ladder of grids, for the studies.
 
-    Each grid M runs to t_end from the same initial field with every step
-    recorded, so dt shrinks like M^-2 as M grows. The runs happen on the
-    first read of `trajectories` and are kept on this ladder, so every
-    study handed the same ladder reads the same runs. A rung keeps the
-    scalar row of every state but the coordinates of only the three
-    states around t_end / 2 and the newest three; reading any other state
-    raises LookupError.
+    Each grid M runs to t_end from the same initial graph, init_field
+    plus `winding` turns around the base, with every step recorded, so dt
+    shrinks like M^-2 as M grows. The runs happen on the first read of
+    `trajectories` and are kept on this ladder, so every study handed the
+    same ladder reads the same runs. A rung keeps the scalar row of every
+    state but the coordinates of only the three states around t_end / 2
+    and the newest three; reading any other state raises LookupError.
     """
 
     manifold: WarpedProduct
     init_field: FourierField
     grids: tuple = (64, 128, 256)
     t_end: float = 0.12
+    winding: int = 0
 
     def __post_init__(self):
         # one grid has no order to fit, so a study over it passed vacuously
@@ -440,6 +437,7 @@ class RefinementLadder:
             raise ValueError("a ladder needs two or more increasing grids")
         for m in g:     # fail here, not inside the first study
             _validate_m(m)
+        _integer(self.winding, "winding")
         if not self.t_end > 0.0:
             raise ValueError("a ladder needs t_end > 0")
         self.params     # FlowParams checks that t_end is finite
@@ -450,7 +448,8 @@ class RefinementLadder:
 
     @cached_property
     def trajectories(self) -> tuple:
-        return tuple(run(self.manifold, make_graph_curve(self.init_field, m),
+        return tuple(run(self.manifold,
+                         make_graph_curve(self.init_field, m, self.winding),
                          self.params, _Rung(0.5 * self.t_end))[0]
                      for m in self.grids)
 
@@ -521,7 +520,7 @@ def gradient_identity_study(ladder: RefinementLadder) -> ResidualReport:
     manifold = ladder.manifold
     res = []
     for m in ladder.grids:
-        curve = make_graph_curve(ladder.init_field, m)
+        curve = make_graph_curve(ladder.init_field, m, ladder.winding)
         state = FlowState(curve, 0.0, compute_fields(curve, manifold))
         res.append(gradient_identity_residual(state, manifold))
     return _study_report("gradient_identity", ladder, res,

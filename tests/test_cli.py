@@ -148,6 +148,23 @@ def test_verify_integrates_each_ladder_grid_once(tmp_path, monkeypatch):
     assert tuple(grids) == wcsf.RefinementLadder.grids
 
 
+def test_verify_checks_the_scenarios_winding(tmp_path, monkeypatch):
+    # the studies' curves wind like the run's: a ladder that dropped
+    # init.winding certified the unwound flow
+    windings = set()
+    real_fields = wcsf.verification.compute_fields
+
+    def spy(curve, manifold):
+        windings.add(curve.winding)
+        return real_fields(curve, manifold)
+
+    monkeypatch.setattr(wcsf.verification, "compute_fields", spy)
+    cfg = write_cfg(tmp_path / "winding.cfg",
+                    FAST + "init.winding = 1\nverify.gradient = on\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert windings == {(1, 1)}
+
+
 def test_exit_code_falsified(tmp_path):
     cfg = write_cfg(tmp_path / "f.cfg", FALSIFIED)
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1

@@ -7,7 +7,7 @@ short horizons, so the whole module stays fast and reproducible.
 import io
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wcsf
@@ -113,15 +113,19 @@ def test_parametric_flow_keeps_a_graph(case):
 
 @SETTINGS
 @given(flows())
+@example((wcsf.WarpedProduct(wcsf.RIGHT, warp=wcsf.FourierField.exp_cos(0.2),
+                             g11=wcsf.FourierField([1.0, 0.2])),
+          wcsf.make_graph_curve(wcsf.FourierField([0.0], [0.0, 0.3]), 64)))
 def test_streamed_drift_check_matches_the_post_run_monitor(case):
     # the drift check fed state by state while run records gives the
     # reports of the monitor over the kept trajectory, on warps with sine
-    # terms in both families
-    manifold, curve = case
-    kept, _ = wcsf.run(manifold, curve, short())
-    streamed, _ = wcsf.run(manifold, curve, short(),
-                           _Recorder(io.StringIO(), check_drift=True))
-    # a flat draw converges at once: no window, both reports vacuous
-    assert streamed.drift.checked == max(len(kept) - 2, 0)
-    assert (wcsf.theta_bound_monitor(streamed, manifold)
-            == wcsf.theta_bound_monitor(kept, manifold))
+    # terms in both families, in the graph and the DeTurck gauge
+    manifold, graph = case
+    for curve in (graph, parametric_twin(graph)):
+        kept, _ = wcsf.run(manifold, curve, short())
+        streamed, _ = wcsf.run(manifold, curve, short(),
+                               _Recorder(io.StringIO(), check_drift=True))
+        # a flat draw converges at once: no window, both reports vacuous
+        assert streamed.drift.checked == max(len(kept) - 2, 0)
+        assert (wcsf.theta_bound_monitor(streamed, manifold)
+                == wcsf.theta_bound_monitor(kept, manifold))

@@ -32,12 +32,24 @@ record.stride = 2
 output.svg = on
 """
 
+# the studies' path: geometry.frame and the einsum contractions of the
+# commutator, on the default ladder
+CURVED = """\
+manifold.kind = left
+warp.exp_cos = 0.3
+base.g11.cos = 1.0, 0.2
+init.sin = 0.0, 0.3
+grid.m = 32
+time.t_max = 0.2
+record.stride = 10
+"""
+
 RUN = """\
 import sys
 import numpy
 before = set(sys.modules)
 from wcsf.cli import main
-code = main(["run", sys.argv[1], "--out", sys.argv[2]])
+code = main([sys.argv[3], sys.argv[1], "--out", sys.argv[2]])
 for name in sorted(set(sys.modules) - before):
     print("loaded", name)
 raise SystemExit(code)
@@ -50,11 +62,12 @@ ALLOWED_MODULES = {"argparse", "gettext", "locale", "_locale", "copy",
                    "dataclasses", "__future__"}
 
 
-def run_child(cfg: Path, out: Path, **env) -> str:
+def run_child(cfg: Path, out: Path, command: str = "run", **env) -> str:
+    """`wcsf <command> cfg --out out` in a fresh interpreter."""
     child_env = dict(os.environ, PYTHONPATH=SRC, **env)
-    done = subprocess.run([sys.executable, "-c", RUN, str(cfg), str(out)],
-                          env=child_env, capture_output=True, text=True,
-                          timeout=120)
+    done = subprocess.run(
+        [sys.executable, "-c", RUN, str(cfg), str(out), command],
+        env=child_env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -70,14 +83,16 @@ def test_artifacts_identical_across_openblas_kernels(tmp_path):
     # OPENBLAS_CORETYPE picks the kernel of an OpenBLAS built with
     # DYNAMIC_ARCH; Haswell (AVX2) and Prescott (SSE3) round sums and
     # products differently, so any BLAS call feeding an artifact shows
-    cfg = tmp_path / "left.cfg"
-    cfg.write_text(LEFT)
-    hashes = {}
-    for core in ("Haswell", "Prescott"):
-        out = tmp_path / core
-        run_child(cfg, out, OPENBLAS_CORETYPE=core)
-        hashes[core] = digest(out)
-    assert hashes["Haswell"] == hashes["Prescott"]
+    for name, text, command in (("left", LEFT, "run"),
+                                ("curved", CURVED, "verify")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        hashes = {}
+        for core in ("Haswell", "Prescott"):
+            out = tmp_path / name / core
+            run_child(cfg, out, command, OPENBLAS_CORETYPE=core)
+            hashes[core] = digest(out)
+        assert hashes["Haswell"] == hashes["Prescott"], name
 
 
 def allowed(name: str) -> bool:
@@ -86,12 +101,16 @@ def allowed(name: str) -> bool:
 
 
 def test_svg_run_loads_only_allowed_modules(tmp_path):
-    cfg = tmp_path / "product.cfg"
-    cfg.write_text(PRODUCT_SVG)
-    out = tmp_path / "out"
-    stdout = run_child(cfg, out)
-    assert (out / "chart.svg").stat().st_size > 0
-    loaded = [line.split()[1] for line in stdout.splitlines()
-              if line.startswith("loaded ")]
-    assert "wcsf.artifacts" in loaded
-    assert [name for name in loaded if not allowed(name)] == []
+    # the chart writer's path under wcsf run, the studies' under wcsf verify
+    for name, text, command in (("product", PRODUCT_SVG, "run"),
+                                ("curved", CURVED, "verify")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        stdout = run_child(cfg, tmp_path / name, command)
+        loaded = [line.split()[1] for line in stdout.splitlines()
+                  if line.startswith("loaded ")]
+        assert "wcsf.artifacts" in loaded
+        assert [m for m in loaded if not allowed(m)] == [], name
+    assert (tmp_path / "product" / "chart.svg").stat().st_size > 0
+    report = (tmp_path / "curved" / "report.txt").read_text()
+    assert "residuals.left_commutator.passed = yes" in report

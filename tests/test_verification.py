@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -161,15 +162,26 @@ def test_theta_monitor_vacuous_drift_on_single_state(left_exp):
     exp_rep, drift_rep = wcsf.theta_bound_monitor(traj, left_exp)
     assert exp_rep.passed and drift_rep.passed
     assert "vacuous" in drift_rep.notes
-    # a parametric run has interior states, but none is time-differenced
-    pc = wcsf.DiscreteCurve("parametric", curve.coords, curve.winding)
-    traj, _ = wcsf.run(left_exp, pc,
-                       wcsf.FlowParams(t_max=0.05, record_stride=1))
-    assert len(traj) >= 3
-    _, drift_rep = wcsf.theta_bound_monitor(traj, left_exp)
-    assert drift_rep.passed and drift_rep.worst_slack == np.inf
-    assert drift_rep.notes == ("parametric states are not time-differenced;"
-                               " vacuous")
+
+
+def test_deturck_drift_slack_matches_the_graph_twin():
+    # the drift check differences DeTurck states too: both gauges trace
+    # one flow, so the worst slacks agree to the time error (gap 1.9e-7)
+    manifold = wcsf.WarpedProduct(wcsf.LEFT,
+                                  warp=wcsf.FourierField.exp_cos(0.3),
+                                  g11=wcsf.FourierField([1.0, 0.2]))
+    graph = wcsf.make_graph_curve(
+        wcsf.FourierField([0.05], [0.0, 0.3, 0.1]), 128)
+    twin = wcsf.DiscreteCurve("parametric", graph.coords, graph.winding)
+    params = wcsf.FlowParams(t_max=2.0, record_stride=20)
+    slacks = []
+    for curve in (graph, twin):
+        traj, _ = wcsf.run(manifold, curve, params)
+        _, drift_rep = wcsf.theta_bound_monitor(traj, manifold)
+        assert drift_rep.passed and drift_rep.notes == ""
+        slacks.append(drift_rep.worst_slack)
+    assert np.isfinite(slacks[1])
+    assert abs(slacks[1] - slacks[0]) < 1e-6
 
 
 def test_dissipation_monitor_small_defect(product):
@@ -231,7 +243,8 @@ def test_studies_pass_on_small_grids(left_exp, monkeypatch):
     {"grids": (64,)}, {"grids": ()}, {"grids": (64, 64)},
     {"grids": (128, 64)}, {"t_end": 0.0}, {"t_end": float("nan")},
     {"t_end": float("inf")}, {"grids": (48, 96)}, {"grids": (True, 64)},
-    {"grids": (32.7, 64)}, {"grids": (64.0, 128)},
+    {"grids": (32.7, 64)}, {"grids": (64.0, 128)}, {"winding": 1.5},
+    {"winding": True},
 ])
 def test_refinement_ladder_rejects_a_ladder_without_orders(left_exp, kwargs):
     # one grid gave a study with orders () that passed vacuously
@@ -292,6 +305,63 @@ def test_ladder_memory_is_bounded():
     assert held < 400 * 1024
 
 
+def test_ladder_winds_like_its_scenario(left_exp):
+    # every rung and every initial curve of the gradient study winds
+    # (1, 1); all four studies pass on the winding flow
+    ladder = wcsf.RefinementLadder(left_exp, sin_field(0.3), winding=1)
+    assert [t.final.curve.winding for t in ladder.trajectories] == [(1, 1)] * 3
+    for study in (wcsf.evolution_residual_study,
+                  wcsf.commutator_residual_study,
+                  wcsf.dissipation_residual_study,
+                  wcsf.gradient_identity_study):
+        assert study(ladder).passed
+
+
+class DeTurckLadder(wcsf.RefinementLadder):
+    """A ladder whose grids run from the parametric twin of the initial
+    graph, so that the nodes move in the DeTurck gauge."""
+
+    @cached_property
+    def trajectories(self) -> tuple:
+        out = []
+        for m in self.grids:
+            g = wcsf.make_graph_curve(self.init_field, m, self.winding)
+            twin = wcsf.DiscreteCurve("parametric", g.coords, g.winding)
+            out.append(wcsf.run(self.manifold, twin, self.params,
+                                wcsf.verification._Rung(0.5 * self.t_end))[0])
+        return tuple(out)
+
+
+def graph_gauge_material_dt(prev, mid, nxt, values_prev, values_mid,
+                            values_next):
+    # the graph gauge's rule: centred difference plus H^0 d_u(value)
+    node_dt = wcsf.spectral.centered_dt(values_prev, values_mid, values_next,
+                                        mid.t - prev.t, nxt.t - mid.t)
+    h0 = mid.fields.curvature[:, 0]
+    du = wcsf.spectral.diff(values_mid)
+    return node_dt + (h0[:, None] if du.ndim > 1 else h0) * du
+
+
+@pytest.mark.parametrize("winding", [0, 1])
+@pytest.mark.parametrize("kind", [wcsf.LEFT, wcsf.RIGHT])
+def test_deturck_ladder_converges_and_the_graph_rule_fails(kind, winding,
+                                                           monkeypatch):
+    # the material derivative reads DeTurck nodes at the graph gauge's
+    # orders; the graph gauge's advection on them leaves an O(1) defect
+    a = 0.3 if kind == wcsf.LEFT else 0.2
+    manifold = wcsf.WarpedProduct(kind, warp=wcsf.FourierField.exp_cos(a),
+                                  g11=wcsf.FourierField([1.0, 0.2]))
+    ladder = DeTurckLadder(manifold, sin_field(0.3), winding=winding)
+    rep = wcsf.evolution_residual_study(ladder)
+    assert rep.passed and min(rep.orders) >= 1.8, rep
+    rep = wcsf.commutator_residual_study(ladder)
+    assert rep.passed and min(rep.orders) >= 1.5, rep
+    monkeypatch.setattr(wcsf.verification, "_material_dt",
+                        graph_gauge_material_dt)
+    rep = wcsf.evolution_residual_study(ladder)
+    assert not rep.passed, rep
+
+
 def test_gradient_identity_study_floor_escape(left_exp):
     ladder = wcsf.RefinementLadder(left_exp, sin_field(0.3), grids=(64, 128))
     rep = wcsf.gradient_identity_study(ladder)
@@ -299,12 +369,16 @@ def test_gradient_identity_study_floor_escape(left_exp):
     assert max(rep.max_residuals) < 1e-11
 
 
-def test_material_derivative_needs_graph_nodes(product):
+def test_material_derivative_reads_deturck_nodes(product, left_exp):
+    # DeTurck nodes are time-differenced like graph nodes, whether their
+    # r-coordinates stay put (flat product) or move (warped product)
     u = wcsf.spectral.nodes(64)
     coords = np.column_stack([u, 0.3 * np.sin(u)])
     curve = wcsf.DiscreteCurve("parametric", coords, (1, 0))
-    traj, _ = wcsf.run(product, curve,
-                       wcsf.FlowParams(t_max=0.02, record_stride=1,
-                                       tol_geo=0.0))
-    with pytest.raises(ValueError):
-        wcsf.evolution_residual(traj, product, 1)
+    for manifold in (product, left_exp):
+        traj, _ = wcsf.run(manifold, curve,
+                           wcsf.FlowParams(t_max=0.02, record_stride=1,
+                                           tol_geo=0.0))
+        res = wcsf.evolution_residual(traj, manifold, 1)
+        assert res.shape == (64,) and res.max() < 1e-6
+    assert not np.array_equal(traj[1].curve.coords[:, 0], u)
