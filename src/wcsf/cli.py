@@ -6,8 +6,9 @@
 
 Exit codes: 0 clean, 1 a monitored bound or residual check failed,
 2 the curve stopped being a graph, 3 curvature blew up, 64 usage or
-config errors. Wall-clock timing is printed to stdout only and never
-written into artifact files, which are byte-reproducible.
+config errors or an artifact directory that cannot be written.
+Wall-clock timing is printed to stdout only and never written into
+artifact files, which are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -249,6 +250,11 @@ def main(argv=None) -> int:
         return _cmd_suite(args)
     except ConfigError as exc:
         print(f"wcsf: config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        # the artifact directory could not be made or written; uncaught,
+        # the error would exit 1, the code of a falsified run
+        print(f"wcsf: error: cannot write artifacts: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -109,13 +109,14 @@ class Trajectory:
     """Recorded flow states at strictly increasing times.
 
     Keeps the time, the coordinates and the row of scalars of every
-    state, and the fields of the newest state only. A graph state keeps
-    its x1 column alone, since its r column is the node grid
-    spectral.nodes(m). Reading an older state rebuilds its curve from what
-    was kept and its fields with compute_fields: the same pure call on
-    equal coordinates, so they are bit for bit the fields the flow
-    computed, and each read pays one kernel call. All states share one
-    manifold, mode, node count and winding.
+    state, the rows in one float64 table that doubles when it fills, and
+    the fields of the newest state only. A graph state keeps its x1
+    column alone, since its r column is the node grid spectral.nodes(m).
+    Reading an older state rebuilds its curve from what was kept and its
+    fields with compute_fields: the same pure call on equal coordinates,
+    so they are bit for bit the fields the flow computed, and each read
+    pays one kernel call. All states share one manifold, mode, node count
+    and winding.
 
     A subclass that records long runs may _drop the coordinates of older
     states it will not read; their scalar rows stay, and reading their
@@ -124,7 +125,7 @@ class Trajectory:
 
     def __init__(self, states=()):
         self._coords: list[np.ndarray] = []
-        self._rows: list[tuple] = []
+        self._table = np.empty((16, 6))
         self._last: FlowState | None = None
         for s in states:
             self.append(s)
@@ -149,11 +150,15 @@ class Trajectory:
         else:
             # a copy, like the graph column: the caller may reuse its array
             self._coords.append(c.coords.copy())
-        self._rows.append((
-            state.t, float(f.theta.min()), float(f.theta_hat.min()),
-            float(f.curvature_norm.max()), f.length,
-            float((f.curvature_norm ** 2 * f.speed).sum()
-                  * (TWO_PI / c.m))))
+        n = len(self) - 1
+        if n == len(self._table):
+            grown = np.empty((2 * n, 6))
+            grown[:n] = self._table
+            self._table = grown
+        self._table[n] = (
+            state.t, f.theta.min(), f.theta_hat.min(), f.curvature_norm.max(),
+            f.length,
+            (f.curvature_norm ** 2 * f.speed).sum() * (TWO_PI / c.m))
         self._last = state
 
     def __len__(self) -> int:
@@ -187,7 +192,7 @@ class Trajectory:
         if i == len(self._coords) - 1:
             return self._last
         curve = self.curve(i)
-        return FlowState(curve, self._rows[i][TIME],
+        return FlowState(curve, float(self._table[i, TIME]),
                          compute_fields(curve, self._last.fields.manifold))
 
     def __iter__(self):
@@ -198,7 +203,7 @@ class Trajectory:
     def scalars(self) -> np.ndarray:
         """One row per state, in the columns TIME, MIN_THETA,
         MIN_THETA_HAT, MAX_A, LENGTH and DISSIPATION."""
-        return np.array(self._rows)
+        return self._table[:len(self)].copy()
 
     @property
     def final(self) -> FlowState:

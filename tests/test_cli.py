@@ -1,4 +1,7 @@
+import gc
 import io
+import os
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -268,6 +271,48 @@ def test_a_file_stem_that_is_no_run_name_is_a_usage_error(tmp_path,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["..cfg"]
 
 
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+def test_a_nul_byte_in_the_run_name_is_a_config_error(tmp_path, monkeypatch,
+                                                      capsys):
+    # the name would reach mkdir and raise "embedded null byte"
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path / "nul.cfg", FAST + "scenario.name = a\0b\n")
+    assert main(["run", cfg]) == 64
+    err = one_error_line(capsys)
+    assert "config error" in err and "line 7: scenario.name" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["nul.cfg"]
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_an_overlong_run_name_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                               command):
+    # a 300-character directory name is too long for the file system; the
+    # crash used to exit 1, the code of a falsified run
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path / "long.cfg",
+                    FAST + "scenario.name = " + "n" * 300 + "\n")
+    assert main([command, cfg]) == 64
+    assert one_error_line(capsys).startswith("wcsf: error: ")
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "suite"])
+def test_an_out_that_names_a_file_is_a_usage_error(tmp_path, capsys, command):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    cfg = write_cfg(suite / "demo.cfg", FAST)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    target = str(suite) if command == "suite" else cfg
+    assert main([command, target, "--out", str(taken)]) == 64
+    assert one_error_line(capsys).startswith("wcsf: error: ")
+    assert taken.read_text() == "kept\n"
+
+
 def test_report_values_match_trajectory(tmp_path):
     cfg = write_cfg(tmp_path / "demo.cfg", FAST)
     out = tmp_path / "o"
@@ -350,6 +395,35 @@ def test_a_long_run_keeps_a_bounded_chart_set(tmp_path, monkeypatch):
     assert kept[0] == 0 and kept[-1] == len(traj) - 1
     rows = (tmp_path / "trajectory.csv").read_text().count("\n")
     assert rows == 1 + 32 * len(traj)
+
+
+def test_a_recorder_keeps_under_120_bytes_per_state():
+    # the slope of the traced heap a recorder holds after a dense flat run,
+    # between runs of 209 and 832 states: a float64 scalar row (48 B, up
+    # to twice that in a half-full table) and a list slot per state; rows
+    # of Python floats took about 230 B
+    def held(t_max):
+        scn = wcsf.parse_config(
+            FAST.replace("warp.exp_cos = 0.3\n", "")
+            .replace("record.stride = 10", "record.stride = 1")
+            .replace("time.t_max = 0.2", f"time.t_max = {t_max}")
+            + "tol.geo = 0\n")
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        with open_trajectory_csv(os.devnull) as csv:
+            traj, _ = wcsf.run(scn.manifold, scn.initial_curve(), scn.params,
+                               _Recorder(csv, scn.verify_bounds))
+        gc.collect()
+        return len(traj), tracemalloc.get_traced_memory()[0] - before
+
+    held(0.1)       # fills the lazy caches, untraced
+    tracemalloc.start()
+    try:
+        (n1, b1), (n2, b2) = held(2), held(8)
+    finally:
+        tracemalloc.stop()
+    assert (n1, n2) == (209, 832)
+    assert (b2 - b1) / (n2 - n1) < 120
 
 
 @pytest.mark.parametrize("n", [1, 2, 16, 17, 33])

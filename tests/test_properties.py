@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import wcsf
 from oracles import graph_twin_gap
 from wcsf.cli import _Recorder
+from wcsf.spectral import TWO_PI
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                     database=None)
@@ -77,6 +78,26 @@ def test_graph_loss_and_blowup_are_stop_reasons(case):
     if ceiling > 0.0:
         _, rep = wcsf.run(manifold, curve, short(a_ceiling=ceiling))
         assert rep.stop_reason is wcsf.StopReason.BLOWUP
+
+
+@SETTINGS
+@given(flows())
+def test_scalars_are_a_fresh_float64_table_of_the_states(case):
+    manifold, curve = case
+    traj, _ = wcsf.run(manifold, curve, short())
+    rows = traj.scalars
+    assert rows.dtype == np.float64 and rows.shape == (len(traj), 6)
+    for i, row in enumerate(rows):
+        state = traj[i]
+        f = state.fields
+        expected = np.array([
+            state.t, f.theta.min(), f.theta_hat.min(),
+            f.curvature_norm.max(), f.length,
+            (f.curvature_norm ** 2 * f.speed).sum() * (TWO_PI / curve.m)])
+        assert row.tobytes() == expected.tobytes(), i
+    before = rows.copy()
+    rows[:] = -1.0
+    assert traj.scalars.tobytes() == before.tobytes()
 
 
 def parametric_twin(curve):
