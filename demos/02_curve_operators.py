@@ -45,10 +45,10 @@ print()
 print("== angle function and graphicality ==")
 curve = wcsf.make_graph_curve(half_sine, 128)
 fields = wcsf.compute_fields(curve, product)
-min_hat, graphical = wcsf.graphicality(curve, product)
-print(f"min theta = {fields.theta.min():.6f}, "
-      f"min theta_hat = {fields.theta_hat.min():.6f}")
-print(f"graphical: {graphical} (exact min: 1/sqrt(1.25) = "
+min_hat = fields.theta_hat.min()
+print(f"min theta = {fields.theta.min():.6f}, min theta_hat = {min_hat:.6f}")
+# min theta_hat > 0 means r' > 0 at every node, so the curve is a graph
+print(f"graphical: {bool(min_hat > 0.0)} (exact min: 1/sqrt(1.25) = "
       f"{1.0 / np.sqrt(1.25):.6f})")
 
 print()

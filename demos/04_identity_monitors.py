@@ -9,6 +9,7 @@ finishes in seconds, then shows what the inequality monitors report.
 """
 
 import wcsf
+from wcsf.verification import DriftCheck
 
 GRIDS = (32, 64, 128)
 T_END = 0.08
@@ -59,7 +60,7 @@ for label in ("left warped", "right warped"):
     manifold, _ = setups[label]
     print(f"  {label:14s} C = {wcsf.exp_constant(manifold):.6f}, "
           f"C_drift(t = 1, min Theta(0) = 1) = "
-          f"{wcsf.drift_constant(manifold, 1.0, 1.0):.6f}")
+          f"{DriftCheck(manifold, 1.0).constant(1.0):.6f}")
 
 print()
 print("== inequality monitors on a full left-warped run ==")

@@ -23,7 +23,7 @@ from . import verification
 from .artifacts import (_SNAPSHOTS, open_trajectory_csv, write_report,
                         write_svg, write_trajectory_csv)
 from .flow import MIN_THETA, FlowState, StopReason, Trajectory, run
-from .scenario import ConfigError, Scenario, parse_config
+from .scenario import ConfigError, Scenario, _run_name, parse_config
 
 __all__ = ["main", "execute_scenario",
            "EXIT_OK", "EXIT_FALSIFIED", "EXIT_GRAPH_LOSS", "EXIT_BLOWUP",
@@ -73,6 +73,16 @@ def _load_scenario(path: Path) -> Scenario:
         return parse_config(text, name=path.stem)
     except ConfigError as exc:
         raise ConfigError(f"{path.name}: {exc}") from None
+
+
+def _suite_scenario(path: Path) -> Scenario:
+    """A suite's scenario, whose artifact directory is named after the file
+    stem even when the config sets scenario.name."""
+    try:
+        _run_name(path.stem)
+    except ValueError as exc:
+        raise ConfigError(f"{path.name}: file stem {exc}") from None
+    return _load_scenario(path)
 
 
 def _section(record) -> dict:
@@ -222,8 +232,12 @@ def _cmd_suite(args) -> int:
     if not paths:
         print(f"wcsf: error: no .cfg files in {root}", file=sys.stderr)
         return EXIT_USAGE
-    scenarios = [(p, _load_scenario(p)) for p in paths]
+    scenarios = [(p, _suite_scenario(p)) for p in paths]
     out_root = Path(args.out) if args.out else Path("wcsf_out")
+    # every directory before the first run: one that cannot be made aborts
+    # the suite before any run, as a broken config does
+    for p in paths:
+        (out_root / p.stem).mkdir(parents=True, exist_ok=True)
     outcomes = {p: execute_scenario(scn, out_root / p.stem)
                 for p, scn in scenarios}
     lines = [f"{p.stem}: exit {outcomes[p][0]} ({outcomes[p][1]})"

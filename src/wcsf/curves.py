@@ -27,7 +27,6 @@ __all__ = [
     "compute_fields",
     "arc_derivative",
     "arc_laplacian",
-    "graphicality",
     "resample",
 ]
 
@@ -241,17 +240,6 @@ def arc_laplacian(values, speed: np.ndarray) -> np.ndarray:
     """Curve Laplacian of node values: the arclength derivative applied
     twice."""
     return spectral.diff(arc_derivative(values, speed)) / speed
-
-
-def graphicality(curve: DiscreteCurve, manifold: WarpedProduct):
-    """(min Theta_hat, certified) where certified requires min Theta_hat > 0
-    and a strictly monotone r-lift."""
-    f = compute_fields(curve, manifold)
-    min_that = float(f.theta_hat.min())
-    r = curve.coords[:, 0]
-    closure = r[0] + TWO_PI * curve.winding[0]
-    increasing = bool(np.all(np.diff(np.append(r, closure)) > 0.0))
-    return min_that, bool(min_that > 0.0 and increasing)
 
 
 def resample(curve: DiscreteCurve, m_new: int) -> DiscreteCurve:

@@ -123,12 +123,10 @@ class Trajectory:
     curves raises LookupError.
     """
 
-    def __init__(self, states=()):
+    def __init__(self):
         self._coords: list[np.ndarray] = []
         self._table = np.empty((16, 6))
         self._last: FlowState | None = None
-        for s in states:
-            self.append(s)
 
     def append(self, state: FlowState) -> None:
         f, c, last = state.fields, state.curve, self._last
@@ -282,8 +280,11 @@ DT_MAX = 0.125
 
 def _split(fields: CurveFields) -> tuple:
     """(alpha, s): midpoint and half range of 1/v^2 over the nodes."""
-    lo = 1.0 / float(fields.speed.max()) ** 2
-    hi = 1.0 / float(fields.speed.min()) ** 2
+    # v * v, not v ** 2: a Python float's ** 2 calls libm pow, which is
+    # not always the correctly rounded square
+    v_max, v_min = float(fields.speed.max()), float(fields.speed.min())
+    lo = 1.0 / (v_max * v_max)
+    hi = 1.0 / (v_min * v_min)
     return 0.5 * (hi + lo), 0.5 * (hi - lo)
 
 
@@ -298,18 +299,6 @@ def _step_limit(state: FlowState) -> float:
     _, s = _split(state.fields)
     h = TWO_PI / state.curve.m
     return min(CFL * h * h / s, DT_MAX) if s > 0.0 else DT_MAX
-
-
-def _canonicalize(coords: np.ndarray, winding, u_mean: float) -> np.ndarray:
-    # shift whole columns by multiples of 2 pi so the periodic part keeps a
-    # near-zero mean; this is the mod-2pi reduction compatible with lifts
-    m = coords.shape[0]
-    for j, w in enumerate(winding):
-        p_mean = float(np.add.reduce(coords[:, j])) / m - w * u_mean
-        k = round(p_mean / TWO_PI)  # same half-to-even rule as np.round
-        if k:
-            coords[:, j] -= TWO_PI * k
-    return coords
 
 
 def _taylor_table() -> np.ndarray:
@@ -406,8 +395,7 @@ def step_rk4(state: FlowState, manifold: WarpedProduct, dt: float,
     c = e2 * a + q * (2.0 * nb - n0)
     nc = stage(c)
     y1 = e * y0 + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
-    coords = _canonicalize(coords_of(y1), winding, float(u.mean()))
-    curve = DiscreteCurve(mode, coords, winding)
+    curve = DiscreteCurve(mode, coords_of(y1), winding)
     t1 = state.t + dt if t_new is None else t_new
     return FlowState(curve, t1, compute_fields(curve, manifold))
 
@@ -440,7 +428,8 @@ def _circular_mean(angles: np.ndarray) -> float:
 
 
 def _median(values: list) -> float:
-    # statistics.median's rule: the mean of the middle two of an even count
+    # statistics.median's rule, the mean of the middle two of an even count;
+    # np.median would import numpy.ma into every run
     ordered = sorted(values)
     mid = len(ordered) // 2
     if len(ordered) % 2:

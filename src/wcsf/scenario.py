@@ -137,7 +137,8 @@ _kind = _choice({"left": LEFT, "right": RIGHT}, "must be left or right")
 
 
 def _run_name(text: str) -> str:
-    # wcsf run and wcsf verify name their default artifact directory after it
+    # an artifact directory is named after it: the default one of wcsf run
+    # and wcsf verify, and under wcsf suite each run's, after its file stem
     if (text in ("", ".", "..") or "/" in text or "\\" in text
             or "\0" in text):
         raise ValueError(f"must be one plain path component, got {text!r}")

@@ -45,7 +45,6 @@ __all__ = [
     "theta_bound_monitor",
     "dissipation_monitor",
     "exp_constant",
-    "drift_constant",
     "closed_form_theta",
     "evolution_residual_study",
     "commutator_residual_study",
@@ -209,13 +208,6 @@ def exp_constant(manifold: WarpedProduct) -> float:
     return float(np.abs(manifold.log_warp_derivs(_SAMPLES)[1]).max())
 
 
-def drift_constant(manifold: WarpedProduct, t0: float,
-                   min_theta0: float) -> float:
-    """Constant of the drift inequality up to time t0, DriftCheck's
-    constant(t0)."""
-    return DriftCheck(manifold, min_theta0).constant(t0)
-
-
 # -- inequality monitors ------------------------------------------------------
 
 
@@ -234,7 +226,8 @@ class DriftCheck:
         self.c_exp = exp_constant(manifold)
         self.inputs = {"grid": _GRID, "min_theta_0": min_theta0}
         if manifold.kind == LEFT:
-            self.inputs["max_warp_sq"] = manifold.warp.max_on_grid() ** 2
+            psi = manifold.warp.max_on_grid()
+            self.inputs["max_warp_sq"] = psi * psi   # not pow: see flow._split
             self._c_right = None
         else:
             lp1, lp2 = manifold.log_warp_derivs(_SAMPLES)

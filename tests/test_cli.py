@@ -235,6 +235,39 @@ def test_suite_rejects_any_bad_config(tmp_path):
     assert not (tmp_path / "wcsf_out").exists()
 
 
+@pytest.mark.parametrize("file_name", ["...cfg", "..cfg"])
+def test_a_suite_file_stem_that_is_no_run_name_is_a_usage_error(
+        tmp_path, capsys, file_name):
+    # the suite names a run's directory after its file stem, also when the
+    # config sets scenario.name: the stem ".." of "...cfg" would write
+    # above --out, the stem "." of "..cfg" into --out itself
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    write_cfg(suite / "ok.cfg", FAST)
+    write_cfg(suite / file_name, FAST + "scenario.name = ok\n")
+    root = tmp_path / "root"
+    assert main(["suite", str(suite), "--out", str(root / "inner")]) == 64
+    err = one_error_line(capsys)
+    assert "config error" in err and f"{file_name}: file stem" in err
+    assert not root.exists()
+
+
+def test_a_suite_makes_every_artifact_directory_before_its_first_run(
+        tmp_path, capsys):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    write_cfg(suite / "a.cfg", FAST)
+    write_cfg(suite / "b.cfg", FAST)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "b").write_text("kept\n")
+    assert main(["suite", str(suite), "--out", str(out)]) == 64
+    assert "[a]" not in capsys.readouterr().out
+    assert list(out.rglob("report.txt")) == []
+    assert not (out / "summary.txt").exists()
+    assert (out / "b").read_text() == "kept\n"
+
+
 def test_zero_horizon_records_single_state(tmp_path):
     cfg = write_cfg(tmp_path / "z.cfg", FAST.replace("time.t_max = 0.2",
                                                      "time.t_max = 0"))

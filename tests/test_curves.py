@@ -72,8 +72,8 @@ def test_winding_line_angle_example():
     assert np.abs(fields.theta_hat - 1.0 / np.sqrt(2.0)).max() < 1e-12
     assert np.abs(fields.speed - 2.0 * np.sqrt(2.0)).max() < 1e-12
     assert np.abs(fields.curvature).max() < 1e-12
-    min_hat, ok = wcsf.graphicality(c, manifold)
-    assert ok and abs(min_hat - 1.0 / np.sqrt(2.0)) < 1e-12
+    min_hat = fields.theta_hat.min()
+    assert min_hat > 0.0 and abs(min_hat - 1.0 / np.sqrt(2.0)) < 1e-12
 
 
 def test_unit_tangent_has_unit_norm(left_exp, right_exp):
@@ -138,10 +138,11 @@ def test_angle_gradient_identity_on_graph(left_exp):
 
 
 def test_graphicality_examples(product):
-    min_hat, ok = wcsf.graphicality(r_circle(1.0), product)
-    assert ok and abs(min_hat - 1.0) < 1e-14
-    min_hat, ok = wcsf.graphicality(sinusoid(0.5), product)
-    assert ok and abs(min_hat - 1.0 / np.sqrt(1.25)) < 1e-12
+    # min Theta_hat > 0 means r' > 0 at every node: the curve is a graph
+    min_hat = wcsf.compute_fields(r_circle(1.0), product).theta_hat.min()
+    assert min_hat > 0.0 and abs(min_hat - 1.0) < 1e-14
+    min_hat = wcsf.compute_fields(sinusoid(0.5), product).theta_hat.min()
+    assert min_hat > 0.0 and abs(min_hat - 1.0 / np.sqrt(1.25)) < 1e-12
 
 
 def test_graphicality_reversing_r(product):
@@ -149,8 +150,7 @@ def test_graphicality_reversing_r(product):
     u = spectral.nodes(m)
     coords = np.column_stack([u + 1.5 * np.sin(u), 0.3 * np.sin(u)])
     c = wcsf.DiscreteCurve("parametric", coords, (1, 0))
-    min_hat, ok = wcsf.graphicality(c, product)
-    assert not ok
+    min_hat = wcsf.compute_fields(c, product).theta_hat.min()
     assert min_hat <= 0.0
 
 

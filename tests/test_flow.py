@@ -197,7 +197,8 @@ def test_trajectory_requires_increasing_time(product):
 
 
 def test_trajectory_requires_one_manifold(product, left_exp):
-    traj = wcsf.Trajectory([graph_state(product, sin_field(0.1))])
+    traj = wcsf.Trajectory()
+    traj.append(graph_state(product, sin_field(0.1)))
     other = graph_state(left_exp, sin_field(0.1))
     with pytest.raises(ValueError, match="manifold"):
         traj.append(wcsf.FlowState(other.curve, 1.0, other.fields))
@@ -205,7 +206,8 @@ def test_trajectory_requires_one_manifold(product, left_exp):
 
 def test_trajectory_requires_one_mode_grid_and_winding(product):
     first = graph_state(product, sin_field(0.1))
-    traj = wcsf.Trajectory([first])
+    traj = wcsf.Trajectory()
+    traj.append(first)
     u = spectral.nodes(64)
     others = [
         wcsf.DiscreteCurve("parametric", first.curve.coords, (1, 0)),
@@ -556,23 +558,26 @@ def test_a_winding_graph_has_no_limit_base_point(kind, request):
     assert abs(np.exp(1j * x).mean()) < 0.5
 
 
-def test_canonicalize_shift_leaves_the_run_unchanged(left_exp):
-    # a graph of mean 3.5 is shifted by -2 pi after its first step; from
-    # then on it is the run started at mean 3.5 - 2 pi, bit for bit
+def test_a_run_does_not_depend_on_the_lift_of_its_graph(left_exp):
+    # the warp reads x mod 2 pi, so a graph and its shift by -2 pi flow
+    # alike: the same steps and states, the same limit, x equal mod 2 pi.
+    # The steps never fold the lift back: the mean-3.5 run stays above pi
     params = wcsf.FlowParams(t_max=50.0, record_stride=50)
     runs = []
     for mean in (3.5, 3.5 - 2.0 * np.pi):
         field = wcsf.FourierField([mean], [0.0, 0.3])
         runs.append(wcsf.run(left_exp, wcsf.make_graph_curve(field, 32),
                              params))
-    (shifted, rep), (plain, plain_rep) = runs
-    assert shifted.curve(0).coords[:, 1].mean() > np.pi
-    assert shifted.curve(1).coords[:, 1].mean() < 0.0
+    (lifted, rep), (plain, plain_rep) = runs
     assert rep.stop_reason is wcsf.StopReason.CONVERGED
-    assert np.array_equal(shifted.scalars[1:], plain.scalars[1:])
-    assert np.array_equal(shifted.final.curve.coords,
-                          plain.final.curve.coords)
-    assert rep == plain_rep
+    assert (rep.steps, rep.recorded_states) == (plain_rep.steps,
+                                                plain_rep.recorded_states)
+    assert rep.limit_base_point == plain_rep.limit_base_point
+    assert rep.length_final == plain_rep.length_final
+    assert np.abs(lifted.scalars - plain.scalars).max() < 1e-12
+    x, x_plain = (t.final.curve.coords[:, 1] for t in (lifted, plain))
+    assert x.mean() > np.pi
+    assert np.abs(x - 2.0 * np.pi - x_plain).max() < 1e-12
 
 
 def failing_kernel(monkeypatch, n):

@@ -101,16 +101,25 @@ def allowed(name: str) -> bool:
 
 
 def test_svg_run_loads_only_allowed_modules(tmp_path):
-    # the chart writer's path under wcsf run, the studies' under wcsf verify
-    for name, text, command in (("product", PRODUCT_SVG, "run"),
-                                ("curved", CURVED, "verify")):
-        cfg = tmp_path / f"{name}.cfg"
-        cfg.write_text(text)
-        stdout = run_child(cfg, tmp_path / name, command)
+    # the chart writer's path under wcsf run and wcsf suite, the studies'
+    # under wcsf verify
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    product = suite / "product.cfg"
+    product.write_text(PRODUCT_SVG)
+    curved = tmp_path / "curved.cfg"
+    curved.write_text(CURVED)
+    for target, out, command in ((product, "product", "run"),
+                                 (curved, "curved", "verify"),
+                                 (suite, "suite_out", "suite")):
+        stdout = run_child(target, tmp_path / out, command)
         loaded = [line.split()[1] for line in stdout.splitlines()
                   if line.startswith("loaded ")]
         assert "wcsf.artifacts" in loaded
-        assert [m for m in loaded if not allowed(m)] == [], name
-    assert (tmp_path / "product" / "chart.svg").stat().st_size > 0
+        assert [m for m in loaded if not allowed(m)] == [], command
+    chart = tmp_path / "product" / "chart.svg"
+    assert chart.stat().st_size > 0
+    assert (tmp_path / "suite_out" / "product" / "chart.svg").read_bytes() \
+        == chart.read_bytes()
     report = (tmp_path / "curved" / "report.txt").read_text()
     assert "residuals.left_commutator.passed = yes" in report

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 import wcsf
+from wcsf.verification import DriftCheck
 
 
 def sin_field(a):
@@ -66,14 +67,14 @@ def test_left_exp_constant_value(left_exp):
 def test_right_constants_values(right_exp):
     c = wcsf.exp_constant(right_exp)
     assert abs(c - 0.2) < 1e-12
-    d = wcsf.drift_constant(right_exp, 2.0, 1.0)
+    d = DriftCheck(right_exp, 1.0).constant(2.0)
     # analytic max of 0.16 sin^2 + 0.2 |cos| at cos r = 0.625
     assert abs(d - 0.2225) < 1e-6
-    assert d == wcsf.drift_constant(right_exp, 0.0, 0.5)
+    assert d == DriftCheck(right_exp, 0.5).constant(0.0)
 
 
 def test_left_drift_constant_formula(left_exp):
-    got = wcsf.drift_constant(left_exp, t0=2.0, min_theta0=1.2)
+    got = DriftCheck(left_exp, min_theta0=1.2).constant(2.0)
     c = 0.09
     expect = 4.0 * c * (1.0 + np.exp(0.6) * np.exp(c * 2.0) / 1.2)
     assert abs(got - expect) < 1e-10
@@ -95,7 +96,7 @@ def test_left_constants_on_a_curved_base():
     c = wcsf.exp_constant(curved)
     assert abs(c - dense) < 1e-8
     assert c > 0.0901    # the flat-base value 0.09 is left behind
-    got = wcsf.drift_constant(curved, t0=2.0, min_theta0=1.2)
+    got = DriftCheck(curved, min_theta0=1.2).constant(2.0)
     # max psi^2 = e^{0.6}, at x = 0
     expect = 4.0 * c * (1.0 + np.exp(0.6) * np.exp(c * 2.0) / 1.2)
     assert abs(got - expect) < 1e-10
@@ -130,8 +131,8 @@ def test_drift_report_constant_is_left_drift_constant(left_exp):
     traj = short_run(left_exp, sin_field(0.3))
     _, drift_rep = wcsf.theta_bound_monitor(traj, left_exp)
     t_final, theta0 = traj.scalars[-1, 0], traj.scalars[0, 1]
-    assert drift_rep.constant_value == wcsf.drift_constant(
-        left_exp, t_final, theta0)
+    assert drift_rep.constant_value == DriftCheck(
+        left_exp, theta0).constant(t_final)
 
 
 def test_theta_monitor_flags_a_violated_bound(left_exp):
