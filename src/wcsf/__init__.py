@@ -15,7 +15,7 @@ from .curves import (CurveFields, DiscreteCurve, ImmersionError,
                      arc_derivative, arc_laplacian, compute_fields,
                      make_graph_curve, resample)
 from .flow import (FlowParams, FlowReport, FlowState, StopReason, Trajectory,
-                   adaptive_dt, run, step_rk4, velocity)
+                   adaptive_dt, run, step_rk4)
 from .fourier import FourierField
 from .geometry import (LEFT, RIGHT, WarpedProduct, conformal_residual,
                        dr_identity_residual)
@@ -39,7 +39,7 @@ __all__ = [
     "make_graph_curve", "compute_fields", "arc_derivative", "arc_laplacian",
     "resample",
     "FlowParams", "FlowState", "FlowReport", "StopReason", "Trajectory",
-    "velocity", "adaptive_dt", "step_rk4", "run",
+    "adaptive_dt", "step_rk4", "run",
     "BoundReport", "ResidualReport", "RefinementLadder",
     "evolution_residual", "gradient_identity_residual", "commutator_residual",
     "theta_bound_monitor", "dissipation_monitor",

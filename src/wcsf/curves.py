@@ -3,10 +3,13 @@
 Curves are sampled at uniform parameter nodes u_j = 2 pi j / M and stored
 through lifted (unreduced) coordinates, so spectral differentiation always
 sees smooth periodic data: coords[:, c] = winding[c] * u + periodic part.
+This module alone decides the gauge: DiscreteCurve.moving names the
+columns a flow moves, CurveFields.velocity the node velocity moving them.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -58,14 +61,19 @@ def _validate_m(m: int) -> int:
     return m
 
 
+@functools.cache
+def _node_bytes(m: int) -> bytes:
+    return spectral.nodes(m).tobytes()  # a third of np.array_equal's time
+
+
 @dataclass(frozen=True)
 class DiscreteCurve:
     """Closed curve at nodes u_j = 2 pi j / M.
 
-    mode "graph" fixes r_j = u_j exactly (winding starts with 1), so the
-    curve is the graph x = f(r) wound once around the circle factor. Mode
-    "parametric" leaves every coordinate free; winding entries record how
-    many times each lifted coordinate gains 2 pi per loop.
+    mode "graph" fixes r_j = u_j bit for bit (winding starts with 1), so
+    the curve is the graph x = f(r) wound once around the circle factor.
+    Mode "parametric" leaves every coordinate free; winding entries record
+    how many times each lifted coordinate gains 2 pi per loop.
     """
 
     mode: str
@@ -81,15 +89,22 @@ class DiscreteCurve:
             raise ValueError(f"unknown curve mode {self.mode!r}")
         if coords.ndim != 2 or coords.shape[1] != 2:
             raise ValueError("coords must have shape (M, 2)")
-        _validate_m(coords.shape[0])
+        m = _validate_m(coords.shape[0])
         if len(self.winding) != 2:
             raise ValueError("winding must have one entry per coordinate")
         if self.mode == GRAPH and self.winding[0] != 1:
             raise ValueError("graph mode winds exactly once in r")
+        if self.mode == GRAPH and coords[:, 0].tobytes() != _node_bytes(m):
+            raise ValueError("a graph's r column must be the node grid")
 
     @property
     def m(self) -> int:
         return self.coords.shape[0]
+
+    @property
+    def moving(self) -> slice:
+        """The columns a flow moves: x alone on a graph, r and x otherwise."""
+        return slice(1, 2) if self.mode == GRAPH else slice(0, 2)
 
     def periodic_part(self) -> np.ndarray:
         u = spectral.nodes(self.m)
@@ -120,15 +135,16 @@ class CurveFields:
       deriv            gamma' (M, 2)
       speed            v = |gamma'|_G (M,)
       tangent          T = gamma' / v (M, 2)
-      accel            q/v^2 = H + (v'/v^2) T, with q = gamma'' +
-                       Gamma(gamma', gamma') the covariant acceleration (M, 2)
+      velocity         the node velocity of the curve's gauge (M, 2):
+                       (0, H^1 - H^0 x') on a graph, the DeTurck q/v^2 =
+                       H + (v'/v^2) T otherwise, with q = gamma'' +
+                       Gamma(gamma', gamma') the covariant acceleration
       curvature        H, normal to T (M, 2)
       curvature_norm   |A| = |H|_G (M,)
       theta            <T, d_r>_G (M,)
       theta_hat        theta / |d_r|_G, clipped to [-1, 1] (M,)
       length           float, the node sum of v 2 pi / M (the trapezoid
                        rule, spectrally accurate on periodic data)
-      pre_tangential   <H, T>_G, analytically zero (M,)
       manifold         the WarpedProduct the fields were computed in
 
     The metric is diagonal, so the kernel never builds dense tensors; code
@@ -138,13 +154,12 @@ class CurveFields:
     deriv: np.ndarray
     speed: np.ndarray
     tangent: np.ndarray
-    accel: np.ndarray
+    velocity: np.ndarray
     curvature: np.ndarray
     curvature_norm: np.ndarray
     theta: np.ndarray
     theta_hat: np.ndarray
     length: float
-    pre_tangential: np.ndarray
     manifold: WarpedProduct
 
 
@@ -162,14 +177,14 @@ def compute_fields(curve: DiscreteCurve, manifold: WarpedProduct) -> CurveFields
     product of node arrays. With the covariant acceleration
     q = gamma'' + Gamma(gamma', gamma'), the curvature vector is
     H = q/v^2 - gamma' v'/v^3, and the exact chain rule
-    v v' = <gamma', q>_G makes it the part of q/v^2 normal to T; q/v^2
-    itself is kept as accel, the parametric flow's velocity. Its
-    tangential defect <H, T>_G is therefore rounding-level; it is kept as
-    pre_tangential so tests can assert that.
+    v v' = <gamma', q>_G makes it the part of q/v^2 normal to T, with a
+    rounding-level tangential defect <H, T>_G. q/v^2 itself is the
+    velocity of a parametric curve; a graph moves with H - H^0 gamma'.
     """
     m = curve.m
     x = curve.coords[:, 1]
-    if curve.mode == GRAPH:
+    graph = curve.mode == GRAPH
+    if graph:
         # r = u at every node, so r' = 1 and r'' = 0 exactly
         wx = curve.winding[1]
         xp, xpp = spectral.diff12(x - wx * spectral.nodes(m) if wx else x)
@@ -192,7 +207,7 @@ def compute_fields(curve: DiscreteCurve, manifold: WarpedProduct) -> CurveFields
         c1 = -(rp * rp) / g * wdw
         dr_norm = np.sqrt(w2)           # |d_r|_G = psi
     else:
-        if curve.mode == GRAPH:
+        if graph:
             w2, wdw, dlog = manifold.circle_tables(m)
         else:
             w2, wdw, dlog = manifold.warp_terms(curve.coords[:, 0])
@@ -209,23 +224,22 @@ def compute_fields(curve: DiscreteCurve, manifold: WarpedProduct) -> CurveFields
     t0 = rp / v
     t1 = xp / v
     theta = a * t0                      # <T, d_r>_G
-    bt1 = b * t1
     k0 = (rpp + c0) / v2
     k1 = (xpp + c1) / v2
-    tq = theta * k0 + bt1 * k1          # <T, q/v^2>_G = v'/v^2
+    tq = theta * k0 + b * t1 * k1       # <T, q/v^2>_G = v'/v^2
     h0 = k0 - tq * t0
     h1 = k1 - tq * t1
     return CurveFields(
         deriv=_pairs(rp, xp, m),
         speed=v,
         tangent=_pairs(t0, t1, m),
-        accel=_pairs(k0, k1, m),
+        velocity=(_pairs(0.0, h1 - h0 * xp, m) if graph
+                  else _pairs(k0, k1, m)),
         curvature=_pairs(h0, h1, m),
         curvature_norm=np.sqrt(a * h0 * h0 + b * h1 * h1),
         theta=theta,
         theta_hat=np.minimum(np.maximum(theta / dr_norm, -1.0), 1.0),
         length=float(v.sum() * (TWO_PI / m)),
-        pre_tangential=theta * h0 + bt1 * h1,
         manifold=manifold,
     )
 

@@ -1,23 +1,23 @@
 """Time integration of the curve shortening flow d gamma/dt = H.
 
-Both modes move nodes with H plus a tangential vector, which traces the
-same curve evolution. Graph mode integrates the gauged velocity
-W = H - H^0 gamma', so the r-coordinate of every node stays fixed and the
-evolving object is exactly the graph function. Parametric mode integrates
-the harmonic-map (DeTurck) velocity q/v^2 = H + (v'/v^2) T with
-q = gamma'' + Gamma(gamma', gamma') (Deckelnick, Dziuk & Elliott, Acta
-Numerica 14, 2005; Elliott & Fritz, IMA J. Numer. Anal. 37, 2017), a
-strictly parabolic system that spreads the nodes like a harmonic map.
+Nodes move with CurveFields.velocity, H plus a tangential vector, which
+traces the same curve evolution; the stepper and the recorder move and
+keep the columns DiscreteCurve.moving names and never ask the gauge. A
+graph moves with W = H - H^0 gamma', so its r column stays the node
+grid; other curves with the harmonic-map (DeTurck) velocity
+q/v^2 = H + (v'/v^2) T, q = gamma'' + Gamma(gamma', gamma') (Deckelnick,
+Dziuk & Elliott, Acta Numerica 14, 2005; Elliott & Fritz, IMA J. Numer.
+Anal. 37, 2017), a strictly parabolic system that spreads the nodes.
 
 Steps are exponential time differencing RK4 (ETDRK4: Cox & Matthews,
 J. Comput. Phys. 176, 2002; Kassam & Trefethen, SIAM J. Sci. Comput. 26,
-2005). The leading term of either velocity is gamma''/v^2 on its moving
-columns (x alone on a graph, r and x otherwise); each step freezes alpha,
-the midpoint of the range of 1/v^2, applies L = -alpha k^2 exactly to the
-Fourier modes of the periodic part of those columns, and treats
-N = W - L gamma with the four explicit stages. Once the curve is nearly
-flat nothing is left stiff and only the accuracy cap DT_MAX holds a step,
-so a record interval no longer than DT_MAX then takes one step.
+2005). The leading term of either velocity is gamma''/v^2 on the moving
+columns; each step freezes alpha, the midpoint of the range of 1/v^2,
+applies L = -alpha k^2 exactly to the Fourier modes of the periodic part
+of those columns, and treats N = W - L gamma with the four explicit
+stages. Once the curve is nearly flat nothing is left stiff and only the
+accuracy cap DT_MAX holds a step, so a record interval no longer than
+DT_MAX then takes one step.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .curves import (GRAPH, CurveFields, DiscreteCurve, ImmersionError,
-                     _integer, compute_fields)
+from .curves import (CurveFields, DiscreteCurve, ImmersionError, _integer,
+                     compute_fields)
 from .geometry import LEFT, WarpedProduct
 from .spectral import TWO_PI, mod_two_pi
 
@@ -40,7 +40,6 @@ __all__ = [
     "FlowState",
     "Trajectory",
     "FlowReport",
-    "velocity",
     "adaptive_dt",
     "step_rk4",
     "run",
@@ -108,15 +107,15 @@ TIME, MIN_THETA, MIN_THETA_HAT, MAX_A, LENGTH, DISSIPATION = range(6)
 class Trajectory:
     """Recorded flow states at strictly increasing times.
 
-    Keeps the time, the coordinates and the row of scalars of every
-    state, the rows in one float64 table that doubles when it fills, and
-    the fields of the newest state only. A graph state keeps its x1
-    column alone, since its r column is the node grid spectral.nodes(m).
+    Keeps the time, the moving columns (DiscreteCurve.moving) and the row
+    of scalars of every state, the rows in one float64 table that doubles
+    when it fills, and the fields of the newest state only: a graph state
+    keeps its x1 column alone, since its r column is the node grid.
     Reading an older state rebuilds its curve from what was kept and its
     fields with compute_fields: the same pure call on equal coordinates,
     so they are bit for bit the fields the flow computed, and each read
-    pays one kernel call. All states share one manifold, mode, node count
-    and winding.
+    pays one kernel call. All states share one manifold, moving columns,
+    node count and winding.
 
     A subclass that records long runs may _drop the coordinates of older
     states it will not read; their scalar rows stay, and reading their
@@ -137,17 +136,12 @@ class Trajectory:
                 raise ValueError("trajectory times must strictly increase")
             if f.manifold is not last.fields.manifold:
                 raise ValueError("trajectory states must share one manifold")
-            if (c.mode, c.m, c.winding) != (last.curve.mode, last.curve.m,
-                                            last.curve.winding):
-                raise ValueError("trajectory states must share one mode, "
+            if (c.moving, c.m, c.winding) != (last.curve.moving, last.curve.m,
+                                              last.curve.winding):
+                raise ValueError("trajectory states must share one gauge, "
                                  "node count and winding")
-        if c.mode == GRAPH:
-            if not np.array_equal(c.coords[:, 0], spectral.nodes(c.m)):
-                raise ValueError("graph states must sit on the node grid")
-            self._coords.append(c.coords[:, 1].copy())
-        else:
-            # a copy, like the graph column: the caller may reuse its array
-            self._coords.append(c.coords.copy())
+        # a copy: the caller may reuse its array
+        self._coords.append(c.coords[:, c.moving].copy())
         n = len(self) - 1
         if n == len(self._table):
             grown = np.empty((2 * n, 6))
@@ -181,9 +175,9 @@ class Trajectory:
         if coords is None:
             raise LookupError(f"state {i} of this trajectory was dropped: "
                               "only its scalar row is kept")
-        if last.mode == GRAPH:
-            coords = np.column_stack((spectral.nodes(last.m), coords))
-        return DiscreteCurve(last.mode, coords, last.winding)
+        full = last.coords.copy()   # a graph's r column: the node grid
+        full[:, last.moving] = coords
+        return DiscreteCurve(last.mode, full, last.winding)
 
     def __getitem__(self, i) -> FlowState:
         i = range(len(self._coords))[i]
@@ -235,25 +229,6 @@ class FlowReport:
     limit_warp_gradient_norm: float | None
     geodesic_certified: bool
     converging_undecided: bool
-
-
-def _graph_velocity(fields: CurveFields) -> np.ndarray:
-    # W^1 = H^1 - H^0 x', the only moving component in graph mode
-    return fields.curvature[:, 1] - fields.curvature[:, 0] * fields.deriv[:, 1]
-
-
-def velocity(state: FlowState) -> np.ndarray:
-    """Node velocities: W = H - H^0 gamma' in graph mode, the DeTurck
-    velocity q/v^2 = H + (v'/v^2) T in parametric mode. Both differ from H
-    by a tangential vector and trace the same curve evolution. In graph
-    parametrization gamma' has r-component exactly 1, so W^0 = 0 and node
-    r-coordinates never move.
-    """
-    if state.curve.mode != GRAPH:
-        return state.fields.accel.copy()
-    w = np.zeros((state.curve.m, 2))
-    w[:, 1] = _graph_velocity(state.fields)
-    return w
 
 
 def adaptive_dt(state: FlowState, cfl: float) -> float:
@@ -355,30 +330,25 @@ def step_rk4(state: FlowState, manifold: WarpedProduct, dt: float,
     """One ETDRK4 step of length dt; refreshes every cached field.
 
     Splits off L = -alpha k^2 with alpha frozen from state (see the module
-    docstring), in graph and parametric mode alike; the stages run on the
-    rfft modes of the moving columns, an (m, 1) x column on a graph. The
+    docstring); the stages run on the rfft modes of the moving columns,
+    and each stage curve is the ramp u * winding plus those columns. The
     first stage reuses state.fields, so a step costs four compute_fields
     calls: stages a, b, c and the new state. t_new stamps the new state in
     place of state.t + dt, so a run lands exactly on its record times.
     """
     c0 = state.curve
-    m, mode, winding = c0.m, c0.mode, c0.winding
-    graph = mode == GRAPH
-    u = spectral.nodes(m)
-    cols = slice(1, 2) if graph else slice(0, 2)
-    ramp = u[:, None] * np.asarray(winding[cols], dtype=float)
+    m, mode, winding, cols = c0.m, c0.mode, c0.winding, c0.moving
+    ramp = spectral.nodes(m)[:, None] * np.asarray(winding, dtype=float)
     k = spectral.wavenumbers(m)
     lin = (_split(state.fields)[0] * (k * k))[:, None]   # -L on each mode
 
     def coords_of(y):
-        coords = np.empty((m, 2))
-        coords[:, 0] = u     # the fixed r column of a graph
-        coords[:, cols] = np.fft.irfft(y, n=m, axis=0) + ramp
+        coords = ramp.copy()
+        coords[:, cols] += np.fft.irfft(y, n=m, axis=0)
         return coords
 
     def remainder(fields, y):
-        w = _graph_velocity(fields)[:, None] if graph else fields.accel
-        return np.fft.rfft(w, axis=0) + lin * y
+        return np.fft.rfft(fields.velocity[:, cols], axis=0) + lin * y
 
     def stage(y):
         curve = DiscreteCurve(mode, coords_of(y), winding)
@@ -386,7 +356,7 @@ def step_rk4(state: FlowState, manifold: WarpedProduct, dt: float,
 
     weights = _etd_weights(-dt * lin[:, 0], dt)
     e, e2, q, f1, f2, f3 = (w[:, None] for w in weights)
-    y0 = np.fft.rfft(c0.coords[:, cols] - ramp, axis=0)
+    y0 = np.fft.rfft(c0.coords[:, cols] - ramp[:, cols], axis=0)
     n0 = remainder(state.fields, y0)
     a = e2 * y0 + q * n0
     na = stage(a)

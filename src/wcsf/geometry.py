@@ -69,8 +69,7 @@ class WarpedProduct:
         self.kind = kind
         self.warp = warp = _positive(warp, 0.0, "warp not positive")
         self.g11 = None if g11 is None else checked_g11(g11)
-        self._dwarp = warp.derivative()
-        self._ddwarp = self._dwarp.derivative()
+        self._ddwarp = warp.derivative().derivative()
         self._circle_cache: dict[int, tuple] = {}
 
     def base_terms(self, x):
@@ -106,8 +105,8 @@ class WarpedProduct:
         """Right warp data ((log phi)', (log phi)'') at circle angles r."""
         if self.kind != RIGHT:
             raise ValueError("log_warp_derivs applies to right warped products")
-        phi = self.warp(r)
-        d1 = self._dwarp(r) / phi
+        phi, dphi = self.warp.values_with_derivative(r)
+        d1 = dphi / phi
         d2 = self._ddwarp(r) / phi - d1 * d1
         return d1, d2
 

@@ -10,8 +10,8 @@ formula by manifold.kind; only the commutator, which contracts the
 Christoffel symbols, asks manifold.frame at the curve's nodes. Residual
 studies refine (M, dt) together and report empirical convergence orders.
 
-Time derivatives along the flow need care: nodes move with the stepper's
-velocity W, in the graph or the DeTurck gauge, and W - H = rho gamma' is
+Time derivatives along the flow need care: nodes move with the velocity W
+of their gauge, CurveFields.velocity, and W - H = rho gamma' is
 tangential. So the material point of the normal flow drifts through the
 parametrization at du/dt = -rho (rho = -H^0 in the graph gauge), and the
 material derivative at a node is the centered difference in time minus
@@ -30,7 +30,7 @@ from . import spectral
 from .curves import (GRAPH, _integer, _validate_m, arc_derivative,
                      arc_laplacian, compute_fields, make_graph_curve)
 from .flow import (BOUND_TOL, DISSIPATION, LENGTH, MIN_THETA, MONOTONE_TOL,
-                   TIME, FlowParams, FlowState, Trajectory, run, velocity)
+                   TIME, FlowParams, FlowState, Trajectory, run)
 from .fourier import _GRID, _SAMPLES, FourierField
 from .geometry import LEFT, WarpedProduct
 
@@ -104,7 +104,7 @@ def _material_dt(prev: FlowState, mid: FlowState, nxt: FlowState,
     node_dt = spectral.centered_dt(values_prev, values_mid, values_next,
                                    mid.t - prev.t, nxt.t - mid.t)
     f = mid.fields
-    rho = (((velocity(mid) - f.curvature) * f.deriv).sum(axis=1)
+    rho = (((f.velocity - f.curvature) * f.deriv).sum(axis=1)
            / (f.deriv * f.deriv).sum(axis=1))
     du = spectral.diff(values_mid)
     if du.ndim > 1:

@@ -135,7 +135,8 @@ def einsum_fields(curve, manifold):
     Christoffel tensors from manifold.frame, full einsum contractions, and
     the speed derivative v' by a second spectral differentiation instead
     of the chain rule. Returns a dict keyed like the CurveFields
-    attributes."""
+    attributes, and pre_tangential, the tangential part <h, T>_G of the
+    curvature before its projection, analytically zero."""
     g, gamma = manifold.frame(curve.coords)
     d1, d2 = spectral.diff12(curve.periodic_part())
     gp = d1 + np.asarray(curve.winding, dtype=float)
@@ -149,13 +150,16 @@ def einsum_fields(curve, manifold):
     gt = np.einsum("nab,nb->na", g, t)
     pre_tan = np.einsum("na,na->n", gt, h_pre)
     h = h_pre - pre_tan[:, None] * t
+    # the gauge's node velocity: H - H^0 gamma' on a graph, whose r
+    # component vanishes since r' = 1; the DeTurck q/v^2 otherwise
+    velocity = h - h[:, :1] * gp if curve.mode == "graph" else accel
     habs = np.sqrt(np.maximum(np.einsum("nab,na,nb->n", g, h, h), 0.0))
     theta = gt[:, 0]
     return {
         "deriv": gp,
         "speed": v,
         "tangent": t,
-        "accel": accel,
+        "velocity": velocity,
         "curvature": h,
         "curvature_norm": habs,
         "theta": theta,
@@ -163,6 +167,13 @@ def einsum_fields(curve, manifold):
         "pre_tangential": pre_tan,
         "length": float(v.sum() * (TWO_PI / curve.m)),
     }
+
+
+def tangential_part(curve, fields):
+    """<H, T>_G at the nodes, analytically zero: the dense metric of
+    fields.manifold.frame contracted with the curvature and the tangent."""
+    metric, _ = fields.manifold.frame(curve.coords)
+    return np.einsum("nab,na,nb->n", metric, fields.curvature, fields.tangent)
 
 
 def trajectory_csv_text(traj):

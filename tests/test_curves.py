@@ -4,7 +4,7 @@ import pytest
 import wcsf
 from wcsf import spectral
 from conftest import MANIFOLDS
-from oracles import einsum_fields, quadrature_length
+from oracles import einsum_fields, quadrature_length, tangential_part
 
 
 def r_circle(x0, m=64):
@@ -99,7 +99,7 @@ def test_pre_projection_tangential_part_shrinks(left_exp):
     for m in (64, 128, 256):
         c = sinusoid(0.4, m=m)
         f = wcsf.compute_fields(c, left_exp)
-        worst = float(np.abs(f.pre_tangential).max())
+        worst = float(np.abs(tangential_part(c, f)).max())
         if prev is not None:
             assert worst < prev / 3.0 or worst < 1e-11
         prev = worst
@@ -189,12 +189,15 @@ def test_winding_graph_ramp():
 
 
 FIELD_ATTRS = ("deriv", "speed", "tangent", "curvature", "curvature_norm",
-               "theta", "theta_hat", "pre_tangential")
+               "theta", "theta_hat")
 
 
-def _worst_gap(a, b):
+def _worst_gap(curve, twin, manifold):
+    a, b = (wcsf.compute_fields(c, manifold) for c in (curve, twin))
     gaps = [float(np.abs(getattr(a, n) - getattr(b, n)).max())
             for n in FIELD_ATTRS]
+    gaps.append(float(np.abs(tangential_part(curve, a)
+                             - tangential_part(twin, b)).max()))
     return max(gaps + [abs(a.length - b.length)])
 
 
@@ -210,8 +213,7 @@ def test_graph_and_parametric_paths_agree(name):
     for m in (64, 128):
         g = wcsf.make_graph_curve(f, m)
         twin = wcsf.DiscreteCurve("parametric", g.coords, g.winding)
-        gaps[m] = _worst_gap(wcsf.compute_fields(g, manifold),
-                             wcsf.compute_fields(twin, manifold))
+        gaps[m] = _worst_gap(g, twin, manifold)
     assert gaps[64] < 1e-9
     assert gaps[128] < 1e-12
 
@@ -220,8 +222,7 @@ def test_graph_and_parametric_paths_agree_with_winding(left_exp):
     ramp = wcsf.make_graph_curve(wcsf.FourierField([0.0], [0.0, 0.2]), 64,
                                  x_winding=1)
     twin = wcsf.DiscreteCurve("parametric", ramp.coords, ramp.winding)
-    gap = _worst_gap(wcsf.compute_fields(ramp, left_exp),
-                     wcsf.compute_fields(twin, left_exp))
+    gap = _worst_gap(ramp, twin, left_exp)
     assert gap < 1e-12
 
 
@@ -249,9 +250,34 @@ def test_kernel_matches_einsum_oracle(name, shape, bounds):
              else moving_r_curve(f, m))
         got = wcsf.compute_fields(c, manifold)
         want = einsum_fields(c, manifold)
+        have = {attr: getattr(got, attr) for attr in want
+                if attr != "pre_tangential"}
+        have["pre_tangential"] = tangential_part(c, got)
         for attr, ref in want.items():
-            gap = float(np.abs(np.asarray(getattr(got, attr)) - ref).max())
+            gap = float(np.abs(np.asarray(have[attr]) - ref).max())
             assert gap < bound, (attr, m, gap)
+        if shape == "graph":
+            # a graph's nodes never move in r
+            assert np.all(got.velocity[:, 0] == 0.0)
+
+
+def test_a_graph_off_the_node_grid_is_rejected():
+    # compute_fields reads a graph's r column as the node grid, so a graph
+    # with r = u + 0.5 would get another curve's fields: in the right
+    # exp_cos(0.2) product its angle would be off by 5.4e-3 and its length
+    # by 1.2e-3 against its parametric twin
+    u = spectral.nodes(64)
+    coords = np.column_stack([u + 0.5, 0.3 * np.sin(u)])
+    with pytest.raises(ValueError, match="node grid"):
+        wcsf.DiscreteCurve("graph", coords, (1, 0))
+    # one ulp off at one node is off the grid too
+    coords = np.column_stack([u, 0.3 * np.sin(u)])
+    coords[5, 0] = np.nextafter(u[5], 10.0)
+    with pytest.raises(ValueError, match="node grid"):
+        wcsf.DiscreteCurve("graph", coords, (1, 0))
+    # its parametric twin moves both columns freely, a graph x alone
+    twin = wcsf.DiscreteCurve("parametric", coords, (1, 0))
+    assert (twin.moving, sinusoid().moving) == (slice(0, 2), slice(1, 2))
 
 
 def test_immersion_error_on_degenerate_curve(product):

@@ -11,7 +11,7 @@ import wcsf
 from wcsf import flow, spectral
 from conftest import left_exp_manifold, product_manifold, right_exp_manifold
 from oracles import (einsum_fields, polyline_hausdorff, scalar_rk4,
-                     taylor_table_fraction)
+                     tangential_part, taylor_table_fraction)
 from wcsf.artifacts import write_trajectory_csv
 from wcsf.cli import execute_scenario
 from wcsf.scenario import parse_config
@@ -30,12 +30,12 @@ def sin_field(a):
 
 def test_velocity_zero_on_right_geodesic(right_exp):
     state = graph_state(right_exp, wcsf.FourierField.constant(1.3))
-    assert np.abs(wcsf.velocity(state)).max() < 1e-14
+    assert np.abs(state.fields.velocity).max() < 1e-14
 
 
 def test_velocity_left_r_circle_example(left_exp):
     state = graph_state(left_exp, wcsf.FourierField.constant(np.pi / 2))
-    w = wcsf.velocity(state)
+    w = state.fields.velocity
     assert np.abs(w[:, 0]).max() == 0.0
     assert np.abs(w[:, 1] - 0.3).max() < 1e-12
     # parametric mode agrees: an r-circle has v' = 0, so q/v^2 = H, and H
@@ -44,12 +44,12 @@ def test_velocity_left_r_circle_example(left_exp):
     coords = np.column_stack([u, np.full(64, np.pi / 2)])
     pc = wcsf.DiscreteCurve("parametric", coords, (1, 0))
     ps = wcsf.FlowState(pc, 0.0, wcsf.compute_fields(pc, left_exp))
-    assert np.abs(wcsf.velocity(ps) - w).max() < 1e-12
+    assert np.abs(ps.fields.velocity - w).max() < 1e-12
 
 
 def test_velocity_graph_gauge_kills_r_component(product):
     state = graph_state(product, sin_field(0.5))
-    w = wcsf.velocity(state)
+    w = state.fields.velocity
     assert np.abs(w[:, 0]).max() == 0.0
 
 
@@ -209,13 +209,15 @@ def test_trajectory_requires_one_mode_grid_and_winding(product):
     traj = wcsf.Trajectory()
     traj.append(first)
     u = spectral.nodes(64)
+    # a graph curve off the node grid could not be rebuilt from x1; it
+    # cannot even be built
+    with pytest.raises(ValueError):
+        wcsf.DiscreteCurve("graph", np.column_stack([u + 1e-3, u * 0.0]),
+                           (1, 0))
     others = [
         wcsf.DiscreteCurve("parametric", first.curve.coords, (1, 0)),
         wcsf.make_graph_curve(sin_field(0.1), 128),
         wcsf.make_graph_curve(sin_field(0.1), 64, x_winding=1),
-        # a graph curve off the node grid could not be rebuilt from x1
-        wcsf.DiscreteCurve("graph", np.column_stack([u + 1e-3, u * 0.0]),
-                           (1, 0)),
     ]
     for curve in others:
         state = wcsf.FlowState(curve, 1.0, wcsf.compute_fields(curve, product))
@@ -226,7 +228,7 @@ def test_trajectory_requires_one_mode_grid_and_winding(product):
 
 
 FIELD_ATTRS = ("deriv", "speed", "tangent", "curvature", "curvature_norm",
-               "theta", "theta_hat", "length", "pre_tangential")
+               "theta", "theta_hat", "length")
 
 
 def rebuild_case(name):
@@ -270,6 +272,8 @@ def test_rebuilt_fields_are_the_flows_fields(name, monkeypatch):
             for attr in FIELD_ATTRS:
                 assert np.array_equal(getattr(state.fields, attr),
                                       getattr(want.fields, attr)), attr
+            assert np.array_equal(tangential_part(state.curve, state.fields),
+                                  tangential_part(want.curve, want.fields))
     assert [s.t for s in traj] == list(traj.scalars[:, flow.TIME])
     with pytest.raises(IndexError):
         traj[n]
@@ -487,8 +491,8 @@ def test_parametric_velocity_is_the_einsum_acceleration(product, left_exp):
     for manifold in (product, left_exp):
         state = wcsf.FlowState(curve, 0.0,
                                wcsf.compute_fields(curve, manifold))
-        want = einsum_fields(curve, manifold)["accel"]
-        assert np.abs(wcsf.velocity(state) - want).max() < 1e-12
+        want = einsum_fields(curve, manifold)["velocity"]
+        assert np.abs(state.fields.velocity - want).max() < 1e-12
 
 
 def test_parametric_trajectory_keeps_its_own_coordinates():

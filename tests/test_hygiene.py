@@ -5,7 +5,9 @@ overrides (a setting with one value in use is a constant).
 
 The scans read the package (its __init__.py re-exports what it imports),
 the demos and the tests, and for calls the benchmark too, with the
-standard library's ast module alone.
+standard library's ast module alone. One more scan keeps the gauge, the
+choice between a graph's and a parametric curve's node motion, inside
+the curves module.
 """
 
 import ast
@@ -191,3 +193,61 @@ def test_every_default_is_passed_by_some_call():
              for line, name in unpassed_defaults(path.read_text(),
                                                  call_sources)]
     assert found == []
+
+
+_MODES = ("GRAPH", "PARAMETRIC")
+
+
+def mode_sites(source: str) -> list:
+    """(line, function, what) for each comparison that reads an attribute
+    named mode and each import or read of GRAPH or PARAMETRIC. function is
+    the enclosing module-level function or class, "" at module level."""
+    found = []
+    for top in ast.parse(source).body:
+        scope = getattr(top, "name", "")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Compare):
+                if any(isinstance(sub, ast.Attribute) and sub.attr == "mode"
+                       for part in (node.left, *node.comparators)
+                       for sub in ast.walk(part)):
+                    found.append((node.lineno, scope, "mode comparison"))
+            elif isinstance(node, ast.ImportFrom):
+                found += [(node.lineno, scope, alias.name)
+                          for alias in node.names if alias.name in _MODES]
+            elif isinstance(node, ast.Name) and node.id in _MODES:
+                found.append((node.lineno, scope, node.id))
+            elif isinstance(node, ast.Attribute) and node.attr in _MODES:
+                found.append((node.lineno, scope, node.attr))
+    return sorted(found)
+
+
+def test_the_scan_sees_a_mode_decision():
+    assert mode_sites(
+        "from .curves import GRAPH, f\n"
+        "def g(c):\n    if c.mode == GRAPH:\n        return 1\n"
+        "class T:\n    def m(self, c, d):\n"
+        "        return (c.mode, c.m) != (d.mode, d.m)\n"
+        "x = curves.PARAMETRIC\n") == [
+        (1, "", "GRAPH"), (3, "g", "GRAPH"), (3, "g", "mode comparison"),
+        (7, "T", "mode comparison"), (8, "", "PARAMETRIC")]
+    # passing a mode on, or comparing another attribute, decides nothing
+    assert mode_sites("def f(c):\n    return D(c.mode, c.coords)\n"
+                      "y = c.moving == d.moving\n") == []
+
+
+# the one decision outside curves: closed forms exist for graphs alone
+_MODE_SITES_ALLOWED = {
+    ("verification.py", "", "GRAPH"),
+    ("verification.py", "closed_form_theta", "GRAPH"),
+    ("verification.py", "closed_form_theta", "mode comparison"),
+}
+
+
+def test_only_the_curves_module_decides_on_a_curve_mode():
+    found = [(path.name, scope, what)
+             for path in sorted((ROOT / "src/wcsf").glob("*.py"))
+             if path.name not in ("curves.py", "__init__.py")
+             for _, scope, what in mode_sites(path.read_text())]
+    assert sorted(set(found) - _MODE_SITES_ALLOWED) == []
+    # closed_form_theta keeps a single guard
+    assert len(found) == 3
