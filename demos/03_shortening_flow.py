@@ -55,8 +55,9 @@ def main() -> None:
     for t, theta, max_a, length in [*history[::10], history[-1]]:
         print(f"  {t:9.4f} {theta:11.6f} {max_a:10.3e} {length:11.8f}")
 
-    # the angle bound certificates for this trajectory
-    exp_rep, drift_rep = wcsf.theta_bound_monitor(traj, manifold)
+    # the angle bound certificates for this trajectory, with the constants
+    # of the manifold its states were flowed in
+    exp_rep, drift_rep = wcsf.theta_bound_monitor(traj)
     print()
     print(f"exponential angle bound ({exp_rep.constant_name} = "
           f"{exp_rep.constant_value:.6f}): "

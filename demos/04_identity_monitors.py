@@ -68,7 +68,7 @@ manifold, field = setups["left warped"]
 curve = wcsf.make_graph_curve(field, 64)
 traj, report = wcsf.run(manifold, curve, wcsf.FlowParams(t_max=10.0,
                                                          record_stride=50))
-exp_rep, drift_rep = wcsf.theta_bound_monitor(traj, manifold)
+exp_rep, drift_rep = wcsf.theta_bound_monitor(traj)
 diss = wcsf.dissipation_monitor(traj)
 for rep in (exp_rep, drift_rep, diss):
     head = f"  {rep.name:22s}"
@@ -79,6 +79,12 @@ for rep in (exp_rep, drift_rep, diss):
 print()
 print("== closed-form angle comparison at the initial state ==")
 # Theta = <T, d_r> expanded in the ambient metric; it must match the
-# measured angle to rounding
-gap = wcsf.closed_form_theta(traj[0], manifold)
+# measured angle to rounding. The check reads the manifold and r' from
+# the state's fields, so the parametric (DeTurck) twin of the graph
+# passes it too
+gap = wcsf.closed_form_theta(traj[0])
 print(f"  direct: max gap {gap:.3e}")
+twin = wcsf.DiscreteCurve("parametric", curve.coords, curve.winding)
+gap = wcsf.closed_form_theta(
+    wcsf.FlowState(twin, 0.0, wcsf.compute_fields(twin, manifold)))
+print(f"  direct, parametric twin: max gap {gap:.3e}")

@@ -131,7 +131,7 @@ def write_svg(path, traj: Trajectory) -> None:
 
     # each snapshot's nodes, closed by its first node one period on
     closed = [np.vstack((c.coords,
-                         c.coords[0] + (TWO_PI, TWO_PI * c.winding[1])))
+                         c.coords[0] + TWO_PI * np.asarray(c.winding)))
               for c in snaps]
     rx, _, _ = _scale(np.concatenate([p[:, 0] for p in closed]),
                       left_x0, left_x1)

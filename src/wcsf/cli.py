@@ -159,7 +159,7 @@ def execute_scenario(scn: Scenario, out_dir) -> tuple:
     bounds = []
     if scn.verify_bounds:
         exp_rep, drift_rep = verification.theta_bound_monitor(
-            traj, scn.manifold, eps_tol=params.tol_bound)
+            traj, eps_tol=params.tol_bound)
         sections["bounds"] = {"exp": _section(exp_rep),
                               "drift": _section(drift_rep)}
         bounds += [exp_rep, drift_rep]
@@ -182,7 +182,7 @@ def execute_scenario(scn: Scenario, out_dir) -> tuple:
     if studies:
         sections["residuals"] = {s.name: _section(s) for s in studies}
     sections["closed_form_theta"] = {
-        "direct": verification.closed_form_theta(traj.first, scn.manifold)}
+        "direct": verification.closed_form_theta(traj.first)}
 
     write_report(out / "report.txt", sections)
     if scn.svg:

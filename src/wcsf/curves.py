@@ -257,11 +257,10 @@ def arc_laplacian(values, speed: np.ndarray) -> np.ndarray:
 
 
 def resample(curve: DiscreteCurve, m_new: int) -> DiscreteCurve:
-    """Trigonometric interpolation of a graph curve onto m_new nodes."""
-    if curve.mode != GRAPH:
-        raise ValueError("resample supports graph mode only")
+    """Trigonometric interpolation of a curve onto m_new nodes in its gauge:
+    a graph's periodic r is zero, so its r column is the new node grid."""
     m_new = _validate_m(m_new)
     p_new = spectral.resample_periodic(curve.periodic_part(), m_new)
     u_new = spectral.nodes(m_new)
     coords = p_new + u_new[:, None] * np.asarray(curve.winding, dtype=float)
-    return DiscreteCurve(GRAPH, coords, curve.winding)
+    return DiscreteCurve(curve.mode, coords, curve.winding)

@@ -407,12 +407,12 @@ def _median(values: list) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2
 
 
-def _build_report(traj: Trajectory, manifold: WarpedProduct,
-                  stop: StopReason, dts: list) -> FlowReport:
+def _build_report(traj: Trajectory, stop: StopReason, dts: list) -> FlowReport:
     rows = traj.scalars
     monotone = bool(np.all(np.diff(rows[:, LENGTH]) <= MONOTONE_TOL))
     first, last = rows[0], rows[-1]
     limit = grad_norm = None
+    manifold = traj.final.fields.manifold
     # a graph winding w times around the base limits to a (1, w) geodesic
     if traj.final.curve.winding[1] == 0:
         limit = _circular_mean(traj.final.curve.coords[:, 1])
@@ -490,4 +490,4 @@ def run(manifold: WarpedProduct, curve0: DiscreteCurve,
             j += 1
     if traj.final is not state:
         traj.append(state)
-    return traj, _build_report(traj, manifold, stop, dts)
+    return traj, _build_report(traj, stop, dts)

@@ -64,9 +64,6 @@ class FourierField:
         self.sin_coef[0] = 0.0  # sin(0 x) carries nothing
         self._k = np.arange(n, dtype=float)
         self._has_sin = bool(np.any(self.sin_coef))
-        self._dcos = self._k * self.sin_coef   # derivative coefficients
-        self._dsin = self._k * self.cos_coef
-        self._ndsin = -self._dsin
         self._deriv = None
 
     @classmethod
@@ -112,6 +109,7 @@ class FourierField:
         flat = x.reshape(-1)
         val = np.empty(flat.size)
         dval = np.empty(flat.size) if derivative else None
+        d = self.derivative() if derivative else None
         for lo in range(0, flat.size, _BLOCK):
             block = slice(lo, lo + _BLOCK)
             kx = flat[block, None] * self._k
@@ -121,12 +119,12 @@ class FourierField:
                 # and the derivative only the sine table
                 val[block] = (c * self.cos_coef).sum(axis=-1)
                 if derivative:
-                    dval[block] = (np.sin(kx) * self._ndsin).sum(axis=-1)
+                    dval[block] = (np.sin(kx) * d.sin_coef).sum(axis=-1)
                 continue
             s = np.sin(kx)
             val[block] = (c * self.cos_coef + s * self.sin_coef).sum(axis=-1)
             if derivative:
-                dval[block] = (c * self._dcos - s * self._dsin).sum(axis=-1)
+                dval[block] = (c * d.cos_coef + s * d.sin_coef).sum(axis=-1)
         if derivative:
             dval = dval.reshape(x.shape)[()]
         return val.reshape(x.shape)[()], dval

@@ -6,9 +6,10 @@ families, the single-time gradient identity, the tangent/curvature
 commutator, the exponential lower bound on the angle with its explicit
 constants, the drift inequality behind it, and the length dissipation
 identity. Each identity and each constant is one function that picks its
-formula by manifold.kind; only the commutator, which contracts the
-Christoffel symbols, asks manifold.frame at the curve's nodes. Residual
-studies refine (M, dt) together and report empirical convergence orders.
+formula by manifold.kind; a check of recorded states reads the manifold
+from their fields, in either gauge. Only the commutator, which contracts
+the Christoffel symbols, asks manifold.frame at the curve's nodes.
+Residual studies refine (M, dt) together and report convergence orders.
 
 Time derivatives along the flow need care: nodes move with the velocity W
 of their gauge, CurveFields.velocity, and W - H = rho gamma' is
@@ -27,8 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from . import spectral
-from .curves import (GRAPH, _integer, _validate_m, arc_derivative,
-                     arc_laplacian, compute_fields, make_graph_curve)
+from .curves import (_integer, _validate_m, arc_derivative, arc_laplacian,
+                     compute_fields, make_graph_curve)
 from .flow import (BOUND_TOL, DISSIPATION, LENGTH, MIN_THETA, MONOTONE_TOL,
                    TIME, FlowParams, FlowState, Trajectory, run)
 from .fourier import _GRID, _SAMPLES, FourierField
@@ -124,8 +125,7 @@ def _theta_rates(prev: FlowState, mid: FlowState, nxt: FlowState) -> tuple:
 # -- single-time and evolution identities ------------------------------------
 
 
-def evolution_residual(traj: Trajectory, manifold: WarpedProduct,
-                       k: int) -> np.ndarray:
+def evolution_residual(traj: Trajectory, k: int) -> np.ndarray:
     """Node-wise defect of the angle evolution equation at state k:
 
         left:  dTheta/dt = Lap Theta + |A|^2 Theta + 2 <H, D log psi> Theta
@@ -136,6 +136,7 @@ def evolution_residual(traj: Trajectory, manifold: WarpedProduct,
     """
     prev, mid, nxt = _triple(traj, k)
     f = mid.fields
+    manifold = f.manifold
     dth, lap = _theta_rates(prev, mid, nxt)
     grad = arc_derivative(f.theta, f.speed)
     if manifold.kind == LEFT:
@@ -154,7 +155,7 @@ def evolution_residual(traj: Trajectory, manifold: WarpedProduct,
     return np.abs(dth - rhs)
 
 
-def gradient_identity_residual(state: FlowState, manifold: WarpedProduct) -> float:
+def gradient_identity_residual(state: FlowState) -> float:
     """Single-time identity linking the arclength derivative of the angle
     to the curvature vector:
 
@@ -162,6 +163,7 @@ def gradient_identity_residual(state: FlowState, manifold: WarpedProduct) -> flo
         right: T(Theta) = <H, d_r> + (log phi)'(1 - Theta^2)
     """
     f = state.fields
+    manifold = f.manifold
     t_theta = arc_derivative(f.theta, f.speed)
     h_dr = f.curvature[:, 0]    # <H, d_r>, times psi^2 on a left product
     if manifold.kind == LEFT:
@@ -171,7 +173,7 @@ def gradient_identity_residual(state: FlowState, manifold: WarpedProduct) -> flo
     return float(np.max(np.abs(t_theta - h_dr - lp1 * (1.0 - f.theta ** 2))))
 
 
-def commutator_residual(traj: Trajectory, manifold: WarpedProduct, k: int) -> float:
+def commutator_residual(traj: Trajectory, k: int) -> float:
     """Max G-norm of nabla_H T - nabla_T H - |A|^2 T over the nodes.
 
     nabla_H T is the covariant material time derivative of the tangent
@@ -180,7 +182,7 @@ def commutator_residual(traj: Trajectory, manifold: WarpedProduct, k: int) -> fl
     """
     prev, mid, nxt = _triple(traj, k)
     f = mid.fields
-    metric, gamma = manifold.frame(mid.curve.coords)
+    metric, gamma = f.manifold.frame(mid.curve.coords)
     dt_t = _material_dt(prev, mid, nxt,
                         prev.fields.tangent, f.tangent, nxt.fields.tangent)
     nab_h_t = dt_t + np.einsum("nabc,nb,nc->na", gamma, f.curvature, f.tangent)
@@ -263,8 +265,7 @@ class DriftCheck:
         self.checked += 1
 
 
-def theta_bound_monitor(traj: Trajectory, manifold: WarpedProduct,
-                        eps_tol: float = BOUND_TOL):
+def theta_bound_monitor(traj: Trajectory, eps_tol: float = BOUND_TOL):
     """Check the two angle inequalities over a completed run.
 
     Returns (exp_report, drift_report):
@@ -283,6 +284,7 @@ def theta_bound_monitor(traj: Trajectory, manifold: WarpedProduct,
     if not 0.0 <= eps_tol < math.inf:
         raise ValueError(
             f"eps_tol must be finite and nonnegative, got {eps_tol}")
+    manifold = traj.final.fields.manifold
     scalars = traj.scalars
     times = scalars[:, TIME]
     theta0 = float(scalars[0, MIN_THETA])
@@ -345,27 +347,27 @@ def dissipation_monitor(traj: Trajectory) -> BoundReport:
 # -- closed-form angle bookkeeping -------------------------------------------
 
 
-def closed_form_theta(state: FlowState, manifold: WarpedProduct) -> float:
-    """Largest deviation of the measured angle from the closed graph
-    formula, the expansion of <T, d_r> in the ambient metric:
-        left:  psi^2 / sqrt(psi^2 + |f'|_g^2)
-        right: 1 / sqrt(1 + phi^2 |f'|_g^2)
+def closed_form_theta(state: FlowState) -> float:
+    """Largest deviation of the measured angle from its closed form, the
+    expansion of <T, d_r> in the ambient metric, in either gauge (a graph
+    has r' = 1 exactly):
+        left:  psi^2 r' / sqrt(psi^2 r'^2 + g x'^2)
+        right: r' / sqrt(r'^2 + phi^2 g x'^2)
     """
-    if state.curve.mode != GRAPH:
-        raise ValueError("closed forms apply to graph curves")
     f = state.fields
-    fp = f.deriv[:, 1]
+    manifold = f.manifold
+    rp, xp = f.deriv.T
     r, x = state.curve.coords.T
     g, _ = manifold.base_terms(x)
     if manifold.kind == LEFT:
-        fp2 = g * fp * fp
+        gxx = g * xp * xp
         psi_sq = manifold.warp_terms(x)[0]
-        direct = psi_sq / np.sqrt(psi_sq + fp2)
+        direct = psi_sq * rp / np.sqrt(psi_sq * (rp * rp) + gxx)
     else:
         phi = manifold.warp(r)
         phi_sq = phi * phi
-        fp2 = (manifold.warp_terms(r)[0] * g) / phi_sq * fp * fp
-        direct = 1.0 / np.sqrt(1.0 + phi_sq * fp2)
+        gxx = (manifold.warp_terms(r)[0] * g) / phi_sq * xp * xp
+        direct = rp / np.sqrt(rp * rp + phi_sq * gxx)
     return float(np.max(np.abs(f.theta - direct)))
 
 
@@ -448,9 +450,9 @@ class RefinementLadder:
 
 
 def _mid_residuals(ladder: RefinementLadder, residual) -> list:
-    """residual(traj, manifold, k) on each grid, at the interior recorded
-    state k nearest t_end / 2."""
-    return [residual(traj, ladder.manifold, traj.mid)
+    """residual(traj, k) on each grid, at the interior recorded state k
+    nearest t_end / 2."""
+    return [residual(traj, traj.mid)
             for traj in ladder.trajectories]
 
 
@@ -515,6 +517,6 @@ def gradient_identity_study(ladder: RefinementLadder) -> ResidualReport:
     for m in ladder.grids:
         curve = make_graph_curve(ladder.init_field, m, ladder.winding)
         state = FlowState(curve, 0.0, compute_fields(curve, manifold))
-        res.append(gradient_identity_residual(state, manifold))
+        res.append(gradient_identity_residual(state))
     return _study_report("gradient_identity", ladder, res,
                          float(np.log2(3.5)), 1e-11)

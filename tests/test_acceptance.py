@@ -176,7 +176,7 @@ def test_criterion_3_product_case(scenario3, studies):
 
 def test_criterion_4_left_warped(scenario4):
     manifold, traj, rep, t_run = scenario4
-    exp_rep, drift_rep = wcsf.theta_bound_monitor(traj, manifold)
+    exp_rep, drift_rep = wcsf.theta_bound_monitor(traj)
     dist = circ_dist(rep.limit_base_point, np.pi)
     print(f"criterion 4: stop={rep.stop_reason.value} t={rep.t_final:.2f}, "
           f"exp slack {exp_rep.worst_slack:.3e} "
@@ -210,7 +210,7 @@ def test_criterion_4_companion_asymmetric_limit():
     manifold = left_exp_manifold()
     traj, rep, t_run = timed_run(manifold, sin_field(0.3, mean=0.05),
                                  64, 80.0, 40)
-    exp_rep, drift_rep = wcsf.theta_bound_monitor(traj, manifold)
+    exp_rep, drift_rep = wcsf.theta_bound_monitor(traj)
     dist = circ_dist(rep.limit_base_point, np.pi)
     print(f"criterion 4 companion: stop={rep.stop_reason.value} "
           f"t={rep.t_final:.2f}, distance to pi {dist:.3e}, "
@@ -226,7 +226,7 @@ def test_criterion_4_companion_asymmetric_limit():
 def test_criterion_5_right_warped(scenario5, studies):
     manifold, traj, rep, t_run = scenario5
     study, t_study = studies["right"]["evolution"]
-    exp_rep, drift_rep = wcsf.theta_bound_monitor(traj, manifold)
+    exp_rep, drift_rep = wcsf.theta_bound_monitor(traj)
     elapsed = t_run + t_study
     print(f"criterion 5: stop={rep.stop_reason.value} t={rep.t_final:.2f}, "
           f"orders {tuple(round(o, 2) for o in study.orders)}, "

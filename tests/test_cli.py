@@ -407,6 +407,25 @@ def test_a_scenario_run_rebuilds_no_state(tmp_path, monkeypatch):
     assert calls[0] == 4 * steps + 1
 
 
+def test_a_main_run_in_the_deturck_gauge_passes_every_check(tmp_path,
+                                                           monkeypatch):
+    # the checks read the gauge and the manifold from the recorded states
+    graph_curve = wcsf.Scenario.initial_curve
+
+    def twin(scn):
+        c = graph_curve(scn)
+        return wcsf.DiscreteCurve("parametric", c.coords, c.winding)
+
+    monkeypatch.setattr(wcsf.Scenario, "initial_curve", twin)
+    cfg = FAST + "base.g11.cos = 1.0, 0.2\ninit.winding = 1\n" + "".join(
+        f"verify.{k} = on\n" for k in ("bounds", "dissipation", "evolution",
+                                       "commutator", "gradient"))
+    assert execute_scenario(wcsf.parse_config(cfg), tmp_path)[0] == 0
+    report = (tmp_path / "report.txt").read_text()
+    direct = float(report.split("closed_form_theta.direct = ")[1].split()[0])
+    assert direct < 1e-12
+
+
 def test_a_long_run_keeps_a_bounded_chart_set(tmp_path, monkeypatch):
     # every state reaches trajectory.csv, but the chart keeps the curves
     # of at most 2 * _SNAPSHOTS + 1 of them, the first and newest included
@@ -484,6 +503,35 @@ def test_a_short_run_charts_the_snapshots_of_a_full_record(tmp_path,
     assert drawn == svg_snapshot_indices(n)
 
 
+def _snapshot_points(svg: str) -> np.ndarray:
+    """The pixel points of the chart's first curve snapshot."""
+    start = svg.index('points="', svg.index("<polyline")) + len('points="')
+    text = svg[start:svg.index('"', start)]
+    return np.array([[float(v) for v in p.split(",")] for p in text.split()])
+
+
+@pytest.mark.parametrize("winding", [(0, 0), (2, 1)])
+def test_the_chart_closes_a_curve_by_its_own_winding(tmp_path, winding):
+    # closed one period on, a (0, 0) loop meets its first point again and
+    # the (2, 1) line r = 2u + 1, x = u + 1 goes on along its line
+    u = wcsf.spectral.nodes(32)
+    if winding == (0, 0):
+        coords = np.column_stack([1.0 + 0.5 * np.cos(u),
+                                  1.0 + 0.5 * np.sin(u)])
+    else:
+        coords = np.column_stack([2.0 * u + 1.0, u + 1.0])
+    curve = wcsf.DiscreteCurve("parametric", coords, winding)
+    manifold = wcsf.WarpedProduct(wcsf.LEFT, warp=1.0)
+    traj = wcsf.Trajectory()
+    traj.append(wcsf.FlowState(curve, 0.0,
+                               wcsf.compute_fields(curve, manifold)))
+    write_svg(tmp_path / "chart.svg", traj)
+    pts = _snapshot_points((tmp_path / "chart.svg").read_text())
+    assert len(pts) == 33
+    closing = pts[0] if winding == (0, 0) else pts[0] + 32 * (pts[1] - pts[0])
+    assert np.abs(pts[-1] - closing).max() < 1e-3
+
+
 @pytest.mark.parametrize("kind", [wcsf.LEFT, wcsf.RIGHT])
 def test_streamed_drift_check_matches_the_post_run_monitor(kind):
     # one drift arithmetic: fed state by state while run records, or over
@@ -495,5 +543,5 @@ def test_streamed_drift_check_matches_the_post_run_monitor(kind):
     streamed, _ = wcsf.run(manifold, curve, params,
                            _Recorder(io.StringIO(), check_drift=True))
     assert streamed.drift.checked == len(kept) - 2 > 0
-    assert (wcsf.theta_bound_monitor(streamed, manifold)
-            == wcsf.theta_bound_monitor(kept, manifold))
+    assert (wcsf.theta_bound_monitor(streamed)
+            == wcsf.theta_bound_monitor(kept))

@@ -173,11 +173,22 @@ def test_resample_examples(product):
     assert abs(l1 - l2) / l1 < 1e-10
 
 
-def test_resample_rejects_parametric():
-    u = spectral.nodes(64)
-    c = wcsf.DiscreteCurve("parametric", np.column_stack([u, 0 * u]), (1, 0))
-    with pytest.raises(ValueError):
-        wcsf.resample(c, 128)
+def test_resample_keeps_a_parametric_curves_gauge():
+    # a DeTurck curve resamples like any periodic data: bandlimited data
+    # lands on the finer nodes and comes back to the coarse ones
+    def loop(m):
+        u = spectral.nodes(m)
+        r = 2.0 * u + 0.3 * np.sin(u) - 0.1 * np.cos(3 * u)
+        coords = np.column_stack([r, u + 0.2 * np.cos(2 * u)])
+        return wcsf.DiscreteCurve("parametric", coords, (2, 1))
+
+    c = loop(64)
+    up = wcsf.resample(c, 128)
+    assert (up.mode, up.winding) == ("parametric", (2, 1))
+    assert np.abs(up.coords - loop(128).coords).max() < 1e-12
+    back = wcsf.resample(up, 64)
+    assert back.mode == "parametric"
+    assert np.abs(back.coords - c.coords).max() < 1e-12
 
 
 def test_winding_graph_ramp():

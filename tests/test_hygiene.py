@@ -7,7 +7,8 @@ The scans read the package (its __init__.py re-exports what it imports),
 the demos and the tests, and for calls the benchmark too, with the
 standard library's ast module alone. One more scan keeps the gauge, the
 choice between a graph's and a parametric curve's node motion, inside
-the curves module.
+the curves module, and another keeps a function that is handed states
+from taking their manifold a second time.
 """
 
 import ast
@@ -65,19 +66,24 @@ def test_no_module_imports_a_name_it_never_uses():
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def unused_parameters(source: str) -> list:
-    """(line, "function(parameter)") for each parameter of a module-level
-    function or method that its body never reads. Nested functions, self
-    and names starting with an underscore are exempt."""
-    tree = ast.parse(source)
+def _functions(tree) -> list:
+    """(name, node) for each module-level function and method, a method
+    named Class.method."""
     functions = [(node.name, node) for node in tree.body
                  if isinstance(node, _FUNCTIONS)]
     for cls in tree.body:
         if isinstance(cls, ast.ClassDef):
             functions += [(f"{cls.name}.{node.name}", node)
                           for node in cls.body if isinstance(node, _FUNCTIONS)]
+    return functions
+
+
+def unused_parameters(source: str) -> list:
+    """(line, "function(parameter)") for each parameter of a module-level
+    function or method that its body never reads. Nested functions, self
+    and names starting with an underscore are exempt."""
     found = []
-    for name, fn in functions:
+    for name, fn in _functions(ast.parse(source)):
         a = fn.args
         params = a.posonlyargs + a.args + a.kwonlyargs + [
             p for p in (a.vararg, a.kwarg) if p is not None]
@@ -235,19 +241,43 @@ def test_the_scan_sees_a_mode_decision():
                       "y = c.moving == d.moving\n") == []
 
 
-# the one decision outside curves: closed forms exist for graphs alone
-_MODE_SITES_ALLOWED = {
-    ("verification.py", "", "GRAPH"),
-    ("verification.py", "closed_form_theta", "GRAPH"),
-    ("verification.py", "closed_form_theta", "mode comparison"),
-}
-
-
 def test_only_the_curves_module_decides_on_a_curve_mode():
-    found = [(path.name, scope, what)
+    found = [f"{path.name}:{line}: {scope} {what}"
              for path in sorted((ROOT / "src/wcsf").glob("*.py"))
              if path.name not in ("curves.py", "__init__.py")
-             for _, scope, what in mode_sites(path.read_text())]
-    assert sorted(set(found) - _MODE_SITES_ALLOWED) == []
-    # closed_form_theta keeps a single guard
-    assert len(found) == 3
+             for line, scope, what in mode_sites(path.read_text())]
+    assert found == []
+
+
+def manifold_beside_states(source: str) -> list:
+    """(line, function) for each module-level function or method that
+    takes a parameter named manifold beside one named state or traj: a
+    second source for the manifold that the state's fields already hold."""
+    found = []
+    for name, fn in _functions(ast.parse(source)):
+        a = fn.args
+        names = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+        if "manifold" in names and names & {"state", "traj"}:
+            found.append((fn.lineno, name))
+    return sorted(found)
+
+
+def test_the_scan_sees_a_manifold_beside_a_state():
+    assert manifold_beside_states(
+        "def f(traj, manifold, k):\n    pass\n"
+        "def g(state, *, manifold=None):\n    pass\n"
+        "def h(manifold, curve):\n    pass\n"
+        "class C:\n    def m(self, state, manifold):\n        pass\n") == [
+        (1, "f"), (3, "g"), (8, "C.m")]
+
+
+# run records into traj the states it flows in manifold; step_rk4 keeps
+# the (state, manifold, dt) shape that the benchmark's sweep calls
+_MANIFOLD_BESIDE_STATES_ALLOWED = {("flow.py", "run"), ("flow.py", "step_rk4")}
+
+
+def test_checks_read_the_manifold_from_the_states():
+    found = {(path.name, name)
+             for path in sorted((ROOT / "src/wcsf").glob("*.py"))
+             for _, name in manifold_beside_states(path.read_text())}
+    assert sorted(found - _MANIFOLD_BESIDE_STATES_ALLOWED) == []

@@ -51,7 +51,7 @@ def test_length_monotone_and_angle_bound(case):
     traj, rep = wcsf.run(manifold, curve, short())
     assert rep.length_monotone
     assert np.all(np.diff(traj.scalars[:, 4]) <= 1e-10)
-    exp_rep, _ = wcsf.theta_bound_monitor(traj, manifold)
+    exp_rep, _ = wcsf.theta_bound_monitor(traj)
     assert exp_rep.passed, exp_rep.worst_slack
 
 
@@ -128,7 +128,7 @@ def test_parametric_flow_keeps_a_graph(case):
     traj, rep = wcsf.run(manifold, parametric_twin(curve), short())
     assert np.all(traj.scalars[:, 2] > 0.0)
     assert rep.length_monotone
-    exp_rep, _ = wcsf.theta_bound_monitor(traj, manifold)
+    exp_rep, _ = wcsf.theta_bound_monitor(traj)
     assert exp_rep.passed, exp_rep.worst_slack
 
 
@@ -148,5 +148,5 @@ def test_streamed_drift_check_matches_the_post_run_monitor(case):
                                _Recorder(io.StringIO(), check_drift=True))
         # a flat draw converges at once: no window, both reports vacuous
         assert streamed.drift.checked == max(len(kept) - 2, 0)
-        assert (wcsf.theta_bound_monitor(streamed, manifold)
-                == wcsf.theta_bound_monitor(kept, manifold))
+        assert (wcsf.theta_bound_monitor(streamed)
+                == wcsf.theta_bound_monitor(kept))

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 import wcsf
+from conftest import curved_manifold
 from wcsf.verification import DriftCheck
 
 
@@ -28,10 +29,10 @@ def test_stationary_residuals_vanish(left_exp, right_exp):
         traj = short_run(manifold, wcsf.FourierField.constant(x0),
                          tol_geo=0.0, stride=1)
         k = len(traj) // 2
-        res = wcsf.evolution_residual(traj, manifold, k)
+        res = wcsf.evolution_residual(traj, k)
         assert np.abs(res).max() < 1e-12
-        assert wcsf.commutator_residual(traj, manifold, k) < 1e-12
-        assert wcsf.gradient_identity_residual(traj[k], manifold) < 1e-12
+        assert wcsf.commutator_residual(traj, k) < 1e-12
+        assert wcsf.gradient_identity_residual(traj[k]) < 1e-12
         diss = wcsf.dissipation_monitor(traj)
         assert diss.passed and abs(diss.worst_slack) < 1e-12
 
@@ -51,11 +52,11 @@ def test_left_right_agree_when_warp_constant():
     traj_r = short_run(right, field, stride=1, tol_geo=0.0)
     traj_l = short_run(left, field, stride=1, tol_geo=0.0)
     k = min(len(traj_r), len(traj_l)) // 2
-    res_r = wcsf.evolution_residual(traj_r, right, k)
-    res_l = wcsf.evolution_residual(traj_l, left, k)
+    res_r = wcsf.evolution_residual(traj_r, k)
+    res_l = wcsf.evolution_residual(traj_l, k)
     assert np.abs(res_r - res_l).max() < 1e-11
-    assert abs(wcsf.commutator_residual(traj_r, right, k)
-               - wcsf.commutator_residual(traj_l, left, k)) < 1e-11
+    assert abs(wcsf.commutator_residual(traj_r, k)
+               - wcsf.commutator_residual(traj_l, k)) < 1e-11
 
 
 def test_left_exp_constant_value(left_exp):
@@ -105,22 +106,22 @@ def test_left_constants_on_a_curved_base():
 def test_residual_needs_interior_index(left_exp):
     traj = short_run(left_exp, sin_field(0.2))
     with pytest.raises(ValueError):
-        wcsf.evolution_residual(traj, left_exp, 0)
+        wcsf.evolution_residual(traj, 0)
     with pytest.raises(ValueError):
-        wcsf.evolution_residual(traj, left_exp, len(traj) - 1)
+        wcsf.evolution_residual(traj, len(traj) - 1)
 
 
 @pytest.mark.parametrize("kind", ["left_exp", "right_exp"])
 def test_evolution_residual_small_on_recorded_run(kind, request):
     manifold = request.getfixturevalue(kind)
     traj = short_run(manifold, sin_field(0.3))
-    res = wcsf.evolution_residual(traj, manifold, len(traj) // 2)
+    res = wcsf.evolution_residual(traj, len(traj) // 2)
     assert res.max() < 1e-4
 
 
 def test_theta_monitor_exact_zero_slack_at_start(left_exp):
     traj = short_run(left_exp, sin_field(0.3))
-    exp_rep, drift_rep = wcsf.theta_bound_monitor(traj, left_exp)
+    exp_rep, drift_rep = wcsf.theta_bound_monitor(traj)
     assert exp_rep.passed and exp_rep.worst_slack == 0.0
     assert abs(exp_rep.constant_value - 0.09) < 1e-12
     assert drift_rep.passed and drift_rep.worst_slack > 0.0
@@ -129,7 +130,7 @@ def test_theta_monitor_exact_zero_slack_at_start(left_exp):
 
 def test_drift_report_constant_is_left_drift_constant(left_exp):
     traj = short_run(left_exp, sin_field(0.3))
-    _, drift_rep = wcsf.theta_bound_monitor(traj, left_exp)
+    _, drift_rep = wcsf.theta_bound_monitor(traj)
     t_final, theta0 = traj.scalars[-1, 0], traj.scalars[0, 1]
     assert drift_rep.constant_value == DriftCheck(
         left_exp, theta0).constant(t_final)
@@ -143,7 +144,7 @@ def test_theta_monitor_flags_a_violated_bound(left_exp):
         curve = wcsf.make_graph_curve(sin_field(a), 64)
         traj.append(wcsf.FlowState(curve, t,
                                    wcsf.compute_fields(curve, left_exp)))
-    exp_rep, _ = wcsf.theta_bound_monitor(traj, left_exp)
+    exp_rep, _ = wcsf.theta_bound_monitor(traj)
     assert exp_rep.worst_slack < -0.1 and not exp_rep.passed
 
 
@@ -152,15 +153,15 @@ def test_theta_monitor_rejects_bad_tolerance(left_exp):
     traj = short_run(left_exp, sin_field(0.3))
     for bad in (-0.5, -1e-12, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="eps_tol"):
-            wcsf.theta_bound_monitor(traj, left_exp, eps_tol=bad)
-    exp_rep, _ = wcsf.theta_bound_monitor(traj, left_exp, eps_tol=0.0)
+            wcsf.theta_bound_monitor(traj, eps_tol=bad)
+    exp_rep, _ = wcsf.theta_bound_monitor(traj, eps_tol=0.0)
     assert exp_rep.passed and exp_rep.worst_slack == 0.0
 
 
 def test_theta_monitor_vacuous_drift_on_single_state(left_exp):
     curve = wcsf.make_graph_curve(sin_field(0.3), 64)
     traj, _ = wcsf.run(left_exp, curve, wcsf.FlowParams(t_max=0.0))
-    exp_rep, drift_rep = wcsf.theta_bound_monitor(traj, left_exp)
+    exp_rep, drift_rep = wcsf.theta_bound_monitor(traj)
     assert exp_rep.passed and drift_rep.passed
     assert "vacuous" in drift_rep.notes
 
@@ -178,7 +179,7 @@ def test_deturck_drift_slack_matches_the_graph_twin():
     slacks = []
     for curve in (graph, twin):
         traj, _ = wcsf.run(manifold, curve, params)
-        _, drift_rep = wcsf.theta_bound_monitor(traj, manifold)
+        _, drift_rep = wcsf.theta_bound_monitor(traj)
         assert drift_rep.passed and drift_rep.notes == ""
         slacks.append(drift_rep.worst_slack)
     assert np.isfinite(slacks[1])
@@ -212,8 +213,35 @@ def test_dissipation_monitor_single_state_has_no_defect(product):
 def test_closed_form_theta_conventions(left_exp, right_exp):
     for manifold in (left_exp, right_exp):
         traj = short_run(manifold, sin_field(0.3))
-        direct = wcsf.closed_form_theta(traj[0], manifold)
+        direct = wcsf.closed_form_theta(traj[0])
         assert direct < 1e-12
+
+
+def test_bound_monitor_reads_each_runs_own_manifold(left_exp, right_exp):
+    # the constants are those of the manifold the run flowed in
+    for manifold in (left_exp, right_exp):
+        exp_rep, drift_rep = wcsf.theta_bound_monitor(
+            short_run(manifold, sin_field(0.3)))
+        assert exp_rep.constant_name == f"C_{manifold.kind}"
+        assert drift_rep.constant_name == f"C_{manifold.kind}_drift"
+        assert exp_rep.constant_value == wcsf.exp_constant(manifold)
+
+
+def test_closed_form_theta_takes_either_gauge():
+    # a DeTurck curve measures r' where a graph takes r' = 1: at t = 0
+    # the two twins agree, and the parametric run keeps its closed form
+    manifold = curved_manifold(wcsf.LEFT)
+    graph = wcsf.make_graph_curve(sin_field(0.3), 64, 1)
+    twin = wcsf.DiscreteCurve("parametric", graph.coords, graph.winding)
+    direct = [wcsf.closed_form_theta(
+        wcsf.FlowState(c, 0.0, wcsf.compute_fields(c, manifold)))
+        for c in (graph, twin)]
+    assert abs(direct[1] - direct[0]) < 1e-15
+    traj, _ = wcsf.run(manifold, twin,
+                       wcsf.FlowParams(t_max=0.5, record_stride=5))
+    assert len(traj) > 3
+    for state in traj:
+        assert wcsf.closed_form_theta(state) < 1e-12
 
 
 def test_studies_pass_on_small_grids(left_exp, monkeypatch):
@@ -270,8 +298,8 @@ def test_lean_rungs_give_the_full_runs_numbers(left_exp, kwargs):
         k = int(np.argmin(np.abs(times - 0.5 * ladder.t_end)))
         k = min(max(k, 1), len(traj) - 2)
         expected[0].append(
-            float(wcsf.evolution_residual(traj, left_exp, k).max()))
-        expected[1].append(wcsf.commutator_residual(traj, left_exp, k))
+            float(wcsf.evolution_residual(traj, k).max()))
+        expected[1].append(wcsf.commutator_residual(traj, k))
         expected[2].append(
             -wcsf.dissipation_monitor(traj).worst_slack)
     for rep, want in zip(reports, expected):
@@ -380,6 +408,6 @@ def test_material_derivative_reads_deturck_nodes(product, left_exp):
         traj, _ = wcsf.run(manifold, curve,
                            wcsf.FlowParams(t_max=0.02, record_stride=1,
                                            tol_geo=0.0))
-        res = wcsf.evolution_residual(traj, manifold, 1)
+        res = wcsf.evolution_residual(traj, 1)
         assert res.shape == (64,) and res.max() < 1e-6
     assert not np.array_equal(traj[1].curve.coords[:, 0], u)
