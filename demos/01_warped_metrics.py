@@ -4,16 +4,14 @@ Both ambient spaces live on a circle factor times a one dimensional base.
 A "left" product scales the circle direction by a warp that depends on the
 base point; a "right" product scales the base by a warp that depends on the
 circle coordinate. This script builds one of each, inspects the metric and
-Christoffel symbols at a few points, and checks the structural identities
-that hold at every point of either space. Every geometric quantity is
-evaluated on an (N, 2) array of points (r, x) at once.
+Christoffel symbols at a few points, and follows the warp gradient that
+moves r-circles on the left product. Every geometric quantity is evaluated
+on an (N, 2) array of points (r, x) at once.
 """
 
 import numpy as np
 
 import wcsf
-
-rng = np.random.default_rng(7)
 
 # left: circle direction weighted by psi(x) = e^{0.3 cos x}
 left = wcsf.WarpedProduct(wcsf.LEFT, warp=wcsf.FourierField.exp_cos(0.3))
@@ -33,19 +31,6 @@ arr = gamma[0]
 for idx in np.argwhere(np.abs(arr) > 1e-14):
     a, b, c = idx
     print(f"  Gamma^{a}_{{{b}{c}}} = {arr[a, b, c]: .8f}")
-
-print()
-print("== structural identities at random points ==")
-# identity one: nabla_X d_r has a closed form in the warp gradient in
-# both families; identity two (right products): phi(r) d_r is a conformal
-# field, nabla_X (phi d_r) = phi'(r) X. Both residuals vanish identically.
-pts = rng.uniform(0, 2 * np.pi, size=(200, 2))
-xv, yv = rng.normal(size=(2, 200, 2))
-worst_dr = max(float(wcsf.dr_identity_residual(manifold, pts, xv, yv).max())
-               for manifold in (left, right))
-worst_conf = float(wcsf.conformal_residual(right, pts, xv).max())
-print(f"circle-direction identity, worst residual: {worst_dr:.3e}")
-print(f"conformal identity (right), worst residual: {worst_conf:.3e}")
 
 print()
 print("== warp gradient on the left product ==")

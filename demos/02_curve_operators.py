@@ -61,13 +61,3 @@ d_err = np.abs(wcsf.arc_derivative(eta, speed) - np.cos(u)).max()
 l_err = np.abs(wcsf.arc_laplacian(eta, speed) + np.sin(u)).max()
 print(f"d/ds sin -> cos, max error {d_err:.3e}")
 print(f"d2/ds2 sin -> -sin, max error {l_err:.3e}")
-
-print()
-print("== spectral resampling ==")
-coarse = wcsf.make_graph_curve(half_sine, 64)
-fine = wcsf.resample(coarse, 256)
-l_coarse = wcsf.compute_fields(coarse, product).length
-l_fine = wcsf.compute_fields(fine, product).length
-print(f"length at M=64:  {l_coarse:.14f}")
-print(f"length at M=256: {l_fine:.14f}")
-print("bandlimited data resamples without loss.")

@@ -13,12 +13,11 @@ reports convergence to closed geodesics.
 
 from .curves import (CurveFields, DiscreteCurve, ImmersionError,
                      arc_derivative, arc_laplacian, compute_fields,
-                     make_graph_curve, resample)
+                     make_graph_curve)
 from .flow import (FlowParams, FlowReport, FlowState, StopReason, Trajectory,
                    adaptive_dt, run, step_rk4)
 from .fourier import FourierField
-from .geometry import (LEFT, RIGHT, WarpedProduct, conformal_residual,
-                       dr_identity_residual)
+from .geometry import LEFT, RIGHT, WarpedProduct
 from .scenario import ConfigError, Scenario, parse_config
 from .verification import (BoundReport, RefinementLadder, ResidualReport,
                            closed_form_theta, commutator_residual,
@@ -33,11 +32,10 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "LEFT", "RIGHT",
-    "WarpedProduct", "dr_identity_residual", "conformal_residual",
+    "WarpedProduct",
     "FourierField",
     "DiscreteCurve", "CurveFields", "ImmersionError",
     "make_graph_curve", "compute_fields", "arc_derivative", "arc_laplacian",
-    "resample",
     "FlowParams", "FlowState", "FlowReport", "StopReason", "Trajectory",
     "adaptive_dt", "step_rk4", "run",
     "BoundReport", "ResidualReport", "RefinementLadder",

@@ -242,7 +242,6 @@ def _cmd_suite(args) -> int:
                 for p, scn in scenarios}
     lines = [f"{p.stem}: exit {outcomes[p][0]} ({outcomes[p][1]})"
              for p in paths]
-    out_root.mkdir(parents=True, exist_ok=True)
     with open(out_root / "summary.txt", "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     for line in lines:

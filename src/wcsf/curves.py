@@ -30,7 +30,6 @@ __all__ = [
     "compute_fields",
     "arc_derivative",
     "arc_laplacian",
-    "resample",
 ]
 
 GRAPH = "graph"
@@ -255,12 +254,3 @@ def arc_laplacian(values, speed: np.ndarray) -> np.ndarray:
     twice."""
     return spectral.diff(arc_derivative(values, speed)) / speed
 
-
-def resample(curve: DiscreteCurve, m_new: int) -> DiscreteCurve:
-    """Trigonometric interpolation of a curve onto m_new nodes in its gauge:
-    a graph's periodic r is zero, so its r column is the new node grid."""
-    m_new = _validate_m(m_new)
-    p_new = spectral.resample_periodic(curve.periodic_part(), m_new)
-    u_new = spectral.nodes(m_new)
-    coords = p_new + u_new[:, None] * np.asarray(curve.winding, dtype=float)
-    return DiscreteCurve(curve.mode, coords, curve.winding)

@@ -28,8 +28,6 @@ __all__ = [
     "LEFT",
     "RIGHT",
     "WarpedProduct",
-    "dr_identity_residual",
-    "conformal_residual",
 ]
 
 LEFT = "left"
@@ -150,67 +148,3 @@ class WarpedProduct:
     def __repr__(self) -> str:
         return f"WarpedProduct(kind={self.kind!r})"
 
-
-# -- structural identities at node arrays ----------------------------------
-
-
-def _node_arrays(pts, *vectors) -> tuple:
-    """pts and each vector field as float arrays of shape (N, 2); vector
-    components must be finite."""
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("points must have shape (N, 2)")
-    out = [pts]
-    for v in vectors:
-        v = np.asarray(v, dtype=float)
-        if v.shape != pts.shape:
-            raise ValueError("vectors must have the points' shape (N, 2)")
-        if not np.isfinite(v).all():
-            raise ValueError("tangent vector components must be finite")
-        out.append(v)
-    return tuple(out)
-
-
-def _inner(metric, u, v) -> np.ndarray:
-    return np.einsum("na,nab,nb->n", u, metric, v)
-
-
-def dr_identity_residual(manifold: WarpedProduct, pts, X, Y) -> np.ndarray:
-    """Defect of the structural identity for nabla_X d_r at every point,
-    with pts, X and Y of shape (N, 2):
-
-    Left:  <Y, nabla_X d_r> = <X, D log psi><Y, d_r> - <X, d_r><Y, D log psi>
-    Right: <Y, nabla_X d_r> = (log phi)'(r) (<X, Y> - <X, d_r><Y, d_r>)
-    """
-    pts, x, y = _node_arrays(pts, X, Y)
-    g, gamma = manifold.frame(pts)
-    # components of nabla_X d_r are Gamma^a_{b0} X^b
-    lhs = _inner(g, y, np.einsum("nab,nb->na", gamma[..., 0], x))
-    x_r = np.einsum("nb,nb->n", g[:, 0], x)     # <X, d_r>
-    y_r = np.einsum("nb,nb->n", g[:, 0], y)
-    if manifold.kind == LEFT:
-        grad = np.zeros_like(x)                 # D log psi
-        grad[:, 1] = manifold.dlog_warp(pts[:, 1])[0]
-        rhs = _inner(g, x, grad) * y_r - x_r * _inner(g, y, grad)
-    else:
-        d1, _ = manifold.log_warp_derivs(pts[:, 0])
-        rhs = d1 * (_inner(g, x, y) - x_r * y_r)
-    return np.abs(lhs - rhs)
-
-
-def conformal_residual(manifold: WarpedProduct, pts, X) -> np.ndarray:
-    """Defect of nabla_X (phi d_r) = phi'(r) X at every point, the
-    component-wise maximum, with pts and X of shape (N, 2).
-
-    Only right warped products carry this conformal field; left manifolds
-    are rejected.
-    """
-    if manifold.kind != RIGHT:
-        raise ValueError("conformal_residual requires a right warped product")
-    pts, x = _node_arrays(pts, X)
-    _, gamma = manifold.frame(pts)
-    phi, dphi = manifold.warp.values_with_derivative(pts[:, 0])
-    # nabla_X (phi d_r) = X(phi) d_r + phi Gamma(X, d_r)
-    nabla = phi[:, None] * np.einsum("nab,nb->na", gamma[..., 0], x)
-    nabla[:, 0] += x[:, 0] * dphi
-    return np.abs(nabla - dphi[:, None] * x).max(axis=1)

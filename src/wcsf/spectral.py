@@ -79,22 +79,6 @@ def diff12(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d1, d2
 
 
-def resample_periodic(values: np.ndarray, m_new: int) -> np.ndarray:
-    """Trigonometric interpolation onto m_new uniform nodes (axis 0).
-
-    Exact for data bandlimited below the coarser grid's Nyquist mode. The
-    coarser grid's Nyquist bin is unpaired: up-sampling splits it evenly
-    between the new +/- pair, down-sampling folds the pair into it.
-    """
-    values = np.asarray(values, dtype=float)
-    m, m_new = values.shape[0], int(m_new)
-    keep = min(m, m_new)
-    spec = np.fft.rfft(values, axis=0)[: keep // 2 + 1]
-    if m_new != m and keep % 2 == 0:
-        spec[keep // 2] *= 2.0 if m_new < m else 0.5
-    return np.fft.irfft(spec * (m_new / m), n=m_new, axis=0)
-
-
 def centered_dt(y_prev, y_mid, y_next, h_minus: float, h_plus: float):
     """Second-order derivative at the middle of three samples with unequal
     spacings h_minus = t_mid - t_prev and h_plus = t_next - t_mid."""

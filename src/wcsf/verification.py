@@ -364,10 +364,8 @@ def closed_form_theta(state: FlowState) -> float:
         psi_sq = manifold.warp_terms(x)[0]
         direct = psi_sq * rp / np.sqrt(psi_sq * (rp * rp) + gxx)
     else:
-        phi = manifold.warp(r)
-        phi_sq = phi * phi
-        gxx = (manifold.warp_terms(r)[0] * g) / phi_sq * xp * xp
-        direct = rp / np.sqrt(rp * rp + phi_sq * gxx)
+        phi_sq = manifold.warp_terms(r)[0]
+        direct = rp / np.sqrt(rp * rp + phi_sq * g * (xp * xp))
     return float(np.max(np.abs(f.theta - direct)))
 
 
@@ -450,17 +448,20 @@ class RefinementLadder:
 
 
 def _mid_residuals(ladder: RefinementLadder, residual) -> list:
-    """residual(traj, k) on each grid, at the interior recorded state k
-    nearest t_end / 2."""
-    return [residual(traj, traj.mid)
-            for traj in ladder.trajectories]
+    """The largest residual(traj, k) on each grid, at the interior recorded
+    state k nearest t_end / 2; nan on a grid whose run recorded fewer than
+    three states, when its first record interval outlasts t_end."""
+    return [float(np.max(residual(traj, traj.mid))) if len(traj) >= 3
+            else math.nan for traj in ladder.trajectories]
 
 
 def _orders(residuals) -> tuple:
     out = []
     for i in range(len(residuals) - 1):
         a, b = residuals[i], residuals[i + 1]
-        if b == 0.0:
+        if math.isnan(a + b):
+            out.append(math.nan)
+        elif b == 0.0:
             out.append(float("inf") if a > 0.0 else 0.0)
         else:
             out.append(float(np.log2(a / b)) if a > 0.0 else float("-inf"))
@@ -488,8 +489,8 @@ def evolution_residual_study(ladder: RefinementLadder) -> ResidualReport:
     """Empirical convergence order of the angle evolution residual under
     simultaneous (M, dt) refinement, dt proportional to M^-2; passes at
     order 1.8."""
-    res = [float(r.max()) for r in _mid_residuals(ladder, evolution_residual)]
-    return _study_report("evolution", ladder, res, 1.8)
+    return _study_report("evolution", ladder,
+                         _mid_residuals(ladder, evolution_residual), 1.8)
 
 
 def commutator_residual_study(ladder: RefinementLadder) -> ResidualReport:

@@ -1,12 +1,13 @@
 """Independent reference computations for the tests.
 
 Deliberately naive second routes to derived quantities: finite differences
-of metric values, dense quadrature, scalar RK4, brute-force polyline
-distances, dense-tensor curve fields, a per-node CSV loop, the chart's
-snapshot rule, a per-interval dissipation loop, whole-grid Fourier tables,
-an exact-rational ETDRK4 series table and a direct-sum trigonometric
-interpolant. Nothing here shares a code path with the quantities it
-checks.
+of metric values, the closed-form identities of nabla d_r and of the
+conformal field phi d_r from dense Christoffel tensors, dense quadrature,
+scalar RK4, brute-force polyline distances, dense-tensor curve fields, a
+per-node CSV loop, the chart's snapshot rule, a per-interval dissipation
+loop, whole-grid Fourier tables, an exact-rational ETDRK4 series table,
+trigonometric resampling and a direct-sum trigonometric interpolant.
+Nothing here shares a code path with the quantities it checks.
 """
 
 import math
@@ -16,6 +17,7 @@ import numpy as np
 
 import wcsf
 from wcsf import spectral
+from wcsf.curves import _validate_m
 
 TWO_PI = 2.0 * np.pi
 
@@ -66,6 +68,68 @@ def metric_compat_defect(manifold, point, h=1e-4):
                      + np.einsum("db,ad->ab", gamma[:, c, :], g))
         worst = max(worst, float(np.abs(dg - predicted).max()))
     return worst
+
+
+def _node_arrays(pts, *vectors) -> tuple:
+    """pts and each vector field as float arrays of shape (N, 2); vector
+    components must be finite."""
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("points must have shape (N, 2)")
+    out = [pts]
+    for v in vectors:
+        v = np.asarray(v, dtype=float)
+        if v.shape != pts.shape:
+            raise ValueError("vectors must have the points' shape (N, 2)")
+        if not np.isfinite(v).all():
+            raise ValueError("tangent vector components must be finite")
+        out.append(v)
+    return tuple(out)
+
+
+def _inner(metric, u, v) -> np.ndarray:
+    return np.einsum("na,nab,nb->n", u, metric, v)
+
+
+def dr_identity_residual(manifold, pts, X, Y) -> np.ndarray:
+    """Defect of the structural identity for nabla_X d_r at every point,
+    with pts, X and Y of shape (N, 2):
+
+    Left:  <Y, nabla_X d_r> = <X, D log psi><Y, d_r> - <X, d_r><Y, D log psi>
+    Right: <Y, nabla_X d_r> = (log phi)'(r) (<X, Y> - <X, d_r><Y, d_r>)
+    """
+    pts, x, y = _node_arrays(pts, X, Y)
+    g, gamma = manifold.frame(pts)
+    # components of nabla_X d_r are Gamma^a_{b0} X^b
+    lhs = _inner(g, y, np.einsum("nab,nb->na", gamma[..., 0], x))
+    x_r = np.einsum("nb,nb->n", g[:, 0], x)     # <X, d_r>
+    y_r = np.einsum("nb,nb->n", g[:, 0], y)
+    if manifold.kind == wcsf.LEFT:
+        grad = np.zeros_like(x)                 # D log psi
+        grad[:, 1] = manifold.dlog_warp(pts[:, 1])[0]
+        rhs = _inner(g, x, grad) * y_r - x_r * _inner(g, y, grad)
+    else:
+        d1, _ = manifold.log_warp_derivs(pts[:, 0])
+        rhs = d1 * (_inner(g, x, y) - x_r * y_r)
+    return np.abs(lhs - rhs)
+
+
+def conformal_residual(manifold, pts, X) -> np.ndarray:
+    """Defect of nabla_X (phi d_r) = phi'(r) X at every point, the
+    component-wise maximum, with pts and X of shape (N, 2).
+
+    Only right warped products carry this conformal field; left manifolds
+    are rejected.
+    """
+    if manifold.kind != wcsf.RIGHT:
+        raise ValueError("conformal_residual requires a right warped product")
+    pts, x = _node_arrays(pts, X)
+    _, gamma = manifold.frame(pts)
+    phi, dphi = manifold.warp.values_with_derivative(pts[:, 0])
+    # nabla_X (phi d_r) = X(phi) d_r + phi Gamma(X, d_r)
+    nabla = phi[:, None] * np.einsum("nab,nb->na", gamma[..., 0], x)
+    nabla[:, 0] += x[:, 0] * dphi
+    return np.abs(nabla - dphi[:, None] * x).max(axis=1)
 
 
 def quadrature_length(kind, warp, f, n=100_000, winding=0):
@@ -259,6 +323,31 @@ def taylor_table_fraction(terms=24):
                      float(p2 - 2 * p3), float(4 * p3 - p2)])
     return np.array(rows)
 
+
+def resample_periodic(values, m_new):
+    """Trigonometric interpolation onto m_new uniform nodes (axis 0).
+
+    Exact for data bandlimited below the coarser grid's Nyquist mode. The
+    coarser grid's Nyquist bin is unpaired: up-sampling splits it evenly
+    between the new +/- pair, down-sampling folds the pair into it.
+    """
+    values = np.asarray(values, dtype=float)
+    m, m_new = values.shape[0], int(m_new)
+    keep = min(m, m_new)
+    spec = np.fft.rfft(values, axis=0)[: keep // 2 + 1]
+    if m_new != m and keep % 2 == 0:
+        spec[keep // 2] *= 2.0 if m_new < m else 0.5
+    return np.fft.irfft(spec * (m_new / m), n=m_new, axis=0)
+
+
+def resample(curve, m_new):
+    """Trigonometric interpolation of a curve onto m_new nodes in its gauge:
+    a graph's periodic r is zero, so its r column is the new node grid."""
+    m_new = _validate_m(m_new)
+    p_new = resample_periodic(curve.periodic_part(), m_new)
+    u_new = spectral.nodes(m_new)
+    coords = p_new + u_new[:, None] * np.asarray(curve.winding, dtype=float)
+    return wcsf.DiscreteCurve(curve.mode, coords, curve.winding)
 
 
 def graph_twin_gap(graph_curve, param_curve):

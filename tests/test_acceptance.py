@@ -109,10 +109,10 @@ def test_criterion_1_structural_identities():
         pts = np.array([d[:2] for d in draws])
         x = np.array([d[2] for d in draws])
         y = np.array([d[3] for d in draws])
-        worst_dr = max(worst_dr, float(wcsf.dr_identity_residual(
+        worst_dr = max(worst_dr, float(oracles.dr_identity_residual(
             manifold, pts, x, y).max()))
         if manifold.kind == wcsf.RIGHT:
-            worst_conf = max(worst_conf, float(wcsf.conformal_residual(
+            worst_conf = max(worst_conf, float(oracles.conformal_residual(
                 manifold, pts, x).max()))
         pts = np.array([(rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi))
                         for _ in range(25)])

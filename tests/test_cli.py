@@ -168,6 +168,24 @@ def test_verify_checks_the_scenarios_winding(tmp_path, monkeypatch):
     assert windings == {(1, 1)}
 
 
+def test_verify_reports_a_rung_with_too_few_states(tmp_path):
+    # with psi >= 10 the m = 64 rung's first record interval outlasts the
+    # ladder's t_end: it records two states, which give no time
+    # difference, so the two studies that need one fail on that grid
+    cfg = write_cfg(tmp_path / "sparse.cfg",
+                    "manifold.kind = left\nwarp.cos = 10\n"
+                    "init.sin = 0.0, 0.3\ngrid.m = 64\ntime.t_max = 1\n")
+    out = tmp_path / "out"
+    assert main(["verify", cfg, "--out", str(out)]) == 1
+    report = (out / "report.txt").read_text()
+    for study in ("evolution", "commutator"):
+        assert f"residuals.left_{study}.max_residuals = nan, " in report
+        assert f"residuals.left_{study}.orders = nan, " in report
+        assert f"residuals.left_{study}.passed = no" in report
+    assert "residuals.left_dissipation.passed = yes" in report
+    assert "closed_form_theta.direct = " in report
+
+
 def test_exit_code_falsified(tmp_path):
     cfg = write_cfg(tmp_path / "f.cfg", FALSIFIED)
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1

@@ -4,7 +4,8 @@ import pytest
 import wcsf
 from conftest import (MANIFOLDS, curved_manifold, left_exp_manifold,
                       product_manifold, right_exp_manifold)
-from oracles import fd_christoffel, metric_compat_defect
+from oracles import (conformal_residual, dr_identity_residual, fd_christoffel,
+                     metric_compat_defect)
 
 
 def random_points(rng, n):
@@ -96,7 +97,7 @@ def test_dr_identity_random_vectors(left_exp, right_exp):
     for m in (left_exp, right_exp):
         pts = random_points(rng, 100)
         x, y = rng.normal(size=(2, 100, 2))
-        res = wcsf.dr_identity_residual(m, pts, x, y)
+        res = dr_identity_residual(m, pts, x, y)
         assert res.shape == (100,) and res.max() < 1e-10
 
 
@@ -105,7 +106,7 @@ def test_dr_identity_perturbed_base():
     for kind in (wcsf.LEFT, wcsf.RIGHT):
         pts = random_points(rng, 50)
         x, y = rng.normal(size=(2, 50, 2))
-        res = wcsf.dr_identity_residual(curved_manifold(kind), pts, x, y)
+        res = dr_identity_residual(curved_manifold(kind), pts, x, y)
         assert res.max() < 1e-10
 
 
@@ -113,10 +114,10 @@ def test_conformal_identity_right_only(left_exp, right_exp):
     rng = np.random.default_rng(38)
     pts = random_points(rng, 100)
     x = rng.normal(size=(100, 2))
-    res = wcsf.conformal_residual(right_exp, pts, x)
+    res = conformal_residual(right_exp, pts, x)
     assert res.shape == (100,) and res.max() < 1e-10
     with pytest.raises(ValueError):
-        wcsf.conformal_residual(left_exp, pts[:1], [[1.0, 0.0]])
+        conformal_residual(left_exp, pts[:1], [[1.0, 0.0]])
 
 
 def test_identity_residuals_reject_bad_vectors(left_exp, right_exp):
@@ -124,13 +125,13 @@ def test_identity_residuals_reject_bad_vectors(left_exp, right_exp):
     good = np.ones((2, 2))
     for bad in ([[np.nan, 0.0], [1.0, 0.0]], [[np.inf, 0.0], [1.0, 0.0]]):
         with pytest.raises(ValueError, match="finite"):
-            wcsf.dr_identity_residual(left_exp, pts, bad, good)
+            dr_identity_residual(left_exp, pts, bad, good)
         with pytest.raises(ValueError, match="finite"):
-            wcsf.conformal_residual(right_exp, pts, bad)
+            conformal_residual(right_exp, pts, bad)
     with pytest.raises(ValueError, match="shape"):
-        wcsf.dr_identity_residual(left_exp, pts, good, np.ones((3, 2)))
+        dr_identity_residual(left_exp, pts, good, np.ones((3, 2)))
     with pytest.raises(ValueError, match="shape"):
-        wcsf.conformal_residual(right_exp, np.zeros(2), np.ones(2))
+        conformal_residual(right_exp, np.zeros(2), np.ones(2))
 
 
 @pytest.mark.parametrize("name", ["left", "right", "curved_left",
@@ -145,12 +146,11 @@ def test_identities_hold_at_flow_nodes(name):
     assert len(traj) > 3
     for state in traj:
         pts, f = state.curve.coords, state.fields
-        res = wcsf.dr_identity_residual(manifold, pts, f.tangent,
-                                        f.curvature)
+        res = dr_identity_residual(manifold, pts, f.tangent, f.curvature)
         assert res.max() < 1e-10
         if manifold.kind == wcsf.RIGHT:
-            assert wcsf.conformal_residual(manifold, pts,
-                                           f.tangent).max() < 1e-10
+            assert conformal_residual(manifold, pts,
+                                      f.tangent).max() < 1e-10
 
 
 @pytest.mark.parametrize("name", ["left", "right", "curved_left",

@@ -281,3 +281,47 @@ def test_checks_read_the_manifold_from_the_states():
              for path in sorted((ROOT / "src/wcsf").glob("*.py"))
              for _, name in manifold_beside_states(path.read_text())}
     assert sorted(found - _MANIFOLD_BESIDE_STATES_ALLOWED) == []
+
+
+def unnamed_definitions(sources: dict) -> list:
+    """(module, line, name) for each module-level function or class of
+    sources, a mapping of module names to their text, that no statement
+    of any module names outside the definition itself: as a name it reads
+    or as an attribute. A string, such as an entry of __all__, names
+    nothing, and nor does an import."""
+    statements = []     # (module, top-level statement, names it reads)
+    for module, text in sources.items():
+        for top in ast.parse(text).body:
+            names = {node.id for node in ast.walk(top)
+                     if isinstance(node, ast.Name)
+                     and isinstance(node.ctx, ast.Load)}
+            names |= {node.attr for node in ast.walk(top)
+                      if isinstance(node, ast.Attribute)}
+            statements.append((module, top, names))
+    return sorted(
+        (module, top.lineno, top.name) for module, top, _ in statements
+        if isinstance(top, (*_FUNCTIONS, ast.ClassDef))
+        and not any(top.name in names
+                    for _, other, names in statements if other is not top))
+
+
+def test_the_scan_sees_a_definition_nothing_names():
+    assert unnamed_definitions({
+        "a": "__all__ = ['f', 'g']\n"
+             "def f(n):\n    return f(n - 1)\n"
+             "def g():\n    return h()\n"
+             "class C:\n    pass\n"
+             "class D:\n    pass\n",
+        "b": "from a import C, f\n"
+             "def h():\n    return mod.D\n"
+             "def k():\n    pass\n"}) == [
+        ("a", 2, "f"), ("a", 4, "g"), ("a", 6, "C"), ("b", 4, "k")]
+
+
+def test_the_package_names_every_function_and_class_it_defines():
+    sources = {path.stem: path.read_text()
+               for path in sorted((ROOT / "src/wcsf").glob("*.py"))
+               if path.name != "__init__.py"}
+    found = [f"{module}.py:{line}: {name}"
+             for module, line, name in unnamed_definitions(sources)]
+    assert found == []

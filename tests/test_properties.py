@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wcsf
-from oracles import graph_twin_gap
+from oracles import graph_twin_gap, resample
 from wcsf.cli import _Recorder
 from wcsf.spectral import TWO_PI
 
@@ -113,7 +113,7 @@ def test_parametric_twin_converges_to_the_graph_run(case):
     manifold, curve = case
     gaps = []
     for m in (curve.m, 2 * curve.m):
-        g = wcsf.resample(curve, m)
+        g = resample(curve, m)
         traj_g, _ = wcsf.run(manifold, g, short(tol_geo=0.0))
         traj_p, _ = wcsf.run(manifold, parametric_twin(g), short(tol_geo=0.0))
         assert traj_g.final.t == traj_p.final.t == 0.3
