@@ -12,7 +12,7 @@ structure degenerates, curvature blows up, or time runs out.
 import argparse
 
 import wcsf
-from wcsf.flow import LENGTH, MAX_A, MIN_THETA, TIME
+from wcsf.record import LENGTH, MAX_A, MIN_THETA, TIME
 
 
 def main() -> None:

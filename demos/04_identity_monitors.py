@@ -9,7 +9,7 @@ finishes in seconds, then shows what the inequality monitors report.
 """
 
 import wcsf
-from wcsf.verification import DriftCheck
+from wcsf.identities import DriftCheck
 
 GRIDS = (32, 64, 128)
 T_END = 0.08

@@ -14,18 +14,19 @@ reports convergence to closed geodesics.
 from .curves import (CurveFields, DiscreteCurve, ImmersionError,
                      arc_derivative, arc_laplacian, compute_fields,
                      make_graph_curve)
-from .flow import (FlowParams, FlowReport, FlowState, StopReason, Trajectory,
-                   adaptive_dt, run, step_rk4)
+from .flow import adaptive_dt, run, step_rk4
 from .fourier import FourierField
 from .geometry import LEFT, RIGHT, WarpedProduct
+from .identities import (closed_form_theta, commutator_residual,
+                         evolution_residual, exp_constant,
+                         gradient_identity_residual)
+from .record import FlowParams, FlowReport, FlowState, StopReason, Trajectory
 from .scenario import ConfigError, Scenario, parse_config
 from .verification import (BoundReport, RefinementLadder, ResidualReport,
-                           closed_form_theta, commutator_residual,
                            commutator_residual_study, dissipation_monitor,
-                           dissipation_residual_study, evolution_residual,
-                           evolution_residual_study, exp_constant,
-                           gradient_identity_residual,
-                           gradient_identity_study, theta_bound_monitor)
+                           dissipation_residual_study,
+                           evolution_residual_study, gradient_identity_study,
+                           theta_bound_monitor)
 
 __version__ = "0.1.0"
 

@@ -12,7 +12,7 @@ import enum
 
 import numpy as np
 
-from .flow import MIN_THETA, MIN_THETA_HAT, TIME, FlowState, Trajectory
+from .record import MIN_THETA, MIN_THETA_HAT, TIME, FlowState, Trajectory
 from .spectral import TWO_PI, mod_two_pi
 
 __all__ = ["open_trajectory_csv", "write_trajectory_csv", "write_report",

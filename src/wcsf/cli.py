@@ -22,7 +22,9 @@ from pathlib import Path
 from . import verification
 from .artifacts import (_SNAPSHOTS, open_trajectory_csv, write_report,
                         write_svg, write_trajectory_csv)
-from .flow import MIN_THETA, FlowState, StopReason, Trajectory, run
+from .flow import run
+from .identities import DriftCheck, closed_form_theta
+from .record import MIN_THETA, FlowState, StopReason, Trajectory
 from .scenario import ConfigError, Scenario, _run_name, parse_config
 
 __all__ = ["main", "execute_scenario",
@@ -114,7 +116,7 @@ class _Recorder(Trajectory):
         self._check_drift = check_drift
         self._stride = 1
         self.first: FlowState | None = None
-        self.drift: verification.DriftCheck | None = None
+        self.drift: DriftCheck | None = None
 
     def append(self, state: FlowState) -> None:
         super().append(state)
@@ -123,7 +125,7 @@ class _Recorder(Trajectory):
         if i == 0:
             self.first = state
             if self._check_drift:
-                self.drift = verification.DriftCheck(
+                self.drift = DriftCheck(
                     state.fields.manifold, float(self.scalars[0, MIN_THETA]))
         if self.drift is not None:
             self.drift.add(state)
@@ -182,7 +184,7 @@ def execute_scenario(scn: Scenario, out_dir) -> tuple:
     if studies:
         sections["residuals"] = {s.name: _section(s) for s in studies}
     sections["closed_form_theta"] = {
-        "direct": verification.closed_form_theta(traj.first)}
+        "direct": closed_form_theta(traj.first)}
 
     write_report(out / "report.txt", sections)
     if scn.svg:

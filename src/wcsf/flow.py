@@ -17,218 +17,35 @@ applies L = -alpha k^2 exactly to the Fourier modes of the periodic part
 of those columns, and treats N = W - L gamma with the four explicit
 stages. Once the curve is nearly flat nothing is left stiff and only the
 accuracy cap DT_MAX holds a step, so a record interval no longer than
-DT_MAX then takes one step.
+DT_MAX then takes one step. A run's parameters, states, trajectory and
+report are defined in wcsf.record.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
-from .curves import (CurveFields, DiscreteCurve, ImmersionError, _integer,
+from .curves import (CurveFields, DiscreteCurve, ImmersionError,
                      compute_fields)
-from .geometry import LEFT, WarpedProduct
-from .spectral import TWO_PI, mod_two_pi
+from .geometry import WarpedProduct
+from .record import (FlowParams, FlowState, StopReason, Trajectory,
+                     _build_report)
+from .spectral import TWO_PI
 
 __all__ = [
-    "StopReason",
-    "FlowParams",
-    "FlowState",
-    "Trajectory",
-    "FlowReport",
     "adaptive_dt",
     "step_rk4",
     "run",
 ]
 
 
-class StopReason(enum.Enum):
-    CONVERGED = "converged"
-    MAX_TIME = "max_time"
-    GRAPH_LOSS = "graph_loss"
-    BLOWUP = "blowup"
-
-
-# how far below zero a bound's slack may fall and the bound still hold: the
-# default of FlowParams.tol_bound and of the bound monitors' eps_tol
-BOUND_TOL = 1e-4
-
-
 # every run's step factor: a 2x looser stiffness limit saves 3-37% of the
 # stock scenarios' steps and costs up to 11x the time error on a steep
 # graph (ROADMAP's step floor table)
 CFL = 0.25
-
-
-@dataclass(frozen=True)
-class FlowParams:
-    """Integration controls; the defaults serve every stock scenario.
-    tol_bound is the bound monitors' slack tolerance; run() never reads it."""
-
-    t_max: float = 50.0
-    tol_geo: float = 1e-6
-    tol_bound: float = BOUND_TOL
-    theta_floor: float = 1e-3
-    a_ceiling: float = 1e6
-    record_stride: int = 50
-
-    def __post_init__(self):
-        # a NaN threshold would silently switch its stop condition off
-        for name in ("t_max", "tol_geo", "tol_bound", "theta_floor"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative")
-        if not 0.0 < self.a_ceiling < math.inf:
-            raise ValueError("a_ceiling must be finite and positive")
-        # a count: 2.5 would shift the record grid
-        stride = _integer(self.record_stride, "record_stride")
-        if stride < 1:
-            raise ValueError("record_stride must be a positive integer")
-        object.__setattr__(self, "record_stride", stride)
-
-
-@dataclass(frozen=True)
-class FlowState:
-    """A curve at a time together with its cached geometric fields."""
-
-    curve: DiscreteCurve
-    t: float
-    fields: CurveFields
-
-
-# the columns of Trajectory.scalars, one row per recorded state: the time,
-# min theta, min theta_hat, max |A|, the length and int |A|^2 ds
-TIME, MIN_THETA, MIN_THETA_HAT, MAX_A, LENGTH, DISSIPATION = range(6)
-
-
-class Trajectory:
-    """Recorded flow states at strictly increasing times.
-
-    Keeps the time, the moving columns (DiscreteCurve.moving) and the row
-    of scalars of every state, the rows in one float64 table that doubles
-    when it fills, and the fields of the newest state only: a graph state
-    keeps its x1 column alone, since its r column is the node grid.
-    Reading an older state rebuilds its curve from what was kept and its
-    fields with compute_fields: the same pure call on equal coordinates,
-    so they are bit for bit the fields the flow computed, and each read
-    pays one kernel call. All states share one manifold, moving columns,
-    node count and winding.
-
-    A subclass that records long runs may _drop the coordinates of older
-    states it will not read; their scalar rows stay, and reading their
-    curves raises LookupError.
-    """
-
-    def __init__(self):
-        self._coords: list[np.ndarray] = []
-        self._table = np.empty((16, 6))
-        self._last: FlowState | None = None
-
-    def append(self, state: FlowState) -> None:
-        f, c, last = state.fields, state.curve, self._last
-        if not math.isfinite(state.t):
-            raise ValueError("trajectory times must be finite")
-        if last is not None:
-            if state.t <= last.t:
-                raise ValueError("trajectory times must strictly increase")
-            if f.manifold is not last.fields.manifold:
-                raise ValueError("trajectory states must share one manifold")
-            if (c.moving, c.m, c.winding) != (last.curve.moving, last.curve.m,
-                                              last.curve.winding):
-                raise ValueError("trajectory states must share one gauge, "
-                                 "node count and winding")
-        # a copy: the caller may reuse its array
-        self._coords.append(c.coords[:, c.moving].copy())
-        n = len(self) - 1
-        if n == len(self._table):
-            grown = np.empty((2 * n, 6))
-            grown[:n] = self._table
-            self._table = grown
-        self._table[n] = (
-            state.t, f.theta.min(), f.theta_hat.min(), f.curvature_norm.max(),
-            f.length,
-            (f.curvature_norm ** 2 * f.speed).sum() * (TWO_PI / c.m))
-        self._last = state
-
-    def __len__(self) -> int:
-        return len(self._coords)
-
-    def _drop(self, indices) -> None:
-        """Forget the coordinates of the states at indices."""
-        for j in indices:
-            self._coords[j] = None
-
-    def kept(self) -> list:
-        """Indices of the states whose curves can be read, oldest first."""
-        return [i for i, c in enumerate(self._coords) if c is not None]
-
-    def curve(self, i) -> DiscreteCurve:
-        """The curve of state i, rebuilt unless it is the newest."""
-        i = range(len(self._coords))[i]   # IndexError when out of range
-        last = self._last.curve
-        if i == len(self._coords) - 1:
-            return last
-        coords = self._coords[i]
-        if coords is None:
-            raise LookupError(f"state {i} of this trajectory was dropped: "
-                              "only its scalar row is kept")
-        full = last.coords.copy()   # a graph's r column: the node grid
-        full[:, last.moving] = coords
-        return DiscreteCurve(last.mode, full, last.winding)
-
-    def __getitem__(self, i) -> FlowState:
-        i = range(len(self._coords))[i]
-        if i == len(self._coords) - 1:
-            return self._last
-        curve = self.curve(i)
-        return FlowState(curve, float(self._table[i, TIME]),
-                         compute_fields(curve, self._last.fields.manifold))
-
-    def __iter__(self):
-        for i in range(len(self._coords)):
-            yield self[i]
-
-    @property
-    def scalars(self) -> np.ndarray:
-        """One row per state, in the columns TIME, MIN_THETA,
-        MIN_THETA_HAT, MAX_A, LENGTH and DISSIPATION."""
-        return self._table[:len(self)].copy()
-
-    @property
-    def final(self) -> FlowState:
-        return self[-1]
-
-
-@dataclass(frozen=True)
-class FlowReport:
-    """Run summary: stop condition and final diagnostics, field for field
-    the flow section of a run's report.txt, in its order. The recorded
-    series is the trajectory's scalars. dt_min, dt_median and dt_max range
-    over the steps taken, None when there were none. A curve winding
-    around the base has no limit base point, and so no warp gradient.
-    """
-
-    stop_reason: StopReason
-    t_final: float
-    steps: int
-    dt_min: float | None
-    dt_median: float | None
-    dt_max: float | None
-    recorded_states: int
-    initial_min_theta: float
-    final_min_theta: float
-    final_min_theta_hat: float
-    final_max_curvature: float
-    length_initial: float
-    length_final: float
-    length_monotone: bool
-    limit_base_point: float | None
-    limit_warp_gradient_norm: float | None
-    geodesic_certified: bool
-    converging_undecided: bool
 
 
 def adaptive_dt(state: FlowState, cfl: float) -> float:
@@ -384,66 +201,6 @@ def _stop_check(state: FlowState, params: FlowParams) -> StopReason | None:
     if state.t >= params.t_max - 1e-12:
         return StopReason.MAX_TIME
     return None
-
-
-# the most a length may grow between recorded states and still count as
-# nonincreasing, in both FlowReport.length_monotone and the dissipation
-# monitor
-MONOTONE_TOL = 1e-10
-
-
-def _circular_mean(angles: np.ndarray) -> float:
-    return float(mod_two_pi(np.arctan2(np.sin(angles).mean(),
-                                       np.cos(angles).mean())))
-
-
-def _median(values: list) -> float:
-    # statistics.median's rule, the mean of the middle two of an even count;
-    # np.median would import numpy.ma into every run
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
-
-
-def _build_report(traj: Trajectory, stop: StopReason, dts: list) -> FlowReport:
-    rows = traj.scalars
-    monotone = bool(np.all(np.diff(rows[:, LENGTH]) <= MONOTONE_TOL))
-    first, last = rows[0], rows[-1]
-    limit = grad_norm = None
-    manifold = traj.final.fields.manifold
-    # a graph winding w times around the base limits to a (1, w) geodesic
-    if traj.final.curve.winding[1] == 0:
-        limit = _circular_mean(traj.final.curve.coords[:, 1])
-        if manifold.kind == LEFT:
-            _, norm_sq = manifold.dlog_warp(np.array([limit]))
-            grad_norm = float(np.sqrt(norm_sq[0]))
-    converged = stop is StopReason.CONVERGED
-    certified = bool(converged and (grad_norm is None or grad_norm < 1e-3))
-    tail = rows[-5:, MAX_A]
-    undecided = bool(stop is StopReason.MAX_TIME and tail.size >= 2
-                     and np.all(np.diff(tail) < 0.0))
-    return FlowReport(
-        stop_reason=stop,
-        t_final=float(last[TIME]),
-        steps=len(dts),
-        dt_min=min(dts) if dts else None,
-        dt_median=_median(dts) if dts else None,
-        dt_max=max(dts) if dts else None,
-        recorded_states=len(traj),
-        initial_min_theta=float(first[MIN_THETA]),
-        final_min_theta=float(last[MIN_THETA]),
-        final_min_theta_hat=float(last[MIN_THETA_HAT]),
-        final_max_curvature=float(last[MAX_A]),
-        length_initial=float(first[LENGTH]),
-        length_final=float(last[LENGTH]),
-        length_monotone=monotone,
-        limit_base_point=limit,
-        limit_warp_gradient_norm=grad_norm,
-        geodesic_certified=certified,
-        converging_undecided=undecided,
-    )
 
 
 def run(manifold: WarpedProduct, curve0: DiscreteCurve,

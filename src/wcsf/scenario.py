@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curves import DiscreteCurve, _validate_m, make_graph_curve
-from .flow import FlowParams
+from .record import FlowParams
 from .fourier import FourierField
 from .geometry import LEFT, RIGHT, WarpedProduct, checked_g11
 

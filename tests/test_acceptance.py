@@ -136,7 +136,7 @@ def test_criterion_2_symmetry_reduction_oracle(crit2_runs):
     spread = max(float(np.ptp(state.curve.coords[:, 1])) for state in traj)
     assert spread < 1e-12  # r-circles stay r-circles node for node
 
-    dts = np.diff(traj.scalars[:, wcsf.flow.TIME])
+    dts = np.diff(traj.scalars[:, wcsf.record.TIME])
     oracle = oracles.scalar_rk4(lambda x: 0.3 * np.sin(x),
                                 np.pi / 2, dts)
     got = np.array([state.curve.coords[0, 1] for state in traj])

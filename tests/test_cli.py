@@ -186,6 +186,21 @@ def test_verify_reports_a_rung_with_too_few_states(tmp_path):
     assert "closed_form_theta.direct = " in report
 
 
+def test_a_single_state_run_calls_its_dissipation_check_vacuous(tmp_path):
+    # t_max = 0 records one state and differences no pair: the slack reads
+    # 0.0, not -0.0, and the notes say vacuous, as the drift report's do
+    cfg = write_cfg(tmp_path / "one.cfg",
+                    FAST.replace("time.t_max = 0.2", "time.t_max = 0"))
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    lines = (out / "report.txt").read_text().splitlines()
+    assert "flow.recorded_states = 1" in lines
+    assert "dissipation.worst_slack = 0.0" in lines
+    assert "dissipation.passed = yes" in lines
+    notes = [line for line in lines if line.startswith("dissipation.notes")]
+    assert len(notes) == 1 and notes[0].endswith("; vacuous")
+
+
 def test_exit_code_falsified(tmp_path):
     cfg = write_cfg(tmp_path / "f.cfg", FALSIFIED)
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -510,13 +525,13 @@ def test_a_short_run_charts_the_snapshots_of_a_full_record(tmp_path,
                        _Recorder(io.StringIO(), check_drift=False))
     assert len(traj) == n
     drawn = []
-    real_curve = wcsf.flow.Trajectory.curve
+    real_curve = wcsf.record.Trajectory.curve
 
     def spy(self, i):
         drawn.append(i)
         return real_curve(self, i)
 
-    monkeypatch.setattr(wcsf.flow.Trajectory, "curve", spy)
+    monkeypatch.setattr(wcsf.record.Trajectory, "curve", spy)
     write_svg(tmp_path / "chart.svg", traj)
     assert drawn == svg_snapshot_indices(n)
 

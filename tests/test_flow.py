@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import wcsf
-from wcsf import flow, spectral
+from wcsf import flow, record, spectral
 from conftest import left_exp_manifold, product_manifold, right_exp_manifold
 from oracles import (einsum_fields, polyline_hausdorff, scalar_rk4,
                      tangential_part, taylor_table_fraction)
@@ -274,7 +274,7 @@ def test_rebuilt_fields_are_the_flows_fields(name, monkeypatch):
                                       getattr(want.fields, attr)), attr
             assert np.array_equal(tangential_part(state.curve, state.fields),
                                   tangential_part(want.curve, want.fields))
-    assert [s.t for s in traj] == list(traj.scalars[:, flow.TIME])
+    assert [s.t for s in traj] == list(traj.scalars[:, record.TIME])
     with pytest.raises(IndexError):
         traj[n]
 
@@ -328,7 +328,7 @@ def test_record_stride_controls_sampling(product):
     traj, rep = wcsf.run(product, curve,
                          wcsf.FlowParams(t_max=0.05, record_stride=1))
     assert len(traj) == rep.steps + 1
-    times = traj.scalars[:, flow.TIME]
+    times = traj.scalars[:, record.TIME]
     assert np.all(np.diff(times) > 0.0)
     assert times[0] == 0.0 and abs(times[-1] - 0.05) < 1e-12
 
@@ -338,7 +338,7 @@ def test_recorded_times_on_the_fixed_grid(left_exp):
     params = wcsf.FlowParams(t_max=0.4, record_stride=30)
     traj, rep = wcsf.run(left_exp, curve, params)
     dt0 = wcsf.adaptive_dt(traj[0], wcsf.flow.CFL)
-    times = traj.scalars[:, flow.TIME]
+    times = traj.scalars[:, record.TIME]
     assert len(traj) >= 4 and times[-1] == 0.4
     for j, t in enumerate(times[:-1]):
         assert t == j * params.record_stride * dt0
@@ -418,7 +418,8 @@ def test_time_error_against_a_finer_reference(name, monkeypatch):
     traj, _ = wcsf.run(manifold, curve, params)
     monkeypatch.setattr(flow, "DT_MAX", flow.DT_MAX / 10.0)
     ref, _ = wcsf.run(manifold, curve, params)
-    assert list(traj.scalars[:, flow.TIME]) == list(ref.scalars[:, flow.TIME])
+    assert (list(traj.scalars[:, record.TIME])
+            == list(ref.scalars[:, record.TIME]))
     err = max(np.abs(traj.curve(i).coords[:, 1]
                      - ref.curve(i).coords[:, 1]).max()
               for i in range(len(traj)))
@@ -449,16 +450,16 @@ def test_median_is_statistics_median():
     rng = np.random.default_rng(5)
     for n in (1, 2, 3, 4, 7, 10):
         values = list(rng.uniform(0.0, 1.0, n))
-        assert flow._median(values) == statistics.median(values)
+        assert record._median(values) == statistics.median(values)
     # unsorted input of even length: the mean of the two middle values
-    assert flow._median([0.3, 0.1, 0.2, 0.4]) == 0.25
+    assert record._median([0.3, 0.1, 0.2, 0.4]) == 0.25
 
 
 def test_reduced_angles_lie_below_two_pi():
     # an angle a few ulps below 0 reduces to 0, not to 2 pi, in the limit
     # base point and in every trajectory.csv coordinate
     for angles in ([-1e-17], [1e-17, -3e-17], [-1e-17, 2e-17, -4e-17]):
-        assert 0.0 <= flow._circular_mean(np.array(angles)) < TWO_PI
+        assert 0.0 <= record._circular_mean(np.array(angles)) < TWO_PI
     state = graph_state(product_manifold(), wcsf.FourierField([-1e-17]))
     fh = io.StringIO()
     write_trajectory_csv(fh, state)

@@ -7,8 +7,9 @@ The scans read the package (its __init__.py re-exports what it imports),
 the demos and the tests, and for calls the benchmark too, with the
 standard library's ast module alone. One more scan keeps the gauge, the
 choice between a graph's and a parametric curve's node motion, inside
-the curves module, and another keeps a function that is handed states
-from taking their manifold a second time.
+the curves module, another keeps a function that is handed states from
+taking their manifold a second time, and a last keeps every module small
+enough to compile within the memory a run already holds.
 """
 
 import ast
@@ -324,4 +325,35 @@ def test_the_package_names_every_function_and_class_it_defines():
                if path.name != "__init__.py"}
     found = [f"{module}.py:{line}: {name}"
              for module, line, name in unnamed_definitions(sources)]
+    assert found == []
+
+
+def ast_nodes(source: str) -> int:
+    """The nodes of a module's syntax tree, each as often as ast.walk
+    yields it."""
+    return sum(1 for _ in ast.walk(ast.parse(source)))
+
+
+def test_the_scan_counts_syntax_tree_nodes():
+    assert ast_nodes("") == 1                       # Module
+    assert ast_nodes("x = 1\n") == 5                # Assign Name Store Const
+    assert ast_nodes("import os\nimport sys\n") == 5
+
+
+# CPython holds a module's whole syntax tree while it compiles it, and a
+# run that finds no bytecode cache (the benchmark's children run with
+# PYTHONDONTWRITEBYTECODE=1 from a fresh checkout) compiles every module it
+# imports. Measured with tracemalloc on Python 3.11, flow.py and
+# verification.py at 3,085 and 3,052 nodes each took 1,073 KB to compile
+# and cli.py's 1,740 nodes 687 KB. A left_warped run's peak RSS absorbed
+# the second but not the first: splitting those two modules lowered it by
+# about 0.3 MB (BENCH_27.json). A module past the limit is split, or the
+# peak measured again.
+_MAX_AST_NODES = 1740
+
+
+def test_no_module_takes_more_than_a_run_holds_to_compile():
+    found = [f"{path.name}: {n} nodes"
+             for path in sorted((ROOT / "src/wcsf").glob("*.py"))
+             if (n := ast_nodes(path.read_text())) > _MAX_AST_NODES]
     assert found == []

@@ -121,6 +121,10 @@ def test_traced_verify_counts_ladder_runs_as_study_work(tmp_path,
     assert code == 0 and steps > 1
     assert tracer.rhs["study"] > 0
     assert tracer.rhs["main"] == 4 * steps + 1
+    # the studies' 18 state rebuilds count too: Trajectory looks the
+    # kernel up on wcsf.curves at each call, where the tracer wraps it; a
+    # name bound at import would hide them from the kernel's layer
+    assert tracer.stats["curves.compute_fields"][0] == 2405
 
 
 # (steps, kernel calls) of each smoke workload at seed 0; the benchmark

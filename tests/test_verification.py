@@ -8,7 +8,7 @@ import pytest
 import oracles
 import wcsf
 from conftest import curved_manifold
-from wcsf.verification import DriftCheck
+from wcsf.identities import DriftCheck
 
 
 def sin_field(a):
@@ -294,7 +294,7 @@ def test_lean_rungs_give_the_full_runs_numbers(left_exp, kwargs):
         traj, _ = wcsf.run(left_exp, wcsf.make_graph_curve(sin_field(0.3), m),
                            wcsf.FlowParams(t_max=ladder.t_end, tol_geo=0.0,
                                            record_stride=1))
-        times = traj.scalars[:, wcsf.flow.TIME]
+        times = traj.scalars[:, wcsf.record.TIME]
         k = int(np.argmin(np.abs(times - 0.5 * ladder.t_end)))
         k = min(max(k, 1), len(traj) - 2)
         expected[0].append(
@@ -385,7 +385,7 @@ def test_deturck_ladder_converges_and_the_graph_rule_fails(kind, winding,
     assert rep.passed and min(rep.orders) >= 1.8, rep
     rep = wcsf.commutator_residual_study(ladder)
     assert rep.passed and min(rep.orders) >= 1.5, rep
-    monkeypatch.setattr(wcsf.verification, "_material_dt",
+    monkeypatch.setattr(wcsf.identities, "_material_dt",
                         graph_gauge_material_dt)
     rep = wcsf.evolution_residual_study(ladder)
     assert not rep.passed, rep
