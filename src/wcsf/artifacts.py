@@ -63,28 +63,27 @@ def write_trajectory_csv(fh, state: FlowState) -> None:
 
 
 def write_report(path, sections: dict) -> None:
-    """Write a nested dict as flat `dotted.key = value` lines.
+    """Write a nested dict as flat `dotted.key = value` lines, each as it
+    is formatted.
 
     Booleans render as yes/no, floats via repr, enums as their value,
     sequences comma-joined.
     Insertion order is preserved so identical runs give identical files.
     """
-    lines = []
-    _emit(lines, "", sections)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        _emit(fh, "", sections)
 
 
-def _emit(lines, prefix, mapping) -> None:
+def _emit(fh, prefix, mapping) -> None:
     for key, value in mapping.items():
         if isinstance(value, dict):
-            _emit(lines, f"{prefix}{key}.", value)
+            _emit(fh, f"{prefix}{key}.", value)
         else:
-            lines.append(f"{prefix}{key} = {_fmt(value)}")
+            fh.write(f"{prefix}{key} = {_fmt(value)}\n")
 
 
 _SVG_W, _SVG_H = 920.0, 430.0
-_PANE_W, _PANE_H, _MARG = 400.0, 330.0, 55.0
+_PANE_W, _MARG = 400.0, 55.0
 _SNAPSHOTS = 16     # most curves drawn, evenly spaced over the kept states
 
 
@@ -104,11 +103,16 @@ def _scale(values, lo_px, hi_px):
     return to_px, vmin, vmax
 
 
-def _polyline(xs, ys, stroke, width="1.2", dash=None) -> str:
-    pts = " ".join(f"{x:.6f},{y:.6f}" for x, y in zip(xs, ys))
+def _polyline(fh, xs, ys, stroke, width="1.2", dash=None) -> None:
+    """Write one polyline element, each point as it is formatted."""
     extra = f' stroke-dasharray="{dash}"' if dash else ""
-    return (f'<polyline fill="none" stroke="{stroke}" stroke-width="{width}"'
-            f'{extra} points="{pts}" />')
+    fh.write(f'<polyline fill="none" stroke="{stroke}" stroke-width="{width}"'
+             f'{extra} points="')
+    sep = ""
+    for x, y in zip(xs, ys):
+        fh.write(f"{sep}{x:.6f},{y:.6f}")
+        sep = " "
+    fh.write('" />\n')
 
 
 def write_svg(path, traj: Trajectory) -> None:
@@ -116,14 +120,18 @@ def write_svg(path, traj: Trajectory) -> None:
     min angle diagnostics against time on the right. Self-contained SVG.
 
     The snapshots are up to _SNAPSHOTS states evenly spaced among those
-    whose curves traj kept; the right pane reads every scalar row."""
+    whose curves traj kept; the right pane reads every scalar row. Every
+    scale is computed before the file opens, so a trajectory that cannot
+    be charted leaves no file; then each element is written as it is
+    formatted."""
     kept = traj.kept()
     k = min(_SNAPSHOTS, len(kept))
     # np.unique would import numpy.ma; the positions never decrease, so
-    # dict.fromkeys drops repeats and keeps their order
+    # dict.fromkeys drops repeats and keeps their order. A generator, so
+    # that each curve is dropped once its closed nodes are built
     step = (len(kept) - 1) / max(k - 1, 1)
-    snaps = [traj.curve(kept[p])
-             for p in dict.fromkeys(round(i * step) for i in range(k))]
+    snaps = (traj.curve(kept[p])
+             for p in dict.fromkeys(round(i * step) for i in range(k)))
 
     left_x0, left_x1 = _MARG, _MARG + _PANE_W
     right_x0, right_x1 = _MARG + _PANE_W + 2 * _MARG, _SVG_W - 30.0
@@ -137,39 +145,40 @@ def write_svg(path, traj: Trajectory) -> None:
                       left_x0, left_x1)
     xy, xmin, xmax = _scale(np.concatenate([p[:, 1] for p in closed]), y0, y1)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W:.0f}" '
-        f'height="{_SVG_H:.0f}" viewBox="0 0 {_SVG_W:.0f} {_SVG_H:.0f}">',
-        f'<rect width="{_SVG_W:.0f}" height="{_SVG_H:.0f}" fill="white" />',
-        f'<text x="{left_x0:.1f}" y="30" font-family="monospace" '
-        f'font-size="14">curve snapshots (r, x1), lifted</text>',
-        f'<text x="{right_x0:.1f}" y="30" font-family="monospace" '
-        f'font-size="14">min angle vs t</text>',
-    ]
-    for k, p in enumerate(closed):
-        shade = 0.85 - 0.7 * (k / max(len(closed) - 1, 1))
-        color = f"rgb({int(60 + 150 * shade)},{int(60 + 100 * shade)},200)"
-        parts.append(_polyline(rx(p[:, 0]), xy(p[:, 1]), color))
-    parts.append(_polyline([left_x0, left_x0, left_x1], [y1, y0, y0],
-                           "black", "1.0"))
-    parts.append(f'<text x="{left_x0:.1f}" y="{y0 + 32:.1f}" '
-                 f'font-family="monospace" font-size="11">r in [0, 2pi]   '
-                 f'x1 in [{xmin:.3f}, {xmax:.3f}]</text>')
-
     scalars = traj.scalars[:, [TIME, MIN_THETA, MIN_THETA_HAT]]
     times, min_theta, min_hat = scalars.T
     tx, _, _ = _scale(times, right_x0, right_x1)
     vy, vmin, vmax = _scale(np.concatenate([min_theta, min_hat, [0.0]]), y0, y1)
-    parts.append(_polyline(tx(times), vy(min_theta), "rgb(200,80,60)", "1.5"))
-    parts.append(_polyline(tx(times), vy(min_hat), "rgb(60,120,200)", "1.5"))
-    parts.append(_polyline([tx(times[0]), tx(times[-1])], [vy(0.0), vy(0.0)],
-                           "gray", "0.8", dash="4 3"))
-    parts.append(_polyline([right_x0, right_x0, right_x1], [y1, y0, y0],
-                           "black", "1.0"))
-    parts.append(f'<text x="{right_x0:.1f}" y="{y0 + 32:.1f}" '
+
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
+                 f'width="{_SVG_W:.0f}" height="{_SVG_H:.0f}" '
+                 f'viewBox="0 0 {_SVG_W:.0f} {_SVG_H:.0f}">\n'
+                 f'<rect width="{_SVG_W:.0f}" height="{_SVG_H:.0f}" '
+                 f'fill="white" />\n'
+                 f'<text x="{left_x0:.1f}" y="30" font-family="monospace" '
+                 f'font-size="14">curve snapshots (r, x1), lifted</text>\n'
+                 f'<text x="{right_x0:.1f}" y="30" font-family="monospace" '
+                 f'font-size="14">min angle vs t</text>\n')
+        for k, p in enumerate(closed):
+            shade = 0.85 - 0.7 * (k / max(len(closed) - 1, 1))
+            color = (f"rgb({int(60 + 150 * shade)},"
+                     f"{int(60 + 100 * shade)},200)")
+            _polyline(fh, rx(p[:, 0]), xy(p[:, 1]), color)
+        _polyline(fh, [left_x0, left_x0, left_x1], [y1, y0, y0],
+                  "black", "1.0")
+        fh.write(f'<text x="{left_x0:.1f}" y="{y0 + 32:.1f}" '
+                 f'font-family="monospace" font-size="11">r in [0, 2pi]   '
+                 f'x1 in [{xmin:.3f}, {xmax:.3f}]</text>\n')
+
+        _polyline(fh, tx(times), vy(min_theta), "rgb(200,80,60)", "1.5")
+        _polyline(fh, tx(times), vy(min_hat), "rgb(60,120,200)", "1.5")
+        _polyline(fh, [tx(times[0]), tx(times[-1])], [vy(0.0), vy(0.0)],
+                  "gray", "0.8", dash="4 3")
+        _polyline(fh, [right_x0, right_x0, right_x1], [y1, y0, y0],
+                  "black", "1.0")
+        fh.write(f'<text x="{right_x0:.1f}" y="{y0 + 32:.1f}" '
                  f'font-family="monospace" font-size="11">t in '
                  f'[{times[0]:.3f}, {times[-1]:.3f}]   red: min theta   '
-                 f'blue: min theta-hat   range [{vmin:.3f}, {vmax:.3f}]</text>')
-    parts.append("</svg>")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+                 f'blue: min theta-hat   range '
+                 f'[{vmin:.3f}, {vmax:.3f}]</text>\n</svg>\n')

@@ -4,9 +4,10 @@ Deliberately naive second routes to derived quantities: finite differences
 of metric values, the closed-form identities of nabla d_r and of the
 conformal field phi d_r from dense Christoffel tensors, dense quadrature,
 scalar RK4, brute-force polyline distances, dense-tensor curve fields, a
-per-node CSV loop, the chart's snapshot rule, a per-interval dissipation
-loop, whole-grid Fourier tables, an exact-rational ETDRK4 series table,
-trigonometric resampling and a direct-sum trigonometric interpolant.
+per-node CSV loop, the chart's snapshot rule, the chart text joined in
+memory, a per-interval dissipation loop, whole-grid Fourier tables, an
+exact-rational ETDRK4 series table, trigonometric resampling and a
+direct-sum trigonometric interpolant.
 Nothing here shares a code path with the quantities it checks.
 """
 
@@ -17,7 +18,9 @@ import numpy as np
 
 import wcsf
 from wcsf import spectral
+from wcsf.artifacts import _MARG, _PANE_W, _SNAPSHOTS, _SVG_H, _SVG_W
 from wcsf.curves import _validate_m
+from wcsf.record import MIN_THETA, MIN_THETA_HAT, TIME
 
 TWO_PI = 2.0 * np.pi
 
@@ -274,6 +277,93 @@ def svg_snapshot_indices(n, snapshots=16):
         if j not in picked:
             picked.append(j)
     return picked
+
+
+def _chart_scale(values, lo_px, hi_px):
+    vmin = float(np.min(values))
+    vmax = float(np.max(values))
+    if vmax - vmin < 1e-12:
+        vmax = vmin + 1.0
+    pad = 0.05 * (vmax - vmin)
+    vmin -= pad
+    vmax += pad
+    span = vmax - vmin
+
+    def to_px(v):
+        return (lo_px
+                + (np.asarray(v, dtype=float) - vmin) / span * (hi_px - lo_px))
+
+    return to_px, vmin, vmax
+
+
+def _chart_polyline(xs, ys, stroke, width="1.2", dash=None) -> str:
+    pts = " ".join(f"{x:.6f},{y:.6f}" for x, y in zip(xs, ys))
+    extra = f' stroke-dasharray="{dash}"' if dash else ""
+    return (f'<polyline fill="none" stroke="{stroke}" stroke-width="{width}"'
+            f'{extra} points="{pts}" />')
+
+
+def chart_text(traj):
+    """The whole text of traj's chart.svg, built as a list of elements and
+    joined in memory: the chart writer before it wrote each element as it
+    was formatted, kept as the byte-for-byte reference."""
+    kept = traj.kept()
+    k = min(_SNAPSHOTS, len(kept))
+    step = (len(kept) - 1) / max(k - 1, 1)
+    snaps = [traj.curve(kept[p])
+             for p in dict.fromkeys(round(i * step) for i in range(k))]
+
+    left_x0, left_x1 = _MARG, _MARG + _PANE_W
+    right_x0, right_x1 = _MARG + _PANE_W + 2 * _MARG, _SVG_W - 30.0
+    y0, y1 = _SVG_H - _MARG, _MARG - 15.0
+
+    closed = [np.vstack((c.coords,
+                         c.coords[0] + TWO_PI * np.asarray(c.winding)))
+              for c in snaps]
+    rx, _, _ = _chart_scale(np.concatenate([p[:, 0] for p in closed]),
+                            left_x0, left_x1)
+    xy, xmin, xmax = _chart_scale(np.concatenate([p[:, 1] for p in closed]),
+                                  y0, y1)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W:.0f}" '
+        f'height="{_SVG_H:.0f}" viewBox="0 0 {_SVG_W:.0f} {_SVG_H:.0f}">',
+        f'<rect width="{_SVG_W:.0f}" height="{_SVG_H:.0f}" fill="white" />',
+        f'<text x="{left_x0:.1f}" y="30" font-family="monospace" '
+        f'font-size="14">curve snapshots (r, x1), lifted</text>',
+        f'<text x="{right_x0:.1f}" y="30" font-family="monospace" '
+        f'font-size="14">min angle vs t</text>',
+    ]
+    for k, p in enumerate(closed):
+        shade = 0.85 - 0.7 * (k / max(len(closed) - 1, 1))
+        color = f"rgb({int(60 + 150 * shade)},{int(60 + 100 * shade)},200)"
+        parts.append(_chart_polyline(rx(p[:, 0]), xy(p[:, 1]), color))
+    parts.append(_chart_polyline([left_x0, left_x0, left_x1], [y1, y0, y0],
+                                 "black", "1.0"))
+    parts.append(f'<text x="{left_x0:.1f}" y="{y0 + 32:.1f}" '
+                 f'font-family="monospace" font-size="11">r in [0, 2pi]   '
+                 f'x1 in [{xmin:.3f}, {xmax:.3f}]</text>')
+
+    scalars = traj.scalars[:, [TIME, MIN_THETA, MIN_THETA_HAT]]
+    times, min_theta, min_hat = scalars.T
+    tx, _, _ = _chart_scale(times, right_x0, right_x1)
+    vy, vmin, vmax = _chart_scale(np.concatenate([min_theta, min_hat, [0.0]]),
+                                  y0, y1)
+    parts.append(_chart_polyline(tx(times), vy(min_theta), "rgb(200,80,60)",
+                                 "1.5"))
+    parts.append(_chart_polyline(tx(times), vy(min_hat), "rgb(60,120,200)",
+                                 "1.5"))
+    parts.append(_chart_polyline([tx(times[0]), tx(times[-1])],
+                                 [vy(0.0), vy(0.0)], "gray", "0.8",
+                                 dash="4 3"))
+    parts.append(_chart_polyline([right_x0, right_x0, right_x1], [y1, y0, y0],
+                                 "black", "1.0"))
+    parts.append(f'<text x="{right_x0:.1f}" y="{y0 + 32:.1f}" '
+                 f'font-family="monospace" font-size="11">t in '
+                 f'[{times[0]:.3f}, {times[-1]:.3f}]   red: min theta   '
+                 f'blue: min theta-hat   range [{vmin:.3f}, {vmax:.3f}]</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def dissipation_defect_loop(traj):

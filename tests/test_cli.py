@@ -3,6 +3,7 @@ import io
 import os
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import wcsf
 import wcsf.cli
 from conftest import report_steps
-from oracles import svg_snapshot_indices, trajectory_csv_text
+from oracles import chart_text, svg_snapshot_indices, trajectory_csv_text
 from wcsf.artifacts import (_SNAPSHOTS, open_trajectory_csv, write_svg,
                             write_trajectory_csv)
 from wcsf.cli import _Recorder, execute_scenario, main
@@ -459,9 +460,9 @@ def test_a_main_run_in_the_deturck_gauge_passes_every_check(tmp_path,
     assert direct < 1e-12
 
 
-def test_a_long_run_keeps_a_bounded_chart_set(tmp_path, monkeypatch):
-    # every state reaches trajectory.csv, but the chart keeps the curves
-    # of at most 2 * _SNAPSHOTS + 1 of them, the first and newest included
+def _charted(tmp_path, monkeypatch, cfg):
+    """The trajectory a scenario run hands to write_svg, and the bytes of
+    the chart.svg it wrote."""
     charted = []
 
     def capture(path, traj):
@@ -469,11 +470,18 @@ def test_a_long_run_keeps_a_bounded_chart_set(tmp_path, monkeypatch):
         write_svg(path, traj)
 
     monkeypatch.setattr(wcsf.cli, "write_svg", capture)
+    assert execute_scenario(wcsf.parse_config(cfg), tmp_path)[0] == 0
+    (traj,) = charted
+    return traj, (tmp_path / "chart.svg").read_bytes()
+
+
+def test_a_long_run_keeps_a_bounded_chart_set(tmp_path, monkeypatch):
+    # every state reaches trajectory.csv, but the chart keeps the curves
+    # of at most 2 * _SNAPSHOTS + 1 of them, the first and newest included
     cfg = (SHORT_PRODUCT.replace("grid.m = 64", "grid.m = 32")
            .replace("record.stride = 5", "record.stride = 1")
            .replace("time.t_max = 0.3", "time.t_max = 2.5"))
-    assert execute_scenario(wcsf.parse_config(cfg), tmp_path)[0] == 0
-    (traj,) = charted
+    traj, _ = _charted(tmp_path, monkeypatch, cfg)
     kept = traj.kept()
     assert len(traj) >= 200
     assert len(kept) <= 2 * _SNAPSHOTS + 1
@@ -563,6 +571,66 @@ def test_the_chart_closes_a_curve_by_its_own_winding(tmp_path, winding):
     assert len(pts) == 33
     closing = pts[0] if winding == (0, 0) else pts[0] + 32 * (pts[1] - pts[0])
     assert np.abs(pts[-1] - closing).max() < 1e-3
+
+
+SVG = "output.svg = on\n"
+# each chart.svg the streamed writer must write as the joined one did: a
+# short product run (some curves dropped), a winding (1, 1) left run, a
+# run of at most 2 * _SNAPSHOTS + 1 states (every curve kept) and a
+# single state
+CHARTS = {
+    "product": (SHORT_PRODUCT.replace("stride = 5", "stride = 1"),
+                lambda traj: len(traj.kept()) < len(traj)),
+    "winding": (FAST + "init.winding = 1\n" + SVG,
+                lambda traj: traj.final.curve.winding == (1, 1)),
+    "all_kept": (FAST + SVG, lambda traj: 1 < len(traj) <= 2 * _SNAPSHOTS + 1
+                 and traj.kept() == list(range(len(traj)))),
+    "one_state": (FAST.replace("time.t_max = 0.2", "time.t_max = 0") + SVG,
+                  lambda traj: len(traj) == 1),
+}
+
+
+@pytest.mark.parametrize("case", CHARTS)
+def test_the_streamed_chart_is_the_joined_chart(tmp_path, monkeypatch, case):
+    cfg, is_case = CHARTS[case]
+    traj, chart = _charted(tmp_path, monkeypatch, cfg)
+    assert is_case(traj)
+    assert chart == chart_text(traj).encode()
+
+
+def test_the_chart_writer_holds_under_60_percent_of_the_joined_chart(
+        tmp_path):
+    # the traced heap peak of each writer on the stock product run's
+    # 1,093 states; the joined chart held its whole text about three times
+    # over and a list of point strings per time series
+    scn = wcsf.parse_config((Path(__file__).resolve().parents[1]
+                             / "scenarios/product.cfg").read_text())
+    with open_trajectory_csv(os.devnull) as csv:
+        traj, _ = wcsf.run(scn.manifold, scn.initial_curve(), scn.params,
+                           _Recorder(csv, check_drift=False))
+    assert len(traj) >= 1000
+
+    def joined(path, traj):
+        with open(path, "w", newline="\n") as fh:
+            fh.write(chart_text(traj))
+
+    def peak(writer):
+        writer(tmp_path / "chart.svg", traj)    # fills the lazy caches
+        tracemalloc.start()
+        try:
+            writer(tmp_path / "chart.svg", traj)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(write_svg) <= 0.6 * peak(joined)
+
+
+def test_a_chart_of_no_state_raises_and_leaves_no_file(tmp_path):
+    # every scale is computed before the file opens
+    with pytest.raises(ValueError, match="need at least one array"):
+        write_svg(tmp_path / "chart.svg", wcsf.Trajectory())
+    assert not (tmp_path / "chart.svg").exists()
 
 
 @pytest.mark.parametrize("kind", [wcsf.LEFT, wcsf.RIGHT])
