@@ -145,8 +145,9 @@ def write_svg(path, traj: Trajectory) -> None:
                       left_x0, left_x1)
     xy, xmin, xmax = _scale(np.concatenate([p[:, 1] for p in closed]), y0, y1)
 
-    scalars = traj.scalars[:, [TIME, MIN_THETA, MIN_THETA_HAT]]
-    times, min_theta, min_hat = scalars.T
+    scalars = traj.scalars
+    times, min_theta, min_hat = (scalars[:, TIME], scalars[:, MIN_THETA],
+                                 scalars[:, MIN_THETA_HAT])
     tx, _, _ = _scale(times, right_x0, right_x1)
     vy, vmin, vmax = _scale(np.concatenate([min_theta, min_hat, [0.0]]), y0, y1)
 

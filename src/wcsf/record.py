@@ -175,8 +175,11 @@ class Trajectory:
     @property
     def scalars(self) -> np.ndarray:
         """One row per state, in the columns TIME, MIN_THETA,
-        MIN_THETA_HAT, MAX_A, LENGTH and DISSIPATION."""
-        return self._table[:len(self)].copy()
+        MIN_THETA_HAT, MAX_A, LENGTH and DISSIPATION: a read-only view
+        of the filled rows, which later appends leave as they are."""
+        rows = self._table[:len(self)]
+        rows.flags.writeable = False
+        return rows
 
     @property
     def final(self) -> FlowState:

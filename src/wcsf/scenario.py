@@ -36,8 +36,8 @@ Keys:
 
 The run controls time.t_max, tol.geo, tol.bound, tol.theta_floor,
 tol.a_ceiling and record.stride set the fields of Scenario.params, a
-flow.FlowParams, which owns their defaults and ranges. Every run steps
-with the factor flow.CFL.
+wcsf.record.FlowParams, which owns their defaults and ranges. Every run
+steps with the factor flow.CFL.
 Every number must be finite. All parse and validation errors carry the
 offending line number.
 """

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import _integer, _validate_m, compute_fields, make_graph_curve
+from .curves import _integer, compute_fields, make_graph_curve
 from .flow import run
 from .fourier import FourierField
 from .geometry import WarpedProduct
@@ -136,7 +136,8 @@ def dissipation_monitor(traj: Trajectory) -> BoundReport:
     worst_slack is 0.0 and its notes call the check vacuous.
     """
     scalars = traj.scalars
-    times, lengths, dissipation = scalars[:, [TIME, LENGTH, DISSIPATION]].T
+    times, lengths, dissipation = (scalars[:, TIME], scalars[:, LENGTH],
+                                   scalars[:, DISSIPATION])
     rates = np.diff(lengths) / np.diff(times)
     defect = float(np.max(np.abs(
         rates + 0.5 * (dissipation[:-1] + dissipation[1:])), initial=0.0))
@@ -191,53 +192,45 @@ class _Rung(Trajectory):
         return min(max(self._nearest, 1), len(self) - 2)
 
 
+# the studies' one protocol: each scenario runs on these grids to this time
+LADDER_GRIDS = (64, 128, 256)
+LADDER_T_END = 0.12
+
+
 @dataclass(frozen=True)
 class RefinementLadder:
     """One scenario integrated on a ladder of grids, for the studies.
 
-    Each grid M runs to t_end from the same initial graph, init_field
-    plus `winding` turns around the base, with every step recorded, so dt
-    shrinks like M^-2 as M grows. The runs happen on the first read of
-    `trajectories` and are kept on this ladder, so every study handed the
-    same ladder reads the same runs. A rung keeps the scalar row of every
-    state but the coordinates of only the three states around t_end / 2
-    and the newest three; reading any other state raises LookupError.
+    Each grid M of LADDER_GRIDS runs to LADDER_T_END from the same
+    initial graph, init_field plus `winding` turns around the base, with
+    every step recorded, so dt shrinks like M^-2 as M grows. The runs
+    happen on the first read of `trajectories` and are kept on this
+    ladder, so every study handed the same ladder reads the same runs. A
+    rung keeps the scalar row of every state but the coordinates of only
+    the three states around LADDER_T_END / 2 and the newest three;
+    reading any other state raises LookupError.
     """
 
     manifold: WarpedProduct
     init_field: FourierField
-    grids: tuple = (64, 128, 256)
-    t_end: float = 0.12
     winding: int = 0
 
     def __post_init__(self):
-        # one grid has no order to fit, so a study over it passed vacuously
-        g = self.grids
-        if len(g) < 2 or any(a >= b for a, b in zip(g, g[1:])):
-            raise ValueError("a ladder needs two or more increasing grids")
-        for m in g:     # fail here, not inside the first study
-            _validate_m(m)
         _integer(self.winding, "winding")
-        if not self.t_end > 0.0:
-            raise ValueError("a ladder needs t_end > 0")
-        self.params     # FlowParams checks that t_end is finite
-
-    @cached_property
-    def params(self) -> FlowParams:
-        return FlowParams(t_max=self.t_end, tol_geo=0.0, record_stride=1)
 
     @cached_property
     def trajectories(self) -> tuple:
+        params = FlowParams(t_max=LADDER_T_END, tol_geo=0.0, record_stride=1)
         return tuple(run(self.manifold,
                          make_graph_curve(self.init_field, m, self.winding),
-                         self.params, _Rung(0.5 * self.t_end))[0]
-                     for m in self.grids)
+                         params, _Rung(0.5 * LADDER_T_END))[0]
+                     for m in LADDER_GRIDS)
 
 
 def _mid_residuals(ladder: RefinementLadder, residual) -> list:
     """The largest residual(traj, k) on each grid, at the interior recorded
-    state k nearest t_end / 2; nan on a grid whose run recorded fewer than
-    three states, when its first record interval outlasts t_end."""
+    state k nearest LADDER_T_END / 2; nan where a run recorded fewer than
+    three states, when its first record interval outlasts the run."""
     return [float(np.max(residual(traj, traj.mid))) if len(traj) >= 3
             else math.nan for traj in ladder.trajectories]
 
@@ -263,7 +256,7 @@ def _study_report(identity: str, ladder: RefinementLadder, residuals,
     orders = _orders(residuals)
     return ResidualReport(
         name=f"{ladder.manifold.kind}_{identity}",
-        grids=tuple(ladder.grids),
+        grids=LADDER_GRIDS,
         max_residuals=tuple(residuals),
         orders=orders,
         threshold=threshold,
@@ -302,7 +295,7 @@ def gradient_identity_study(ladder: RefinementLadder) -> ResidualReport:
     Reads only the ladder's initial curves, never its runs."""
     manifold = ladder.manifold
     res = []
-    for m in ladder.grids:
+    for m in LADDER_GRIDS:
         curve = make_graph_curve(ladder.init_field, m, ladder.winding)
         state = FlowState(curve, 0.0, compute_fields(curve, manifold))
         res.append(gradient_identity_residual(state))

@@ -149,7 +149,7 @@ def test_verify_integrates_each_ladder_grid_once(tmp_path, monkeypatch):
     monkeypatch.setattr(wcsf.verification, "run", counted)
     cfg = write_cfg(tmp_path / "demo.cfg", FAST)
     assert main(["verify", cfg, "--out", str(tmp_path / "out")]) == 0
-    assert tuple(grids) == wcsf.RefinementLadder.grids
+    assert tuple(grids) == wcsf.verification.LADDER_GRIDS
 
 
 def test_verify_checks_the_scenarios_winding(tmp_path, monkeypatch):
@@ -170,8 +170,8 @@ def test_verify_checks_the_scenarios_winding(tmp_path, monkeypatch):
 
 
 def test_verify_reports_a_rung_with_too_few_states(tmp_path):
-    # with psi >= 10 the m = 64 rung's first record interval outlasts the
-    # ladder's t_end: it records two states, which give no time
+    # with psi >= 10 the m = 64 rung's first record interval outlasts
+    # LADDER_T_END: it records two states, which give no time
     # difference, so the two studies that need one fail on that grid
     cfg = write_cfg(tmp_path / "sparse.cfg",
                     "manifold.kind = left\nwarp.cos = 10\n"

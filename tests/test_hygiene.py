@@ -1,15 +1,17 @@
 """Source hygiene: no module imports a name it never uses, no function
 takes a parameter it never reads (a test's included: an unread fixture is
-set up for nothing), and no package function has a default that no call
-overrides (a setting with one value in use is a constant).
+set up for nothing), and no package function or dataclass field has a
+default that no production call overrides (a setting with one value in
+use is a constant, whatever values tests or demos try).
 
 The scans read the package (its __init__.py re-exports what it imports),
-the demos and the tests, and for calls the benchmark too, with the
-standard library's ast module alone. One more scan keeps the gauge, the
-choice between a graph's and a parametric curve's node motion, inside
-the curves module, another keeps a function that is handed states from
-taking their manifold a second time, and a last keeps every module small
-enough to compile within the memory a run already holds.
+the demos and the tests, but for calls only the package and the
+benchmark, with the standard library's ast module alone. One more scan
+keeps the gauge, the choice between a graph's and a parametric curve's
+node motion, inside the curves module, another keeps a function that is
+handed states from taking their manifold a second time, and a last keeps
+every module small enough to compile within the memory a run already
+holds.
 """
 
 import ast
@@ -115,6 +117,29 @@ def test_no_function_takes_a_parameter_it_never_reads():
     assert found == []
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    """Whether cls is decorated @dataclass or @dataclass(...)."""
+    decorators = [d.func if isinstance(d, ast.Call) else d
+                  for d in cls.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               for d in decorators)
+
+
+def defaulted_fields(source: str) -> list:
+    """(line, class, field, position) for each field with a default of a
+    module-level dataclass; position is the field's index among the
+    arguments of the class's generated __init__."""
+    found = []
+    for cls in ast.parse(source).body:
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+            fields = [node for node in cls.body
+                      if isinstance(node, ast.AnnAssign)
+                      and isinstance(node.target, ast.Name)]
+            found += [(f.lineno, cls.name, f.target.id, i)
+                      for i, f in enumerate(fields) if f.value is not None]
+    return found
+
+
 def defaulted_parameters(source: str) -> list:
     """(line, callee, parameter, position) for each parameter with a
     default of a module-level function or method. callee is the name a
@@ -163,19 +188,36 @@ def calls(source: str) -> dict:
     return out
 
 
+def strings(source: str) -> set:
+    """Every string constant of a module."""
+    return {node.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
 def unpassed_defaults(source: str, call_sources) -> list:
-    """(line, "callee(parameter)") for each defaulted parameter in source
-    that no call in call_sources passes, by position or by keyword."""
-    seen = {}
+    """(line, "callee(parameter)") for each defaulted parameter or
+    dataclass field in source that no call in call_sources passes, by
+    position or by keyword. A field also counts as set when a string of
+    call_sources names it, as dataclasses.replace(obj, **{name: value})
+    does."""
+    seen, named = {}, set()
     for text in call_sources:
         for name, found in calls(text).items():
             seen.setdefault(name, []).extend(found)
-    return sorted(
-        (line, f"{name}({param})")
-        for line, name, param, pos in defaulted_parameters(source)
-        if not any(param in keys or "**" in keys
+        named |= strings(text)
+
+    def passed(name, param, pos):
+        return any(param in keys or "**" in keys
                    or (pos is not None and count > pos)
-                   for count, keys in seen.get(name, ())))
+                   for count, keys in seen.get(name, ()))
+
+    return sorted(
+        [(line, f"{name}({param})")
+         for line, name, param, pos in defaulted_parameters(source)
+         if not passed(name, param, pos)]
+        + [(line, f"{name}.{field}")
+           for line, name, field, pos in defaulted_fields(source)
+           if not passed(name, field, pos) and field not in named])
 
 
 def test_the_scan_sees_a_default_no_call_passes():
@@ -189,11 +231,25 @@ def test_the_scan_sees_a_default_no_call_passes():
         "f(1, 2, c=3)\nC(1, 2)\nC(1).m(4)\n"]) == []
     assert unpassed_defaults(source, [
         "f(*args, **kw)\nC(*args)\nobj.m(**kw)\n"]) == []
+    # a dataclass field likewise; Q is no dataclass, so its d is a class
+    # attribute, not a field
+    source = ("@dataclass(frozen=True)\nclass P:\n    a: int\n"
+              "    b: int = 1\n    c: float = 2.0\n"
+              "class Q:\n    d: int = 3\n")
+    assert unpassed_defaults(source, ["P(0)\n"]) == [
+        (4, "P.b"), (5, "P.c")]
+    # by position, by keyword, through a spread, or named in a string
+    assert unpassed_defaults(source, ["P(0, 1)\nP(0, c=1.0)\n"]) == []
+    assert unpassed_defaults(source, ["P(**kw)\n"]) == []
+    assert unpassed_defaults(
+        source, ["P(0)\nreplace(p, **{'b': 2})\nset_('c')\n"]) == []
 
 
 def test_every_default_is_passed_by_some_call():
+    # a default that only tests or demos override is a constant of every
+    # run; tests patch a module constant where they need another value
     call_sources = [path.read_text()
-                    for sub in ("src/wcsf", "demos", "tests", "perfbench")
+                    for sub in ("src/wcsf", "perfbench")
                     for path in sorted((ROOT / sub).glob("*.py"))]
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in sorted((ROOT / "src/wcsf").glob("*.py"))

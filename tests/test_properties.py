@@ -7,6 +7,7 @@ short horizons, so the whole module stays fast and reproducible.
 import io
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -82,7 +83,7 @@ def test_graph_loss_and_blowup_are_stop_reasons(case):
 
 @SETTINGS
 @given(flows())
-def test_scalars_are_a_fresh_float64_table_of_the_states(case):
+def test_scalars_are_a_read_only_float64_table_of_the_states(case):
     manifold, curve = case
     traj, _ = wcsf.run(manifold, curve, short())
     rows = traj.scalars
@@ -96,7 +97,8 @@ def test_scalars_are_a_fresh_float64_table_of_the_states(case):
             (f.curvature_norm ** 2 * f.speed).sum() * (TWO_PI / curve.m)])
         assert row.tobytes() == expected.tobytes(), i
     before = rows.copy()
-    rows[:] = -1.0
+    with pytest.raises(ValueError):
+        rows[:] = -1.0
     assert traj.scalars.tobytes() == before.tobytes()
 
 

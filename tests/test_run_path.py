@@ -33,7 +33,7 @@ output.svg = on
 """
 
 # the studies' path: geometry.frame and the einsum contractions of the
-# commutator, on the default ladder
+# commutator, on the ladder
 CURVED = """\
 manifold.kind = left
 warp.exp_cos = 0.3

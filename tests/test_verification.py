@@ -255,8 +255,9 @@ def test_studies_pass_on_small_grids(left_exp, monkeypatch):
         return real_run(manifold, curve, params, traj)
 
     monkeypatch.setattr(wcsf.verification, "run", counted)
-    ladder = wcsf.RefinementLadder(left_exp, sin_field(0.3), grids=(32, 64),
-                                   t_end=0.04)
+    monkeypatch.setattr(wcsf.verification, "LADDER_GRIDS", (32, 64))
+    monkeypatch.setattr(wcsf.verification, "LADDER_T_END", 0.04)
+    ladder = wcsf.RefinementLadder(left_exp, sin_field(0.3))
     assert wcsf.gradient_identity_study(ladder).passed
     assert calls == []
     rep = wcsf.evolution_residual_study(ladder)
@@ -276,26 +277,44 @@ def test_studies_pass_on_small_grids(left_exp, monkeypatch):
     {"winding": True},
 ])
 def test_refinement_ladder_rejects_a_ladder_without_orders(left_exp, kwargs):
-    # one grid gave a study with orders () that passed vacuously
-    with pytest.raises(ValueError):
+    # one grid gave a study with orders () that passed vacuously; the grids
+    # and the horizon are now fixed, so a ladder refuses them outright
+    error = ValueError if "winding" in kwargs else TypeError
+    with pytest.raises(error):
         wcsf.RefinementLadder(left_exp, sin_field(0.3), **kwargs)
 
 
-@pytest.mark.parametrize("kwargs", [{}, {"grids": (32, 64), "t_end": 0.04}])
-def test_lean_rungs_give_the_full_runs_numbers(left_exp, kwargs):
+def test_the_ladder_constants_give_orders():
+    # what the deleted per-ladder checks enforced, held by the one ladder
+    grids = wcsf.verification.LADDER_GRIDS
+    assert len(grids) >= 2
+    assert all(a < b for a, b in zip(grids, grids[1:]))
+    assert [wcsf.curves._validate_m(m) for m in grids] == list(grids)
+    t_end = wcsf.verification.LADDER_T_END
+    assert 0.0 < t_end < float("inf")
+    assert wcsf.FlowParams(t_max=t_end, tol_geo=0.0).t_max == t_end
+
+
+@pytest.mark.parametrize("kwargs", [
+    {}, {"LADDER_GRIDS": (32, 64), "LADDER_T_END": 0.04}])
+def test_lean_rungs_give_the_full_runs_numbers(left_exp, kwargs,
+                                               monkeypatch):
     # a rung keeps the coordinates of few states; the studies must still
     # read exactly the numbers of a fully kept run at the same state k
-    ladder = wcsf.RefinementLadder(left_exp, sin_field(0.3), **kwargs)
+    for name, value in kwargs.items():
+        monkeypatch.setattr(wcsf.verification, name, value)
+    t_end = wcsf.verification.LADDER_T_END
+    ladder = wcsf.RefinementLadder(left_exp, sin_field(0.3))
     reports = (wcsf.evolution_residual_study(ladder),
                wcsf.commutator_residual_study(ladder),
                wcsf.dissipation_residual_study(ladder))
     expected = ([], [], [])
-    for m in ladder.grids:
+    for m in wcsf.verification.LADDER_GRIDS:
         traj, _ = wcsf.run(left_exp, wcsf.make_graph_curve(sin_field(0.3), m),
-                           wcsf.FlowParams(t_max=ladder.t_end, tol_geo=0.0,
+                           wcsf.FlowParams(t_max=t_end, tol_geo=0.0,
                                            record_stride=1))
         times = traj.scalars[:, wcsf.record.TIME]
-        k = int(np.argmin(np.abs(times - 0.5 * ladder.t_end)))
+        k = int(np.argmin(np.abs(times - 0.5 * t_end)))
         k = min(max(k, 1), len(traj) - 2)
         expected[0].append(
             float(wcsf.evolution_residual(traj, k).max()))
@@ -321,7 +340,7 @@ def test_ladder_memory_is_bounded():
         wcsf.evolution_residual_study(ladder)
         wcsf.commutator_residual_study(ladder)
         wcsf.dissipation_residual_study(ladder)
-        # state 0 of the finest rung is far from t_end / 2 and the end
+        # state 0 of the finest rung is far from LADDER_T_END / 2 and the end
         with pytest.raises(LookupError, match="state 0 .* was dropped"):
             ladder.trajectories[-1][0]
         gc.collect()
@@ -352,12 +371,14 @@ class DeTurckLadder(wcsf.RefinementLadder):
 
     @cached_property
     def trajectories(self) -> tuple:
+        t_end = wcsf.verification.LADDER_T_END
+        params = wcsf.FlowParams(t_max=t_end, tol_geo=0.0, record_stride=1)
         out = []
-        for m in self.grids:
+        for m in wcsf.verification.LADDER_GRIDS:
             g = wcsf.make_graph_curve(self.init_field, m, self.winding)
             twin = wcsf.DiscreteCurve("parametric", g.coords, g.winding)
-            out.append(wcsf.run(self.manifold, twin, self.params,
-                                wcsf.verification._Rung(0.5 * self.t_end))[0])
+            out.append(wcsf.run(self.manifold, twin, params,
+                                wcsf.verification._Rung(0.5 * t_end))[0])
         return tuple(out)
 
 
@@ -392,7 +413,7 @@ def test_deturck_ladder_converges_and_the_graph_rule_fails(kind, winding,
 
 
 def test_gradient_identity_study_floor_escape(left_exp):
-    ladder = wcsf.RefinementLadder(left_exp, sin_field(0.3), grids=(64, 128))
+    ladder = wcsf.RefinementLadder(left_exp, sin_field(0.3))
     rep = wcsf.gradient_identity_study(ladder)
     assert rep.passed
     assert max(rep.max_residuals) < 1e-11
