@@ -10,7 +10,7 @@ shows what the inequality monitors report.
 """
 
 import wcsf
-from wcsf.identities import DriftCheck
+from wcsf.identities import BoundConstants
 
 
 def show(label: str, study: wcsf.ResidualReport) -> None:
@@ -57,7 +57,7 @@ for label in ("left warped", "right warped"):
     manifold, _ = setups[label]
     print(f"  {label:14s} C = {wcsf.exp_constant(manifold):.6f}, "
           f"C_drift(t = 1, min Theta(0) = 1) = "
-          f"{DriftCheck(manifold, 1.0).constant(1.0):.6f}")
+          f"{BoundConstants(manifold, 1.0).constant(1.0):.6f}")
 
 print()
 print("== inequality monitors on a full left-warped run ==")

@@ -23,8 +23,8 @@ from . import verification
 from .artifacts import (_SNAPSHOTS, open_trajectory_csv, write_report,
                         write_svg, write_trajectory_csv)
 from .flow import run
-from .identities import DriftCheck, closed_form_theta
-from .record import MIN_THETA, FlowState, StopReason, Trajectory
+from .identities import closed_form_theta
+from .record import FlowState, StopReason, Trajectory
 from .scenario import ConfigError, Scenario, _run_name, parse_config
 
 __all__ = ["main", "execute_scenario",
@@ -100,23 +100,20 @@ def _section(record) -> dict:
 class _Recorder(Trajectory):
     """The record of a scenario's own run, taken as run appends each state.
 
-    On append the state's rows go to the open trajectory CSV and, when
-    bounds are checked, the state goes to the drift check, so nothing is
-    rebuilt after the run. The recorder keeps every scalar row and the
-    first state, but coordinates only for the chart: state 0, the newest
-    state and the states at multiples of a power-of-two stride, which
-    doubles whenever more than 2 * _SNAPSHOTS older states would be kept.
+    On append the state's rows go to the open trajectory CSV. The
+    recorder keeps every scalar row and the first state, but coordinates
+    only for the chart: state 0, the newest state and the states at
+    multiples of a power-of-two stride, which doubles whenever more than
+    2 * _SNAPSHOTS older states would be kept.
     So it holds at most 2 * _SNAPSHOTS + 1 curves however long the run,
     and every curve of a run of at most that many states.
     """
 
-    def __init__(self, csv, check_drift: bool):
+    def __init__(self, csv):
         super().__init__()
         self._csv = csv
-        self._check_drift = check_drift
         self._stride = 1
         self.first: FlowState | None = None
-        self.drift: DriftCheck | None = None
 
     def append(self, state: FlowState) -> None:
         super().append(state)
@@ -124,11 +121,6 @@ class _Recorder(Trajectory):
         i = len(self) - 1
         if i == 0:
             self.first = state
-            if self._check_drift:
-                self.drift = DriftCheck(
-                    state.fields.manifold, float(self.scalars[0, MIN_THETA]))
-        if self.drift is not None:
-            self.drift.add(state)
         if i and (i - 1) % self._stride:    # the previous newest, off stride
             self._drop((i - 1,))
         # states 0, stride, ... below i: (i - 1) // stride + 1 of them
@@ -148,8 +140,7 @@ def execute_scenario(scn: Scenario, out_dir) -> tuple:
     params = scn.params
     curve0 = scn.initial_curve()
     with open_trajectory_csv(out / "trajectory.csv") as csv:
-        traj, rep = run(scn.manifold, curve0, params,
-                        _Recorder(csv, scn.verify_bounds))
+        traj, rep = run(scn.manifold, curve0, params, _Recorder(csv))
     wall = time.perf_counter() - started
 
     sections = {

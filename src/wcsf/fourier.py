@@ -140,8 +140,5 @@ class FourierField:
         """Values on the uniform _GRID-point sampling grid."""
         return self(_SAMPLES)
 
-    def max_on_grid(self) -> float:
-        return float(self.grid_values().max())
-
     def __repr__(self) -> str:
         return f"FourierField(degree={self._k.size - 1})"

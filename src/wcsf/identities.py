@@ -17,17 +17,16 @@ of their gauge, CurveFields.velocity, and W - H = rho gamma' is
 tangential. So the material point of the normal flow drifts through the
 parametrization at du/dt = -rho (rho = -H^0 in the graph gauge), and the
 material derivative at a node is the centered difference in time minus
-rho d_u(value); omitting that advection leaves an O(1) defect.
+rho d_u(value); omitting that advection leaves an O(1) defect. That
+derivative is wcsf.curves._material_dt, which Trajectory.append reads.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import spectral
-from .curves import arc_derivative, arc_laplacian
+from .curves import _material_dt, _theta_rates, arc_derivative
 from .fourier import _GRID, _SAMPLES
 from .geometry import LEFT, WarpedProduct
 from .record import FlowState, Trajectory
@@ -36,7 +35,7 @@ __all__ = [
     "evolution_residual",
     "gradient_identity_residual",
     "commutator_residual",
-    "DriftCheck",
+    "BoundConstants",
     "exp_constant",
     "closed_form_theta",
 ]
@@ -51,32 +50,6 @@ def _triple(traj: Trajectory, k: int):
     if not 1 <= k <= len(traj) - 2:
         raise ValueError(f"index {k} has no recorded neighbors on both sides")
     return traj[k - 1], traj[k], traj[k + 1]
-
-
-def _material_dt(prev: FlowState, mid: FlowState, nxt: FlowState,
-                 values_prev, values_mid, values_next):
-    """d/dt along the normal flow at matched nodes, in either gauge: the
-    centered difference minus rho d_u(value), with
-    rho = <W - H, gamma'> / <gamma', gamma'> in Euclidean dot products
-    (see the module docstring)."""
-    node_dt = spectral.centered_dt(values_prev, values_mid, values_next,
-                                   mid.t - prev.t, nxt.t - mid.t)
-    f = mid.fields
-    rho = (((f.velocity - f.curvature) * f.deriv).sum(axis=1)
-           / (f.deriv * f.deriv).sum(axis=1))
-    du = spectral.diff(values_mid)
-    if du.ndim > 1:
-        return node_dt - rho[:, None] * du
-    return node_dt - rho * du
-
-
-def _theta_rates(prev: FlowState, mid: FlowState, nxt: FlowState) -> tuple:
-    """(dTheta/dt, Lap Theta) at the nodes of mid: the two terms that the
-    evolution residual and the drift inequality share."""
-    f = mid.fields
-    dth = _material_dt(prev, mid, nxt,
-                       prev.fields.theta, f.theta, nxt.fields.theta)
-    return dth, arc_laplacian(f.theta, f.speed)
 
 
 # -- single-time and evolution identities ------------------------------------
@@ -94,7 +67,7 @@ def evolution_residual(traj: Trajectory, k: int) -> np.ndarray:
     prev, mid, nxt = _triple(traj, k)
     f = mid.fields
     manifold = f.manifold
-    dth, lap = _theta_rates(prev, mid, nxt)
+    dth, lap = _theta_rates(prev.t, prev.fields.theta, mid, nxt)
     grad = arc_derivative(f.theta, f.speed)
     if manifold.kind == LEFT:
         # <V, D log psi>_G = g V^1 (log psi)' / g (no r component)
@@ -140,7 +113,7 @@ def commutator_residual(traj: Trajectory, k: int) -> float:
     prev, mid, nxt = _triple(traj, k)
     f = mid.fields
     metric, gamma = f.manifold.frame(mid.curve.coords)
-    dt_t = _material_dt(prev, mid, nxt,
+    dt_t = _material_dt(prev.t, mid, nxt.t,
                         prev.fields.tangent, f.tangent, nxt.fields.tangent)
     nab_h_t = dt_t + np.einsum("nabc,nb,nc->na", gamma, f.curvature, f.tangent)
     dh_du = spectral.diff(f.curvature)
@@ -154,6 +127,17 @@ def commutator_residual(traj: Trajectory, k: int) -> float:
 
 # -- bound constants ---------------------------------------------------------
 
+# sampling points per block of a constant's maximum: built after a run,
+# the constants keep their temporaries under the run's own peak
+_GRID_BLOCK = 128
+
+
+def _grid_max(values) -> float:
+    """The largest of values(x) over the _GRID-point sampling grid, taken
+    block by block; each block's maximum is exact, and so is theirs."""
+    return max(float(values(_SAMPLES[lo:lo + _GRID_BLOCK]).max())
+               for lo in range(0, _GRID, _GRID_BLOCK))
+
 
 def exp_constant(manifold: WarpedProduct) -> float:
     """The rate C of the exponential angle bound, maximized over a
@@ -163,40 +147,30 @@ def exp_constant(manifold: WarpedProduct) -> float:
         right: max over the circle of |(log phi)''|
     """
     if manifold.kind == LEFT:
-        return float(manifold.dlog_warp(_SAMPLES)[1].max())
-    return float(np.abs(manifold.log_warp_derivs(_SAMPLES)[1]).max())
+        return _grid_max(lambda x: manifold.dlog_warp(x)[1])
+    return _grid_max(lambda r: np.abs(manifold.log_warp_derivs(r)[1]))
 
 
-# -- the drift inequality ----------------------------------------------------
-
-
-class DriftCheck:
-    """The drift inequality of theta_bound_monitor, checked on a run's
-    recorded states as they come.
-
-    add(state) takes the states in recorded order and differences the two
-    before each state with it, so the check holds two states however long
-    the run, in either gauge. worst is the least slack so far (inf before
-    the first window) and checked the number of windows; constant(t) is
-    C_drift up to time t.
-    """
+class BoundConstants:
+    """The constants of theta_bound_monitor's two angle bounds on one
+    manifold, from the run's min Theta(0): c_exp = exp_constant, inputs
+    what they were computed from, and constant(t) C_drift up to time t."""
 
     def __init__(self, manifold: WarpedProduct, min_theta0: float):
         self.c_exp = exp_constant(manifold)
         self.inputs = {"grid": _GRID, "min_theta_0": min_theta0}
         if manifold.kind == LEFT:
-            psi = manifold.warp.max_on_grid()
+            psi = _grid_max(manifold.warp)
             self.inputs["max_warp_sq"] = psi * psi   # not pow: see flow._split
             self._c_right = None
         else:
-            lp1, lp2 = manifold.log_warp_derivs(_SAMPLES)
-            self._c_right = float((4.0 * lp1 ** 2 + np.abs(lp2)).max())
-        self.worst = math.inf
-        self.checked = 0
-        self._prev = self._mid = None
+            def terms(r):
+                lp1, lp2 = manifold.log_warp_derivs(r)
+                return 4.0 * lp1 ** 2 + np.abs(lp2)
+            self._c_right = _grid_max(terms)
 
-    def constant(self, t: float) -> float:
-        """C_drift up to time t:
+    def constant(self, t):
+        """C_drift up to time t, elementwise for an array of times:
 
             left:  4 C (1 + max psi^2 e^{C t} / min Theta(0)),
                    C = exp_constant
@@ -208,18 +182,6 @@ class DriftCheck:
         c = self.c_exp
         return 4.0 * c * (1.0 + self.inputs["max_warp_sq"] * np.exp(c * t)
                           / self.inputs["min_theta_0"])
-
-    def add(self, state: FlowState) -> None:
-        prev, mid = self._prev, self._mid
-        self._prev, self._mid = mid, state
-        if prev is None:
-            return
-        f = mid.fields
-        dth, lap = _theta_rates(prev, mid, state)
-        slack = (dth - lap - 0.5 * f.curvature_norm ** 2 * f.theta
-                 + self.constant(mid.t))
-        self.worst = min(self.worst, float(slack.min()))
-        self.checked += 1
 
 # -- closed-form angle bookkeeping -------------------------------------------
 

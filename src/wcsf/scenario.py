@@ -26,7 +26,9 @@ Keys:
     tol.a_ceiling        blow-up threshold on max curvature (default 1e6)
     record.stride        record at times j k dt0 (default 50), dt0 the
                          parabolic step of the initial curve
-    verify.bounds        on | off (default on)
+    verify.bounds        on | off (default on; off drops the bounds
+                         report section, the drift defects are still
+                         computed as the run records)
     verify.dissipation   on | off (default on)
     verify.evolution     on | off (default off; runs the evolution and
                          dissipation refinement studies)

@@ -20,8 +20,8 @@ from .curves import _integer, compute_fields, make_graph_curve
 from .flow import run
 from .fourier import FourierField
 from .geometry import WarpedProduct
-from .identities import (DriftCheck, commutator_residual, evolution_residual,
-                         gradient_identity_residual)
+from .identities import (BoundConstants, commutator_residual,
+                         evolution_residual, gradient_identity_residual)
 from .record import (BOUND_TOL, DISSIPATION, LENGTH, MIN_THETA, MONOTONE_TOL,
                      TIME, FlowParams, FlowState, Trajectory)
 
@@ -82,11 +82,8 @@ def theta_bound_monitor(traj: Trajectory, eps_tol: float = BOUND_TOL):
              terms as the evolution residual, in either gauge.
     Failures beyond eps_tol are falsification flags, never clamped.
     eps_tol must be finite and nonnegative: a negative one would flag
-    bounds that hold.
-
-    A trajectory whose `drift` attribute is a DriftCheck fed every state
-    as it was recorded (as `wcsf run` records its main run) is not
-    differenced again; any other is, one rebuilt state at a time.
+    bounds that hold. Reads only the trajectory's table, scalars and
+    drift, so it answers on any Trajectory, whatever states it kept.
     """
     if not 0.0 <= eps_tol < math.inf:
         raise ValueError(
@@ -95,32 +92,32 @@ def theta_bound_monitor(traj: Trajectory, eps_tol: float = BOUND_TOL):
     scalars = traj.scalars
     times = scalars[:, TIME]
     theta0 = float(scalars[0, MIN_THETA])
-    drift = getattr(traj, "drift", None)
-    if drift is None:
-        drift = DriftCheck(manifold, theta0)
-        for state in traj:
-            drift.add(state)
+    consts = BoundConstants(manifold, theta0)
 
-    slack_exp = scalars[:, MIN_THETA] - np.exp(-drift.c_exp * times) * theta0
+    slack_exp = scalars[:, MIN_THETA] - np.exp(-consts.c_exp * times) * theta0
     exp_report = BoundReport(
         name="theta_exp_lower_bound",
         constant_name=f"C_{manifold.kind}",
-        constant_value=drift.c_exp,
+        constant_value=consts.c_exp,
         worst_slack=float(slack_exp.min()),
         passed=bool(slack_exp.min() >= -eps_tol),
-        input=dict(drift.inputs),
+        input=dict(consts.inputs),
     )
 
+    # C_drift is one number over each state's nodes, so adding it after
+    # the node minimum rounds to the node-wise slack's minimum
+    worst = float(np.min(traj.drift + consts.constant(times[1:-1]),
+                         initial=math.inf))
     notes = ""
-    if drift.checked == 0:
+    if not len(traj.drift):
         notes = "no interior recorded states to difference; vacuous"
     drift_report = BoundReport(
         name="theta_drift_inequality",
         constant_name=f"C_{manifold.kind}_drift",
-        constant_value=float(drift.constant(float(times[-1]))),
-        worst_slack=drift.worst,
-        passed=bool(drift.worst >= -eps_tol),
-        input=dict(drift.inputs),
+        constant_value=float(consts.constant(float(times[-1]))),
+        worst_slack=worst,
+        passed=bool(worst >= -eps_tol),
+        input=dict(consts.inputs),
         notes=notes,
     )
     return exp_report, drift_report

@@ -8,7 +8,9 @@ per-node CSV loop, the chart's snapshot rule, the chart text joined in
 memory, a per-interval dissipation loop, whole-grid Fourier tables, an
 exact-rational ETDRK4 series table, trigonometric resampling and a
 direct-sum trigonometric interpolant.
-Nothing here shares a code path with the quantities it checks.
+Nothing here shares a code path with the quantities it checks, but for
+the per-state drift check, which shares the rates and the constants it
+sums.
 """
 
 import math
@@ -19,7 +21,8 @@ import numpy as np
 import wcsf
 from wcsf import spectral
 from wcsf.artifacts import _MARG, _PANE_W, _SNAPSHOTS, _SVG_H, _SVG_W
-from wcsf.curves import _validate_m
+from wcsf.curves import _theta_rates, _validate_m
+from wcsf.identities import BoundConstants
 from wcsf.record import MIN_THETA, MIN_THETA_HAT, TIME
 
 TWO_PI = 2.0 * np.pi
@@ -376,6 +379,24 @@ def dissipation_defect_loop(traj):
         defect = max(defect, float(abs(
             rate + 0.5 * (rows[k, 5] + rows[k + 1, 5]))))
     return defect
+
+
+def drift_worst(traj):
+    """The least drift slack over a trajectory's interior states, taken
+    per state: each state rebuilt with its two neighbours and its slack
+    summed node by node with C_drift before the minimum; inf below three
+    states. Every state of traj must be kept."""
+    consts = BoundConstants(traj.final.fields.manifold,
+                            float(traj.scalars[0, MIN_THETA]))
+    states = list(traj)
+    worst = math.inf
+    for prev, mid, nxt in zip(states, states[1:], states[2:]):
+        f = mid.fields
+        dth, lap = _theta_rates(prev.t, prev.fields.theta, mid, nxt)
+        slack = (dth - lap - 0.5 * f.curvature_norm ** 2 * f.theta
+                 + consts.constant(mid.t))
+        worst = min(worst, float(slack.min()))
+    return worst
 
 
 def fourier_full_table(field, x):

@@ -11,7 +11,8 @@ import pytest
 import wcsf
 import wcsf.cli
 from conftest import report_steps
-from oracles import chart_text, svg_snapshot_indices, trajectory_csv_text
+from oracles import (chart_text, drift_worst, svg_snapshot_indices,
+                     trajectory_csv_text)
 from wcsf.artifacts import (_SNAPSHOTS, open_trajectory_csv, write_svg,
                             write_trajectory_csv)
 from wcsf.cli import _Recorder, execute_scenario, main
@@ -492,9 +493,9 @@ def test_a_long_run_keeps_a_bounded_chart_set(tmp_path, monkeypatch):
 
 def test_a_recorder_keeps_under_120_bytes_per_state():
     # the slope of the traced heap a recorder holds after a dense flat run,
-    # between runs of 209 and 832 states: a float64 scalar row (48 B, up
-    # to twice that in a half-full table) and a list slot per state; rows
-    # of Python floats took about 230 B
+    # between runs of 209 and 832 states: a float64 table row (56 B with
+    # its drift cell, up to twice that in a half-full table) and a list
+    # slot per state; rows of Python floats took about 230 B
     def held(t_max):
         scn = wcsf.parse_config(
             FAST.replace("warp.exp_cos = 0.3\n", "")
@@ -505,7 +506,7 @@ def test_a_recorder_keeps_under_120_bytes_per_state():
         before = tracemalloc.get_traced_memory()[0]
         with open_trajectory_csv(os.devnull) as csv:
             traj, _ = wcsf.run(scn.manifold, scn.initial_curve(), scn.params,
-                               _Recorder(csv, scn.verify_bounds))
+                               _Recorder(csv))
         gc.collect()
         return len(traj), tracemalloc.get_traced_memory()[0] - before
 
@@ -530,7 +531,7 @@ def test_a_short_run_charts_the_snapshots_of_a_full_record(tmp_path,
     params = wcsf.FlowParams(t_max=(n - 1) * wcsf.adaptive_dt(state0, 0.25),
                              tol_geo=0.0, record_stride=1)
     traj, _ = wcsf.run(manifold, curve, params,
-                       _Recorder(io.StringIO(), check_drift=False))
+                       _Recorder(io.StringIO()))
     assert len(traj) == n
     drawn = []
     real_curve = wcsf.record.Trajectory.curve
@@ -607,7 +608,7 @@ def test_the_chart_writer_holds_under_60_percent_of_the_joined_chart(
                              / "scenarios/product.cfg").read_text())
     with open_trajectory_csv(os.devnull) as csv:
         traj, _ = wcsf.run(scn.manifold, scn.initial_curve(), scn.params,
-                           _Recorder(csv, check_drift=False))
+                           _Recorder(csv))
     assert len(traj) >= 1000
 
     def joined(path, traj):
@@ -635,14 +636,16 @@ def test_a_chart_of_no_state_raises_and_leaves_no_file(tmp_path):
 
 @pytest.mark.parametrize("kind", [wcsf.LEFT, wcsf.RIGHT])
 def test_streamed_drift_check_matches_the_post_run_monitor(kind):
-    # one drift arithmetic: fed state by state while run records, or over
-    # the rebuilt states of a kept trajectory, the reports are equal
+    # one drift table, filled as run records: the recorder, which drops
+    # curves, gives the reports of a kept trajectory, and their slack is
+    # the per-state check's to the bit
     manifold = wcsf.WarpedProduct(kind, warp=wcsf.FourierField.exp_cos(0.3))
     curve = wcsf.make_graph_curve(wcsf.FourierField([0.0], [0.0, 0.3]), 32)
     params = wcsf.FlowParams(t_max=0.3, record_stride=3)
     kept, _ = wcsf.run(manifold, curve, params)
     streamed, _ = wcsf.run(manifold, curve, params,
-                           _Recorder(io.StringIO(), check_drift=True))
-    assert streamed.drift.checked == len(kept) - 2 > 0
-    assert (wcsf.theta_bound_monitor(streamed)
-            == wcsf.theta_bound_monitor(kept))
+                           _Recorder(io.StringIO()))
+    assert len(streamed.drift) == len(kept.drift) == len(kept) - 2 > 0
+    reports = wcsf.theta_bound_monitor(streamed)
+    assert reports == wcsf.theta_bound_monitor(kept)
+    assert reports[1].worst_slack == drift_worst(kept)

@@ -9,9 +9,10 @@ the demos and the tests, but for calls only the package and the
 benchmark, with the standard library's ast module alone. One more scan
 keeps the gauge, the choice between a graph's and a parametric curve's
 node motion, inside the curves module, another keeps a function that is
-handed states from taking their manifold a second time, and a last keeps
-every module small enough to compile within the memory a run already
-holds.
+handed states from taking their manifold a second time, one keeps the
+package from reading an attribute that an object may or may not have,
+and a last keeps every module small enough to compile within the memory
+a run already holds.
 """
 
 import ast
@@ -338,6 +339,30 @@ def test_checks_read_the_manifold_from_the_states():
              for path in sorted((ROOT / "src/wcsf").glob("*.py"))
              for _, name in manifold_beside_states(path.read_text())}
     assert sorted(found - _MANIFOLD_BESIDE_STATES_ALLOWED) == []
+
+
+def defaulted_getattrs(source: str) -> list:
+    """Lines of each getattr call with a default, a third argument: a side
+    channel that reads an attribute some objects have and others lack."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) == 3)
+
+
+def test_the_scan_sees_a_getattr_with_a_default():
+    assert defaulted_getattrs(
+        "a = getattr(t, 'drift', None)\n"
+        "b = getattr(self, name)\n"
+        "c = obj.getattr(t, 'x', 1)\n"
+        "d = getattr(\n    t, 'y', 0)\n") == [1, 4]
+
+
+def test_the_package_reads_no_attribute_it_may_lack():
+    found = [f"{path.name}:{line}"
+             for path in sorted((ROOT / "src/wcsf").glob("*.py"))
+             for line in defaulted_getattrs(path.read_text())]
+    assert found == []
 
 
 def unnamed_definitions(sources: dict) -> list:

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wcsf
-from oracles import graph_twin_gap, resample
+from oracles import drift_worst, graph_twin_gap, resample
 from wcsf.cli import _Recorder
 from wcsf.spectral import TWO_PI
 
@@ -100,6 +100,8 @@ def test_scalars_are_a_read_only_float64_table_of_the_states(case):
     with pytest.raises(ValueError):
         rows[:] = -1.0
     assert traj.scalars.tobytes() == before.tobytes()
+    with pytest.raises(ValueError):
+        traj.drift[:] = -1.0
 
 
 def parametric_twin(curve):
@@ -140,15 +142,17 @@ def test_parametric_flow_keeps_a_graph(case):
                              g11=wcsf.FourierField([1.0, 0.2])),
           wcsf.make_graph_curve(wcsf.FourierField([0.0], [0.0, 0.3]), 64)))
 def test_streamed_drift_check_matches_the_post_run_monitor(case):
-    # the drift check fed state by state while run records gives the
-    # reports of the monitor over the kept trajectory, on warps with sine
-    # terms in both families, in the graph and the DeTurck gauge
+    # the drift table filled as run records gives the recorder the reports
+    # of the monitor over the kept trajectory and the per-state check's
+    # slack to the bit, on warps with sine terms in both families, in the
+    # graph and the DeTurck gauge
     manifold, graph = case
     for curve in (graph, parametric_twin(graph)):
         kept, _ = wcsf.run(manifold, curve, short())
         streamed, _ = wcsf.run(manifold, curve, short(),
-                               _Recorder(io.StringIO(), check_drift=True))
+                               _Recorder(io.StringIO()))
         # a flat draw converges at once: no window, both reports vacuous
-        assert streamed.drift.checked == max(len(kept) - 2, 0)
-        assert (wcsf.theta_bound_monitor(streamed)
-                == wcsf.theta_bound_monitor(kept))
+        assert len(streamed.drift) == max(len(kept) - 2, 0)
+        reports = wcsf.theta_bound_monitor(streamed)
+        assert reports == wcsf.theta_bound_monitor(kept)
+        assert reports[1].worst_slack == drift_worst(kept)

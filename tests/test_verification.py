@@ -8,7 +8,7 @@ import pytest
 import oracles
 import wcsf
 from conftest import curved_manifold
-from wcsf.identities import DriftCheck
+from wcsf.identities import BoundConstants
 
 
 def sin_field(a):
@@ -68,14 +68,14 @@ def test_left_exp_constant_value(left_exp):
 def test_right_constants_values(right_exp):
     c = wcsf.exp_constant(right_exp)
     assert abs(c - 0.2) < 1e-12
-    d = DriftCheck(right_exp, 1.0).constant(2.0)
+    d = BoundConstants(right_exp, 1.0).constant(2.0)
     # analytic max of 0.16 sin^2 + 0.2 |cos| at cos r = 0.625
     assert abs(d - 0.2225) < 1e-6
-    assert d == DriftCheck(right_exp, 0.5).constant(0.0)
+    assert d == BoundConstants(right_exp, 0.5).constant(0.0)
 
 
 def test_left_drift_constant_formula(left_exp):
-    got = DriftCheck(left_exp, min_theta0=1.2).constant(2.0)
+    got = BoundConstants(left_exp, min_theta0=1.2).constant(2.0)
     c = 0.09
     expect = 4.0 * c * (1.0 + np.exp(0.6) * np.exp(c * 2.0) / 1.2)
     assert abs(got - expect) < 1e-10
@@ -97,7 +97,7 @@ def test_left_constants_on_a_curved_base():
     c = wcsf.exp_constant(curved)
     assert abs(c - dense) < 1e-8
     assert c > 0.0901    # the flat-base value 0.09 is left behind
-    got = DriftCheck(curved, min_theta0=1.2).constant(2.0)
+    got = BoundConstants(curved, min_theta0=1.2).constant(2.0)
     # max psi^2 = e^{0.6}, at x = 0
     expect = 4.0 * c * (1.0 + np.exp(0.6) * np.exp(c * 2.0) / 1.2)
     assert abs(got - expect) < 1e-10
@@ -132,7 +132,7 @@ def test_drift_report_constant_is_left_drift_constant(left_exp):
     traj = short_run(left_exp, sin_field(0.3))
     _, drift_rep = wcsf.theta_bound_monitor(traj)
     t_final, theta0 = traj.scalars[-1, 0], traj.scalars[0, 1]
-    assert drift_rep.constant_value == DriftCheck(
+    assert drift_rep.constant_value == BoundConstants(
         left_exp, theta0).constant(t_final)
 
 
@@ -353,6 +353,17 @@ def test_ladder_memory_is_bounded():
     assert held < 400 * 1024
 
 
+def test_a_rung_gives_the_bound_reports_of_a_kept_run(left_exp):
+    # a rung drops the coordinates of most states; the bound monitor reads
+    # the scalar table alone, so it answers as on the fully kept run
+    curve = wcsf.make_graph_curve(sin_field(0.3), 64)
+    params = wcsf.FlowParams(t_max=0.05, tol_geo=0.0, record_stride=1)
+    rung, _ = wcsf.run(left_exp, curve, params, wcsf.verification._Rung(0.025))
+    kept, _ = wcsf.run(left_exp, curve, params)
+    assert len(rung.kept()) < len(rung) - 2
+    assert wcsf.theta_bound_monitor(rung) == wcsf.theta_bound_monitor(kept)
+
+
 def test_ladder_winds_like_its_scenario(left_exp):
     # every rung and every initial curve of the gradient study winds
     # (1, 1); all four studies pass on the winding flow
@@ -382,11 +393,11 @@ class DeTurckLadder(wcsf.RefinementLadder):
         return tuple(out)
 
 
-def graph_gauge_material_dt(prev, mid, nxt, values_prev, values_mid,
+def graph_gauge_material_dt(t_prev, mid, t_next, values_prev, values_mid,
                             values_next):
     # the graph gauge's rule: centred difference plus H^0 d_u(value)
     node_dt = wcsf.spectral.centered_dt(values_prev, values_mid, values_next,
-                                        mid.t - prev.t, nxt.t - mid.t)
+                                        mid.t - t_prev, t_next - mid.t)
     h0 = mid.fields.curvature[:, 0]
     du = wcsf.spectral.diff(values_mid)
     return node_dt + (h0[:, None] if du.ndim > 1 else h0) * du
@@ -406,7 +417,7 @@ def test_deturck_ladder_converges_and_the_graph_rule_fails(kind, winding,
     assert rep.passed and min(rep.orders) >= 1.8, rep
     rep = wcsf.commutator_residual_study(ladder)
     assert rep.passed and min(rep.orders) >= 1.5, rep
-    monkeypatch.setattr(wcsf.identities, "_material_dt",
+    monkeypatch.setattr(wcsf.curves, "_material_dt",
                         graph_gauge_material_dt)
     rep = wcsf.evolution_residual_study(ladder)
     assert not rep.passed, rep
