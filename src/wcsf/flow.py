@@ -187,6 +187,12 @@ def step_rk4(state: FlowState, manifold: WarpedProduct, dt: float,
     return FlowState(curve, t1, compute_fields(curve, manifold))
 
 
+# a t_max past a record time by less than this share of a record interval
+# ends that interval: a sliver of an interval of its own would be
+# differenced by the drift defect like a full one, amplifying rounding
+_TAIL = 1e-6
+
+
 def _stop_check(state: FlowState, params: FlowParams) -> StopReason | None:
     # priority: blowup, converged, graph loss, max time
     f = state.fields
@@ -209,11 +215,13 @@ def run(manifold: WarpedProduct, curve0: DiscreteCurve,
 
     Returns (Trajectory, FlowReport). States are recorded at t = 0, at the
     record times t_j = j * record_stride * dt0 with dt0 the adaptive_dt of
-    the initial state, and at the end. Each record interval is split into
-    equal steps within the step limit, so every record time is hit
-    exactly. Graph loss and blowup are reported outcomes, not exceptions.
-    The run is deterministic: the same inputs produce bit-identical
-    results. It flows a copy of the caller's coordinate array.
+    the initial state, and at the end; a t_max less than _TAIL of a record
+    interval past a record time ends that interval. Each record interval
+    is split into equal steps within the step limit, so every record time
+    is hit exactly. Graph loss and blowup are reported outcomes, not
+    exceptions. The run is deterministic: the same inputs produce
+    bit-identical results. It flows a copy of the caller's coordinate
+    array.
 
     Every recorded state is appended to traj, an empty Trajectory (or a
     subclass that keeps less of each state); None records into a new one.
@@ -233,7 +241,8 @@ def run(manifold: WarpedProduct, curve0: DiscreteCurve,
         if stop is not None:
             break
         t_record = j * params.record_stride * dt0
-        t_next = min(t_record, params.t_max)
+        t_next = (params.t_max if params.t_max - t_record
+                  < _TAIL * params.record_stride * dt0 else t_record)
         n = math.ceil((t_next - state.t) / _step_limit(state))
         dt = (t_next - state.t) / n if n > 1 else t_next - state.t
         try:

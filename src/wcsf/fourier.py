@@ -14,16 +14,16 @@ import numpy as np
 
 from .spectral import TWO_PI
 
-__all__ = ["FourierField"]
+__all__ = ["FourierField", "grid_max"]
 
 # the one uniform sampling grid: warps and base metrics are checked on it
-# and the bound constants maximized over it (read-only)
+# and the bound constants maximized over it, all through grid_max
 _GRID = 4096
 _SAMPLES = np.linspace(0.0, TWO_PI, _GRID, endpoint=False)
 _SAMPLES.setflags(write=False)
-# most points per trigonometric table: a flow grid of up to 512 nodes is
-# one block, the sampling grid is eight
-_BLOCK = 512
+# sampling points per block of grid_max: a manifold's checks and the
+# constants built after a run keep their temporaries under a run's peak
+_BLOCK = 128
 # exp_cos drops the coefficients after the first one below this
 _EXP_COS_TOL = 1e-16
 
@@ -100,34 +100,24 @@ class FourierField:
         return self._sums(x, derivative=True)
 
     def _sums(self, x, derivative: bool) -> tuple:
-        """(f(x), f'(x) or None) from (points, K) trigonometric tables
-        built over blocks of at most _BLOCK points, so a 4096-point grid
-        never holds a (4096, K) table. Each point keeps its own K-term
-        sum, so the result does not depend on the blocking. A 0-d x gives
-        numpy scalars."""
+        """(f(x), f'(x) or None) from one (points, K) trigonometric table:
+        each point keeps its own K-term sum. A 0-d x gives numpy
+        scalars."""
         x = np.asarray(x, dtype=float)
-        flat = x.reshape(-1)
-        val = np.empty(flat.size)
-        dval = np.empty(flat.size) if derivative else None
+        kx = x[..., None] * self._k
+        c = np.cos(kx)
+        dval = None
         d = self.derivative() if derivative else None
-        for lo in range(0, flat.size, _BLOCK):
-            block = slice(lo, lo + _BLOCK)
-            kx = flat[block, None] * self._k
-            c = np.cos(kx)
-            if not self._has_sin:
-                # pure cosine series: the value needs only the cosine table
-                # and the derivative only the sine table
-                val[block] = (c * self.cos_coef).sum(axis=-1)
-                if derivative:
-                    dval[block] = (np.sin(kx) * d.sin_coef).sum(axis=-1)
-                continue
-            s = np.sin(kx)
-            val[block] = (c * self.cos_coef + s * self.sin_coef).sum(axis=-1)
+        if not self._has_sin:
+            # pure cosine series: the value needs only the cosine table
+            # and the derivative only the sine table
             if derivative:
-                dval[block] = (c * d.cos_coef + s * d.sin_coef).sum(axis=-1)
+                dval = (np.sin(kx) * d.sin_coef).sum(axis=-1)
+            return (c * self.cos_coef).sum(axis=-1), dval
+        s = np.sin(kx)
         if derivative:
-            dval = dval.reshape(x.shape)[()]
-        return val.reshape(x.shape)[()], dval
+            dval = (c * d.cos_coef + s * d.sin_coef).sum(axis=-1)
+        return (c * self.cos_coef + s * self.sin_coef).sum(axis=-1), dval
 
     def derivative(self) -> "FourierField":
         """Exact term-wise derivative, cached."""
@@ -136,9 +126,13 @@ class FourierField:
                                        -self._k * self.cos_coef)
         return self._deriv
 
-    def grid_values(self) -> np.ndarray:
-        """Values on the uniform _GRID-point sampling grid."""
-        return self(_SAMPLES)
-
     def __repr__(self) -> str:
         return f"FourierField(degree={self._k.size - 1})"
+
+
+def grid_max(values) -> float:
+    """The largest of values(x) over the _GRID-point sampling grid, taken
+    block by block; each block's maximum is exact, and so is theirs. A
+    NaN anywhere makes it NaN."""
+    return float(np.max([values(_SAMPLES[lo:lo + _BLOCK]).max()
+                         for lo in range(0, _GRID, _BLOCK)]))

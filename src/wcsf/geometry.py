@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import spectral
-from .fourier import FourierField
+from .fourier import FourierField, grid_max
 
 __all__ = [
     "LEFT",
@@ -36,13 +36,18 @@ RIGHT = "right"
 
 def _positive(obj, floor: float, message: str) -> FourierField:
     # obj as a field, ValueError(message) unless its samples on the grid
-    # are finite and above floor; a NaN sample fails "not (... and ...)"
+    # are finite and above floor
     if isinstance(obj, (int, float)):
         obj = FourierField.constant(obj)
     if not isinstance(obj, FourierField):
         raise ValueError("expected a one dimensional Fourier field or a number")
-    vals = obj.grid_values()
-    if not (np.isfinite(vals).all() and vals.min() > floor):
+
+    def shortfall(x):
+        # floor - f(x), inf where f(x) is not finite
+        vals = obj(x)
+        return np.where(np.isfinite(vals), floor - vals, np.inf)
+
+    if not grid_max(shortfall) < 0.0:
         raise ValueError(message)
     return obj
 

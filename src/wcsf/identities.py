@@ -27,7 +27,7 @@ import numpy as np
 
 from . import spectral
 from .curves import _material_dt, _theta_rates, arc_derivative
-from .fourier import _GRID, _SAMPLES
+from .fourier import _GRID, grid_max
 from .geometry import LEFT, WarpedProduct
 from .record import FlowState, Trajectory
 
@@ -127,17 +127,6 @@ def commutator_residual(traj: Trajectory, k: int) -> float:
 
 # -- bound constants ---------------------------------------------------------
 
-# sampling points per block of a constant's maximum: built after a run,
-# the constants keep their temporaries under the run's own peak
-_GRID_BLOCK = 128
-
-
-def _grid_max(values) -> float:
-    """The largest of values(x) over the _GRID-point sampling grid, taken
-    block by block; each block's maximum is exact, and so is theirs."""
-    return max(float(values(_SAMPLES[lo:lo + _GRID_BLOCK]).max())
-               for lo in range(0, _GRID, _GRID_BLOCK))
-
 
 def exp_constant(manifold: WarpedProduct) -> float:
     """The rate C of the exponential angle bound, maximized over a
@@ -147,8 +136,8 @@ def exp_constant(manifold: WarpedProduct) -> float:
         right: max over the circle of |(log phi)''|
     """
     if manifold.kind == LEFT:
-        return _grid_max(lambda x: manifold.dlog_warp(x)[1])
-    return _grid_max(lambda r: np.abs(manifold.log_warp_derivs(r)[1]))
+        return grid_max(lambda x: manifold.dlog_warp(x)[1])
+    return grid_max(lambda r: np.abs(manifold.log_warp_derivs(r)[1]))
 
 
 class BoundConstants:
@@ -160,14 +149,14 @@ class BoundConstants:
         self.c_exp = exp_constant(manifold)
         self.inputs = {"grid": _GRID, "min_theta_0": min_theta0}
         if manifold.kind == LEFT:
-            psi = _grid_max(manifold.warp)
+            psi = grid_max(manifold.warp)
             self.inputs["max_warp_sq"] = psi * psi   # not pow: see flow._split
             self._c_right = None
         else:
             def terms(r):
                 lp1, lp2 = manifold.log_warp_derivs(r)
                 return 4.0 * lp1 ** 2 + np.abs(lp2)
-            self._c_right = _grid_max(terms)
+            self._c_right = grid_max(terms)
 
     def constant(self, t):
         """C_drift up to time t, elementwise for an array of times:

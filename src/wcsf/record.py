@@ -181,10 +181,6 @@ class Trajectory:
                          curves.compute_fields(curve,
                                                self._last.fields.manifold))
 
-    def __iter__(self):
-        for i in range(len(self._coords)):
-            yield self[i]
-
     @property
     def scalars(self) -> np.ndarray:
         """One row per state, in the columns TIME, MIN_THETA,

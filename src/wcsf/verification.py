@@ -168,7 +168,6 @@ class _Rung(Trajectory):
         self._t_mid = t_mid
         self._gap = math.inf      # |t - t_mid| of the nearest state so far
         self._nearest = 0
-        self._held: set = set()   # indices whose coordinates are kept
         super().__init__()
 
     def append(self, state: FlowState) -> None:
@@ -177,10 +176,11 @@ class _Rung(Trajectory):
         gap = abs(state.t - self._t_mid)
         if gap < self._gap:       # the first of equal gaps, as argmin picks
             self._gap, self._nearest = gap, i
-        c = max(self._nearest, 1)
-        keep = {i - 2, i - 1, i, c - 1, c, c + 1}
-        self._drop(self._held - keep)
-        self._held = (self._held | {i}) & keep
+        # the nearest state only ever moves to the newest, so the one state
+        # to forget is the one that just left the newest three, unless it
+        # is next to the nearest
+        if i >= 3 and abs(i - 3 - max(self._nearest, 1)) > 1:
+            self._drop((i - 3,))
 
     @property
     def mid(self) -> int:

@@ -16,6 +16,8 @@ from wcsf.artifacts import write_trajectory_csv
 from wcsf.cli import execute_scenario
 from wcsf.scenario import parse_config
 
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -347,6 +349,30 @@ def test_recorded_times_on_the_fixed_grid(left_exp):
     assert rep.steps > len(traj) - 1
 
 
+def test_a_t_max_a_sliver_past_a_record_time_ends_that_interval(tmp_path):
+    # a t_max 2e-12 or 4e-12 past the third record time made that sliver
+    # a record interval of its own, and the drift defect's centred
+    # differences across it read worst slack -9.8e-5 or -3.4e-4 (exit 1)
+    # against -2.1e-5 with t_max on the record time
+    text = (SCENARIO_DIR / "product.cfg").read_text()
+    scn = parse_config(text)
+    curve = scn.initial_curve()
+    state = wcsf.FlowState(curve, 0.0,
+                           wcsf.compute_fields(curve, scn.manifold))
+    t3 = 3 * scn.params.record_stride * wcsf.adaptive_dt(state, flow.CFL)
+    slack = []
+    for t_max in (t3, t3 + 2e-12, t3 + 4e-12):
+        out = tmp_path / repr(t_max)
+        scn = parse_config(text + f"time.t_max = {t_max!r}\n")
+        assert execute_scenario(scn, out) == (0, "max_time")
+        report = dict(line.split(" = ", 1) for line
+                      in (out / "report.txt").read_text().splitlines())
+        assert report["flow.t_final"] == repr(t_max)
+        assert report["flow.recorded_states"] == "4"
+        slack.append(float(report["bounds.drift.worst_slack"]))
+    assert max(slack) - min(slack) < 1e-9
+
+
 STOCK = {
     # scenario: (manifold, initial sin(r) amplitude, stock record stride)
     "left_warped": (left_exp_manifold(), 0.3, 100),
@@ -378,8 +404,7 @@ def test_sparse_recording_r_circle_reaches_pi(left_exp):
     assert rep.steps * flow.DT_MAX >= rep.t_final
 
 
-SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios")
-                   .glob("*.cfg"))
+SCENARIOS = sorted(SCENARIO_DIR.glob("*.cfg"))
 
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)

@@ -11,8 +11,9 @@ keeps the gauge, the choice between a graph's and a parametric curve's
 node motion, inside the curves module, another keeps a function that is
 handed states from taking their manifold a second time, one keeps the
 package from reading an attribute that an object may or may not have,
-and a last keeps every module small enough to compile within the memory
-a run already holds.
+one keeps the sampling grid inside the fourier module, and a last keeps
+every module small enough to compile within the memory a run already
+holds.
 """
 
 import ast
@@ -362,6 +363,41 @@ def test_the_package_reads_no_attribute_it_may_lack():
     found = [f"{path.name}:{line}"
              for path in sorted((ROOT / "src/wcsf").glob("*.py"))
              for line in defaulted_getattrs(path.read_text())]
+    assert found == []
+
+
+def sampling_grid_sites(source: str) -> list:
+    """Lines that name _SAMPLES, the sampling grid: as an import, a name
+    or an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if any(alias.name == "_SAMPLES" for alias in node.names):
+                found.add(node.lineno)
+        elif ((isinstance(node, ast.Name) and node.id == "_SAMPLES")
+              or (isinstance(node, ast.Attribute)
+                  and node.attr == "_SAMPLES")):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_the_scan_sees_the_sampling_grid_named():
+    assert sampling_grid_sites(
+        "from .fourier import _GRID, _SAMPLES\n"
+        "a = fourier._SAMPLES[:128]\n"
+        "b = _GRID\n"
+        "c = max(_SAMPLES)\n") == [1, 2, 4]
+    assert sampling_grid_sites("from .fourier import _GRID, grid_max\n"
+                               "d = '_SAMPLES'\n") == []
+
+
+def test_only_the_fourier_module_names_the_sampling_grid():
+    # fourier.grid_max is the one reader of the grid, and it owns the
+    # block size that keeps its tables small
+    found = [f"{path.name}:{line}"
+             for path in sorted((ROOT / "src/wcsf").glob("*.py"))
+             if path.name != "fourier.py"
+             for line in sampling_grid_sites(path.read_text())]
     assert found == []
 
 

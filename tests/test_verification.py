@@ -364,6 +364,24 @@ def test_a_rung_gives_the_bound_reports_of_a_kept_run(left_exp):
     assert wcsf.theta_bound_monitor(rung) == wcsf.theta_bound_monitor(kept)
 
 
+@pytest.mark.parametrize("share", [0.0, 0.5, 2.0])
+def test_a_rung_keeps_the_newest_three_and_the_three_around_mid(left_exp,
+                                                                share):
+    # after every append, with LADDER_T_END / 2 at the first state, inside
+    # the run and past its end, where the nearest state is the newest
+    curve = wcsf.make_graph_curve(sin_field(0.3), 64)
+    params = wcsf.FlowParams(t_max=0.05, tol_geo=0.0, record_stride=1)
+    kept, _ = wcsf.run(left_exp, curve, params)
+    rung = wcsf.verification._Rung(share * 0.05)
+    assert len(kept) > 10
+    for n in range(1, len(kept) + 1):
+        rung.append(kept[n - 1])
+        want = set(range(max(n - 3, 0), n))
+        if n >= 3:
+            want |= {rung.mid - 1, rung.mid, rung.mid + 1}
+        assert rung.kept() == sorted(want)
+
+
 def test_ladder_winds_like_its_scenario(left_exp):
     # every rung and every initial curve of the gradient study winds
     # (1, 1); all four studies pass on the winding flow
