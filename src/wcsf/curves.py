@@ -69,8 +69,8 @@ def _node_bytes(m: int) -> bytes:
 class DiscreteCurve:
     """Closed curve at nodes u_j = 2 pi j / M.
 
-    mode "graph" fixes r_j = u_j bit for bit (winding starts with 1), so
-    the curve is the graph x = f(r) wound once around the circle factor.
+    mode "graph" fixes r_j = u_j bit for bit and winds (1, 0), so the
+    curve is the graph x = f(r) wound once around the circle factor.
     Mode "parametric" leaves every coordinate free; winding entries record
     how many times each lifted coordinate gains 2 pi per loop.
     """
@@ -91,8 +91,8 @@ class DiscreteCurve:
         m = _validate_m(coords.shape[0])
         if len(self.winding) != 2:
             raise ValueError("winding must have one entry per coordinate")
-        if self.mode == GRAPH and self.winding[0] != 1:
-            raise ValueError("graph mode winds exactly once in r")
+        if self.mode == GRAPH and self.winding != (1, 0):
+            raise ValueError("graph mode winds (1, 0): once in r, never in x")
         if self.mode == GRAPH and coords[:, 0].tobytes() != _node_bytes(m):
             raise ValueError("a graph's r column must be the node grid")
 
@@ -115,7 +115,9 @@ def make_graph_curve(field: FourierField, m: int,
     """Sample the graph x = f(r) at m uniform nodes.
 
     x_winding adds an integer multiple of r to x: the graph then winds
-    x_winding times around the base while it winds once around the circle.
+    x_winding times around the base while it winds once around the circle,
+    and comes back as the "parametric" (DeTurck) curve through its nodes,
+    which can follow the varying r-speed of its (1, x_winding) geodesic.
     """
     m = _validate_m(m)
     x_winding = _integer(x_winding, "x_winding")
@@ -123,7 +125,8 @@ def make_graph_curve(field: FourierField, m: int,
     coords = np.empty((m, 2))
     coords[:, 0] = u
     coords[:, 1] = field(u) + x_winding * u
-    return DiscreteCurve(GRAPH, coords, (1, x_winding))
+    return DiscreteCurve(PARAMETRIC if x_winding else GRAPH, coords,
+                         (1, x_winding))
 
 
 @dataclass(eq=False, slots=True)
@@ -185,10 +188,7 @@ def compute_fields(curve: DiscreteCurve, manifold: WarpedProduct) -> CurveFields
     graph = curve.mode == GRAPH
     if graph:
         # r = u at every node, so r' = 1 and r'' = 0 exactly
-        wx = curve.winding[1]
-        xp, xpp = spectral.diff12(x - wx * spectral.nodes(m) if wx else x)
-        if wx:
-            xp = xp + wx
+        xp, xpp = spectral.diff12(x)
         rp, rpp = 1.0, 0.0
     else:
         d1, d2 = spectral.diff12(curve.periodic_part())

@@ -3,11 +3,12 @@
 Deliberately naive second routes to derived quantities: finite differences
 of metric values, the closed-form identities of nabla d_r and of the
 conformal field phi d_r from dense Christoffel tensors, dense quadrature,
-scalar RK4, brute-force polyline distances, dense-tensor curve fields, a
-per-node CSV loop, the chart's snapshot rule, the chart text joined in
-memory, a per-interval dissipation loop, whole-grid Fourier tables, an
-exact-rational ETDRK4 series table, trigonometric resampling and a
-direct-sum trigonometric interpolant.
+a Clairaut geodesic by bisection, scalar RK4, brute-force polyline
+distances, dense-tensor curve fields, a per-node CSV loop, the chart's
+snapshot rule, the chart text joined in memory, a per-interval
+dissipation loop, whole-grid Fourier tables, an exact-rational ETDRK4
+series table, trigonometric resampling and a direct-sum trigonometric
+interpolant.
 Nothing here shares a code path with the quantities it checks, but for
 the per-state drift check, which shares the rates and the constants it
 sums.
@@ -149,6 +150,38 @@ def quadrature_length(kind, warp, f, n=100_000, winding=0):
     else:
         speed = np.sqrt(1.0 + warp(u) ** 2 * fx ** 2)
     return float(np.trapezoid(speed, u))
+
+
+def clairaut_length(kind, warp, w, n=2 ** 16):
+    """(c, L) for the closed geodesic of class (1, w), w != 0, over a flat
+    base: Clairaut's constant c and the length L. warp is a plain callable.
+
+    Left, psi(x)^2 dr^2 + dx^2: psi^2 dr/ds = c along a geodesic, which
+    closes iff int_0^2pi c dx / (psi sqrt(psi^2 - c^2)) = 2 pi / |w|, and
+    L = |w| int_0^2pi psi dx / sqrt(psi^2 - c^2).
+    Right, dr^2 + phi(r)^2 dx^2: phi^2 dx/ds = c, the geodesic closes iff
+    int_0^2pi c dr / (phi sqrt(phi^2 - c^2)) = 2 pi |w|, and
+    L = int_0^2pi phi dr / sqrt(phi^2 - c^2).
+    The closing integral grows from 0 to infinity as c runs over
+    (0, min warp), so bisection finds the one c; every integral is an
+    n-point trapezoid sum over the period.
+    """
+    s = np.asarray(warp(TWO_PI * np.arange(n) / n), dtype=float)
+    target = TWO_PI / abs(w) if kind == wcsf.LEFT else TWO_PI * abs(w)
+
+    def integral(values):
+        return float(values.sum()) * TWO_PI / n
+
+    lo, hi = 0.0, float(s.min())
+    c = 0.5 * (lo + hi)
+    while lo < c < hi:
+        if integral(c / (s * np.sqrt(s * s - c * c))) < target:
+            lo = c
+        else:
+            hi = c
+        c = 0.5 * (lo + hi)
+    length = integral(s / np.sqrt(s * s - c * c))
+    return c, (abs(w) * length if kind == wcsf.LEFT else length)
 
 
 def scalar_rk4(func, y0, dts):
@@ -464,13 +497,13 @@ def resample(curve, m_new):
 def graph_twin_gap(graph_curve, param_curve):
     """Largest |x_p - f_g(r_p)| over the parametric nodes (r_p, x_p), with
     f_g the trigonometric interpolant of the graph curve's x values,
-    summed mode by mode from a direct DFT of its periodic part."""
+    summed mode by mode from a direct DFT of them (a graph never winds
+    in x)."""
     m = graph_curve.m
-    wx = graph_curve.winding[1]
     u = TWO_PI * np.arange(m) / m
     k = np.arange(m // 2 + 1)
-    coef = np.exp(-1j * np.outer(k, u)) @ (graph_curve.coords[:, 1] - wx * u)
+    coef = np.exp(-1j * np.outer(k, u)) @ graph_curve.coords[:, 1]
     coef[1:m // 2] *= 2.0   # each interior mode stands for its +/- pair
     r, x = param_curve.coords[:, 0], param_curve.coords[:, 1]
-    f = (np.exp(1j * np.outer(r, k)) @ coef).real / m + wx * r
+    f = (np.exp(1j * np.outer(r, k)) @ coef).real / m
     return float(np.abs(x - f).max())

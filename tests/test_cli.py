@@ -154,20 +154,21 @@ def test_verify_integrates_each_ladder_grid_once(tmp_path, monkeypatch):
 
 
 def test_verify_checks_the_scenarios_winding(tmp_path, monkeypatch):
-    # the studies' curves wind like the run's: a ladder that dropped
-    # init.winding certified the unwound flow
+    # the studies' curves wind like the run's and take its DeTurck gauge:
+    # a ladder that dropped init.winding certified the unwound flow, and
+    # one in the graph gauge another gauge's orders
     windings = set()
     real_fields = wcsf.verification.compute_fields
 
     def spy(curve, manifold):
-        windings.add(curve.winding)
+        windings.add((curve.mode, curve.winding))
         return real_fields(curve, manifold)
 
     monkeypatch.setattr(wcsf.verification, "compute_fields", spy)
     cfg = write_cfg(tmp_path / "winding.cfg",
                     FAST + "init.winding = 1\nverify.gradient = on\n")
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
-    assert windings == {(1, 1)}
+    assert windings == {("parametric", (1, 1))}
 
 
 def test_verify_reports_a_rung_with_too_few_states(tmp_path):
@@ -442,20 +443,15 @@ def test_a_scenario_run_rebuilds_no_state(tmp_path, monkeypatch):
     assert calls[0] == 4 * steps + 1
 
 
-def test_a_main_run_in_the_deturck_gauge_passes_every_check(tmp_path,
-                                                           monkeypatch):
-    # the checks read the gauge and the manifold from the recorded states
-    graph_curve = wcsf.Scenario.initial_curve
-
-    def twin(scn):
-        c = graph_curve(scn)
-        return wcsf.DiscreteCurve("parametric", c.coords, c.winding)
-
-    monkeypatch.setattr(wcsf.Scenario, "initial_curve", twin)
+def test_a_main_run_in_the_deturck_gauge_passes_every_check(tmp_path):
+    # the checks read the gauge and the manifold from the recorded states;
+    # a winding graph runs in the DeTurck gauge
     cfg = FAST + "base.g11.cos = 1.0, 0.2\ninit.winding = 1\n" + "".join(
         f"verify.{k} = on\n" for k in ("bounds", "dissipation", "evolution",
                                        "commutator", "gradient"))
-    assert execute_scenario(wcsf.parse_config(cfg), tmp_path)[0] == 0
+    scn = wcsf.parse_config(cfg)
+    assert scn.initial_curve().mode == "parametric"
+    assert execute_scenario(scn, tmp_path)[0] == 0
     report = (tmp_path / "report.txt").read_text()
     direct = float(report.split("closed_form_theta.direct = ")[1].split()[0])
     assert direct < 1e-12

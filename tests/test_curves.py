@@ -193,11 +193,24 @@ def test_resample_keeps_a_parametric_curves_gauge():
 
 
 def test_winding_graph_ramp():
+    # a graph winding around the base flows to a geodesic whose speed in r
+    # varies, so it comes back as the parametric curve through its nodes
     f = wcsf.FourierField.constant(0.0)
-    ramp = wcsf.make_graph_curve(f, 64, x_winding=1)
-    assert ramp.winding == (1, 1)
     u = spectral.nodes(64)
-    assert np.abs(ramp.coords[:, 1] - u).max() < 1e-14
+    for w in (1, -1, 2):
+        ramp = wcsf.make_graph_curve(f, 64, x_winding=w)
+        assert (ramp.mode, ramp.winding) == ("parametric", (1, w))
+        assert ramp.coords[:, 0].tobytes() == u.tobytes()
+        assert np.abs(ramp.coords[:, 1] - w * u).max() < 1e-14
+
+
+def test_graph_mode_winds_once_in_r_and_never_in_x():
+    u = spectral.nodes(64)
+    coords = np.column_stack([u, u + 0.3 * np.sin(u)])
+    for winding in ((1, 1), (1, -1), (2, 0), (0, 0)):
+        with pytest.raises(ValueError, match="winds"):
+            wcsf.DiscreteCurve("graph", coords, winding)
+    assert wcsf.DiscreteCurve("parametric", coords, (1, 1)).winding == (1, 1)
 
 
 FIELD_ATTRS = ("deriv", "speed", "tangent", "curvature", "curvature_norm",
@@ -228,14 +241,6 @@ def test_graph_and_parametric_paths_agree(name):
         gaps[m] = _worst_gap(g, twin, manifold)
     assert gaps[64] < 1e-9
     assert gaps[128] < 1e-12
-
-
-def test_graph_and_parametric_paths_agree_with_winding(left_exp):
-    ramp = wcsf.make_graph_curve(wcsf.FourierField([0.0], [0.0, 0.2]), 64,
-                                 x_winding=1)
-    twin = wcsf.DiscreteCurve("parametric", ramp.coords, ramp.winding)
-    gap = _worst_gap(ramp, twin, left_exp)
-    assert gap < 1e-12
 
 
 def moving_r_curve(f, m):

@@ -10,8 +10,8 @@ import pytest
 import wcsf
 from wcsf import flow, record, spectral
 from conftest import left_exp_manifold, product_manifold, right_exp_manifold
-from oracles import (einsum_fields, polyline_hausdorff, scalar_rk4,
-                     tangential_part, taylor_table_fraction)
+from oracles import (clairaut_length, einsum_fields, polyline_hausdorff,
+                     scalar_rk4, tangential_part, taylor_table_fraction)
 from wcsf.artifacts import write_trajectory_csv
 from wcsf.cli import execute_scenario
 from wcsf.scenario import parse_config
@@ -586,6 +586,38 @@ def test_a_winding_graph_has_no_limit_base_point(kind, request):
     # length is far from 1
     x = traj.final.curve.coords[:, 1]
     assert abs(np.exp(1j * x).mean()) < 0.5
+
+
+@pytest.mark.parametrize("kind, a", [("left", 0.3), ("right", 0.2)])
+def test_a_winding_graph_converges_to_its_clairaut_geodesic(kind, a):
+    # in the DeTurck gauge the nodes follow the (1, 1) geodesic's varying
+    # r-speed: m = 32 converges in 222 (left) and 233 (right) steps, where
+    # the graph gauge took 1,167 and 420, and the limit's length meets the
+    # Clairaut oracle's to about 4e-12 (1.4e-8 on the left in the graph
+    # gauge)
+    scn = parse_config(f"manifold.kind = {kind}\nwarp.exp_cos = {a}\n"
+                       "init.sin = 0.0, 0.3\ninit.winding = 1\n"
+                       "grid.m = 32\ntime.t_max = 200\n")
+    _, rep = wcsf.run(scn.manifold, scn.initial_curve(), scn.params)
+    _, length = clairaut_length(kind, scn.manifold.warp, 1)
+    assert rep.stop_reason is wcsf.StopReason.CONVERGED
+    assert rep.steps <= 300, rep.steps
+    assert abs(rep.length_final - length) < 1e-9
+
+
+# (kind, exp_cos amplitude, w, Clairaut constant c, length L): ROADMAP
+# item 12's table; the sign of w does not matter
+CLAIRAUT_TABLE = [("left", 0.3, 1, 0.6228506574, 8.6234897928),
+                  ("left", 0.3, -1, 0.6228506574, 8.6234897928),
+                  ("left", 0.3, 2, 0.4056829260, 13.9184738660),
+                  ("right", 0.2, 1, 0.6655429132, 8.7607332882),
+                  ("right", 0.2, 2, 0.8003389832, 13.4979737663)]
+
+
+def test_clairaut_oracle_reproduces_its_table():
+    for kind, a, w, c, length in CLAIRAUT_TABLE:
+        got = clairaut_length(kind, wcsf.FourierField.exp_cos(a), w)
+        assert abs(got[0] - c) < 1e-10 and abs(got[1] - length) < 1e-10, got
 
 
 def test_a_run_does_not_depend_on_the_lift_of_its_graph(left_exp):

@@ -111,7 +111,9 @@ def same_array(got, want):
 @pytest.mark.parametrize("shape", [(), (1,), (127,), (128,), (511,), (512,),
                                    (513,), (4096,), (2, 600)])
 def test_blocked_tables_match_full_tables_bitwise(kind, shape):
-    # sizes straddle the 512-point block; a 0-d input gives numpy scalars
+    # each point keeps its own K-term sum in one table for the whole call,
+    # so every size, around grid_max's 128-point block and well past it,
+    # matches the whole-table oracle; a 0-d input gives numpy scalars
     f = BLOCK_FIELDS[kind]
     rng = np.random.default_rng(sum(shape))
     x = rng.uniform(-2.0 * np.pi, 4.0 * np.pi, shape)
@@ -122,8 +124,9 @@ def test_blocked_tables_match_full_tables_bitwise(kind, shape):
 
 
 def test_manifold_construction_builds_no_whole_grid_table():
-    # the 4096-point positivity checks of warp and base metric work in
-    # 512-point blocks: about 290 KB traced, 1,160 KB with whole tables
+    # the 4096-point positivity checks of warp and base metric go through
+    # grid_max's 128-point blocks: about 47 KB traced, 179 KB with
+    # 512-point blocks and 1,122 KB with whole-grid tables
     warp = FourierField.exp_cos(0.3)
     g11 = FourierField([1.0, 0.2])
     tracemalloc.start()
@@ -132,4 +135,4 @@ def test_manifold_construction_builds_no_whole_grid_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 512 * 1024
+    assert peak <= 128 * 1024

@@ -3,27 +3,11 @@ name (perfbench/layers.py). A rename in the program would leave a layer
 unwrapped, so it would read zero calls and the traced benchmark run would
 fail; these tests catch that at tier-1 instead."""
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
 import wcsf
 import wcsf.flow
-from conftest import report_steps
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def load_perfbench(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
-                                                  PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up by name
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_perfbench, report_steps
 
 
 def test_every_traced_site_resolves():

@@ -77,7 +77,8 @@ def test_boolean_spellings():
 def test_nonzero_winding_builds_a_winding_graph():
     scn = parse_config(BASE + "init.winding = 1\n")
     curve = scn.initial_curve()
-    assert curve.winding == (1, 1)
+    # in the DeTurck gauge, like every winding graph
+    assert (curve.mode, curve.winding) == ("parametric", (1, 1))
     # a nonzero winding states the intent; no second key opts in
     with pytest.raises(ConfigError, match="unknown key 'init.allow_winding'"):
         parse_config(BASE + "init.winding = 1\ninit.allow_winding = on\n")

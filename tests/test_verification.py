@@ -231,7 +231,7 @@ def test_closed_form_theta_takes_either_gauge():
     # a DeTurck curve measures r' where a graph takes r' = 1: at t = 0
     # the two twins agree, and the parametric run keeps its closed form
     manifold = curved_manifold(wcsf.LEFT)
-    graph = wcsf.make_graph_curve(sin_field(0.3), 64, 1)
+    graph = wcsf.make_graph_curve(sin_field(0.3), 64)
     twin = wcsf.DiscreteCurve("parametric", graph.coords, graph.winding)
     direct = [wcsf.closed_form_theta(
         wcsf.FlowState(c, 0.0, wcsf.compute_fields(c, manifold)))
@@ -384,9 +384,11 @@ def test_a_rung_keeps_the_newest_three_and_the_three_around_mid(left_exp,
 
 def test_ladder_winds_like_its_scenario(left_exp):
     # every rung and every initial curve of the gradient study winds
-    # (1, 1); all four studies pass on the winding flow
+    # (1, 1), in the DeTurck gauge of a winding run; all four studies pass
+    # on the winding flow
     ladder = wcsf.RefinementLadder(left_exp, sin_field(0.3), winding=1)
-    assert [t.final.curve.winding for t in ladder.trajectories] == [(1, 1)] * 3
+    assert ([(t.final.curve.mode, t.final.curve.winding)
+             for t in ladder.trajectories] == [("parametric", (1, 1))] * 3)
     for study in (wcsf.evolution_residual_study,
                   wcsf.commutator_residual_study,
                   wcsf.dissipation_residual_study,
