@@ -3,8 +3,9 @@
 Curves are sampled at uniform parameter nodes u_j = 2 pi j / M and stored
 through lifted (unreduced) coordinates, so spectral differentiation always
 sees smooth periodic data: coords[:, c] = winding[c] * u + periodic part.
-This module alone decides the gauge: DiscreteCurve.moving names the
-columns a flow moves, CurveFields.velocity the node velocity moving them.
+This module alone decides the gauge: flow_curve picks the one a run's
+initial graph flows in, DiscreteCurve.moving names the columns a flow
+moves, CurveFields.velocity the node velocity moving them.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "DiscreteCurve",
     "CurveFields",
     "make_graph_curve",
+    "flow_curve",
     "compute_fields",
     "arc_derivative",
     "arc_laplacian",
@@ -127,6 +129,28 @@ def make_graph_curve(field: FourierField, m: int,
     coords[:, 1] = field(u) + x_winding * u
     return DiscreteCurve(PARAMETRIC if x_winding else GRAPH, coords,
                          (1, x_winding))
+
+
+def flow_curve(manifold: WarpedProduct, field: FourierField, m: int,
+               winding: int) -> DiscreteCurve:
+    """The graph x = f(r) + winding r at m nodes, in the gauge a run
+    flows it in.
+
+    In a left product with a warp that varies, a graph's node speed
+    psi(f)^2 + g f'^2 stays uneven until the curve is flat, and so does
+    the stiffness left to the split; the DeTurck velocity slides the
+    nodes toward constant speed, so the curve flows as the "parametric"
+    curve through the same nodes. Right products keep the graph, whose
+    r nodes stay on the grid of the cached circle_tables, and so does a
+    constant left warp, where the DeTurck r velocity vanishes. A winding
+    graph is the DeTurck curve in either family (make_graph_curve).
+    """
+    curve = make_graph_curve(field, m, winding)
+    warp = manifold.warp
+    if manifold.kind == LEFT and (np.any(warp.cos_coef[1:])
+                                  or np.any(warp.sin_coef)):
+        return DiscreteCurve(PARAMETRIC, curve.coords, curve.winding)
+    return curve
 
 
 @dataclass(eq=False, slots=True)

@@ -8,6 +8,10 @@ grid; other curves with the harmonic-map (DeTurck) velocity
 q/v^2 = H + (v'/v^2) T, q = gamma'' + Gamma(gamma', gamma') (Deckelnick,
 Dziuk & Elliott, Acta Numerica 14, 2005; Elliott & Fritz, IMA J. Numer.
 Anal. 37, 2017), a strictly parabolic system that spreads the nodes.
+wcsf.curves.flow_curve gives a scenario's initial graph its gauge: the
+DeTurck curve through its nodes when it winds or lies in a left product
+with a varying warp, where the even node speed lets the stiffness limit
+go sooner; the graph in a right product or under a constant left warp.
 
 Steps are exponential time differencing RK4 (ETDRK4: Cox & Matthews,
 J. Comput. Phys. 176, 2002; Kassam & Trefethen, SIAM J. Sci. Comput. 26,
@@ -42,9 +46,9 @@ __all__ = [
 ]
 
 
-# every run's step factor: a 2x looser stiffness limit saves 3-37% of the
-# stock scenarios' steps and costs up to 11x the time error on a steep
-# graph (ROADMAP's step floor table)
+# every run's step factor: a 2x looser stiffness limit saves 2-17% of the
+# workloads' steps and costs 9-11x the time error on a steep left graph
+# in either gauge (ROADMAP's step floor table)
 CFL = 0.25
 
 

@@ -51,7 +51,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curves import DiscreteCurve, _validate_m, make_graph_curve
+from .curves import DiscreteCurve, _validate_m, flow_curve
 from .record import FlowParams
 from .fourier import FourierField
 from .geometry import LEFT, RIGHT, WarpedProduct, checked_g11
@@ -185,8 +185,8 @@ class Scenario:
     svg: bool
 
     def initial_curve(self) -> DiscreteCurve:
-        return make_graph_curve(self.init_field, self.m,
-                                x_winding=self.winding)
+        return flow_curve(self.manifold, self.init_field, self.m,
+                          self.winding)
 
 
 def parse_config(text: str, name: str = "scenario") -> Scenario:

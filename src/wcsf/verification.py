@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import _integer, compute_fields, make_graph_curve
+from .curves import _integer, compute_fields, flow_curve
 from .flow import run
 from .fourier import FourierField
 from .geometry import WarpedProduct
@@ -199,8 +199,9 @@ class RefinementLadder:
     """One scenario integrated on a ladder of grids, for the studies.
 
     Each grid M of LADDER_GRIDS runs to LADDER_T_END from the same
-    initial graph, init_field plus `winding` turns around the base, with
-    every step recorded, so dt shrinks like M^-2 as M grows. The runs
+    initial graph, init_field plus `winding` turns around the base, in
+    the gauge curves.flow_curve gives a scenario's run, with every step
+    recorded, so dt shrinks like M^-2 as M grows. The runs
     happen on the first read of `trajectories` and are kept on this
     ladder, so every study handed the same ladder reads the same runs. A
     rung keeps the scalar row of every state but the coordinates of only
@@ -219,7 +220,8 @@ class RefinementLadder:
     def trajectories(self) -> tuple:
         params = FlowParams(t_max=LADDER_T_END, tol_geo=0.0, record_stride=1)
         return tuple(run(self.manifold,
-                         make_graph_curve(self.init_field, m, self.winding),
+                         flow_curve(self.manifold, self.init_field, m,
+                                    self.winding),
                          params, _Rung(0.5 * LADDER_T_END))[0]
                      for m in LADDER_GRIDS)
 
@@ -293,7 +295,7 @@ def gradient_identity_study(ladder: RefinementLadder) -> ResidualReport:
     manifold = ladder.manifold
     res = []
     for m in LADDER_GRIDS:
-        curve = make_graph_curve(ladder.init_field, m, ladder.winding)
+        curve = flow_curve(manifold, ladder.init_field, m, ladder.winding)
         state = FlowState(curve, 0.0, compute_fields(curve, manifold))
         res.append(gradient_identity_residual(state))
     return _study_report("gradient_identity", ladder, res,

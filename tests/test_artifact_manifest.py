@@ -9,6 +9,9 @@ another fingerprint the check skips. A change that alters the bytes on
 purpose writes the manifest again, and states its largest value change:
 
     PYTHONPATH=src python tests/test_artifact_manifest.py
+
+The script prints each entry whose hash differs from the manifest it
+replaces, and each entry added or removed.
 """
 
 import hashlib
@@ -80,11 +83,37 @@ def test_artifacts_match_the_manifest(tmp_path):
     assert changed == [], f"files whose bytes changed: {changed}"
 
 
+def manifest_changes(old: dict, new: dict) -> list:
+    """One line per entry that differs between two {path: sha256} maps:
+    "added" (in new only), "removed" (in old only) or "changed"."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        if name not in old:
+            lines.append(f"added: {name}")
+        elif name not in new:
+            lines.append(f"removed: {name}")
+        elif old[name] != new[name]:
+            lines.append(f"changed: {name}")
+    return lines
+
+
+def test_the_manifest_script_names_each_change():
+    assert manifest_changes({"a": "1", "b": "2", "c": "3"},
+                            {"b": "2", "c": "4", "d": "5"}) == [
+        "removed: a", "changed: c", "added: d"]
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         files = make_artifacts(Path(tmp))
+    old = (json.loads(MANIFEST.read_text()) if MANIFEST.exists()
+           else {"fingerprint": None, "files": {}})
+    if old["fingerprint"] != fingerprint():
+        print("the manifest replaced was made under another fingerprint")
+    for line in manifest_changes(old["files"], files):
+        print(line)
     MANIFEST.write_text(json.dumps({"fingerprint": fingerprint(),
                                     "files": files}, indent=1) + "\n")
     print(f"wrote {len(files)} hashes to {MANIFEST}")

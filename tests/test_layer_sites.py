@@ -113,10 +113,10 @@ def test_traced_verify_counts_ladder_runs_as_study_work(tmp_path,
 
 # (steps, kernel calls) of each smoke workload at seed 0; the benchmark
 # gates steps and rhs_evals, so a change that moves them shows here first
-SMOKE_COUNTS = {"left_warped.smoke": (19, 77),
+SMOKE_COUNTS = {"left_warped.smoke": (14, 57),
                 "right_warped.smoke": (36, 145),
                 "product_record.smoke": (80, 321),
-                "curved_verify.smoke": (20, 81)}
+                "curved_verify.smoke": (19, 77)}
 
 
 def test_smoke_workloads_keep_their_step_and_kernel_counts(monkeypatch):

@@ -7,6 +7,8 @@ import pytest
 import wcsf
 from wcsf.scenario import ConfigError, Scenario, parse_config
 
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+
 BASE = """\
 manifold.kind = left
 warp.exp_cos = 0.3
@@ -82,6 +84,20 @@ def test_nonzero_winding_builds_a_winding_graph():
     # a nonzero winding states the intent; no second key opts in
     with pytest.raises(ConfigError, match="unknown key 'init.allow_winding'"):
         parse_config(BASE + "init.winding = 1\ninit.allow_winding = on\n")
+
+
+@pytest.mark.parametrize("stem,mode", [("left_warped", "parametric"),
+                                       ("right_warped", "graph"),
+                                       ("product", "graph")])
+def test_a_varying_left_warp_flows_its_graph_in_the_deturck_gauge(stem,
+                                                                  mode):
+    # right products and the constant warp keep the graph gauge; the
+    # initial curve has the graph's nodes in either gauge
+    scn = parse_config((SCENARIO_DIR / f"{stem}.cfg").read_text())
+    curve = scn.initial_curve()
+    assert (curve.mode, curve.winding) == (mode, (1, 0))
+    graph = wcsf.make_graph_curve(scn.init_field, scn.m)
+    assert curve.coords.tobytes() == graph.coords.tobytes()
 
 
 def test_perturbed_base_metric():

@@ -310,7 +310,8 @@ def test_lean_rungs_give_the_full_runs_numbers(left_exp, kwargs,
                wcsf.dissipation_residual_study(ladder))
     expected = ([], [], [])
     for m in wcsf.verification.LADDER_GRIDS:
-        traj, _ = wcsf.run(left_exp, wcsf.make_graph_curve(sin_field(0.3), m),
+        curve = wcsf.curves.flow_curve(left_exp, sin_field(0.3), m, 0)
+        traj, _ = wcsf.run(left_exp, curve,
                            wcsf.FlowParams(t_max=t_end, tol_geo=0.0,
                                            record_stride=1))
         times = traj.scalars[:, wcsf.record.TIME]
@@ -382,13 +383,19 @@ def test_a_rung_keeps_the_newest_three_and_the_three_around_mid(left_exp,
         assert rung.kept() == sorted(want)
 
 
-def test_ladder_winds_like_its_scenario(left_exp):
-    # every rung and every initial curve of the gradient study winds
-    # (1, 1), in the DeTurck gauge of a winding run; all four studies pass
-    # on the winding flow
-    ladder = wcsf.RefinementLadder(left_exp, sin_field(0.3), winding=1)
+@pytest.mark.parametrize("winding", [0, 1])
+def test_ladder_winds_like_its_scenario(left_exp, winding):
+    # every rung and every initial curve of the gradient study has the
+    # mode and winding of the scenario's own initial curve: the DeTurck
+    # gauge of a left warped run; all four studies pass on that flow
+    text = ("manifold.kind = left\nwarp.exp_cos = 0.3\n"
+            f"init.sin = 0.0, 0.3\ninit.winding = {winding}\n")
+    scn = wcsf.parse_config(text)
+    want = (scn.initial_curve().mode, scn.initial_curve().winding)
+    assert want == ("parametric", (1, winding))
+    ladder = wcsf.RefinementLadder(left_exp, sin_field(0.3), winding=winding)
     assert ([(t.final.curve.mode, t.final.curve.winding)
-             for t in ladder.trajectories] == [("parametric", (1, 1))] * 3)
+             for t in ladder.trajectories] == [want] * 3)
     for study in (wcsf.evolution_residual_study,
                   wcsf.commutator_residual_study,
                   wcsf.dissipation_residual_study,
@@ -398,7 +405,8 @@ def test_ladder_winds_like_its_scenario(left_exp):
 
 class DeTurckLadder(wcsf.RefinementLadder):
     """A ladder whose grids run from the parametric twin of the initial
-    graph, so that the nodes move in the DeTurck gauge."""
+    graph, so that the nodes move in the DeTurck gauge where a plain
+    ladder keeps the graph: in a right product with winding 0."""
 
     @cached_property
     def trajectories(self) -> tuple:
@@ -432,7 +440,11 @@ def test_deturck_ladder_converges_and_the_graph_rule_fails(kind, winding,
     a = 0.3 if kind == wcsf.LEFT else 0.2
     manifold = wcsf.WarpedProduct(kind, warp=wcsf.FourierField.exp_cos(a),
                                   g11=wcsf.FourierField([1.0, 0.2]))
-    ladder = DeTurckLadder(manifold, sin_field(0.3), winding=winding)
+    # a left ladder and a winding one flow in the DeTurck gauge already
+    ladder = (DeTurckLadder if (kind, winding) == (wcsf.RIGHT, 0)
+              else wcsf.RefinementLadder)(manifold, sin_field(0.3),
+                                          winding=winding)
+    assert {t.final.curve.mode for t in ladder.trajectories} == {"parametric"}
     rep = wcsf.evolution_residual_study(ladder)
     assert rep.passed and min(rep.orders) >= 1.8, rep
     rep = wcsf.commutator_residual_study(ladder)
