@@ -279,29 +279,20 @@ def arc_laplacian(values, speed: np.ndarray) -> np.ndarray:
     return spectral.diff(arc_derivative(values, speed)) / speed
 
 
+def _slide(f: CurveFields) -> np.ndarray:
+    """rho = <W - H, gamma'> / <gamma', gamma'> in Euclidean dot products:
+    material points slide at du/dt = -rho (wcsf.identities says why)."""
+    return (((f.velocity - f.curvature) * f.deriv).sum(axis=1)
+            / (f.deriv * f.deriv).sum(axis=1))
+
+
 def _material_dt(t_prev: float, mid, t_next: float,
                  values_prev, values_mid, values_next):
     """d/dt along the normal flow at the nodes of the state mid, from node
     values at t_prev, mid.t and t_next, in either gauge: the centered
-    difference minus rho d_u(value), with
-    rho = <W - H, gamma'> / <gamma', gamma'> in Euclidean dot products
-    (the wcsf.identities docstring says why)."""
+    difference minus rho d_u(value), rho the _slide of mid's fields."""
     node_dt = spectral.centered_dt(values_prev, values_mid, values_next,
                                    mid.t - t_prev, t_next - mid.t)
-    f = mid.fields
-    rho = (((f.velocity - f.curvature) * f.deriv).sum(axis=1)
-           / (f.deriv * f.deriv).sum(axis=1))
     du = spectral.diff(values_mid)
-    if du.ndim > 1:
-        return node_dt - rho[:, None] * du
+    rho = _slide(mid.fields).reshape((-1,) + (1,) * (du.ndim - 1))
     return node_dt - rho * du
-
-
-def _theta_rates(t_prev: float, theta_prev, mid, nxt) -> tuple:
-    """(dTheta/dt, Lap Theta) at the nodes of the state mid, from the angle
-    theta_prev at t_prev and the state nxt after it: the two terms that
-    the evolution residual and the drift inequality share."""
-    f = mid.fields
-    dth = _material_dt(t_prev, mid, nxt.t,
-                       theta_prev, f.theta, nxt.fields.theta)
-    return dth, arc_laplacian(f.theta, f.speed)

@@ -192,8 +192,8 @@ def step_rk4(state: FlowState, manifold: WarpedProduct, dt: float,
 
 
 # a t_max past a record time by less than this share of a record interval
-# ends that interval: a sliver of an interval of its own would be
-# differenced by the drift defect like a full one, amplifying rounding
+# ends that interval: across a sliver of an interval of its own the
+# dissipation monitor's Delta L / Delta t would amplify rounding
 _TAIL = 1e-6
 
 
@@ -220,12 +220,12 @@ def run(manifold: WarpedProduct, curve0: DiscreteCurve,
     Returns (Trajectory, FlowReport). States are recorded at t = 0, at the
     record times t_j = j * record_stride * dt0 with dt0 the adaptive_dt of
     the initial state, and at the end; a t_max less than _TAIL of a record
-    interval past a record time ends that interval. Each record interval
-    is split into equal steps within the step limit, so every record time
-    is hit exactly. Graph loss and blowup are reported outcomes, not
-    exceptions. The run is deterministic: the same inputs produce
-    bit-identical results. It flows a copy of the caller's coordinate
-    array.
+    interval past a record time ends that interval, sparing the
+    dissipation defect a sliver. Each record interval is split into equal
+    steps within the step limit, so every record time is hit exactly.
+    Graph loss and blowup are reported outcomes, not exceptions. The run
+    is deterministic: the same inputs produce bit-identical results. It
+    flows a copy of the caller's coordinate array.
 
     Every recorded state is appended to traj, an empty Trajectory (or a
     subclass that keeps less of each state); None records into a new one.

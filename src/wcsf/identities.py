@@ -7,8 +7,8 @@ commutator, the rate of the exponential lower bound on the angle, the
 drift inequality behind it, and the closed form of the angle. Each
 identity and each constant is one function that picks its formula by
 manifold.kind; a check of recorded states reads the manifold from their
-fields, in either gauge. Only the commutator, which contracts the
-Christoffel symbols, asks manifold.frame at the curve's nodes. The
+fields, in either gauge. Only the commutator and theta_dt contract the
+Christoffel symbols, from manifold.frame at the curve's nodes. The
 monitors and refinement studies that apply these over a run are
 wcsf.verification.
 
@@ -18,23 +18,28 @@ tangential. So the material point of the normal flow drifts through the
 parametrization at du/dt = -rho (rho = -H^0 in the graph gauge), and the
 material derivative at a node is the centered difference in time minus
 rho d_u(value); omitting that advection leaves an O(1) defect. That
-derivative is wcsf.curves._material_dt, which Trajectory.append reads.
+derivative is wcsf.curves._material_dt; theta_dt takes it exactly from W.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from . import spectral
-from .curves import _material_dt, _theta_rates, arc_derivative
+from . import curves, spectral
+from .curves import _slide, arc_derivative, arc_laplacian
 from .fourier import _GRID, grid_max
 from .geometry import LEFT, WarpedProduct
-from .record import FlowState, Trajectory
+
+if TYPE_CHECKING:   # wcsf.record imports this module
+    from .record import FlowState, Trajectory
 
 __all__ = [
     "evolution_residual",
     "gradient_identity_residual",
     "commutator_residual",
+    "theta_dt",
     "BoundConstants",
     "exp_constant",
     "closed_form_theta",
@@ -67,7 +72,9 @@ def evolution_residual(traj: Trajectory, k: int) -> np.ndarray:
     prev, mid, nxt = _triple(traj, k)
     f = mid.fields
     manifold = f.manifold
-    dth, lap = _theta_rates(prev.t, prev.fields.theta, mid, nxt)
+    dth = curves._material_dt(prev.t, mid, nxt.t, prev.fields.theta,
+                              f.theta, nxt.fields.theta)
+    rhs = arc_laplacian(f.theta, f.speed) + f.curvature_norm ** 2 * f.theta
     grad = arc_derivative(f.theta, f.speed)
     if manifold.kind == LEFT:
         # <V, D log psi>_G = g V^1 (log psi)' / g (no r component)
@@ -75,12 +82,10 @@ def evolution_residual(traj: Trajectory, k: int) -> np.ndarray:
         g11, _ = manifold.base_terms(mid.curve.coords[:, 1])
         h_dot = g11 * f.curvature[:, 1] * raised
         t_dot = g11 * f.tangent[:, 1] * raised
-        rhs = (lap + f.curvature_norm ** 2 * f.theta
-               + 2.0 * h_dot * f.theta - 2.0 * grad * t_dot)
+        rhs = rhs + 2.0 * h_dot * f.theta - 2.0 * grad * t_dot
     else:
         lp1, lp2 = manifold.log_warp_derivs(mid.curve.coords[:, 0])
-        rhs = (lap + f.curvature_norm ** 2 * f.theta
-               + 2.0 * lp1 * f.theta * grad
+        rhs = (rhs + 2.0 * lp1 * f.theta * grad
                - lp2 * f.theta * (1.0 - f.theta ** 2))
     return np.abs(dth - rhs)
 
@@ -113,8 +118,8 @@ def commutator_residual(traj: Trajectory, k: int) -> float:
     prev, mid, nxt = _triple(traj, k)
     f = mid.fields
     metric, gamma = f.manifold.frame(mid.curve.coords)
-    dt_t = _material_dt(prev.t, mid, nxt.t,
-                        prev.fields.tangent, f.tangent, nxt.fields.tangent)
+    dt_t = curves._material_dt(prev.t, mid, nxt.t, prev.fields.tangent,
+                               f.tangent, nxt.fields.tangent)
     nab_h_t = dt_t + np.einsum("nabc,nb,nc->na", gamma, f.curvature, f.tangent)
     dh_du = spectral.diff(f.curvature)
     nab_t_h = dh_du / f.speed[:, None] + np.einsum(
@@ -123,6 +128,23 @@ def commutator_residual(traj: Trajectory, k: int) -> float:
     norms = np.sqrt(np.maximum(
         np.einsum("nab,na,nb->n", metric, resid, resid), 0.0))
     return float(norms.max())
+
+
+def theta_dt(state: FlowState) -> np.ndarray:
+    """dTheta/dt at the nodes of state, exact for the semi-discrete flow:
+    nodes moving with W change Theta = <T, d_r> at <P, d_r - Theta T> / v
+    + <T, Gamma(W, d_r)>, P = W' + Gamma(gamma', W) the covariant rate of
+    gamma', less the slide rho d_u Theta of curves._material_dt."""
+    f = state.fields
+    metric, gamma = f.manifold.frame(state.curve.coords)
+    # k = Gamma^a_bc W^c by broadcast sums; np.einsum adds 0.15 MB peak RSS
+    k = (gamma * f.velocity[:, None, None, :]).sum(axis=3)
+    p = spectral.diff(f.velocity) + (k * f.deriv[:, None, :]).sum(axis=2)
+    t_low = (metric * f.tangent[:, None, :]).sum(axis=2)
+    normal = metric[:, 0] - f.theta[:, None] * t_low   # d_r - Theta T, lowered
+    node_dt = ((normal * p).sum(axis=1) / f.speed
+               + (t_low * k[:, :, 0]).sum(axis=1))
+    return node_dt - _slide(f) * spectral.diff(f.theta)
 
 
 # -- bound constants ---------------------------------------------------------

@@ -4,7 +4,7 @@ FlowParams holds a run's controls, FlowState one curve at a time with its
 fields, Trajectory the recorded states of a run with one row of scalars
 each, and FlowReport the run's summary, built by _build_report from the
 trajectory once the run stops. A hidden seventh column of the scalar
-table holds each interior state's drift defect. The integrator is wcsf.flow.
+table holds each state's drift defect. The integrator is wcsf.flow.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curves
-from .curves import CurveFields, DiscreteCurve, _integer, _theta_rates
+from .curves import CurveFields, DiscreteCurve, _integer, arc_laplacian
 from .geometry import LEFT
+from .identities import theta_dt
 from .spectral import TWO_PI, mod_two_pi
 
 __all__ = [
@@ -77,23 +78,20 @@ class FlowState:
 
 
 # the columns of Trajectory.scalars, one row per recorded state: the time,
-# min theta, min theta_hat, max |A|, the length and int |A|^2 ds
-(TIME, MIN_THETA, MIN_THETA_HAT, MAX_A, LENGTH,
- DISSIPATION) = _COLUMNS = range(6)
-# the hidden seventh column, Trajectory.drift: row k + 1 holds the drift
-# defect of state k, once state k + 1 gives it a neighbour on each side
-DRIFT = len(_COLUMNS)
+# min theta, min theta_hat, max |A|, the length and int |A|^2 ds; and the
+# hidden seventh, Trajectory.drift, the state's drift defect
+(TIME, MIN_THETA, MIN_THETA_HAT, MAX_A, LENGTH, DISSIPATION,
+ DRIFT) = range(7)
 
 
 class Trajectory:
     """Recorded flow states at strictly increasing times.
 
-    Keeps the time, the moving columns (DiscreteCurve.moving) and the row
-    of scalars of every state, the rows in one float64 table that doubles
-    when it fills, and the fields of the newest state only: a graph state
-    keeps its x1 column alone, since its r column is the node grid. An
-    append also stores the drift defect of the state before it, from the
-    time and angle kept of the state before that.
+    Keeps the time, the moving columns (DiscreteCurve.moving), the row of
+    scalars and the drift defect (from identities.theta_dt) of every
+    state, the rows in one float64 table that doubles when it fills, and
+    the fields of the newest state only: a graph state keeps its x1
+    column alone, since its r column is the node grid.
     Reading an older state rebuilds its curve from what was kept and its
     fields with compute_fields: the same pure call on equal coordinates,
     so they are bit for bit the fields the flow computed, and each read
@@ -109,7 +107,6 @@ class Trajectory:
         self._coords: list[np.ndarray] = []
         self._table = np.empty((16, DRIFT + 1))
         self._last: FlowState | None = None
-        self._before = None       # (t, theta) of the state before _last
 
     def append(self, state: FlowState) -> None:
         f, c, last = state.fields, state.curve, self._last
@@ -131,17 +128,12 @@ class Trajectory:
             grown = np.empty((2 * n, DRIFT + 1))
             grown[:n] = self._table
             self._table = grown
-        self._table[n, :DRIFT] = (
+        self._table[n] = (
             state.t, f.theta.min(), f.theta_hat.min(), f.curvature_norm.max(),
             f.length,
-            (f.curvature_norm ** 2 * f.speed).sum() * (TWO_PI / c.m))
-        if self._before is not None:
-            g = last.fields
-            dth, lap = _theta_rates(*self._before, last, state)
-            self._table[n, DRIFT] = (
-                dth - lap - 0.5 * g.curvature_norm ** 2 * g.theta).min()
-        if last is not None:
-            self._before = (last.t, last.fields.theta)
+            (f.curvature_norm ** 2 * f.speed).sum() * (TWO_PI / c.m),
+            (theta_dt(state) - arc_laplacian(f.theta, f.speed)
+             - 0.5 * f.curvature_norm ** 2 * f.theta).min())
         self._last = state
 
     def __len__(self) -> int:
@@ -193,9 +185,8 @@ class Trajectory:
     @property
     def drift(self) -> np.ndarray:
         """The least drift defect dTheta/dt - Lap Theta - |A|^2 Theta / 2
-        over the nodes of each interior state, oldest first: len(self) - 2
-        of them (none below three states), a read-only view like scalars."""
-        rows = self._table[2:len(self), DRIFT]
+        over each state's nodes, a read-only view like scalars."""
+        rows = self._table[:len(self), DRIFT]
         rows.flags.writeable = False
         return rows
 

@@ -7,11 +7,12 @@ a Clairaut geodesic by bisection, scalar RK4, brute-force polyline
 distances, dense-tensor curve fields, a per-node CSV loop, the chart's
 snapshot rule, the chart text joined in memory, a per-interval
 dissipation loop, whole-grid Fourier tables, an exact-rational ETDRK4
-series table, trigonometric resampling and a direct-sum trigonometric
-interpolant.
+series table, trigonometric resampling, a direct-sum trigonometric
+interpolant and the angle's rate along the flow by a central difference
+in the node velocity.
 Nothing here shares a code path with the quantities it checks, but for
-the per-state drift check, which shares the rates and the constants it
-sums.
+the per-state drift check, which shares the Laplacian and the constants
+it sums.
 """
 
 import math
@@ -22,7 +23,7 @@ import numpy as np
 import wcsf
 from wcsf import spectral
 from wcsf.artifacts import _MARG, _PANE_W, _SNAPSHOTS, _SVG_H, _SVG_W
-from wcsf.curves import _theta_rates, _validate_m
+from wcsf.curves import _validate_m
 from wcsf.identities import BoundConstants
 from wcsf.record import MIN_THETA, MIN_THETA_HAT, TIME
 
@@ -414,20 +415,35 @@ def dissipation_defect_loop(traj):
     return defect
 
 
+def theta_dt_fd(state, eps=1e-6):
+    """The material dTheta/dt at the nodes of state: the angle of the
+    curves gamma +- eps W, W the node velocity, centrally differenced,
+    minus the slide rho d_u Theta, rho = <W - H, gamma'> / <gamma', gamma'>
+    in Euclidean dot products."""
+    f, curve = state.fields, state.curve
+    theta = []
+    for sign in (1.0, -1.0):
+        moved = wcsf.DiscreteCurve(curve.mode,
+                                   curve.coords + sign * eps * f.velocity,
+                                   curve.winding)
+        theta.append(wcsf.compute_fields(moved, f.manifold).theta)
+    rho = (np.einsum("na,na->n", f.velocity - f.curvature, f.deriv)
+           / np.einsum("na,na->n", f.deriv, f.deriv))
+    return (theta[0] - theta[1]) / (2.0 * eps) - rho * spectral.diff(f.theta)
+
+
 def drift_worst(traj):
-    """The least drift slack over a trajectory's interior states, taken
-    per state: each state rebuilt with its two neighbours and its slack
-    summed node by node with C_drift before the minimum; inf below three
-    states. Every state of traj must be kept."""
+    """The least drift slack over a trajectory's states, taken per state:
+    dTheta/dt by theta_dt_fd, the slack summed node by node with C_drift
+    before the minimum. Every state of traj must be kept."""
     consts = BoundConstants(traj.final.fields.manifold,
                             float(traj.scalars[0, MIN_THETA]))
-    states = list(traj)
     worst = math.inf
-    for prev, mid, nxt in zip(states, states[1:], states[2:]):
-        f = mid.fields
-        dth, lap = _theta_rates(prev.t, prev.fields.theta, mid, nxt)
-        slack = (dth - lap - 0.5 * f.curvature_norm ** 2 * f.theta
-                 + consts.constant(mid.t))
+    for state in traj:
+        f = state.fields
+        slack = (theta_dt_fd(state) - wcsf.arc_laplacian(f.theta, f.speed)
+                 - 0.5 * f.curvature_norm ** 2 * f.theta
+                 + consts.constant(state.t))
         worst = min(worst, float(slack.min()))
     return worst
 

@@ -286,7 +286,7 @@ def test_criterion_8_determinism_and_plumbing(tmp_path):
     suite.mkdir()
     injections = {
         "ok": (base, 0),
-        # flat warp: no cushion for the drift bound's time differences
+        # flat warp: no cushion for the drift check's spatial error
         "falsified": (base.replace("warp.exp_cos = 0.3\n", "")
                       + "tol.bound = 0\n", 1),
         "lost": (base + "tol.theta_floor = 0.999\n", 2),

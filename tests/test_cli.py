@@ -16,6 +16,7 @@ from oracles import (chart_text, drift_worst, svg_snapshot_indices,
 from wcsf.artifacts import (_SNAPSHOTS, open_trajectory_csv, write_svg,
                             write_trajectory_csv)
 from wcsf.cli import _Recorder, execute_scenario, main
+from wcsf.scenario import parse_config
 
 FAST = """\
 manifold.kind = left
@@ -27,7 +28,7 @@ record.stride = 10
 """
 
 # a flat warp leaves the drift bound no cushion, so at tol.bound = 0 the
-# centred time differences of sparse records falsify it
+# check's spatial error, a worst slack of -1.9e-11, falsifies it
 FALSIFIED = FAST.replace("warp.exp_cos = 0.3\n", "") + "tol.bound = 0\n"
 
 
@@ -202,6 +203,30 @@ def test_a_single_state_run_calls_its_dissipation_check_vacuous(tmp_path):
     assert "dissipation.passed = yes" in lines
     notes = [line for line in lines if line.startswith("dissipation.notes")]
     assert len(notes) == 1 and notes[0].endswith("; vacuous")
+
+
+def test_a_flat_warp_with_sparse_records_passes_its_drift_check(tmp_path):
+    # centred differences of records 10 dt0 apart read worst slack
+    # -1.373e-4 and exited 1; the exact rate reads -1.9e-11
+    scn = parse_config(FALSIFIED.replace("tol.bound = 0\n", ""))
+    assert execute_scenario(scn, tmp_path) == (0, "max_time")
+    report = (tmp_path / "report.txt").read_text()
+    assert "bounds.drift.passed = yes" in report
+
+
+def test_a_run_of_two_records_checks_its_drift(tmp_path):
+    # two records left no interior state to difference: the slack read inf
+    # and the notes called the check vacuous
+    scn = parse_config(FAST.replace("warp.exp_cos = 0.3", "warp.cos = 10")
+                       .replace("grid.m = 32", "grid.m = 64")
+                       .replace("time.t_max = 0.2", "time.t_max = 1")
+                       .replace("record.stride = 10", "record.stride = 50"))
+    assert execute_scenario(scn, tmp_path) == (0, "max_time")
+    report = dict(line.split(" = ", 1) for line
+                  in (tmp_path / "report.txt").read_text().splitlines())
+    assert report["flow.recorded_states"] == "2"
+    assert np.isfinite(float(report["bounds.drift.worst_slack"]))
+    assert "bounds.drift.notes" not in report
 
 
 def test_exit_code_falsified(tmp_path):
@@ -634,14 +659,14 @@ def test_a_chart_of_no_state_raises_and_leaves_no_file(tmp_path):
 def test_streamed_drift_check_matches_the_post_run_monitor(kind):
     # one drift table, filled as run records: the recorder, which drops
     # curves, gives the reports of a kept trajectory, and their slack is
-    # the per-state check's to the bit
+    # the per-state check's to its difference step
     manifold = wcsf.WarpedProduct(kind, warp=wcsf.FourierField.exp_cos(0.3))
     curve = wcsf.make_graph_curve(wcsf.FourierField([0.0], [0.0, 0.3]), 32)
     params = wcsf.FlowParams(t_max=0.3, record_stride=3)
     kept, _ = wcsf.run(manifold, curve, params)
     streamed, _ = wcsf.run(manifold, curve, params,
                            _Recorder(io.StringIO()))
-    assert len(streamed.drift) == len(kept.drift) == len(kept) - 2 > 0
+    assert len(streamed.drift) == len(kept.drift) == len(kept) > 2
     reports = wcsf.theta_bound_monitor(streamed)
     assert reports == wcsf.theta_bound_monitor(kept)
-    assert reports[1].worst_slack == drift_worst(kept)
+    assert abs(reports[1].worst_slack - drift_worst(kept)) < 1e-7

@@ -2,6 +2,7 @@ import gc
 import io
 import statistics
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -351,10 +352,10 @@ def test_recorded_times_on_the_fixed_grid(left_exp):
 
 
 def test_a_t_max_a_sliver_past_a_record_time_ends_that_interval(tmp_path):
-    # a t_max 2e-12 or 4e-12 past the third record time made that sliver
-    # a record interval of its own, and the drift defect's centred
-    # differences across it read worst slack -9.8e-5 or -3.4e-4 (exit 1)
-    # against -2.1e-5 with t_max on the record time
+    # a t_max 4e-12 past the third record time made that sliver a record
+    # interval of its own, and the dissipation defect's Delta L / Delta t
+    # across it read worst slack -2.51e-4 against -3.12e-5 with t_max on
+    # the record time; the drift slack read each state alone
     text = (SCENARIO_DIR / "product.cfg").read_text()
     scn = parse_config(text)
     curve = scn.initial_curve()
@@ -372,6 +373,21 @@ def test_a_t_max_a_sliver_past_a_record_time_ends_that_interval(tmp_path):
         assert report["flow.recorded_states"] == "4"
         slack.append(float(report["bounds.drift.worst_slack"]))
     assert max(slack) - min(slack) < 1e-9
+
+
+@pytest.mark.parametrize("name, strides", [("product", (20, 1000)),
+                                           ("left_warped", (100, 1000)),
+                                           ("right_warped", (100, 1000))])
+def test_the_drift_slack_does_not_depend_on_the_record_stride(name, strides):
+    # the drift check reads each state's exact rate, so 23 records of the
+    # product flow give the worst slack that 1,093 give
+    scn = parse_config((SCENARIO_DIR / f"{name}.cfg").read_text())
+    slack = []
+    for stride in strides:
+        params = replace(scn.params, record_stride=stride)
+        traj, _ = wcsf.run(scn.manifold, scn.initial_curve(), params)
+        slack.append(wcsf.theta_bound_monitor(traj)[1].worst_slack)
+    assert abs(slack[1] - slack[0]) < 1e-8, slack
 
 
 STOCK = {
