@@ -89,11 +89,9 @@ def _suite_scenario(path: Path) -> Scenario:
 
 def _section(record) -> dict:
     """A bound or residual report's section: its fields in order, less the
-    name its key already gives and any empty notes."""
+    name its key already gives."""
     section = asdict(record)
     del section["name"]
-    if section.get("notes") == "":
-        del section["notes"]
     return section
 
 
@@ -157,7 +155,7 @@ def execute_scenario(scn: Scenario, out_dir) -> tuple:
                               "drift": _section(drift_rep)}
         bounds += [exp_rep, drift_rep]
     if scn.verify_dissipation:
-        diss = verification.dissipation_monitor(traj)
+        diss = verification.dissipation_monitor(traj, params.tol_bound)
         sections["dissipation"] = _section(diss)
         bounds.append(diss)
 

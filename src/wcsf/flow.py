@@ -68,7 +68,7 @@ def adaptive_dt(state: FlowState, cfl: float) -> float:
 # stiffness to limit dt, but the remainder still carries the warp's pull
 # on the curve: one dt = 50 step moves a left-family r-circle from
 # x = pi/2 to 3.92 instead of to its limit pi. 1/8 is the smallest power
-# of two above every stock record interval (0.107 at most); against
+# of two above every stock record interval (product's 0.1205); against
 # DT_MAX/10 a sparse asymmetric left run errs 4.0e-10/1.5e-8/2.2e-7 at
 # caps 0.05/0.125/0.25, growing like cap^4 once the cap binds.
 DT_MAX = 0.125
@@ -191,12 +191,6 @@ def step_rk4(state: FlowState, manifold: WarpedProduct, dt: float,
     return FlowState(curve, t1, compute_fields(curve, manifold))
 
 
-# a t_max past a record time by less than this share of a record interval
-# ends that interval: across a sliver of an interval of its own the
-# dissipation monitor's Delta L / Delta t would amplify rounding
-_TAIL = 1e-6
-
-
 def _stop_check(state: FlowState, params: FlowParams) -> StopReason | None:
     # priority: blowup, converged, graph loss, max time
     f = state.fields
@@ -219,10 +213,8 @@ def run(manifold: WarpedProduct, curve0: DiscreteCurve,
 
     Returns (Trajectory, FlowReport). States are recorded at t = 0, at the
     record times t_j = j * record_stride * dt0 with dt0 the adaptive_dt of
-    the initial state, and at the end; a t_max less than _TAIL of a record
-    interval past a record time ends that interval, sparing the
-    dissipation defect a sliver. Each record interval is split into equal
-    steps within the step limit, so every record time is hit exactly.
+    the initial state, and at the end. Each record interval is split into
+    equal steps within the step limit, so every record time is hit exactly.
     Graph loss and blowup are reported outcomes, not exceptions. The run
     is deterministic: the same inputs produce bit-identical results. It
     flows a copy of the caller's coordinate array.
@@ -245,8 +237,7 @@ def run(manifold: WarpedProduct, curve0: DiscreteCurve,
         if stop is not None:
             break
         t_record = j * params.record_stride * dt0
-        t_next = (params.t_max if params.t_max - t_record
-                  < _TAIL * params.record_stride * dt0 else t_record)
+        t_next = min(t_record, params.t_max)
         n = math.ceil((t_next - state.t) / _step_limit(state))
         dt = (t_next - state.t) / n if n > 1 else t_next - state.t
         try:

@@ -7,7 +7,7 @@ commutator, the rate of the exponential lower bound on the angle, the
 drift inequality behind it, and the closed form of the angle. Each
 identity and each constant is one function that picks its formula by
 manifold.kind; a check of recorded states reads the manifold from their
-fields, in either gauge. Only the commutator and theta_dt contract the
+fields, in either gauge. Only the commutator and flow_rates contract the
 Christoffel symbols, from manifold.frame at the curve's nodes. The
 monitors and refinement studies that apply these over a run are
 wcsf.verification.
@@ -18,7 +18,7 @@ tangential. So the material point of the normal flow drifts through the
 parametrization at du/dt = -rho (rho = -H^0 in the graph gauge), and the
 material derivative at a node is the centered difference in time minus
 rho d_u(value); omitting that advection leaves an O(1) defect. That
-derivative is wcsf.curves._material_dt; theta_dt takes it exactly from W.
+derivative is wcsf.curves._material_dt; flow_rates takes it exactly from W.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ __all__ = [
     "evolution_residual",
     "gradient_identity_residual",
     "commutator_residual",
-    "theta_dt",
+    "flow_rates",
     "BoundConstants",
     "exp_constant",
     "closed_form_theta",
@@ -130,11 +130,12 @@ def commutator_residual(traj: Trajectory, k: int) -> float:
     return float(norms.max())
 
 
-def theta_dt(state: FlowState) -> np.ndarray:
-    """dTheta/dt at the nodes of state, exact for the semi-discrete flow:
-    nodes moving with W change Theta = <T, d_r> at <P, d_r - Theta T> / v
-    + <T, Gamma(W, d_r)>, P = W' + Gamma(gamma', W) the covariant rate of
-    gamma', less the slide rho d_u Theta of curves._material_dt."""
+def flow_rates(state: FlowState) -> tuple:
+    """(dTheta/dt at the nodes, dL/dt) of state, exact for the
+    semi-discrete flow: with P = W' + Gamma(gamma', W) the covariant rate
+    of gamma', L changes at (2 pi/m) sum <P, T> and Theta = <T, d_r> at
+    <P, d_r - Theta T> / v + <T, Gamma(W, d_r)>, less the slide
+    rho d_u Theta of curves._material_dt."""
     f = state.fields
     metric, gamma = f.manifold.frame(state.curve.coords)
     # k = Gamma^a_bc W^c by broadcast sums; np.einsum adds 0.15 MB peak RSS
@@ -144,7 +145,8 @@ def theta_dt(state: FlowState) -> np.ndarray:
     normal = metric[:, 0] - f.theta[:, None] * t_low   # d_r - Theta T, lowered
     node_dt = ((normal * p).sum(axis=1) / f.speed
                + (t_low * k[:, :, 0]).sum(axis=1))
-    return node_dt - _slide(f) * spectral.diff(f.theta)
+    length_dt = float((t_low * p).sum() * (spectral.TWO_PI / state.curve.m))
+    return node_dt - _slide(f) * spectral.diff(f.theta), length_dt
 
 
 # -- bound constants ---------------------------------------------------------

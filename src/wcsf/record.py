@@ -3,8 +3,7 @@
 FlowParams holds a run's controls, FlowState one curve at a time with its
 fields, Trajectory the recorded states of a run with one row of scalars
 each, and FlowReport the run's summary, built by _build_report from the
-trajectory once the run stops. A hidden seventh column of the scalar
-table holds each state's drift defect. The integrator is wcsf.flow.
+trajectory once the run stops. The integrator is wcsf.flow.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 from . import curves
 from .curves import CurveFields, DiscreteCurve, _integer, arc_laplacian
 from .geometry import LEFT
-from .identities import theta_dt
+from .identities import flow_rates
 from .spectral import TWO_PI, mod_two_pi
 
 __all__ = [
@@ -79,19 +78,19 @@ class FlowState:
 
 # the columns of Trajectory.scalars, one row per recorded state: the time,
 # min theta, min theta_hat, max |A|, the length and int |A|^2 ds; and the
-# hidden seventh, Trajectory.drift, the state's drift defect
-(TIME, MIN_THETA, MIN_THETA_HAT, MAX_A, LENGTH, DISSIPATION,
- DRIFT) = range(7)
+# hidden two, Trajectory.drift and Trajectory.dissipation_defect
+(TIME, MIN_THETA, MIN_THETA_HAT, MAX_A, LENGTH, DISSIPATION, DRIFT,
+ DISSIPATION_DEFECT) = range(8)
 
 
 class Trajectory:
     """Recorded flow states at strictly increasing times.
 
     Keeps the time, the moving columns (DiscreteCurve.moving), the row of
-    scalars and the drift defect (from identities.theta_dt) of every
-    state, the rows in one float64 table that doubles when it fills, and
-    the fields of the newest state only: a graph state keeps its x1
-    column alone, since its r column is the node grid.
+    scalars and the drift and dissipation defects (identities.flow_rates)
+    of every state, the rows in one float64 table that doubles when it
+    fills, and the fields of the newest state only: a graph state keeps
+    its x1 column alone, since its r column is the node grid.
     Reading an older state rebuilds its curve from what was kept and its
     fields with compute_fields: the same pure call on equal coordinates,
     so they are bit for bit the fields the flow computed, and each read
@@ -105,7 +104,7 @@ class Trajectory:
 
     def __init__(self):
         self._coords: list[np.ndarray] = []
-        self._table = np.empty((16, DRIFT + 1))
+        self._table = np.empty((16, DISSIPATION_DEFECT + 1))
         self._last: FlowState | None = None
 
     def append(self, state: FlowState) -> None:
@@ -125,15 +124,17 @@ class Trajectory:
         self._coords.append(c.coords[:, c.moving].copy())
         n = len(self) - 1
         if n == len(self._table):
-            grown = np.empty((2 * n, DRIFT + 1))
+            grown = np.empty((2 * n, DISSIPATION_DEFECT + 1))
             grown[:n] = self._table
             self._table = grown
+        theta_dt, length_dt = flow_rates(state)
+        dissipation = (f.curvature_norm ** 2 * f.speed).sum() * (TWO_PI / c.m)
         self._table[n] = (
             state.t, f.theta.min(), f.theta_hat.min(), f.curvature_norm.max(),
-            f.length,
-            (f.curvature_norm ** 2 * f.speed).sum() * (TWO_PI / c.m),
-            (theta_dt(state) - arc_laplacian(f.theta, f.speed)
-             - 0.5 * f.curvature_norm ** 2 * f.theta).min())
+            f.length, dissipation,
+            (theta_dt - arc_laplacian(f.theta, f.speed)
+             - 0.5 * f.curvature_norm ** 2 * f.theta).min(),
+            length_dt + dissipation)
         self._last = state
 
     def __len__(self) -> int:
@@ -187,6 +188,14 @@ class Trajectory:
         """The least drift defect dTheta/dt - Lap Theta - |A|^2 Theta / 2
         over each state's nodes, a read-only view like scalars."""
         rows = self._table[:len(self), DRIFT]
+        rows.flags.writeable = False
+        return rows
+
+    @property
+    def dissipation_defect(self) -> np.ndarray:
+        """Each state's dissipation defect dL/dt + int |A|^2 ds, a
+        read-only view like scalars."""
+        rows = self._table[:len(self), DISSIPATION_DEFECT]
         rows.flags.writeable = False
         return rows
 

@@ -24,6 +24,7 @@ from .identities import (BoundConstants, commutator_residual,
                          evolution_residual, gradient_identity_residual)
 from .record import (BOUND_TOL, DISSIPATION, LENGTH, MIN_THETA, MONOTONE_TOL,
                      TIME, FlowParams, FlowState, Trajectory)
+from .spectral import centered_dt
 
 __all__ = [
     "ResidualReport",
@@ -66,10 +67,16 @@ class BoundReport:
     worst_slack: float
     passed: bool
     input: dict
-    notes: str = ""
 
 
 # -- inequality monitors ------------------------------------------------------
+
+
+def _check_tol(eps_tol: float) -> None:
+    # a negative eps_tol would flag bounds that hold
+    if not 0.0 <= eps_tol < math.inf:
+        raise ValueError(
+            f"eps_tol must be finite and nonnegative, got {eps_tol}")
 
 
 def theta_bound_monitor(traj: Trajectory, eps_tol: float = BOUND_TOL):
@@ -79,15 +86,13 @@ def theta_bound_monitor(traj: Trajectory, eps_tol: float = BOUND_TOL):
       exp:   min Theta(t) >= e^{-C t} min Theta(0), at every recorded time.
       drift: dTheta/dt >= Lap Theta + |A|^2 Theta / 2 - C_drift, node-wise
              at every recorded time, dTheta/dt the semi-discrete flow's
-             exact rate (identities.theta_dt), in either gauge.
+             exact rate (identities.flow_rates), in either gauge.
     Failures beyond eps_tol are falsification flags, never clamped.
-    eps_tol must be finite and nonnegative: a negative one would flag
-    bounds that hold. Reads only the trajectory's table, scalars and
-    drift, so it answers on any Trajectory, whatever states it kept.
+    eps_tol must be finite and nonnegative. Reads only the trajectory's
+    table, scalars and drift, so it answers on any Trajectory, whatever
+    states it kept.
     """
-    if not 0.0 <= eps_tol < math.inf:
-        raise ValueError(
-            f"eps_tol must be finite and nonnegative, got {eps_tol}")
+    _check_tol(eps_tol)
     manifold = traj.final.fields.manifold
     scalars = traj.scalars
     times = scalars[:, TIME]
@@ -118,35 +123,21 @@ def theta_bound_monitor(traj: Trajectory, eps_tol: float = BOUND_TOL):
     return exp_report, drift_report
 
 
-def dissipation_monitor(traj: Trajectory) -> BoundReport:
-    """Length dissipation check dL/dt = -int |A|^2 ds over recorded pairs.
+def dissipation_monitor(traj: Trajectory, eps_tol: float = BOUND_TOL):
+    """Length dissipation check dL/dt = -int |A|^2 ds at every recorded
+    state, dL/dt the semi-discrete flow's exact rate (identities.flow_rates).
 
-    worst_slack is minus the largest interval defect
-    |Delta L / Delta t + int |A|^2 ds| (time midpoint approximated by the
-    endpoint mean, second order); passed tracks length monotonicity, which
-    must hold in every run. A single state has no pair to difference: its
-    worst_slack is 0.0 and its notes call the check vacuous.
+    worst_slack is minus the largest defect |dL/dt + int |A|^2 ds|; the
+    check passes when it stays above -eps_tol and the length never grows
+    by more than MONOTONE_TOL between recorded states. Reads only the
+    trajectory's table, like theta_bound_monitor.
     """
-    scalars = traj.scalars
-    times, lengths, dissipation = (scalars[:, TIME], scalars[:, LENGTH],
-                                   scalars[:, DISSIPATION])
-    rates = np.diff(lengths) / np.diff(times)
-    defect = float(np.max(np.abs(
-        rates + 0.5 * (dissipation[:-1] + dissipation[1:])), initial=0.0))
-    monotone = bool(np.all(np.diff(lengths) <= MONOTONE_TOL))
-    notes = "passed tracks monotone nonincreasing length"
-    if len(scalars) < 2:
-        notes += "; no recorded pair of states to difference; vacuous"
-    return BoundReport(
-        name="length_dissipation",
-        constant_name="none",
-        constant_value=0.0,
-        # not -defect, which is -0.0 when no pair was differenced
-        worst_slack=0.0 - defect,
-        passed=monotone,
-        input={},
-        notes=notes,
-    )
+    _check_tol(eps_tol)
+    worst = -float(np.abs(traj.dissipation_defect).max())
+    monotone = bool(np.all(np.diff(traj.scalars[:, LENGTH]) <= MONOTONE_TOL))
+    return BoundReport(name="length_dissipation", constant_name="none",
+                       constant_value=0.0, worst_slack=worst,
+                       passed=monotone and worst >= -eps_tol, input={})
 
 
 # -- refinement studies -------------------------------------------------------
@@ -275,12 +266,17 @@ def commutator_residual_study(ladder: RefinementLadder) -> ResidualReport:
                          _mid_residuals(ladder, commutator_residual), 1.5)
 
 
+def _dissipation_residual(traj: Trajectory, k: int) -> float:
+    """|dL/dt + int |A|^2 ds| at state k, dL/dt centred in time."""
+    t, length, diss = traj.scalars[k - 1:k + 2, [TIME, LENGTH, DISSIPATION]].T
+    return abs(centered_dt(*length, t[1] - t[0], t[2] - t[1]) + diss[1])
+
+
 def dissipation_residual_study(ladder: RefinementLadder) -> ResidualReport:
-    """Convergence order of the step-wise dissipation defect
-    |Delta L / Delta t + int |A|^2 ds|; passes at order 1.8."""
-    res = [-dissipation_monitor(traj).worst_slack
-           for traj in ladder.trajectories]
-    return _study_report("dissipation", ladder, res, 1.8)
+    """Convergence order of the dissipation defect, dL/dt differenced in
+    time over the ladder's steps; passes at order 1.8."""
+    return _study_report("dissipation", ladder,
+                         _mid_residuals(ladder, _dissipation_residual), 1.8)
 
 
 def gradient_identity_study(ladder: RefinementLadder) -> ResidualReport:

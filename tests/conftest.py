@@ -69,3 +69,17 @@ def right_exp():
 @pytest.fixture
 def product():
     return product_manifold()
+
+
+@pytest.fixture
+def planted_drift_defect(monkeypatch):
+    """C_drift lowered by 1e-3 in every bound monitor call; returns 1e-3.
+
+    A flat left warp's drift slack, -1.9e-11 on a clean run, then reads
+    -1e-3, 9e-4 past the default tol.bound of 1e-4, while every other
+    check passes."""
+    defect = 1e-3
+    real = wcsf.identities.BoundConstants.constant
+    monkeypatch.setattr(wcsf.identities.BoundConstants, "constant",
+                        lambda self, t: real(self, t) - defect)
+    return defect

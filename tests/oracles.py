@@ -5,11 +5,10 @@ of metric values, the closed-form identities of nabla d_r and of the
 conformal field phi d_r from dense Christoffel tensors, dense quadrature,
 a Clairaut geodesic by bisection, scalar RK4, brute-force polyline
 distances, dense-tensor curve fields, a per-node CSV loop, the chart's
-snapshot rule, the chart text joined in memory, a per-interval
-dissipation loop, whole-grid Fourier tables, an exact-rational ETDRK4
-series table, trigonometric resampling, a direct-sum trigonometric
-interpolant and the angle's rate along the flow by a central difference
-in the node velocity.
+snapshot rule, the chart text joined in memory, whole-grid Fourier
+tables, an exact-rational ETDRK4 series table, trigonometric resampling,
+a direct-sum trigonometric interpolant, and the angle's and the length's
+rates along the flow by a central difference in the node velocity.
 Nothing here shares a code path with the quantities it checks, but for
 the per-state drift check, which shares the Laplacian and the constants
 it sums.
@@ -403,16 +402,15 @@ def chart_text(traj):
     return "\n".join(parts) + "\n"
 
 
-def dissipation_defect_loop(traj):
-    """Largest |Delta L / Delta t + mean of int |A|^2 ds| over consecutive
-    recorded states, one interval at a time; 0 for a single state."""
-    rows = traj.scalars
-    defect = 0.0
-    for k in range(len(rows) - 1):
-        rate = (rows[k + 1, 4] - rows[k, 4]) / (rows[k + 1, 0] - rows[k, 0])
-        defect = max(defect, float(abs(
-            rate + 0.5 * (rows[k, 5] + rows[k + 1, 5]))))
-    return defect
+def length_dt_fd(state, eps=1e-6):
+    """dL/dt of state: the lengths of the curves gamma +- eps W, W the node
+    velocity, centrally differenced."""
+    f, curve = state.fields, state.curve
+    lengths = [wcsf.compute_fields(
+        wcsf.DiscreteCurve(curve.mode, curve.coords + sign * eps * f.velocity,
+                           curve.winding), f.manifold).length
+        for sign in (1.0, -1.0)]
+    return (lengths[0] - lengths[1]) / (2.0 * eps)
 
 
 def theta_dt_fd(state, eps=1e-6):

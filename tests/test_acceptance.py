@@ -269,6 +269,7 @@ def test_criterion_7_dissipation(studies, crit2_runs, scenario3, scenario4,
           f"all {len(reports)} flow runs")
 
 
+@pytest.mark.usefixtures("planted_drift_defect")
 def test_criterion_8_determinism_and_plumbing(tmp_path):
     base = ("manifold.kind = left\nwarp.exp_cos = 0.3\n"
             "init.sin = 0.0, 0.3\ngrid.m = 32\ntime.t_max = 0.2\n"
@@ -286,9 +287,9 @@ def test_criterion_8_determinism_and_plumbing(tmp_path):
     suite.mkdir()
     injections = {
         "ok": (base, 0),
-        # flat warp: no cushion for the drift check's spatial error
-        "falsified": (base.replace("warp.exp_cos = 0.3\n", "")
-                      + "tol.bound = 0\n", 1),
+        # flat warp: no cushion in the drift bound, so the planted defect
+        # fails it by 9e-4 past tol.bound (conftest)
+        "falsified": (base.replace("warp.exp_cos = 0.3\n", ""), 1),
         "lost": (base + "tol.theta_floor = 0.999\n", 2),
         "blown": (base + "tol.a_ceiling = 0.01\n", 3),
     }
@@ -300,6 +301,9 @@ def test_criterion_8_determinism_and_plumbing(tmp_path):
                          "--out", str(tmp_path / f"single_{stem}")])
         single_codes[stem] = code
         assert code == expect, stem
+    report = (tmp_path / "single_falsified" / "report.txt").read_text()
+    assert "bounds.drift.passed = no" in report
+    assert "dissipation.passed = yes" in report
     out = tmp_path / "suite_out"
     suite_code = cli_main(["suite", str(suite), "--out", str(out)])
     assert suite_code == max(single_codes.values()) == 3

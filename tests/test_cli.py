@@ -2,7 +2,7 @@ import gc
 import io
 import os
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,14 +27,20 @@ time.t_max = 0.2
 record.stride = 10
 """
 
-# a flat warp leaves the drift bound no cushion, so at tol.bound = 0 the
-# check's spatial error, a worst slack of -1.9e-11, falsifies it
-FALSIFIED = FAST.replace("warp.exp_cos = 0.3\n", "") + "tol.bound = 0\n"
+# a flat warp leaves the drift bound no cushion: conftest's
+# planted_drift_defect falsifies it
+FLAT = FAST.replace("warp.exp_cos = 0.3\n", "")
 
 
 def write_cfg(path, text):
     path.write_text(text)
     return str(path)
+
+
+def read_report(out):
+    """The report.txt in the directory out, as a dict of its lines."""
+    return dict(line.split(" = ", 1)
+                for line in (out / "report.txt").read_text().splitlines())
 
 
 def test_run_writes_artifacts(tmp_path, capsys):
@@ -89,7 +95,7 @@ def test_report_flow_section_is_the_flow_report(tmp_path):
 def test_report_sections_are_their_records(tmp_path):
     # each section is its record's fields in order: the scenario's
     # FlowParams sit between m and winding, and a bound or residual report
-    # loses its name, flattens input and drops empty notes
+    # loses its name and flattens input
     cfg = write_cfg(tmp_path / "demo.cfg", FAST + "base.g11.cos = 1.0, 0.2\n")
     out = tmp_path / "out"
     assert main(["verify", cfg, "--out", str(out)]) == 0
@@ -106,10 +112,7 @@ def test_report_sections_are_their_records(tmp_path):
     at = bound.index("input")
     for prefix, flat in (("bounds.exp.", inputs), ("bounds.drift.", inputs),
                          ("dissipation.", [])):
-        want = bound[:at] + flat + bound[at + 1:]
-        if prefix != "dissipation.":     # no note on a graph run's bounds
-            want.remove("notes")
-        assert section(prefix) == want
+        assert section(prefix) == bound[:at] + flat + bound[at + 1:]
     studies = {k.split(".")[1] for k in keys if k.startswith("residuals.")}
     assert studies == {"left_evolution", "left_dissipation",
                        "left_commutator", "left_gradient_identity"}
@@ -175,40 +178,38 @@ def test_verify_checks_the_scenarios_winding(tmp_path, monkeypatch):
 def test_verify_reports_a_rung_with_too_few_states(tmp_path):
     # with psi >= 10 the m = 64 rung's first record interval outlasts
     # LADDER_T_END: it records two states, which give no time
-    # difference, so the two studies that need one fail on that grid
+    # difference, so the three studies that need one fail on that grid
     cfg = write_cfg(tmp_path / "sparse.cfg",
                     "manifold.kind = left\nwarp.cos = 10\n"
                     "init.sin = 0.0, 0.3\ngrid.m = 64\ntime.t_max = 1\n")
     out = tmp_path / "out"
     assert main(["verify", cfg, "--out", str(out)]) == 1
     report = (out / "report.txt").read_text()
-    for study in ("evolution", "commutator"):
+    for study in ("evolution", "commutator", "dissipation"):
         assert f"residuals.left_{study}.max_residuals = nan, " in report
         assert f"residuals.left_{study}.orders = nan, " in report
         assert f"residuals.left_{study}.passed = no" in report
-    assert "residuals.left_dissipation.passed = yes" in report
     assert "closed_form_theta.direct = " in report
 
 
-def test_a_single_state_run_calls_its_dissipation_check_vacuous(tmp_path):
-    # t_max = 0 records one state and differences no pair: the slack reads
-    # 0.0, not -0.0, and the notes say vacuous, as the drift report's do
+def test_a_single_state_run_checks_its_dissipation(tmp_path):
+    # t_max = 0 records one state; its exact rate needs no neighbour in
+    # time, so the slack is that state's defect, at rounding level
     cfg = write_cfg(tmp_path / "one.cfg",
                     FAST.replace("time.t_max = 0.2", "time.t_max = 0"))
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out)]) == 0
-    lines = (out / "report.txt").read_text().splitlines()
-    assert "flow.recorded_states = 1" in lines
-    assert "dissipation.worst_slack = 0.0" in lines
-    assert "dissipation.passed = yes" in lines
-    notes = [line for line in lines if line.startswith("dissipation.notes")]
-    assert len(notes) == 1 and notes[0].endswith("; vacuous")
+    report = read_report(out)
+    assert report["flow.recorded_states"] == "1"
+    assert -1e-15 < float(report["dissipation.worst_slack"]) <= 0.0
+    assert report["dissipation.passed"] == "yes"
+    assert not any(key.endswith(".notes") for key in report)
 
 
 def test_a_flat_warp_with_sparse_records_passes_its_drift_check(tmp_path):
     # centred differences of records 10 dt0 apart read worst slack
     # -1.373e-4 and exited 1; the exact rate reads -1.9e-11
-    scn = parse_config(FALSIFIED.replace("tol.bound = 0\n", ""))
+    scn = parse_config(FLAT)
     assert execute_scenario(scn, tmp_path) == (0, "max_time")
     report = (tmp_path / "report.txt").read_text()
     assert "bounds.drift.passed = yes" in report
@@ -222,18 +223,75 @@ def test_a_run_of_two_records_checks_its_drift(tmp_path):
                        .replace("time.t_max = 0.2", "time.t_max = 1")
                        .replace("record.stride = 10", "record.stride = 50"))
     assert execute_scenario(scn, tmp_path) == (0, "max_time")
-    report = dict(line.split(" = ", 1) for line
-                  in (tmp_path / "report.txt").read_text().splitlines())
+    report = read_report(tmp_path)
     assert report["flow.recorded_states"] == "2"
     assert np.isfinite(float(report["bounds.drift.worst_slack"]))
     assert "bounds.drift.notes" not in report
 
 
-def test_exit_code_falsified(tmp_path):
-    cfg = write_cfg(tmp_path / "f.cfg", FALSIFIED)
+def test_exit_code_falsified(tmp_path, planted_drift_defect):
+    # the planted defect fails the drift bound by 9e-4 past tol.bound, and
+    # nothing else
+    cfg = write_cfg(tmp_path / "f.cfg", FLAT)
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
-    report = (tmp_path / "o" / "report.txt").read_text()
-    assert "bounds.drift.passed = no" in report
+    report = read_report(tmp_path / "o")
+    assert report["bounds.drift.passed"] == "no"
+    slack = float(report["bounds.drift.worst_slack"])
+    assert abs(slack + planted_drift_defect) < 1e-9
+    assert report["bounds.exp.passed"] == report["dissipation.passed"] == "yes"
+
+
+PLANTED = ("warp.exp_cos = {a}\ninit.cos = 0.05\ninit.sin = 0.0, 0.3, 0.1\n"
+           "grid.m = 64\ntime.t_max = 0.5\n")
+
+
+@pytest.mark.parametrize("kind, a", [("left", 0.3), ("right", 0.2)])
+def test_a_planted_velocity_error_fails_the_dissipation_check(
+        tmp_path, monkeypatch, kind, a):
+    # nodes moving 1% too fast shorten the curve at 1.01 int |A|^2 ds:
+    # slacks -1.7e-3 (left) and -9.2e-3 (right) against a clean run's
+    # rounding, at most 3.3e-16
+    cfg = write_cfg(tmp_path / "p.cfg", f"manifold.kind = {kind}\n"
+                    + PLANTED.format(a=a))
+    real = wcsf.flow.compute_fields
+
+    def fast(curve, manifold):
+        fields = real(curve, manifold)
+        fields.velocity = 1.01 * fields.velocity
+        return fields
+
+    slack = {}
+    for planted in (False, True):
+        if planted:
+            monkeypatch.setattr(wcsf.flow, "compute_fields", fast)
+        out = tmp_path / str(planted)
+        code = main(["run", cfg, "--out", str(out)])
+        report = read_report(out)
+        assert code == int(planted)
+        assert report["dissipation.passed"] == ("no" if planted else "yes")
+        assert report["bounds.drift.passed"] == "yes"
+        slack[planted] = float(report["dissipation.worst_slack"])
+    assert slack[False] >= -1e-15 and slack[True] < -1e-3
+
+
+def test_an_under_resolved_run_fails_its_dissipation_check(tmp_path):
+    # a steep graph's spectral tail: the defect reads 0.25, 1.2e-2 and
+    # 2.8e-7 at m = 32, 64 and 128, so m = 128 is the first to pass
+    slack = []
+    for m in (32, 64, 128):
+        cfg = write_cfg(tmp_path / f"steep{m}.cfg",
+                        "manifold.kind = left\nwarp.exp_cos = 0.3\n"
+                        "init.cos = 0.1\ninit.sin = 0.0, 3, 0.6\n"
+                        f"grid.m = {m}\ntime.t_max = 0.5\n")
+        out = tmp_path / str(m)
+        assert main(["run", cfg, "--out", str(out)]) == (0 if m == 128
+                                                         else 1)
+        report = read_report(out)
+        assert report["flow.stop_reason"] == "max_time"
+        assert report["bounds.drift.passed"] == "yes"
+        slack.append(float(report["dissipation.worst_slack"]))
+    assert slack[0] < -0.1 and -0.1 < slack[1] < -1e-3
+    assert -1e-6 < slack[2] < 0.0
 
 
 def test_exit_code_graph_loss(tmp_path):
@@ -271,11 +329,12 @@ def test_usage_error_message(tmp_path, capsys):
     assert "config error" in err and "bad.cfg" in err
 
 
+@pytest.mark.usefixtures("planted_drift_defect")
 def test_suite_aggregates(tmp_path):
     suite = tmp_path / "suite"
     suite.mkdir()
     write_cfg(suite / "ok.cfg", FAST)
-    write_cfg(suite / "falsified.cfg", FALSIFIED)
+    write_cfg(suite / "falsified.cfg", FLAT)
     write_cfg(suite / "lost.cfg", FAST + "tol.theta_floor = 0.999\n")
     out = tmp_path / "suite_out"
     assert main(["suite", str(suite), "--out", str(out)]) == 2
@@ -622,13 +681,14 @@ def test_the_streamed_chart_is_the_joined_chart(tmp_path, monkeypatch, case):
 
 def test_the_chart_writer_holds_under_60_percent_of_the_joined_chart(
         tmp_path):
-    # the traced heap peak of each writer on the stock product run's
-    # 1,093 states; the joined chart held its whole text about three times
+    # the traced heap peak of each writer on the stock product flow
+    # recorded every 20 dt0, 1,093 states; the joined chart held its whole text about three times
     # over and a list of point strings per time series
     scn = wcsf.parse_config((Path(__file__).resolve().parents[1]
                              / "scenarios/product.cfg").read_text())
+    params = replace(scn.params, record_stride=20)
     with open_trajectory_csv(os.devnull) as csv:
-        traj, _ = wcsf.run(scn.manifold, scn.initial_curve(), scn.params,
+        traj, _ = wcsf.run(scn.manifold, scn.initial_curve(), params,
                            _Recorder(csv))
     assert len(traj) >= 1000
 

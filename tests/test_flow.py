@@ -351,43 +351,48 @@ def test_recorded_times_on_the_fixed_grid(left_exp):
     assert rep.steps > len(traj) - 1
 
 
-def test_a_t_max_a_sliver_past_a_record_time_ends_that_interval(tmp_path):
-    # a t_max 4e-12 past the third record time made that sliver a record
-    # interval of its own, and the dissipation defect's Delta L / Delta t
-    # across it read worst slack -2.51e-4 against -3.12e-5 with t_max on
-    # the record time; the drift slack read each state alone
+def test_a_t_max_a_sliver_past_a_record_time_adds_one_record(tmp_path):
+    # a t_max 2e-12 or 4e-12 past the third record time gets a record
+    # interval of its own; both checks read each state alone, so neither
+    # slack moves, where the dissipation defect's Delta L / Delta t across
+    # such a sliver read -2.51e-4 against -3.12e-5
     text = (SCENARIO_DIR / "product.cfg").read_text()
     scn = parse_config(text)
     curve = scn.initial_curve()
     state = wcsf.FlowState(curve, 0.0,
                            wcsf.compute_fields(curve, scn.manifold))
     t3 = 3 * scn.params.record_stride * wcsf.adaptive_dt(state, flow.CFL)
-    slack = []
-    for t_max in (t3, t3 + 2e-12, t3 + 4e-12):
+    slack = {"drift": [], "dissipation": []}
+    for t_max, records in ((t3, "4"), (t3 + 2e-12, "5"), (t3 + 4e-12, "5")):
         out = tmp_path / repr(t_max)
         scn = parse_config(text + f"time.t_max = {t_max!r}\n")
         assert execute_scenario(scn, out) == (0, "max_time")
         report = dict(line.split(" = ", 1) for line
                       in (out / "report.txt").read_text().splitlines())
         assert report["flow.t_final"] == repr(t_max)
-        assert report["flow.recorded_states"] == "4"
-        slack.append(float(report["bounds.drift.worst_slack"]))
-    assert max(slack) - min(slack) < 1e-9
+        assert report["flow.recorded_states"] == records
+        slack["drift"].append(float(report["bounds.drift.worst_slack"]))
+        slack["dissipation"].append(float(report["dissipation.worst_slack"]))
+    for name, values in slack.items():
+        assert max(values) - min(values) < 1e-12, (name, values)
 
 
 @pytest.mark.parametrize("name, strides", [("product", (20, 1000)),
                                            ("left_warped", (100, 1000)),
                                            ("right_warped", (100, 1000))])
 def test_the_drift_slack_does_not_depend_on_the_record_stride(name, strides):
-    # the drift check reads each state's exact rate, so 23 records of the
-    # product flow give the worst slack that 1,093 give
+    # both checks read each state's exact rate, so 23 records of the
+    # product flow give the worst slacks that 1,093 give; the dissipation
+    # slack of Delta L / Delta t read -3.12e-5 and -3.59e-2 on product
     scn = parse_config((SCENARIO_DIR / f"{name}.cfg").read_text())
-    slack = []
+    drift, dissipation = [], []
     for stride in strides:
         params = replace(scn.params, record_stride=stride)
         traj, _ = wcsf.run(scn.manifold, scn.initial_curve(), params)
-        slack.append(wcsf.theta_bound_monitor(traj)[1].worst_slack)
-    assert abs(slack[1] - slack[0]) < 1e-8, slack
+        drift.append(wcsf.theta_bound_monitor(traj)[1].worst_slack)
+        dissipation.append(wcsf.dissipation_monitor(traj).worst_slack)
+    assert abs(drift[1] - drift[0]) < 1e-8, drift
+    assert abs(dissipation[1] - dissipation[0]) < 1e-12, dissipation
 
 
 STOCK = {

@@ -152,8 +152,9 @@ def test_theta_monitor_rejects_bad_tolerance(left_exp):
     # a negative eps_tol would report bounds that hold as falsified
     traj = short_run(left_exp, sin_field(0.3))
     for bad in (-0.5, -1e-12, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="eps_tol"):
-            wcsf.theta_bound_monitor(traj, eps_tol=bad)
+        for monitor in (wcsf.theta_bound_monitor, wcsf.dissipation_monitor):
+            with pytest.raises(ValueError, match="eps_tol"):
+                monitor(traj, eps_tol=bad)
     exp_rep, _ = wcsf.theta_bound_monitor(traj, eps_tol=0.0)
     assert exp_rep.passed and exp_rep.worst_slack == 0.0
 
@@ -165,7 +166,7 @@ def test_theta_monitor_checks_the_drift_of_a_single_state(left_exp):
     assert len(traj.drift) == 1 and np.isfinite(traj.drift[0])
     exp_rep, drift_rep = wcsf.theta_bound_monitor(traj)
     assert exp_rep.passed and drift_rep.passed
-    assert np.isfinite(drift_rep.worst_slack) and drift_rep.notes == ""
+    assert np.isfinite(drift_rep.worst_slack)
 
 
 def test_deturck_drift_slack_matches_the_graph_twin():
@@ -182,7 +183,7 @@ def test_deturck_drift_slack_matches_the_graph_twin():
     for curve in (graph, twin):
         traj, _ = wcsf.run(manifold, curve, params)
         _, drift_rep = wcsf.theta_bound_monitor(traj)
-        assert drift_rep.passed and drift_rep.notes == ""
+        assert drift_rep.passed
         slacks.append(drift_rep.worst_slack)
     assert np.isfinite(slacks[1])
     assert abs(slacks[1] - slacks[0]) < 1e-6
@@ -192,9 +193,10 @@ def test_deturck_drift_slack_matches_the_graph_twin():
 @pytest.mark.parametrize("kind", [wcsf.LEFT, wcsf.RIGHT])
 def test_the_exact_angle_rate_matches_a_difference_along_the_velocity(
         kind, curved):
-    # theta_dt's covariant rate against the angle of gamma +- eps W, at
-    # every recorded state of graph, DeTurck and winding runs (largest
-    # gap 1.6e-8 at m = 128, the difference step's error)
+    # flow_rates' covariant rates against the angle and the length of
+    # gamma +- eps W, at every recorded state of graph, DeTurck and winding
+    # runs (largest gaps 1.7e-8 and 1.8e-9 at m = 128, the difference
+    # step's error)
     manifold = (curved_manifold(kind) if curved else wcsf.WarpedProduct(
         kind, warp=wcsf.FourierField.exp_cos(0.3)))
     field = wcsf.FourierField([0.05], [0.0, 0.3, 0.1])
@@ -207,8 +209,10 @@ def test_the_exact_angle_rate_matches_a_difference_along_the_velocity(
             traj, _ = wcsf.run(manifold, curve, params)
             assert len(traj) > 2
             for state in traj:
-                gap = np.abs(wcsf.identities.theta_dt(state)
-                             - oracles.theta_dt_fd(state)).max()
+                theta_dt, length_dt = wcsf.identities.flow_rates(state)
+                gap = np.abs(theta_dt - oracles.theta_dt_fd(state)).max()
+                assert gap < 1e-7, (m, curve.mode, curve.winding, state.t)
+                gap = abs(length_dt - oracles.length_dt_fd(state))
                 assert gap < 1e-7, (m, curve.mode, curve.winding, state.t)
 
 
@@ -221,19 +225,41 @@ def test_dissipation_monitor_small_defect(product):
 
 
 @pytest.mark.parametrize("kind", ["product", "left_exp", "right_exp"])
-def test_dissipation_monitor_matches_loop_reference(kind, request):
-    # same arithmetic per interval as the loop, so the result is bitwise
+def test_dissipation_monitor_matches_a_difference_along_the_velocity(
+        kind, request):
+    # each state's defect against the length of gamma +- eps W: the two
+    # agree to the difference step's error, and the slack is the largest
     manifold = request.getfixturevalue(kind)
     traj = short_run(manifold, sin_field(0.4), t_max=0.3, stride=3)
+    defect = traj.dissipation_defect
+    assert len(defect) == len(traj) > 3
+    for state, got, dissipation in zip(
+            traj, defect, traj.scalars[:, wcsf.record.DISSIPATION]):
+        want = oracles.length_dt_fd(state) + dissipation
+        assert abs(got - want) < 1e-7, state.t
     rep = wcsf.dissipation_monitor(traj)
-    assert -rep.worst_slack == oracles.dissipation_defect_loop(traj)
+    assert rep.worst_slack == -np.abs(defect).max() > -1e-14
 
 
-def test_dissipation_monitor_single_state_has_no_defect(product):
+def test_dissipation_monitor_checks_a_single_state(product):
+    # the flow's exact rate needs no neighbour in time: one state, one row
     curve = wcsf.make_graph_curve(sin_field(0.5), 64)
     traj, _ = wcsf.run(product, curve, wcsf.FlowParams(t_max=0.0))
     rep = wcsf.dissipation_monitor(traj)
-    assert rep.passed and rep.worst_slack == 0.0
+    assert len(traj.dissipation_defect) == 1
+    assert rep.passed and -1e-14 < rep.worst_slack <= 0.0
+
+
+def test_dissipation_monitor_reads_only_the_table(left_exp):
+    # with every state's coordinates dropped, the monitor answers as on
+    # the kept run
+    traj = short_run(left_exp, sin_field(0.3))
+    want = wcsf.dissipation_monitor(traj)
+    traj._drop(range(len(traj)))
+    with pytest.raises(LookupError):
+        traj.curve(0)
+    assert traj.kept() == []
+    assert wcsf.dissipation_monitor(traj) == want
 
 
 def test_closed_form_theta_conventions(left_exp, right_exp):
@@ -346,8 +372,11 @@ def test_lean_rungs_give_the_full_runs_numbers(left_exp, kwargs,
         expected[0].append(
             float(wcsf.evolution_residual(traj, k).max()))
         expected[1].append(wcsf.commutator_residual(traj, k))
-        expected[2].append(
-            -wcsf.dissipation_monitor(traj).worst_slack)
+        t, length, dissipation = traj.scalars[
+            k - 1:k + 2, [wcsf.record.TIME, wcsf.record.LENGTH,
+                          wcsf.record.DISSIPATION]].T
+        expected[2].append(abs(wcsf.spectral.centered_dt(
+            *length, t[1] - t[0], t[2] - t[1]) + dissipation[1]))
     for rep, want in zip(reports, expected):
         assert rep.max_residuals == tuple(want)
     if kwargs:
