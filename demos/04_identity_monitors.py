@@ -4,11 +4,12 @@ Every evolution identity the flow satisfies in the continuum leaves a
 discretization residual. A residual that shrinks at the expected order
 under simultaneous grid and step refinement is evidence the identity is
 implemented correctly on both sides; a residual that plateaus or grows
-points at a defect. This script runs the studies on the ladder that
-`wcsf verify` uses, so it prints the orders a verified run reports, then
-shows what the monitors report. The monitors need no refinement: they
-check each recorded state against the flow's exact rates, dTheta/dt and
-dL/dt, so a clean run's dissipation slack is rounding.
+points at a defect. This script runs the studies on the refinement
+ladder, then shows what the monitors of `wcsf verify` report. The
+monitors need no refinement: they check each recorded state of the run
+against the flow's exact rates, dTheta/dt, dL/dt and the tangent's, so
+a clean run's dissipation, evolution and commutator defects are
+rounding.
 """
 
 import wcsf
@@ -63,14 +64,16 @@ for label in ("left warped", "right warped"):
           f"{BoundConstants(manifold, 1.0).constant(1.0):.6f}")
 
 print()
-print("== bound and dissipation monitors on a full left-warped run ==")
+print("== bound, dissipation and identity monitors on a full left-warped "
+      "run ==")
 manifold, field = setups["left warped"]
 curve = wcsf.make_graph_curve(field, 64)
 traj, report = wcsf.run(manifold, curve, wcsf.FlowParams(t_max=10.0,
                                                          record_stride=50))
 exp_rep, drift_rep = wcsf.theta_bound_monitor(traj)
 diss = wcsf.dissipation_monitor(traj)
-for rep in (exp_rep, drift_rep, diss):
+evolution, commutator = wcsf.identity_monitor(traj)
+for rep in (exp_rep, drift_rep, diss, evolution, commutator):
     head = f"  {rep.name:22s}"
     if rep.constant_name != "none":
         head += f" {rep.constant_name} = {rep.constant_value:.6f},"

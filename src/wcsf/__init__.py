@@ -26,7 +26,7 @@ from .verification import (BoundReport, RefinementLadder, ResidualReport,
                            commutator_residual_study, dissipation_monitor,
                            dissipation_residual_study,
                            evolution_residual_study, gradient_identity_study,
-                           theta_bound_monitor)
+                           identity_monitor, theta_bound_monitor)
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,7 @@ __all__ = [
     "adaptive_dt", "step_rk4", "run",
     "BoundReport", "ResidualReport", "RefinementLadder",
     "evolution_residual", "gradient_identity_residual", "commutator_residual",
-    "theta_bound_monitor", "dissipation_monitor",
+    "theta_bound_monitor", "dissipation_monitor", "identity_monitor",
     "exp_constant", "closed_form_theta",
     "evolution_residual_study", "commutator_residual_study",
     "dissipation_residual_study", "gradient_identity_study",

@@ -4,6 +4,11 @@
     wcsf verify <config>     same, with every verification pass forced on
     wcsf suite <directory>   run all *.cfg files and write a summary
 
+Every check but one reads the defects the run recorded at each of its
+states, so `wcsf verify` integrates the scenario's own flow and nothing
+else; the gradient identity's study reads its initial graph on three
+grids.
+
 Exit codes: 0 clean, 1 a monitored bound or residual check failed,
 2 the curve stopped being a graph, 3 curvature blew up, 64 usage or
 config errors or an artifact directory that cannot be written.
@@ -147,30 +152,30 @@ def execute_scenario(scn: Scenario, out_dir) -> tuple:
         "flow": asdict(rep),
     }
 
-    bounds = []
+    checks = []
     if scn.verify_bounds:
         exp_rep, drift_rep = verification.theta_bound_monitor(
             traj, eps_tol=params.tol_bound)
         sections["bounds"] = {"exp": _section(exp_rep),
                               "drift": _section(drift_rep)}
-        bounds += [exp_rep, drift_rep]
+        checks += [exp_rep, drift_rep]
     if scn.verify_dissipation:
         diss = verification.dissipation_monitor(traj, params.tol_bound)
         sections["dissipation"] = _section(diss)
-        bounds.append(diss)
+        checks.append(diss)
+    evolution, commutator = verification.identity_monitor(traj)
+    for on, name, check in ((scn.verify_evolution, "evolution", evolution),
+                            (scn.verify_commutator, "commutator", commutator)):
+        if on:
+            sections[name] = _section(check)
+            checks.append(check)
 
-    # the first study that reads the ladder integrates it; the rest reuse it
-    ladder = verification.RefinementLadder(scn.manifold, scn.init_field,
-                                           winding=scn.winding)
     studies = []
-    if scn.verify_evolution:
-        studies.append(verification.evolution_residual_study(ladder))
-        studies.append(verification.dissipation_residual_study(ladder))
-    if scn.verify_commutator:
-        studies.append(verification.commutator_residual_study(ladder))
     if scn.verify_gradient:
-        studies.append(verification.gradient_identity_study(ladder))
-    if studies:
+        # reads the ladder's initial curves, never integrates its runs
+        studies.append(verification.gradient_identity_study(
+            verification.RefinementLadder(scn.manifold, scn.init_field,
+                                          winding=scn.winding)))
         sections["residuals"] = {s.name: _section(s) for s in studies}
     sections["closed_form_theta"] = {
         "direct": closed_form_theta(traj.first)}
@@ -184,16 +189,16 @@ def execute_scenario(scn: Scenario, out_dir) -> tuple:
         code = EXIT_BLOWUP
     elif rep.stop_reason is StopReason.GRAPH_LOSS:
         code = EXIT_GRAPH_LOSS
-    if any(not b.passed for b in bounds) or any(not s.passed for s in studies):
+    if any(not c.passed for c in checks) or any(not s.passed for s in studies):
         code = max(code, EXIT_FALSIFIED)
 
     tag = f"[{scn.name}]"
     print(f"{tag} stop={rep.stop_reason.value} t={rep.t_final:.6g} "
           f"steps={rep.steps} length {rep.length_initial:.9g} -> "
           f"{rep.length_final:.9g}")
-    for b in bounds:
-        print(f"{tag} bound {b.name}: {'PASS' if b.passed else 'FAIL'} "
-              f"(worst slack {b.worst_slack:.3e})")
+    for c in checks:
+        print(f"{tag} check {c.name}: {'PASS' if c.passed else 'FAIL'} "
+              f"(worst slack {c.worst_slack:.3e})")
     for s in studies:
         orders = ", ".join(f"{o:.2f}" for o in s.orders)
         print(f"{tag} residual {s.name}: {'PASS' if s.passed else 'FAIL'} "

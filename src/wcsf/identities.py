@@ -7,18 +7,19 @@ commutator, the rate of the exponential lower bound on the angle, the
 drift inequality behind it, and the closed form of the angle. Each
 identity and each constant is one function that picks its formula by
 manifold.kind; a check of recorded states reads the manifold from their
-fields, in either gauge. Only the commutator and flow_rates contract the
-Christoffel symbols, from manifold.frame at the curve's nodes. The
-monitors and refinement studies that apply these over a run are
-wcsf.verification.
+fields, in either gauge. The monitors and refinement studies that apply
+these over a run are wcsf.verification.
 
-Time derivatives along the flow need care: nodes move with the velocity W
-of their gauge, CurveFields.velocity, and W - H = rho gamma' is
-tangential. So the material point of the normal flow drifts through the
-parametrization at du/dt = -rho (rho = -H^0 in the graph gauge), and the
-material derivative at a node is the centered difference in time minus
-rho d_u(value); omitting that advection leaves an O(1) defect. That
-derivative is wcsf.curves._material_dt; flow_rates takes it exactly from W.
+The evolution and commutator residuals here take their time derivatives
+by centred differences over three recorded states; every recorded state
+checks the same identities at the flow's exact rates (wcsf.rates), with
+the same right-hand sides. Those derivatives need care: nodes move with
+the velocity W of their gauge, CurveFields.velocity, and W - H = rho
+gamma' is tangential. So the material point of the normal flow drifts
+through the parametrization at du/dt = -rho (rho = -H^0 in the graph
+gauge), and the material derivative at a node is the centered difference
+in time minus rho d_u(value); omitting that advection leaves an O(1)
+defect. That derivative is wcsf.curves._material_dt.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import curves, spectral
-from .curves import _slide, arc_derivative, arc_laplacian
+from . import curves
+from .curves import arc_derivative, arc_laplacian
 from .fourier import _GRID, grid_max
 from .geometry import LEFT, WarpedProduct
+from .rates import commutator_defect, evolution_rhs
 
 if TYPE_CHECKING:   # wcsf.record imports this module
     from .record import FlowState, Trajectory
@@ -39,7 +41,6 @@ __all__ = [
     "evolution_residual",
     "gradient_identity_residual",
     "commutator_residual",
-    "flow_rates",
     "BoundConstants",
     "exp_constant",
     "closed_form_theta",
@@ -61,33 +62,14 @@ def _triple(traj: Trajectory, k: int):
 
 
 def evolution_residual(traj: Trajectory, k: int) -> np.ndarray:
-    """Node-wise defect of the angle evolution equation at state k:
-
-        left:  dTheta/dt = Lap Theta + |A|^2 Theta + 2 <H, D log psi> Theta
-                           - 2 <grad Theta, T> <T, D log psi>
-        right: dTheta/dt = Lap Theta + |A|^2 Theta
-                           + 2 (log phi)' Theta <grad Theta, T>
-                           - (log phi)'' Theta (1 - Theta^2)
-    """
+    """Node-wise defect |dTheta/dt - rates.evolution_rhs| of the angle
+    evolution equation at state k, dTheta/dt centred in time."""
     prev, mid, nxt = _triple(traj, k)
     f = mid.fields
-    manifold = f.manifold
     dth = curves._material_dt(prev.t, mid, nxt.t, prev.fields.theta,
                               f.theta, nxt.fields.theta)
-    rhs = arc_laplacian(f.theta, f.speed) + f.curvature_norm ** 2 * f.theta
-    grad = arc_derivative(f.theta, f.speed)
-    if manifold.kind == LEFT:
-        # <V, D log psi>_G = g V^1 (log psi)' / g (no r component)
-        raised, _ = manifold.dlog_warp(mid.curve.coords[:, 1])
-        g11, _ = manifold.base_terms(mid.curve.coords[:, 1])
-        h_dot = g11 * f.curvature[:, 1] * raised
-        t_dot = g11 * f.tangent[:, 1] * raised
-        rhs = rhs + 2.0 * h_dot * f.theta - 2.0 * grad * t_dot
-    else:
-        lp1, lp2 = manifold.log_warp_derivs(mid.curve.coords[:, 0])
-        rhs = (rhs + 2.0 * lp1 * f.theta * grad
-               - lp2 * f.theta * (1.0 - f.theta ** 2))
-    return np.abs(dth - rhs)
+    return np.abs(dth - evolution_rhs(mid, arc_derivative(f.theta, f.speed),
+                                      arc_laplacian(f.theta, f.speed)))
 
 
 def gradient_identity_residual(state: FlowState) -> float:
@@ -109,44 +91,13 @@ def gradient_identity_residual(state: FlowState) -> float:
 
 
 def commutator_residual(traj: Trajectory, k: int) -> float:
-    """Max G-norm of nabla_H T - nabla_T H - |A|^2 T over the nodes.
-
-    nabla_H T is the covariant material time derivative of the tangent
-    (centered differencing plus advection plus Gamma(H, T)); nabla_T H is
-    the covariant arclength derivative of the curvature field.
-    """
+    """rates.commutator_defect at state k, the material rate of the
+    tangent centred in time."""
     prev, mid, nxt = _triple(traj, k)
     f = mid.fields
-    metric, gamma = f.manifold.frame(mid.curve.coords)
     dt_t = curves._material_dt(prev.t, mid, nxt.t, prev.fields.tangent,
                                f.tangent, nxt.fields.tangent)
-    nab_h_t = dt_t + np.einsum("nabc,nb,nc->na", gamma, f.curvature, f.tangent)
-    dh_du = spectral.diff(f.curvature)
-    nab_t_h = dh_du / f.speed[:, None] + np.einsum(
-        "nabc,nb,nc->na", gamma, f.tangent, f.curvature)
-    resid = nab_h_t - nab_t_h - (f.curvature_norm ** 2)[:, None] * f.tangent
-    norms = np.sqrt(np.maximum(
-        np.einsum("nab,na,nb->n", metric, resid, resid), 0.0))
-    return float(norms.max())
-
-
-def flow_rates(state: FlowState) -> tuple:
-    """(dTheta/dt at the nodes, dL/dt) of state, exact for the
-    semi-discrete flow: with P = W' + Gamma(gamma', W) the covariant rate
-    of gamma', L changes at (2 pi/m) sum <P, T> and Theta = <T, d_r> at
-    <P, d_r - Theta T> / v + <T, Gamma(W, d_r)>, less the slide
-    rho d_u Theta of curves._material_dt."""
-    f = state.fields
-    metric, gamma = f.manifold.frame(state.curve.coords)
-    # k = Gamma^a_bc W^c by broadcast sums; np.einsum adds 0.15 MB peak RSS
-    k = (gamma * f.velocity[:, None, None, :]).sum(axis=3)
-    p = spectral.diff(f.velocity) + (k * f.deriv[:, None, :]).sum(axis=2)
-    t_low = (metric * f.tangent[:, None, :]).sum(axis=2)
-    normal = metric[:, 0] - f.theta[:, None] * t_low   # d_r - Theta T, lowered
-    node_dt = ((normal * p).sum(axis=1) / f.speed
-               + (t_low * k[:, :, 0]).sum(axis=1))
-    length_dt = float((t_low * p).sum() * (spectral.TWO_PI / state.curve.m))
-    return node_dt - _slide(f) * spectral.diff(f.theta), length_dt
+    return commutator_defect(mid, dt_t, f.manifold.frame(mid.curve.coords)[0])
 
 
 # -- bound constants ---------------------------------------------------------

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curves
-from .curves import CurveFields, DiscreteCurve, _integer, arc_laplacian
+from .curves import CurveFields, DiscreteCurve, _integer
 from .geometry import LEFT
-from .identities import flow_rates
+from .rates import state_defects
 from .spectral import TWO_PI, mod_two_pi
 
 __all__ = [
@@ -78,17 +78,22 @@ class FlowState:
 
 # the columns of Trajectory.scalars, one row per recorded state: the time,
 # min theta, min theta_hat, max |A|, the length and int |A|^2 ds; and the
-# hidden two, Trajectory.drift and Trajectory.dissipation_defect
+# hidden four of rates.state_defects, Trajectory.drift,
+# dissipation_defect, evolution_defect and commutator_defect
 (TIME, MIN_THETA, MIN_THETA_HAT, MAX_A, LENGTH, DISSIPATION, DRIFT,
- DISSIPATION_DEFECT) = range(8)
+ DISSIPATION_DEFECT, EVOLUTION_DEFECT, COMMUTATOR_DEFECT) = range(10)
+
+# the most a length may grow between recorded states and still count as
+# nonincreasing, in Trajectory.length_monotone
+MONOTONE_TOL = 1e-10
 
 
 class Trajectory:
     """Recorded flow states at strictly increasing times.
 
     Keeps the time, the moving columns (DiscreteCurve.moving), the row of
-    scalars and the drift and dissipation defects (identities.flow_rates)
-    of every state, the rows in one float64 table that doubles when it
+    scalars and the four defects (rates.state_defects) of every
+    state, the rows in one float64 table that doubles when it
     fills, and the fields of the newest state only: a graph state keeps
     its x1 column alone, since its r column is the node grid.
     Reading an older state rebuilds its curve from what was kept and its
@@ -104,7 +109,7 @@ class Trajectory:
 
     def __init__(self):
         self._coords: list[np.ndarray] = []
-        self._table = np.empty((16, DISSIPATION_DEFECT + 1))
+        self._table = np.empty((16, COMMUTATOR_DEFECT + 1))
         self._last: FlowState | None = None
 
     def append(self, state: FlowState) -> None:
@@ -124,17 +129,13 @@ class Trajectory:
         self._coords.append(c.coords[:, c.moving].copy())
         n = len(self) - 1
         if n == len(self._table):
-            grown = np.empty((2 * n, DISSIPATION_DEFECT + 1))
+            grown = np.empty((2 * n, COMMUTATOR_DEFECT + 1))
             grown[:n] = self._table
             self._table = grown
-        theta_dt, length_dt = flow_rates(state)
         dissipation = (f.curvature_norm ** 2 * f.speed).sum() * (TWO_PI / c.m)
         self._table[n] = (
             state.t, f.theta.min(), f.theta_hat.min(), f.curvature_norm.max(),
-            f.length, dissipation,
-            (theta_dt - arc_laplacian(f.theta, f.speed)
-             - 0.5 * f.curvature_norm ** 2 * f.theta).min(),
-            length_dt + dissipation)
+            f.length, dissipation, *state_defects(state, dissipation))
         self._last = state
 
     def __len__(self) -> int:
@@ -187,17 +188,37 @@ class Trajectory:
     def drift(self) -> np.ndarray:
         """The least drift defect dTheta/dt - Lap Theta - |A|^2 Theta / 2
         over each state's nodes, a read-only view like scalars."""
-        rows = self._table[:len(self), DRIFT]
-        rows.flags.writeable = False
-        return rows
+        return self._column(DRIFT)
 
     @property
     def dissipation_defect(self) -> np.ndarray:
         """Each state's dissipation defect dL/dt + int |A|^2 ds, a
         read-only view like scalars."""
-        rows = self._table[:len(self), DISSIPATION_DEFECT]
+        return self._column(DISSIPATION_DEFECT)
+
+    @property
+    def evolution_defect(self) -> np.ndarray:
+        """The largest defect |dTheta/dt - rates.evolution_rhs| over each
+        state's nodes, a read-only view like scalars."""
+        return self._column(EVOLUTION_DEFECT)
+
+    @property
+    def commutator_defect(self) -> np.ndarray:
+        """Each state's rates.commutator_defect at the exact rate of its
+        tangent, a read-only view like scalars."""
+        return self._column(COMMUTATOR_DEFECT)
+
+    def _column(self, j: int) -> np.ndarray:
+        rows = self._table[:len(self), j]
         rows.flags.writeable = False
         return rows
+
+    @property
+    def length_monotone(self) -> bool:
+        """Whether no recorded length exceeds the one before it by more
+        than MONOTONE_TOL."""
+        return bool(np.all(np.diff(self._table[:len(self), LENGTH])
+                           <= MONOTONE_TOL))
 
     @property
     def final(self) -> FlowState:
@@ -233,12 +254,6 @@ class FlowReport:
     converging_undecided: bool
 
 
-# the most a length may grow between recorded states and still count as
-# nonincreasing, in both FlowReport.length_monotone and the dissipation
-# monitor
-MONOTONE_TOL = 1e-10
-
-
 def _circular_mean(angles: np.ndarray) -> float:
     return float(mod_two_pi(np.arctan2(np.sin(angles).mean(),
                                        np.cos(angles).mean())))
@@ -256,7 +271,6 @@ def _median(values: list) -> float:
 
 def _build_report(traj: Trajectory, stop: StopReason, dts: list) -> FlowReport:
     rows = traj.scalars
-    monotone = bool(np.all(np.diff(rows[:, LENGTH]) <= MONOTONE_TOL))
     first, last = rows[0], rows[-1]
     limit = grad_norm = None
     manifold = traj.final.fields.manifold
@@ -285,7 +299,7 @@ def _build_report(traj: Trajectory, stop: StopReason, dts: list) -> FlowReport:
         final_max_curvature=float(last[MAX_A]),
         length_initial=float(first[LENGTH]),
         length_final=float(last[LENGTH]),
-        length_monotone=monotone,
+        length_monotone=traj.length_monotone,
         limit_base_point=limit,
         limit_warp_gradient_norm=grad_norm,
         geodesic_certified=certified,

@@ -30,10 +30,12 @@ Keys:
                          report section, the drift defects are still
                          computed as the run records)
     verify.dissipation   on | off (default on)
-    verify.evolution     on | off (default off; runs the evolution and
-                         dissipation refinement studies)
-    verify.commutator    on | off (default off)
-    verify.gradient      on | off (default off)
+    verify.evolution     on | off (default off; the angle evolution
+                         equation at every recorded state)
+    verify.commutator    on | off (default off; the tangent/curvature
+                         commutator at every recorded state)
+    verify.gradient      on | off (default off; the gradient identity's
+                         refinement study on the initial graph)
     output.svg           on | off (default off)
 
 The run controls time.t_max, tol.geo, tol.bound, tol.theta_floor,

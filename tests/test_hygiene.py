@@ -436,13 +436,22 @@ def test_the_scan_sees_a_definition_nothing_names():
         ("a", 2, "f"), ("a", 4, "g"), ("a", 6, "C"), ("b", 4, "k")]
 
 
+# the ladder's time-differencing studies, which no run calls since
+# `wcsf verify` checks their identities at every recorded state; acceptance
+# criteria 3, 5, 6 and 7 call them and perfbench/layers.py traces them by
+# name, so they stay, and leave this list when they leave the package
+_LADDER_STUDIES = ("verification.py: commutator_residual_study",
+                   "verification.py: dissipation_residual_study",
+                   "verification.py: evolution_residual_study")
+
+
 def test_the_package_names_every_function_and_class_it_defines():
     sources = {path.stem: path.read_text()
                for path in sorted((ROOT / "src/wcsf").glob("*.py"))
                if path.name != "__init__.py"}
-    found = [f"{module}.py:{line}: {name}"
-             for module, line, name in unnamed_definitions(sources)]
-    assert found == []
+    found = [f"{module}.py: {name}"
+             for module, _, name in unnamed_definitions(sources)]
+    assert sorted(found) == sorted(_LADDER_STUDIES)
 
 
 def ast_nodes(source: str) -> int:

@@ -32,8 +32,8 @@ record.stride = 2
 output.svg = on
 """
 
-# the studies' path: geometry.frame and the einsum contractions of the
-# commutator, on the ladder
+# the verify checks' curved-base path: geometry.frame and the exact
+# rates' broadcast sums at every recorded state
 CURVED = """\
 manifold.kind = left
 warp.exp_cos = 0.3
@@ -101,8 +101,8 @@ def allowed(name: str) -> bool:
 
 
 def test_svg_run_loads_only_allowed_modules(tmp_path):
-    # the chart writer's path under wcsf run and wcsf suite, the studies'
-    # under wcsf verify
+    # the chart writer's path under wcsf run and wcsf suite, the identity
+    # checks' under wcsf verify
     suite = tmp_path / "suite"
     suite.mkdir()
     product = suite / "product.cfg"
@@ -122,4 +122,4 @@ def test_svg_run_loads_only_allowed_modules(tmp_path):
     assert (tmp_path / "suite_out" / "product" / "chart.svg").read_bytes() \
         == chart.read_bytes()
     report = (tmp_path / "curved" / "report.txt").read_text()
-    assert "residuals.left_commutator.passed = yes" in report
+    assert "commutator.passed = yes" in report

@@ -193,7 +193,7 @@ def test_deturck_drift_slack_matches_the_graph_twin():
 @pytest.mark.parametrize("kind", [wcsf.LEFT, wcsf.RIGHT])
 def test_the_exact_angle_rate_matches_a_difference_along_the_velocity(
         kind, curved):
-    # flow_rates' covariant rates against the angle and the length of
+    # FlowRates' covariant rates against the angle and the length of
     # gamma +- eps W, at every recorded state of graph, DeTurck and winding
     # runs (largest gaps 1.7e-8 and 1.8e-9 at m = 128, the difference
     # step's error)
@@ -209,11 +209,43 @@ def test_the_exact_angle_rate_matches_a_difference_along_the_velocity(
             traj, _ = wcsf.run(manifold, curve, params)
             assert len(traj) > 2
             for state in traj:
-                theta_dt, length_dt = wcsf.identities.flow_rates(state)
-                gap = np.abs(theta_dt - oracles.theta_dt_fd(state)).max()
+                rates = wcsf.rates.FlowRates(state)
+                gap = np.abs(rates.theta_dt - oracles.theta_dt_fd(state)).max()
                 assert gap < 1e-7, (m, curve.mode, curve.winding, state.t)
-                gap = abs(length_dt - oracles.length_dt_fd(state))
+                gap = abs(rates.length_dt - oracles.length_dt_fd(state))
                 assert gap < 1e-7, (m, curve.mode, curve.winding, state.t)
+
+
+@pytest.mark.parametrize("kind", [wcsf.LEFT, wcsf.RIGHT])
+def test_the_identity_columns_match_the_centred_residuals(kind):
+    # each state's exact-rate defect against the centred-difference
+    # residual at its interior states, on graph, DeTurck and winding runs
+    # over a curved base: the gaps are the centred differences' own error,
+    # at most 8.9e-5 (evolution) and 2.9e-4 (commutator) at stride 1, and
+    # near 3.6 times larger at stride 2, as the second-order error of a
+    # difference over twice the time steps
+    manifold = curved_manifold(kind)
+    field = wcsf.FourierField([0.05], [0.0, 0.3, 0.1])
+    graph = wcsf.make_graph_curve(field, 64)
+    for curve in (graph,
+                  wcsf.DiscreteCurve("parametric", graph.coords, (1, 0)),
+                  wcsf.make_graph_curve(field, 64, 1)):
+        gaps = []
+        for stride in (1, 2):
+            traj, _ = wcsf.run(manifold, curve, wcsf.FlowParams(
+                t_max=0.02, record_stride=stride, tol_geo=0.0))
+            assert len(traj) > 3
+            interior = range(1, len(traj) - 1)
+            gaps.append((
+                max(abs(wcsf.evolution_residual(traj, k).max()
+                        - traj.evolution_defect[k]) for k in interior),
+                max(abs(wcsf.commutator_residual(traj, k)
+                        - traj.commutator_defect[k]) for k in interior)))
+            assert max(traj.evolution_defect.max(),
+                       traj.commutator_defect.max()) < 1e-8
+        (evolution, commutator), coarse = gaps
+        assert evolution < 1.5e-4 and commutator < 5e-4, curve.winding
+        assert coarse[0] > 3.0 * evolution and coarse[1] > 3.0 * commutator
 
 
 def test_dissipation_monitor_small_defect(product):
