@@ -121,12 +121,23 @@ def test_report_sections_are_their_records(tmp_path):
 
 
 def test_rerun_byte_identical(tmp_path):
+    # --out after the path, before it, and as --out=DIR
     cfg = write_cfg(tmp_path / "demo.cfg", FAST)
-    a, b = tmp_path / "a", tmp_path / "b"
+    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     assert main(["run", cfg, "--out", str(a)]) == 0
-    assert main(["run", cfg, "--out", str(b)]) == 0
+    assert main(["run", "--out", str(b), cfg]) == 0
+    assert main(["run", f"--out={c}", cfg]) == 0
     for name in ("report.txt", "trajectory.csv"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+        assert (a / name).read_bytes() == (b / name).read_bytes() \
+            == (c / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["run", "-h"]])
+def test_help_prints_the_usage_and_exits_0(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: wcsf run CONFIG [--out DIR]\n")
+    assert captured.err == ""
 
 
 def test_verify_adds_residual_sections(tmp_path):
@@ -322,9 +333,24 @@ def test_exit_code_blowup(tmp_path):
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
-def test_usage_errors(tmp_path):
-    assert main([]) == 64
-    assert main(["run"]) == 64
+def test_usage_errors(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path / "ok.cfg", FAST)
+    out = str(tmp_path / "o")
+    # a line outside the grammar, an abbreviated, repeated or empty --out
+    # among them, prints the usage and one error line and makes nothing
+    for argv in ([], ["fly", cfg], ["run"], ["run", cfg, cfg],
+                 ["run", cfg, "--quiet"], ["run", cfg, "--ou", out],
+                 ["run", cfg, "--out", out, "--out", out],
+                 ["run", cfg, "--out"], ["run", cfg, "--out", ""],
+                 ["run", "--out=", cfg],
+                 ["suite", str(tmp_path), "--out", ""]):
+        assert main(argv) == 64, argv
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: ") and err[-1].startswith(
+            "wcsf: error: "), argv
+        assert sum(line.startswith("wcsf: error:") for line in err) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.cfg"], argv
     assert main(["run", str(tmp_path / "missing.cfg")]) == 64
     bad = write_cfg(tmp_path / "bad.cfg", FAST + "grid.m = 100\n")
     assert main(["run", bad]) == 64
