@@ -4,7 +4,8 @@
     wcsf verify CONFIG [--out DIR]    same, every verification pass forced on
     wcsf suite DIRECTORY [--out DIR]  run all *.cfg files, write a summary
 
-`--out DIR` or `--out=DIR`, before or after the path, once and not empty;
+`--out DIR` or `--out=DIR`, before or after the path, once, with a DIR
+neither empty nor beginning with `-` (so `--out --out` is an error);
 `-h` or `--help` anywhere, also after a command, prints the one usage
 text and exits 0. The words are split here: argparse, with the gettext
 and locale modules it loads, added about 0.25 MB to every run's peak.
@@ -72,8 +73,9 @@ def _parse(argv: list) -> tuple:
             raise ValueError(f"unknown option {word}")
         else:
             paths.append(word)
-    if len(paths) != 1 or len(outs) > 1 or "" in outs:
-        raise ValueError("expected one path and at most one nonempty --out")
+    if len(paths) != 1 or len(outs) > 1 or any(o[:1] in "-" for o in outs):
+        raise ValueError("expected one path and at most one --out DIR, "
+                         "DIR not empty and not starting with -")
     return argv[0], paths[0], outs[0] if outs else None
 
 

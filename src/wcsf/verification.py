@@ -179,38 +179,6 @@ def identity_monitor(traj: Trajectory) -> tuple:
 # -- refinement studies -------------------------------------------------------
 
 
-class _Rung(Trajectory):
-    """A ladder rung's recording: the scalar row of every state, but the
-    coordinates of only the newest three states and of the window the
-    studies difference, the interior state nearest t_mid and its two
-    neighbours. So a rung holds at most six coordinate arrays however many
-    steps it records."""
-
-    def __init__(self, t_mid: float):
-        self._t_mid = t_mid
-        self._gap = math.inf      # |t - t_mid| of the nearest state so far
-        self._nearest = 0
-        super().__init__()
-
-    def append(self, state: FlowState) -> None:
-        super().append(state)
-        i = len(self) - 1
-        gap = abs(state.t - self._t_mid)
-        if gap < self._gap:       # the first of equal gaps, as argmin picks
-            self._gap, self._nearest = gap, i
-        # the nearest state only ever moves to the newest, so the one state
-        # to forget is the one that just left the newest three, unless it
-        # is next to the nearest
-        if i >= 3 and abs(i - 3 - max(self._nearest, 1)) > 1:
-            self._drop((i - 3,))
-
-    @property
-    def mid(self) -> int:
-        """The state the studies difference: the one nearest t_mid, moved
-        inward so it has a recorded neighbour on each side."""
-        return min(max(self._nearest, 1), len(self) - 2)
-
-
 # the studies' one protocol: each scenario runs on these grids to this time
 LADDER_GRIDS = (64, 128, 256)
 LADDER_T_END = 0.12
@@ -225,10 +193,10 @@ class RefinementLadder:
     the gauge curves.flow_curve gives a scenario's run, with every step
     recorded, so dt shrinks like M^-2 as M grows. The runs
     happen on the first read of `trajectories` and are kept on this
-    ladder, so every study handed the same ladder reads the same runs. A
-    rung keeps the scalar row of every state but the coordinates of only
-    the three states around LADDER_T_END / 2 and the newest three;
-    reading any other state raises LookupError.
+    ladder, so every study handed the same ladder reads the same runs.
+    Each rung is a plain run that keeps every state; only tests and
+    demos integrate a ladder, and `wcsf verify` reads its initial
+    curves alone.
     """
 
     manifold: WarpedProduct
@@ -243,17 +211,22 @@ class RefinementLadder:
         params = FlowParams(t_max=LADDER_T_END, tol_geo=0.0, record_stride=1)
         return tuple(run(self.manifold,
                          flow_curve(self.manifold, self.init_field, m,
-                                    self.winding),
-                         params, _Rung(0.5 * LADDER_T_END))[0]
+                                    self.winding), params)[0]
                      for m in LADDER_GRIDS)
 
 
 def _mid_residuals(ladder: RefinementLadder, residual) -> list:
-    """The largest residual(traj, k) on each grid, at the interior recorded
-    state k nearest LADDER_T_END / 2; nan where a run recorded fewer than
-    three states, when its first record interval outlasts the run."""
-    return [float(np.max(residual(traj, traj.mid))) if len(traj) >= 3
-            else math.nan for traj in ladder.trajectories]
+    """The largest residual(traj, k) on each grid, at the recorded state k
+    nearest LADDER_T_END / 2 (the first of equal gaps), moved inward so it
+    has a recorded neighbour on each side; nan where a run recorded fewer
+    than three states, when its first record interval outlasts the run."""
+    out = []
+    for traj in ladder.trajectories:
+        gaps = np.abs(traj.scalars[:, TIME] - 0.5 * LADDER_T_END)
+        k = min(max(int(np.argmin(gaps)), 1), len(traj) - 2)
+        out.append(float(np.max(residual(traj, k))) if len(traj) >= 3
+                   else math.nan)
+    return out
 
 
 def _orders(residuals) -> tuple:

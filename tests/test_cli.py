@@ -338,12 +338,15 @@ def test_usage_errors(tmp_path, monkeypatch, capsys):
     cfg = write_cfg(tmp_path / "ok.cfg", FAST)
     out = str(tmp_path / "o")
     # a line outside the grammar, an abbreviated, repeated or empty --out
-    # among them, prints the usage and one error line and makes nothing
+    # or a DIR that begins with - among them, prints the usage and one
+    # error line and makes nothing
     for argv in ([], ["fly", cfg], ["run"], ["run", cfg, cfg],
                  ["run", cfg, "--quiet"], ["run", cfg, "--ou", out],
                  ["run", cfg, "--out", out, "--out", out],
                  ["run", cfg, "--out"], ["run", cfg, "--out", ""],
                  ["run", "--out=", cfg],
+                 ["run", cfg, "--out", "--out"], ["run", cfg, "--out", "-x"],
+                 ["run", "--out=-x", cfg],
                  ["suite", str(tmp_path), "--out", ""]):
         assert main(argv) == 64, argv
         err = capsys.readouterr().err.splitlines()
@@ -362,6 +365,17 @@ def test_usage_errors(tmp_path, monkeypatch, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["suite", str(empty)]) == 64
+
+
+@pytest.mark.parametrize("form", [["--out", "./-x"], ["--out=./-x"]])
+def test_a_dir_beginning_with_a_dash_is_named_by_its_path(tmp_path,
+                                                          monkeypatch, form):
+    # `--out -x` is a usage error; `./-x` names the same directory
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path / "ok.cfg", FAST)
+    assert main(["run", cfg, *form]) == 0
+    assert (tmp_path / "-x" / "report.txt").is_file()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["-x", "ok.cfg"]
 
 
 def test_usage_error_message(tmp_path, capsys):

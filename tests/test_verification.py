@@ -1,5 +1,3 @@
-import gc
-import tracemalloc
 from functools import cached_property
 
 import numpy as np
@@ -383,8 +381,8 @@ def test_the_ladder_constants_give_orders():
     {}, {"LADDER_GRIDS": (32, 64), "LADDER_T_END": 0.04}])
 def test_lean_rungs_give_the_full_runs_numbers(left_exp, kwargs,
                                                monkeypatch):
-    # a rung keeps the coordinates of few states; the studies must still
-    # read exactly the numbers of a fully kept run at the same state k
+    # the studies read exactly the numbers of a plain run at the recorded
+    # state k nearest LADDER_T_END / 2, moved inward to have two neighbours
     for name, value in kwargs.items():
         monkeypatch.setattr(wcsf.verification, name, value)
     t_end = wcsf.verification.LADDER_T_END
@@ -416,58 +414,46 @@ def test_lean_rungs_give_the_full_runs_numbers(left_exp, kwargs,
         assert [len(t) for t in ladder.trajectories] == [4, 11]
 
 
-def test_ladder_memory_is_bounded():
-    # the studies read every state's scalar row but the coordinates of
-    # three states per rung; keeping all 595 curves held 1.3 MB
-    manifold = wcsf.WarpedProduct(wcsf.LEFT,
-                                  warp=wcsf.FourierField.exp_cos(0.3),
-                                  g11=wcsf.FourierField([1.0, 0.2]))
-    ladder = wcsf.RefinementLadder(manifold, sin_field(0.3))
-    tracemalloc.start()
-    try:
-        wcsf.evolution_residual_study(ladder)
-        wcsf.commutator_residual_study(ladder)
-        wcsf.dissipation_residual_study(ladder)
-        # state 0 of the finest rung is far from LADDER_T_END / 2 and the end
-        with pytest.raises(LookupError, match="state 0 .* was dropped"):
-            ladder.trajectories[-1][0]
-        gc.collect()
-        held = tracemalloc.get_traced_memory()[0]
-        del ladder
-        gc.collect()
-        held -= tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert held < 400 * 1024
-
-
 def test_a_rung_gives_the_bound_reports_of_a_kept_run(left_exp):
-    # a rung drops the coordinates of most states; the bound monitor reads
-    # the scalar table alone, so it answers as on the fully kept run
-    curve = wcsf.make_graph_curve(sin_field(0.3), 64)
-    params = wcsf.FlowParams(t_max=0.05, tol_geo=0.0, record_stride=1)
-    rung, _ = wcsf.run(left_exp, curve, params, wcsf.verification._Rung(0.025))
+    # a rung is a plain run that keeps every state, so the bound monitor
+    # answers on it as on the same run made outside the ladder
+    ladder = wcsf.RefinementLadder(left_exp, sin_field(0.3))
+    rung = ladder.trajectories[0]
+    curve = wcsf.curves.flow_curve(left_exp, sin_field(0.3),
+                                   wcsf.verification.LADDER_GRIDS[0], 0)
+    params = wcsf.FlowParams(t_max=wcsf.verification.LADDER_T_END,
+                             tol_geo=0.0, record_stride=1)
     kept, _ = wcsf.run(left_exp, curve, params)
-    assert len(rung.kept()) < len(rung) - 2
+    assert rung.kept() == list(range(len(rung))) and len(rung) == len(kept)
     assert wcsf.theta_bound_monitor(rung) == wcsf.theta_bound_monitor(kept)
 
 
 @pytest.mark.parametrize("share", [0.0, 0.5, 2.0])
-def test_a_rung_keeps_the_newest_three_and_the_three_around_mid(left_exp,
-                                                                share):
-    # after every append, with LADDER_T_END / 2 at the first state, inside
-    # the run and past its end, where the nearest state is the newest
+def test_mid_residuals_read_the_state_nearest_mid_moved_inward(
+        left_exp, share, monkeypatch):
+    # with LADDER_T_END / 2 at the first state, inside the run and past its
+    # end: the state nearest it, moved inward to have two neighbours
     curve = wcsf.make_graph_curve(sin_field(0.3), 64)
     params = wcsf.FlowParams(t_max=0.05, tol_geo=0.0, record_stride=1)
     kept, _ = wcsf.run(left_exp, curve, params)
-    rung = wcsf.verification._Rung(share * 0.05)
-    assert len(kept) > 10
-    for n in range(1, len(kept) + 1):
-        rung.append(kept[n - 1])
-        want = set(range(max(n - 3, 0), n))
-        if n >= 3:
-            want |= {rung.mid - 1, rung.mid, rung.mid + 1}
-        assert rung.kept() == sorted(want)
+    n = len(kept)
+    assert n > 10
+    monkeypatch.setattr(wcsf.verification, "LADDER_T_END", 2 * share * 0.05)
+    seen = []
+
+    def residual(traj, k):
+        seen.append((traj, k))
+        return np.array([float(k)])
+
+    ladder = type("Ladder", (), {"trajectories": (kept,)})()
+    got = wcsf.verification._mid_residuals(ladder, residual)
+    gaps = [abs(kept.scalars[i, wcsf.record.TIME] - share * 0.05)
+            for i in range(n)]
+    nearest = gaps.index(min(gaps))
+    want = {0.0: 1, 0.5: nearest, 2.0: n - 2}[share]
+    if share == 0.5:
+        assert 1 < nearest < n - 2
+    assert seen == [(kept, want)] and got == [float(want)]
 
 
 @pytest.mark.parametrize("winding", [0, 1])
@@ -503,8 +489,7 @@ class DeTurckLadder(wcsf.RefinementLadder):
         for m in wcsf.verification.LADDER_GRIDS:
             g = wcsf.make_graph_curve(self.init_field, m, self.winding)
             twin = wcsf.DiscreteCurve("parametric", g.coords, g.winding)
-            out.append(wcsf.run(self.manifold, twin, params,
-                                wcsf.verification._Rung(0.5 * t_end))[0])
+            out.append(wcsf.run(self.manifold, twin, params)[0])
         return tuple(out)
 
 
