@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import verification
@@ -103,7 +102,7 @@ def _suite_scenario(path: Path) -> Scenario:
 def _section(record) -> dict:
     """A bound or residual report's section: its fields in order, less the
     name its key already gives."""
-    section = asdict(record)
+    section = record._asdict()
     del section["name"]
     return section
 
@@ -156,8 +155,8 @@ def execute_scenario(scn: Scenario, out_dir) -> tuple:
 
     sections = {
         "scenario": {"name": scn.name, "kind": scn.manifold.kind, "m": scn.m,
-                     **asdict(params), "winding": scn.winding},
-        "flow": asdict(rep),
+                     **params._asdict(), "winding": scn.winding},
+        "flow": rep._asdict(),
     }
 
     checks = []
@@ -219,9 +218,9 @@ def execute_scenario(scn: Scenario, out_dir) -> tuple:
 def _cmd_single(config: str, out: str | None, force_verify: bool) -> int:
     scn = _load_scenario(Path(config))
     if force_verify:
-        scn = replace(scn, verify_bounds=True, verify_dissipation=True,
-                      verify_evolution=True, verify_commutator=True,
-                      verify_gradient=True)
+        scn = scn._replace(verify_bounds=True, verify_dissipation=True,
+                           verify_evolution=True, verify_commutator=True,
+                           verify_gradient=True)
     code, _ = execute_scenario(
         scn, Path("wcsf_out") / scn.name if out is None else Path(out))
     return code

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,7 +67,6 @@ def _node_bytes(m: int) -> bytes:
     return spectral.nodes(m).tobytes()  # a third of np.array_equal's time
 
 
-@dataclass(frozen=True)
 class DiscreteCurve:
     """Closed curve at nodes u_j = 2 pi j / M.
 
@@ -77,26 +76,23 @@ class DiscreteCurve:
     how many times each lifted coordinate gains 2 pi per loop.
     """
 
-    mode: str
-    coords: np.ndarray
-    winding: tuple
+    __slots__ = ("mode", "coords", "winding")
 
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "winding",
-                           tuple(_integer(w, "winding") for w in self.winding))
-        if self.mode not in (GRAPH, PARAMETRIC):
-            raise ValueError(f"unknown curve mode {self.mode!r}")
+    def __init__(self, mode: str, coords, winding):
+        coords = np.asarray(coords, dtype=float)
+        winding = tuple(_integer(w, "winding") for w in winding)
+        if mode not in (GRAPH, PARAMETRIC):
+            raise ValueError(f"unknown curve mode {mode!r}")
         if coords.ndim != 2 or coords.shape[1] != 2:
             raise ValueError("coords must have shape (M, 2)")
         m = _validate_m(coords.shape[0])
-        if len(self.winding) != 2:
+        if len(winding) != 2:
             raise ValueError("winding must have one entry per coordinate")
-        if self.mode == GRAPH and self.winding != (1, 0):
+        if mode == GRAPH and winding != (1, 0):
             raise ValueError("graph mode winds (1, 0): once in r, never in x")
-        if self.mode == GRAPH and coords[:, 0].tobytes() != _node_bytes(m):
+        if mode == GRAPH and coords[:, 0].tobytes() != _node_bytes(m):
             raise ValueError("a graph's r column must be the node grid")
+        self.mode, self.coords, self.winding = mode, coords, winding
 
     @property
     def m(self) -> int:
@@ -153,8 +149,7 @@ def flow_curve(manifold: WarpedProduct, field: FourierField, m: int,
     return curve
 
 
-@dataclass(eq=False, slots=True)
-class CurveFields:
+class CurveFields(NamedTuple):
     """Per-node geometric data shared by the flow and the monitors.
 
     Attribute shapes (M nodes, 2 ambient dimensions):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,34 +41,46 @@ class StopReason(enum.Enum):
 BOUND_TOL = 1e-4
 
 
-@dataclass(frozen=True)
 class FlowParams:
     """Integration controls; the defaults serve every stock scenario.
-    tol_bound is the bound monitors' slack tolerance; run() never reads it."""
+    tol_bound is the bound monitors' slack tolerance; run() never reads it.
 
-    t_max: float = 50.0
-    tol_geo: float = 1e-6
-    tol_bound: float = BOUND_TOL
-    theta_floor: float = 1e-3
-    a_ceiling: float = 1e6
-    record_stride: int = 50
+    It reads like a NamedTuple (_fields, _asdict, _replace, equality by
+    value) but is a plain class: NamedTuple._replace builds its copy
+    through _make, past the range checks, where this _replace constructs
+    a new FlowParams.
+    """
 
-    def __post_init__(self):
-        # a NaN threshold would silently switch its stop condition off
-        for name in ("t_max", "tol_geo", "tol_bound", "theta_floor"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative")
-        if not 0.0 < self.a_ceiling < math.inf:
-            raise ValueError("a_ceiling must be finite and positive")
+    _fields = ("t_max", "tol_geo", "tol_bound", "theta_floor", "a_ceiling",
+               "record_stride")
+    __slots__ = _fields
+
+    def __init__(self, t_max=50.0, tol_geo=1e-6, tol_bound=BOUND_TOL,
+                 theta_floor=1e-3, a_ceiling=1e6, record_stride=50):
         # a count: 2.5 would shift the record grid
-        stride = _integer(self.record_stride, "record_stride")
-        if stride < 1:
-            raise ValueError("record_stride must be a positive integer")
-        object.__setattr__(self, "record_stride", stride)
+        stride = _integer(record_stride, "record_stride")
+        for name, value in zip(self._fields, (t_max, tol_geo, tol_bound,
+                                              theta_floor, a_ceiling, stride)):
+            # a NaN threshold would silently switch its stop condition off
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
+            setattr(self, name, value)
+        if a_ceiling == 0.0:
+            raise ValueError("a_ceiling must be positive")
+        if stride == 0:
+            raise ValueError("record_stride must be positive")
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def _replace(self, **changes) -> FlowParams:
+        return FlowParams(**{**self._asdict(), **changes})
+
+    def __eq__(self, other):
+        return type(other) is FlowParams and self._asdict() == other._asdict()
 
 
-@dataclass(frozen=True)
-class FlowState:
+class FlowState(NamedTuple):
     """A curve at a time together with its cached geometric fields."""
 
     curve: DiscreteCurve
@@ -225,8 +237,7 @@ class Trajectory:
         return self[-1]
 
 
-@dataclass(frozen=True)
-class FlowReport:
+class FlowReport(NamedTuple):
     """Run summary: stop condition and final diagnostics, field for field
     the flow section of a run's report.txt, in its order. The recorded
     series is the trajectory's scalars. dt_min, dt_median and dt_max range

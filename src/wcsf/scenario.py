@@ -49,7 +49,7 @@ offending line number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,7 +159,7 @@ def _nodes(text: str) -> int:
 def _set(params: FlowParams, field: str, parse):
     """Converter giving params with field set to the parsed value; the
     range check is FlowParams'."""
-    return lambda text: replace(params, **{field: parse(text)})
+    return lambda text: params._replace(**{field: parse(text)})
 
 
 def _field_from(cos, sin, constant: float = 0.0):
@@ -168,8 +168,7 @@ def _field_from(cos, sin, constant: float = 0.0):
     return FourierField(c, s)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """Parsed, validated description of one flow run; params is the
     FlowParams the run uses."""
 

@@ -16,8 +16,8 @@ the gradient identity's, which reads the ladder's initial curves alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """Refinement evidence for one identity: max residual per grid and the
     empirical order log2(res(M) / res(2M)) between consecutive grids."""
 
@@ -58,8 +57,7 @@ class ResidualReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Outcome of one inequality monitor.
 
     worst_slack is min over checks of (left side - right side); the bound
@@ -184,7 +182,6 @@ LADDER_GRIDS = (64, 128, 256)
 LADDER_T_END = 0.12
 
 
-@dataclass(frozen=True)
 class RefinementLadder:
     """One scenario integrated on a ladder of grids, for the studies.
 
@@ -199,12 +196,10 @@ class RefinementLadder:
     curves alone.
     """
 
-    manifold: WarpedProduct
-    init_field: FourierField
-    winding: int = 0
-
-    def __post_init__(self):
-        _integer(self.winding, "winding")
+    def __init__(self, manifold: WarpedProduct, init_field: FourierField,
+                 winding: int = 0):
+        self.manifold, self.init_field = manifold, init_field
+        self.winding = _integer(winding, "winding")
 
     @cached_property
     def trajectories(self) -> tuple:

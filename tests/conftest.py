@@ -15,7 +15,7 @@ def load_perfbench(name):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
                                                   PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up by name
+    # perfbench.workloads' dataclass looks its module up by name
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module

@@ -2,7 +2,6 @@ import gc
 import io
 import os
 import tracemalloc
-from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -88,8 +87,8 @@ def test_report_flow_section_is_the_flow_report(tmp_path):
     assert main(["run", cfg, "--out", str(out)]) == 0
     keys = [line.split(" = ")[0]
             for line in (out / "report.txt").read_text().splitlines()]
-    assert [k[len("flow."):] for k in keys if k.startswith("flow.")] == [
-        f.name for f in fields(wcsf.FlowReport)]
+    assert [k[len("flow."):] for k in keys if k.startswith("flow.")] == list(
+        wcsf.FlowReport._fields)
 
 
 def test_report_sections_are_their_records(tmp_path):
@@ -105,9 +104,9 @@ def test_report_sections_are_their_records(tmp_path):
     def section(prefix):
         return [k[len(prefix):] for k in keys if k.startswith(prefix)]
 
-    assert section("scenario.") == ["name", "kind", "m"] + [
-        f.name for f in fields(wcsf.FlowParams)] + ["winding"]
-    bound = [f.name for f in fields(wcsf.BoundReport)][1:]
+    assert section("scenario.") == [
+        "name", "kind", "m", *wcsf.FlowParams._fields, "winding"]
+    bound = list(wcsf.BoundReport._fields[1:])
     inputs = ["input.grid", "input.min_theta_0", "input.max_warp_sq"]
     at = bound.index("input")
     for prefix, flat in (("bounds.exp.", inputs), ("bounds.drift.", inputs),
@@ -116,8 +115,8 @@ def test_report_sections_are_their_records(tmp_path):
         assert section(prefix) == bound[:at] + flat + bound[at + 1:]
     studies = {k.split(".")[1] for k in keys if k.startswith("residuals.")}
     assert studies == {"left_gradient_identity"}
-    assert section("residuals.left_gradient_identity.") == [
-        f.name for f in fields(wcsf.ResidualReport)][1:]
+    assert section("residuals.left_gradient_identity.") == list(
+        wcsf.ResidualReport._fields[1:])
 
 
 def test_rerun_byte_identical(tmp_path):
@@ -284,8 +283,7 @@ def test_a_planted_velocity_error_fails_the_dissipation_check(
 
     def fast(curve, manifold):
         fields = real(curve, manifold)
-        fields.velocity = 1.01 * fields.velocity
-        return fields
+        return fields._replace(velocity=1.01 * fields.velocity)
 
     slack = {}
     for planted in (False, True):
@@ -743,7 +741,7 @@ def test_the_chart_writer_holds_under_60_percent_of_the_joined_chart(
     # over and a list of point strings per time series
     scn = wcsf.parse_config((Path(__file__).resolve().parents[1]
                              / "scenarios/product.cfg").read_text())
-    params = replace(scn.params, record_stride=20)
+    params = scn.params._replace(record_stride=20)
     with open_trajectory_csv(os.devnull) as csv:
         traj, _ = wcsf.run(scn.manifold, scn.initial_curve(), params,
                            _Recorder(csv))

@@ -61,8 +61,7 @@ def plant(monkeypatch, defect: str) -> None:
 
         def fast(curve, manifold):
             fields = real(curve, manifold)
-            fields.velocity = 1.01 * fields.velocity
-            return fields
+            return fields._replace(velocity=1.01 * fields.velocity)
 
         monkeypatch.setattr(wcsf.flow, "compute_fields", fast)
     else:

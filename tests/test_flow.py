@@ -2,7 +2,6 @@ import gc
 import io
 import statistics
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +326,21 @@ def test_flow_params_validation():
     assert wcsf.FlowParams(tol_geo=0.0, theta_floor=0.0).tol_geo == 0.0
 
 
+def test_flow_params_checks_its_ranges_on_every_construction():
+    # FlowParams is no NamedTuple because NamedTuple._replace builds its
+    # copy through _make, past any check a subclass's __new__ makes
+    for name, bad in (("t_max", float("nan")), ("tol_geo", -1.0),
+                      ("record_stride", 2.5)):
+        with pytest.raises(ValueError, match=name):
+            wcsf.FlowParams(**{name: bad})
+        with pytest.raises(ValueError, match=name):
+            wcsf.FlowParams(t_max=1.0)._replace(**{name: bad})
+    # the config parser sets each run control through _replace
+    with pytest.raises(wcsf.ConfigError, match="time.t_max") as err:
+        wcsf.parse_config("manifold.kind = left\ntime.t_max = -1\n")
+    assert err.value.line == 2
+
+
 def test_record_stride_controls_sampling(product):
     curve = wcsf.make_graph_curve(sin_field(0.3), 64)
     traj, rep = wcsf.run(product, curve,
@@ -387,7 +401,7 @@ def test_the_drift_slack_does_not_depend_on_the_record_stride(name, strides):
     scn = parse_config((SCENARIO_DIR / f"{name}.cfg").read_text())
     drift, dissipation = [], []
     for stride in strides:
-        params = replace(scn.params, record_stride=stride)
+        params = scn.params._replace(record_stride=stride)
         traj, _ = wcsf.run(scn.manifold, scn.initial_curve(), params)
         drift.append(wcsf.theta_bound_monitor(traj)[1].worst_slack)
         dissipation.append(wcsf.dissipation_monitor(traj).worst_slack)

@@ -1,6 +1,6 @@
 """Source hygiene: no module imports a name it never uses, no function
 takes a parameter it never reads (a test's included: an unread fixture is
-set up for nothing), and no package function or dataclass field has a
+set up for nothing), and no package function or record field has a
 default that no production call overrides (a setting with one value in
 use is a constant, whatever values tests or demos try).
 
@@ -119,21 +119,24 @@ def test_no_function_takes_a_parameter_it_never_reads():
     assert found == []
 
 
-def _is_dataclass(cls: ast.ClassDef) -> bool:
-    """Whether cls is decorated @dataclass or @dataclass(...)."""
+def _is_record(cls: ast.ClassDef) -> bool:
+    """Whether cls is decorated @dataclass or @dataclass(...), or based on
+    NamedTuple: a class whose annotated names are its fields."""
     decorators = [d.func if isinstance(d, ast.Call) else d
                   for d in cls.decorator_list]
-    return any(isinstance(d, ast.Name) and d.id == "dataclass"
-               for d in decorators)
+    names = [d.id for d in decorators if isinstance(d, ast.Name)]
+    bases = [b.attr if isinstance(b, ast.Attribute) else getattr(b, "id", "")
+             for b in cls.bases]
+    return "dataclass" in names or "NamedTuple" in bases
 
 
 def defaulted_fields(source: str) -> list:
     """(line, class, field, position) for each field with a default of a
-    module-level dataclass; position is the field's index among the
-    arguments of the class's generated __init__."""
+    module-level dataclass or NamedTuple; position is the field's index
+    among the arguments of the class's generated constructor."""
     found = []
     for cls in ast.parse(source).body:
-        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+        if isinstance(cls, ast.ClassDef) and _is_record(cls):
             fields = [node for node in cls.body
                       if isinstance(node, ast.AnnAssign)
                       and isinstance(node.target, ast.Name)]
@@ -198,9 +201,9 @@ def strings(source: str) -> set:
 
 def unpassed_defaults(source: str, call_sources) -> list:
     """(line, "callee(parameter)") for each defaulted parameter or
-    dataclass field in source that no call in call_sources passes, by
-    position or by keyword. A field also counts as set when a string of
-    call_sources names it, as dataclasses.replace(obj, **{name: value})
+    dataclass or NamedTuple field in source that no call in call_sources
+    passes, by position or by keyword. A field also counts as set when a
+    string of call_sources names it, as obj._replace(**{name: value})
     does."""
     seen, named = {}, set()
     for text in call_sources:
@@ -245,6 +248,14 @@ def test_the_scan_sees_a_default_no_call_passes():
     assert unpassed_defaults(source, ["P(**kw)\n"]) == []
     assert unpassed_defaults(
         source, ["P(0)\nreplace(p, **{'b': 2})\nset_('c')\n"]) == []
+    # a NamedTuple field likewise, whether based on NamedTuple or on
+    # typing.NamedTuple; R's base is no NamedTuple, so its e is no field
+    for base in ("NamedTuple", "typing.NamedTuple"):
+        source = (f"class N({base}):\n    a: int\n    b: int = 1\n"
+                  "class R(Base):\n    e: int = 4\n")
+        assert unpassed_defaults(source, ["N(0)\n"]) == [(3, "N.b")]
+        assert unpassed_defaults(source, ["N(0, b=2)\n"]) == []
+        assert unpassed_defaults(source, ["n._replace(**{'b': 2})\n"]) == []
 
 
 def test_every_default_is_passed_by_some_call():
